@@ -17,7 +17,8 @@ import json
 import os
 import random
 import sys
-from typing import Optional, TextIO
+from functools import partial
+from typing import Any, NamedTuple, Optional, TextIO
 
 from . import completion, cyclotomic, qcrt, rootexp
 from .completion import (
@@ -40,38 +41,76 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit_json(out: TextIO, payload) -> None:
-    out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    out.write("\n")
+class _Result(NamedTuple):
+    """What a subcommand computed, ready for every output format."""
+
+    payload: Any  # JSON value; None for a verdict printed alike in every format
+    header: str  # CSV header line
+    rows: list  # CSV rows
+    plain: str  # plain text, newline-terminated
+    code: int = 0  # exit status
 
 
-def _emit_csv(out: TextIO, header: str, rows) -> None:
-    out.write(header + "\n")
-    for row in rows:
-        out.write(",".join(str(x) for x in row) + "\n")
+def _emit(out: TextIO, fmt: str, result: _Result) -> None:
+    if result.payload is None or fmt == "plain":
+        out.write(result.plain)
+    elif fmt == "json":
+        out.write(json.dumps(result.payload, sort_keys=True, separators=(",", ":")))
+        out.write("\n")
+    else:
+        out.write(result.header + "\n")
+        for row in result.rows:
+            out.write(",".join(str(x) for x in row) + "\n")
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _poly_result(payload, poly, plain: str, code: int = 0) -> _Result:
+    return _Result(payload, "index,coefficient", list(enumerate(poly.to_json())), plain, code)
+
+
+def _element_result(elt: completion.TruncatedElement) -> _Result:
+    plain = f"{elt.rep} (mod g_{elt.level} on {elt.chain.label})\n"
+    return _poly_result(elt.to_json_dict(), elt.rep, plain)
+
+
+# -- argument types -------------------------------------------------------------
+#
+# Every user-supplied value is parsed and range-checked here, at the
+# parser, so a bad value exits 1 as a usage error instead of reaching
+# the library.
+
+
+def _int_at_least(text: str, least: int) -> int:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return value
 
 
-def _parse_poly(text: str) -> IntPolynomial:
+def _level(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _positive_list(text: str) -> list[int]:
+    values = [_positive(x) for x in text.split(",") if x != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}"
+        )
+    return values
+
+
+def _parse_poly(text: str, cls=IntPolynomial):
     try:
-        data = json.loads(text)
-        return IntPolynomial.from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad polynomial JSON {text!r}: {exc}") from exc
-
-
-def _parse_rat_poly(text: str) -> RatPolynomial:
-    try:
-        data = json.loads(text)
-        return RatPolynomial.from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad polynomial JSON {text!r}: {exc}") from exc
+        return cls.from_json(json.loads(text))
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad polynomial JSON {text!r}: {exc}") from exc
 
 
 def _parse_chain(spec: str) -> FiltrationChain:
@@ -82,14 +121,10 @@ def _parse_chain(spec: str) -> FiltrationChain:
         arg = spec[len("adic:") :]
         if arg.startswith("["):
             return AdicChain(_parse_poly(arg))
-        try:
-            n = int(arg)
-        except ValueError as exc:
-            raise UsageError(f"bad adic chain spec {spec!r}") from exc
-        return AdicChain(cyclotomic.cyclotomic_poly(n))
+        return AdicChain(cyclotomic.cyclotomic_poly(_positive(arg)))
     if spec.startswith("product:"):
-        return ProductChain(_parse_int_list(spec[len("product:") :]))
-    raise UsageError(f"unknown chain spec {spec!r}")
+        return ProductChain(_positive_list(spec[len("product:") :]))
+    raise argparse.ArgumentTypeError(f"unknown chain spec {spec!r}")
 
 
 def _parse_ring(name: str) -> cyclotomic.RingDescriptor:
@@ -101,18 +136,19 @@ def _parse_ring(name: str) -> cyclotomic.RingDescriptor:
         try:
             return cyclotomic.ring_z_inverted(int(name[3:]))
         except ValueError as exc:
-            raise UsageError(f"bad ring spec {name!r}") from exc
-    raise UsageError(f"unknown ring {name!r} (expected Z, Q, or Z1/m)")
+            raise argparse.ArgumentTypeError(f"bad ring spec {name!r}") from exc
+    raise argparse.ArgumentTypeError(f"unknown ring {name!r} (expected Z, Q, or Z1/m)")
 
 
 def _parse_lambda(text: str) -> qcrt.ExponentVector:
     pairs = {}
-    try:
-        for item in text.split(","):
-            n, e = item.split(":")
-            pairs[int(n)] = int(e)
-    except ValueError as exc:
-        raise UsageError(f"bad exponent vector {text!r} (expected n:e,n:e,...)") from exc
+    for item in text.split(","):
+        n, sep, e = item.partition(":")
+        if not sep:
+            raise argparse.ArgumentTypeError(
+                f"bad exponent vector {text!r} (expected n:e,n:e,...)"
+            )
+        pairs[_positive(n)] = _positive(e)
     return qcrt.ExponentVector(pairs)
 
 
@@ -133,6 +169,15 @@ class Budgets:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"config {path!r} must hold a JSON object")
+        for key in ("max_level", "max_order"):
+            value = data.get(key)
+            # bool is an int subclass; a budget of `true` is not a number
+            if value is not None and (type(value) is not int or value < 0):
+                raise UsageError(
+                    f"config {key} must be a non-negative integer or null, got {value!r}"
+                )
         return Budgets(data.get("max_level"), data.get("max_order"))
 
     def check_level(self, level: int) -> int:
@@ -149,228 +194,142 @@ class Budgets:
 # -- subcommand implementations ---------------------------------------------
 
 
-def _poly_payload(out: TextIO, fmt: str, payload: dict, poly, plain_label: str) -> None:
-    if fmt == "json":
-        _emit_json(out, payload)
-    elif fmt == "csv":
-        _emit_csv(out, "index,coefficient", list(enumerate(poly.to_json())))
-    else:
-        out.write(f"{plain_label}{poly}\n")
-
-
-def _cmd_cyclotomic(args, out: TextIO, budgets: Budgets) -> int:
+def _cmd_cyclotomic(args, budgets: Budgets) -> _Result:
     n = budgets.check_order(args.n)
     poly = cyclotomic.cyclotomic_poly(n)
-    _poly_payload(out, args.format, {"coeffs": poly.to_json(), "n": n}, poly, f"Phi_{n} = ")
-    return 0
+    return _poly_result({"coeffs": poly.to_json(), "n": n}, poly, f"Phi_{n} = {poly}\n")
 
 
-def _cmd_pochhammer(args, out: TextIO, budgets: Budgets) -> int:
+def _cmd_pochhammer(args, budgets: Budgets) -> _Result:
     n = budgets.check_level(args.n)
     poly = cyclotomic.pochhammer(n)
-    _poly_payload(out, args.format, {"coeffs": poly.to_json(), "n": n}, poly, f"(q)_{n} = ")
-    return 0
+    return _poly_result({"coeffs": poly.to_json(), "n": n}, poly, f"(q)_{n} = {poly}\n")
 
 
-def _cmd_graph(args, out: TextIO, budgets: Budgets) -> int:
-    desc = _parse_ring(args.ring)
-    members = _parse_int_list(args.set)
-    if not members:
-        raise UsageError("--set needs at least one vertex")
+def _cmd_graph(args, budgets: Budgets) -> _Result:
+    desc, members = args.ring, args.set
     comps = cyclotomic.connected_components(desc, members)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {"components": comps, "ring": desc.name, "set": sorted(set(members))},
-        )
-    elif args.format == "csv":
-        rows = [(i, m) for i, comp in enumerate(comps) for m in comp]
-        _emit_csv(out, "component,member", rows)
-    else:
-        out.write(f"{len(comps)} component(s) over {desc.name}:\n")
-        for comp in comps:
-            out.write("  " + " ".join(map(str, comp)) + "\n")
-    return 0
+    return _Result(
+        {"components": comps, "ring": desc.name, "set": sorted(set(members))},
+        "component,member",
+        [(i, m) for i, comp in enumerate(comps) for m in comp],
+        f"{len(comps)} component(s) over {desc.name}:\n"
+        + "".join("  " + " ".join(map(str, comp)) + "\n" for comp in comps),
+    )
 
 
-def _element_payload(out: TextIO, fmt: str, elt: completion.TruncatedElement) -> None:
-    if fmt == "json":
-        _emit_json(out, elt.to_json_dict())
-    elif fmt == "csv":
-        _emit_csv(out, "index,coefficient", list(enumerate(elt.rep.to_json())))
-    else:
-        out.write(f"{elt.rep} (mod g_{elt.level} on {elt.chain.label})\n")
-
-
-def _cmd_habiro_reduce(args, out: TextIO, budgets: Budgets) -> int:
-    chain = _parse_chain(args.chain)
+def _cmd_habiro_reduce(args, budgets: Budgets) -> _Result:
     level = budgets.check_level(args.level)
-    elt = completion.reduce(_parse_poly(args.poly), chain, level)
-    _element_payload(out, args.format, elt)
-    return 0
+    return _element_result(completion.reduce(args.poly, args.chain, level))
 
 
-def _cmd_habiro_digits(args, out: TextIO, budgets: Budgets) -> int:
-    chain = _parse_chain(args.chain)
+def _cmd_habiro_digits(args, budgets: Budgets) -> _Result:
     level = budgets.check_level(args.level)
-    elt = completion.reduce(_parse_poly(args.poly), chain, level)
-    digits = completion.to_digits(elt)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "chain": chain.to_json_dict(),
-                "digits": [d.to_json() for d in digits.digits],
-                "level": level,
-            },
-        )
-    elif args.format == "csv":
-        rows = [
-            (n, i, c)
-            for n, d in enumerate(digits.digits)
-            for i, c in enumerate(d.to_json())
-        ]
-        _emit_csv(out, "digit,index,coefficient", rows)
-    else:
-        for n, d in enumerate(digits.digits):
-            out.write(f"a_{n} = {d}\n")
-    return 0
+    elt = completion.reduce(args.poly, args.chain, level)
+    digits = completion.to_digits(elt).digits
+    return _Result(
+        {
+            "chain": args.chain.to_json_dict(),
+            "digits": [d.to_json() for d in digits],
+            "level": level,
+        },
+        "digit,index,coefficient",
+        [(n, i, c) for n, d in enumerate(digits) for i, c in enumerate(d.to_json())],
+        "".join(f"a_{n} = {d}\n" for n, d in enumerate(digits)),
+    )
 
 
-def _cmd_habiro_rho(args, out: TextIO, budgets: Budgets) -> int:
-    src = _parse_chain(args.from_chain)
-    dst = _parse_chain(args.to_chain)
+def _cmd_habiro_rho(args, budgets: Budgets) -> _Result:
     budgets.check_level(max(args.from_level, args.to_level))
-    elt = completion.reduce(_parse_poly(args.poly), src, args.from_level)
-    _element_payload(out, args.format, completion.rho(elt, dst, args.to_level))
-    return 0
+    elt = completion.reduce(args.poly, args.from_chain, args.from_level)
+    return _element_result(completion.rho(elt, args.to_chain, args.to_level))
 
 
-def _cmd_habiro_series(args, out: TextIO, budgets: Budgets) -> int:
-    spec = NAMED_SERIES[args.name]
+def _cmd_habiro_series(args, budgets: Budgets) -> _Result:
+    if args.check_unit and args.name != "qinv":
+        raise UsageError("--check-unit only applies to the qinv series")
     level = budgets.check_level(args.level)
     chain = PochhammerChain()
-    elt = completion.series_realize(spec, chain, level)
-    if args.check_unit:
-        if args.name != "qinv":
-            raise UsageError("--check-unit only applies to the qinv series")
-        q_elt = completion.reduce(IntPolynomial.monomial(1, 1), chain, level)
-        one = completion.reduce(IntPolynomial.one(), chain, level)
-        ok = (q_elt * elt) == one
-        out.write(f"q*inv == 1 mod (q)_{level}: {'true' if ok else 'false'}\n")
-        return 0 if ok else 3
-    _element_payload(out, args.format, elt)
-    return 0
+    elt = completion.series_realize(NAMED_SERIES[args.name], chain, level)
+    if not args.check_unit:
+        return _element_result(elt)
+    q_elt = completion.reduce(IntPolynomial.monomial(1, 1), chain, level)
+    one = completion.reduce(IntPolynomial.one(), chain, level)
+    ok = (q_elt * elt) == one
+    verdict = f"q*inv == 1 mod (q)_{level}: {'true' if ok else 'false'}\n"
+    return _Result(None, "", [], verdict, 0 if ok else 3)
 
 
-def _cmd_habiro_eval(args, out: TextIO, budgets: Budgets) -> int:
-    spec = NAMED_SERIES[args.series]
-    orders = _parse_int_list(args.orders)
-    if not orders:
-        raise UsageError("--orders needs at least one order")
-    for n in orders:
+def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
+    for n in args.orders:
         budgets.check_order(n)
     # Values of a terminating evaluation do not depend on the level once
     # it reaches the order, so the minimal sufficient level is a safe
     # default here.
-    level = args.level if args.level is not None else max(orders)
+    level = args.level if args.level is not None else max(args.orders)
     budgets.check_level(level)
-    elt = completion.series_realize(spec, PochhammerChain(), level)
-    values = rootexp.tau_values(elt, orders)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "level": level,
-                "series": args.series,
-                "values": {str(n): v.to_json_dict() for n, v in values.items()},
-            },
-        )
-    elif args.format == "csv":
-        rows = [
-            (n, i, c)
-            for n, v in sorted(values.items())
-            for i, c in enumerate(v.to_json_dict()["coeffs"])
-        ]
-        _emit_csv(out, "order,index,coefficient", rows)
-    else:
-        for n, v in sorted(values.items()):
-            out.write(f"order {n}: {v}\n")
-    return 0
+    elt = completion.series_realize(NAMED_SERIES[args.series], PochhammerChain(), level)
+    values = sorted(rootexp.tau_values(elt, args.orders).items())
+    return _Result(
+        {
+            "level": level,
+            "series": args.series,
+            "values": {str(n): v.to_json_dict() for n, v in values},
+        },
+        "order,index,coefficient",
+        [(n, i, c) for n, v in values for i, c in enumerate(v.to_json_dict()["coeffs"])],
+        "".join(f"order {n}: {v}\n" for n, v in values),
+    )
 
 
-def _cmd_habiro_expand(args, out: TextIO, budgets: Budgets) -> int:
-    spec = NAMED_SERIES[args.series]
-    if args.terms < 1:
-        raise UsageError("--terms must be >= 1")
+def _cmd_habiro_expand(args, budgets: Budgets) -> _Result:
     budgets.check_order(args.center)
     budgets.check_level(args.center * args.terms)
-    series = rootexp.expand_series(spec, args.center, args.terms - 1)
-    if args.format == "json":
-        _emit_json(out, series.to_json_dict())
-    elif args.format == "csv":
-        rows = []
-        for j, c in enumerate(series.coeffs):
-            rows.append((j, ";".join(str(x) for x in c.coeffs)))
-        _emit_csv(out, "j,coefficient", rows)
-    else:
-        for j, c in enumerate(series.coeffs):
-            out.write(f"c_{j} = {c}\n")
-    return 0
+    series = rootexp.expand_series(NAMED_SERIES[args.series], args.center, args.terms - 1)
+    return _Result(
+        series.to_json_dict(),
+        "j,coefficient",
+        [(j, ";".join(str(x) for x in c.coeffs)) for j, c in enumerate(series.coeffs)],
+        "".join(f"c_{j} = {c}\n" for j, c in enumerate(series.coeffs)),
+    )
 
 
-def _cmd_qcrt_split(args, out: TextIO, budgets: Budgets) -> int:
-    lam = _parse_lambda(args.lam)
-    comps = qcrt.crt_split(_parse_rat_poly(args.poly), lam)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "components": {str(n): c.to_json() for n, c in comps.components},
-                "lambda": {str(n): e for n, e in lam.exponents},
-            },
-        )
-    elif args.format == "csv":
-        rows = [
-            (n, i, c)
-            for n, comp in comps.components
-            for i, c in enumerate(comp.to_json())
-        ]
-        _emit_csv(out, "n,index,coefficient", rows)
-    else:
-        for n, comp in comps.components:
-            out.write(f"mod Phi_{n}^{lam.exponent(n)}: {comp}\n")
-    return 0
+def _cmd_qcrt_split(args, budgets: Budgets) -> _Result:
+    lam = args.lam
+    comps = qcrt.crt_split(args.poly, lam).components
+    return _Result(
+        {
+            "components": {str(n): c.to_json() for n, c in comps},
+            "lambda": {str(n): e for n, e in lam.exponents},
+        },
+        "n,index,coefficient",
+        [(n, i, c) for n, comp in comps for i, c in enumerate(comp.to_json())],
+        "".join(f"mod Phi_{n}^{lam.exponent(n)}: {comp}\n" for n, comp in comps),
+    )
 
 
-def _cmd_qcrt_witness(args, out: TextIO, budgets: Budgets) -> int:
+def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
     level = budgets.check_level(args.level)
     w = qcrt.rho_q_kernel_witness(level)
     f1 = (cyclotomic.cyclotomic_poly(1) ** level).to_rational()
     f2 = (cyclotomic.cyclotomic_poly(2) ** level).to_rational()
     zero_check = (w % f1).is_zero
     one_check = ((w - RatPolynomial.one()) % f2).is_zero
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "checks": {
-                    "one_mod_(q+1)^N": one_check,
-                    "zero_mod_(q-1)^N": zero_check,
-                },
-                "level": level,
-                "witness": w.to_json(),
+    return _poly_result(
+        {
+            "checks": {
+                "one_mod_(q+1)^N": one_check,
+                "zero_mod_(q-1)^N": zero_check,
             },
-        )
-    elif args.format == "csv":
-        _emit_csv(out, "index,coefficient", list(enumerate(w.to_json())))
-    else:
-        out.write(f"witness = {w}\n")
-        out.write(f"zero mod (q-1)^{level}: {str(zero_check).lower()}\n")
-        out.write(f"one mod (q+1)^{level}: {str(one_check).lower()}\n")
-    if not (zero_check and one_check):
-        return 3
-    return 0
+            "level": level,
+            "witness": w.to_json(),
+        },
+        w,
+        f"witness = {w}\n"
+        f"zero mod (q-1)^{level}: {str(zero_check).lower()}\n"
+        f"one mod (q+1)^{level}: {str(one_check).lower()}\n",
+        0 if zero_check and one_check else 3,
+    )
 
 
 # -- selfcheck ----------------------------------------------------------------
@@ -529,20 +488,15 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
     return results
 
 
-def _cmd_selfcheck(args, out: TextIO, budgets: Budgets) -> int:
+def _cmd_selfcheck(args, budgets: Budgets) -> _Result:
     results = _selfcheck_suite()
-    failed = False
-    if args.format == "json":
-        _emit_json(out, {name: ok for name, ok in results})
-        failed = not all(ok for _, ok in results)
-    elif args.format == "csv":
-        _emit_csv(out, "check,result", [(n, "ok" if ok else "FAIL") for n, ok in results])
-        failed = not all(ok for _, ok in results)
-    else:
-        for name, ok in results:
-            out.write(f"{'ok  ' if ok else 'FAIL'} {name}\n")
-            failed = failed or not ok
-    return 3 if failed else 0
+    return _Result(
+        {name: ok for name, ok in results},
+        "check,result",
+        [(name, "ok" if ok else "FAIL") for name, ok in results],
+        "".join(f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in results),
+        0 if all(ok for _, ok in results) else 3,
+    )
 
 
 # -- parser / dispatcher -------------------------------------------------------
@@ -559,18 +513,20 @@ def build_parser() -> _Parser:
         )
 
     p = sub.add_parser("cyclotomic", help="n-th cyclotomic polynomial")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive)
     add_format(p)
     p.set_defaults(fn=_cmd_cyclotomic)
 
     p = sub.add_parser("pochhammer", help="q-Pochhammer product (q)_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_level)
     add_format(p)
     p.set_defaults(fn=_cmd_pochhammer)
 
     p = sub.add_parser("graph", help="adjacency components of an index set")
-    p.add_argument("--ring", required=True, help="Z, Q, or Z1/m")
-    p.add_argument("--set", required=True, help="comma-separated vertices")
+    p.add_argument("--ring", type=_parse_ring, required=True, help="Z, Q, or Z1/m")
+    p.add_argument(
+        "--set", type=_positive_list, required=True, help="comma-separated vertices"
+    )
     add_format(p)
     p.set_defaults(fn=_cmd_graph)
 
@@ -578,46 +534,46 @@ def build_parser() -> _Parser:
     hsub = habiro.add_subparsers(dest="subcommand", required=True)
 
     p = hsub.add_parser("reduce", help="canonical remainder at a level")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--chain", type=_parse_chain, required=True)
+    p.add_argument("--level", type=_level, required=True)
+    p.add_argument("--poly", type=_parse_poly, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_habiro_reduce)
 
     p = hsub.add_parser("digits", help="unique digit expansion")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--chain", type=_parse_chain, required=True)
+    p.add_argument("--level", type=_level, required=True)
+    p.add_argument("--poly", type=_parse_poly, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_habiro_digits)
 
     p = hsub.add_parser("rho", help="restriction to a coarser chain")
-    p.add_argument("--from-chain", required=True)
-    p.add_argument("--from-level", type=int, required=True)
-    p.add_argument("--to-chain", required=True)
-    p.add_argument("--to-level", type=int, required=True)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--from-chain", type=_parse_chain, required=True)
+    p.add_argument("--from-level", type=_level, required=True)
+    p.add_argument("--to-chain", type=_parse_chain, required=True)
+    p.add_argument("--to-level", type=_level, required=True)
+    p.add_argument("--poly", type=_parse_poly, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_habiro_rho)
 
     p = hsub.add_parser("series", help="realize a named series at a level")
     p.add_argument("--name", choices=sorted(NAMED_SERIES), required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_level, required=True)
     p.add_argument("--check-unit", action="store_true")
     add_format(p)
     p.set_defaults(fn=_cmd_habiro_series)
 
     p = hsub.add_parser("eval", help="values at roots of unity")
     p.add_argument("--series", choices=sorted(NAMED_SERIES), required=True)
-    p.add_argument("--orders", required=True)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--orders", type=_positive_list, required=True)
+    p.add_argument("--level", type=_level, default=None)
     add_format(p)
     p.set_defaults(fn=_cmd_habiro_eval)
 
     p = hsub.add_parser("expand", help="Taylor expansion at a root of unity")
     p.add_argument("--series", choices=sorted(NAMED_SERIES), required=True)
-    p.add_argument("--center", type=int, required=True, help="order of the root")
-    p.add_argument("--terms", type=int, required=True, help="number of coefficients")
+    p.add_argument("--center", type=_positive, required=True, help="order of the root")
+    p.add_argument("--terms", type=_positive, required=True, help="number of coefficients")
     add_format(p)
     p.set_defaults(fn=_cmd_habiro_expand)
 
@@ -625,13 +581,15 @@ def build_parser() -> _Parser:
     qsub = qc.add_subparsers(dest="subcommand", required=True)
 
     p = qsub.add_parser("split", help="componentwise remainders")
-    p.add_argument("--lambda", dest="lam", required=True, help="n:e,n:e,...")
-    p.add_argument("--poly", required=True)
+    p.add_argument(
+        "--lambda", dest="lam", type=_parse_lambda, required=True, help="n:e,n:e,..."
+    )
+    p.add_argument("--poly", type=partial(_parse_poly, cls=RatPolynomial), required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_qcrt_split)
 
     p = qsub.add_parser("witness", help="kernel witness for restriction over Q")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_positive, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_qcrt_witness)
 
@@ -654,7 +612,8 @@ def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         budgets = Budgets.load(args.config)
-        code = args.fn(args, out, budgets)
+        result = args.fn(args, budgets)
+        _emit(out, args.format, result)
     except UsageError as exc:
         err.write(f"error: usage: {exc}\n")
         return 1
@@ -671,7 +630,7 @@ def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:
                 cyclotomic.save_cyclotomic_cache(cache_file)
             except OSError:
                 pass
-    return code
+    return result.code
 
 
 def main() -> None:

@@ -228,9 +228,8 @@ class TruncatedElement:
 
 def reduce(f: IntPolynomial, chain: FiltrationChain, level: int) -> TruncatedElement:
     """Canonical remainder of f modulo g_level; a ring homomorphism onto
-    each truncation level."""
-    rep = f % chain.modulus(level) if level > 0 else IntPolynomial.zero()
-    return TruncatedElement(chain, level, rep)
+    each truncation level.  Raises ValueError for a negative level."""
+    return TruncatedElement(chain, level, f % chain.modulus(level))
 
 
 def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedElement:

@@ -355,11 +355,59 @@ def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
         if not c:
             continue
         c, rem = divmod(c, lc)
-        assert rem == 0, "pseudo-division step not exact"
+        if rem:
+            raise AssertionError("pseudo-division step not exact")
         quot[top - dg] = c
         for j in range(dg + 1):
             r[top - dg + j] -= c * bc[j]
     return IntPolynomial._wrap(quot), IntPolynomial._wrap(r[:dg]), alpha
+
+
+def _prs(a: IntPolynomial, b: IntPolynomial):
+    """One primitive PRS of nonzero a and b: (res, R, u, v) with res the
+    resultant of a and b, and integer cofactors with u*a + v*b = R, the
+    last remainder, a nonzero constant.  When a and b share a
+    nonconstant factor the sequence reaches zero and res = R = 0 with
+    zero cofactors."""
+    zero, one = IntPolynomial.zero(), IntPolynomial.one()
+    acc = Fraction(1)
+    swapped = len(a.coeffs) < len(b.coeffs)
+    if swapped:
+        if (len(a.coeffs) - 1) * (len(b.coeffs) - 1) % 2:
+            acc = -acc
+        a, b = b, a
+    r0, r1 = a, b
+    u0, u1 = one, zero
+    v0, v1 = zero, one
+    while len(r1.coeffs) > 1:
+        m = len(r0.coeffs) - 1
+        n = len(r1.coeffs) - 1
+        q, r2, alpha = _pseudo_divmod(r0, r1)
+        if r2.is_zero:
+            return 0, 0, zero, zero
+        u2 = u0 * alpha - q * u1
+        v2 = v0 * alpha - q * v1
+        # Dividing r2 by any nonzero scalar g keeps the resultant
+        # recurrence exact: res(r0, r1) picks up lc(r1)^(m-s) * (g/alpha)^n.
+        g = r2.content()
+        for p in (u2, v2):
+            for c in p.coeffs:
+                g = math.gcd(g, c)
+        if g > 1:
+            r2 = IntPolynomial._wrap([c // g for c in r2.coeffs])
+            u2 = IntPolynomial._wrap([c // g for c in u2.coeffs])
+            v2 = IntPolynomial._wrap([c // g for c in v2.coeffs])
+        s = len(r2.coeffs) - 1
+        acc *= Fraction(r1.coeffs[-1]) ** (m - s) * Fraction(g, alpha) ** n
+        if (m * n) % 2:
+            acc = -acc
+        r0, r1, u0, u1, v0, v1 = r1, r2, u1, u2, v1, v2
+    acc *= Fraction(r1.coeffs[0]) ** (len(r0.coeffs) - 1)
+    if acc.denominator != 1:
+        raise AssertionError("resultant bookkeeping left a fraction")
+    if swapped:
+        u1, v1 = v1, u1
+    return acc.numerator, r1.coeffs[0], u1, v1
 
 
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
@@ -368,28 +416,7 @@ def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
         raise BothZero("resultant of two zero polynomials")
     if a.is_zero or b.is_zero:
         return 0
-    acc = Fraction(1)
-    A, B = a, b
-    if len(A.coeffs) < len(B.coeffs):
-        if (len(A.coeffs) - 1) * (len(B.coeffs) - 1) % 2:
-            acc = -acc
-        A, B = B, A
-    while len(B.coeffs) > 1:
-        m = len(A.coeffs) - 1
-        n = len(B.coeffs) - 1
-        _, r, alpha = _pseudo_divmod(A, B)
-        if r.is_zero:
-            return 0
-        gamma = r.content()
-        r = IntPolynomial._wrap([c // gamma for c in r.coeffs])
-        s = len(r.coeffs) - 1
-        acc *= Fraction(B.coeffs[-1]) ** (m - s) * Fraction(gamma, alpha) ** n
-        if (m * n) % 2:
-            acc = -acc
-        A, B = B, r
-    acc *= Fraction(B.coeffs[0]) ** (len(A.coeffs) - 1)
-    assert acc.denominator == 1
-    return acc.numerator
+    return _prs(a, b)[0]
 
 
 def subresultant_bezout(
@@ -407,39 +434,30 @@ def subresultant_bezout(
     zero = IntPolynomial.zero()
     if a.is_zero or b.is_zero:
         return 0, zero, zero
-    da, db = len(a.coeffs) - 1, len(b.coeffs) - 1
-    if da == 0 and db == 0:
+    if len(a.coeffs) == 1 and len(b.coeffs) == 1:
         g, x, y = _int_xgcd(a.coeffs[0], b.coeffs[0])
         if g != 1:
             raise ValueError(
                 "no integer Bezout identity for two non-coprime constants"
             )
         return 1, IntPolynomial([x]), IntPolynomial([y])
-    if db == 0:
-        c = b.coeffs[0]
-        return c**da, zero, IntPolynomial([c ** (da - 1)])
-    if da == 0:
-        c = a.coeffs[0]
-        return c**db, IntPolynomial([c ** (db - 1)]), zero
 
-    res = resultant(a, b)
-    if res == 0:
-        return 0, zero, zero
-
-    R, u, v = _extended_prs(a, b)
-    # u*a + v*b = R with R a nonzero constant; rescale to the resultant.
-    # The minimal-degree cofactors for `res` are integral (Cramer on the
-    # Sylvester system), and they equal (u/R)*res, so the divisions below
-    # are exact.
-    u = IntPolynomial._wrap([_exact_div(c * res, R) for c in u.coeffs])
-    v = IntPolynomial._wrap([_exact_div(c * res, R) for c in v.coeffs])
-    assert u * a + v * b == IntPolynomial([res])
+    res, R, u, v = _prs(a, b)
+    if res:
+        # Rescale u*a + v*b = R to the resultant.  The minimal-degree
+        # cofactors for `res` are integral (Cramer on the Sylvester
+        # system), and they equal (u/R)*res, so the divisions are exact.
+        u = IntPolynomial._wrap([_exact_div(c * res, R) for c in u.coeffs])
+        v = IntPolynomial._wrap([_exact_div(c * res, R) for c in v.coeffs])
+    if u * a + v * b != IntPolynomial.constant(res):
+        raise AssertionError("Bezout identity u*a + v*b = res fails")
     return res, u, v
 
 
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
-    assert r == 0, "cofactor rescaling not integral"
+    if r:
+        raise AssertionError("cofactor rescaling not integral")
     return q
 
 
@@ -453,36 +471,6 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def _extended_prs(a: IntPolynomial, b: IntPolynomial):
-    """Last nonzero constant R of a primitive PRS of (a, b), with integer
-    cofactors (u, v) satisfying u*a + v*b = R.  Requires deg a, deg b >= 1
-    and gcd constant (checked by the caller via res != 0)."""
-    swapped = len(a.coeffs) < len(b.coeffs)
-    if swapped:
-        a, b = b, a
-    r0, r1 = a, b
-    u0, u1 = IntPolynomial.one(), IntPolynomial.zero()
-    v0, v1 = IntPolynomial.zero(), IntPolynomial.one()
-    while len(r1.coeffs) > 1:
-        q, r2, alpha = _pseudo_divmod(r0, r1)
-        u2 = u0 * alpha - q * u1
-        v2 = v0 * alpha - q * v1
-        g = r2.content()
-        for p in (u2, v2):
-            for c in p.coeffs:
-                g = math.gcd(g, c)
-        if g > 1:
-            r2 = IntPolynomial._wrap([c // g for c in r2.coeffs])
-            u2 = IntPolynomial._wrap([c // g for c in u2.coeffs])
-            v2 = IntPolynomial._wrap([c // g for c in v2.coeffs])
-        r0, r1, u0, u1, v0, v1 = r1, r2, u1, u2, v1, v2
-        assert not r1.is_zero, "nonconstant gcd reached the extended PRS"
-    R = r1.coeffs[0]
-    if swapped:
-        u1, v1 = v1, u1
-    return R, u1, v1
 
 
 def rational_xgcd(

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 from cyclocomp import (
     CyclotomicInteger,
@@ -254,13 +255,19 @@ def _run_corpus() -> bytes:
     return b"".join(chunks)
 
 
+# The corpus bytes as produced before the CLI emitters were unified; a
+# refactor that changes the output consistently still fails here.
+GOLDEN_CORPUS_FILE = Path(__file__).with_name("golden_corpus.txt")
+
+
 def test_criterion_12_golden_determinism():
     first = _run_corpus()
     second = _run_corpus()
     assert first == second
+    assert first == GOLDEN_CORPUS_FILE.read_bytes()
     assert b"\r" not in first  # LF only
     # spot-check a payload against its frozen content
     out = io.StringIO()
     assert run(["cyclotomic", "12"], out, io.StringIO()) == 0
     assert json.loads(out.getvalue()) == {"n": 12, "coeffs": ["1", "0", "-1", "0", "1"]}
-    report(12, "CLI corpus byte-identical across consecutive runs")
+    report(12, "CLI corpus byte-identical across runs and to the frozen corpus")

@@ -128,6 +128,37 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: NotCoarser:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cyclotomic", "0"],
+            ["pochhammer", "-1"],
+            ["graph", "--ring", "Z", "--set", "0,1"],
+            ["habiro", "eval", "--series", "kz", "--orders", "0"],
+            ["habiro", "expand", "--series", "kz", "--center", "0", "--terms", "2"],
+            [
+                "habiro", "rho",
+                "--from-chain", "pochhammer", "--from-level", "3",
+                "--to-chain", "adic:1", "--to-level", "-1",
+                "--poly", '["1"]',
+            ],
+            ["habiro", "reduce", "--chain", "adic:0", "--level", "2", "--poly", '["1"]'],
+            ["habiro", "reduce", "--chain", "product:", "--level", "2", "--poly", '["1"]'],
+            ["qcrt", "split", "--lambda", "1:0", "--poly", '["1","2"]'],
+            ["qcrt", "split", "--lambda", "1:1", "--poly", '["1/0"]'],
+            ["qcrt", "witness", "--level", "0"],
+            ["habiro", "reduce", "--chain", "pochhammer", "--level", "-1", "--poly", '["1"]'],
+            ["habiro", "digits", "--chain", "pochhammer", "--level", "-2", "--poly", '["1"]'],
+            ["habiro", "series", "--name", "kz", "--level", "-1"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_out_of_range_integers_are_usage_errors(self, argv):
+        code, out, err = invoke(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
     def test_check_unit_on_wrong_series_is_usage_error(self):
         code, _, _ = invoke(
             "habiro", "series", "--name", "kz", "--level", "3", "--check-unit"
@@ -145,6 +176,19 @@ class TestBudgets:
         )
         assert code == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "text", ["[1,2]", '{"max_level": "5"}', '{"max_level": true}']
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, text):
+        cfg = tmp_path / "budgets.json"
+        cfg.write_text(text)
+        code, out, err = invoke(
+            "--config", str(cfg),
+            "habiro", "series", "--name", "kz", "--level", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage:")
 
     def test_budget_allows_within_limit(self, tmp_path):
         cfg = tmp_path / "budgets.json"

@@ -151,6 +151,18 @@ class TestReduce:
         with pytest.raises(ChainMismatch):
             a + b
 
+    def test_negative_level_rejected(self):
+        # A negative level used to give an empty rep instead of an error.
+        for chain in all_chain_kinds():
+            with pytest.raises(ValueError):
+                reduce(P(1, 2, 3), chain, -1)
+        with pytest.raises(ValueError):
+            series_realize(KONTSEVICH_ZAGIER_SPEC, PochhammerChain(), -1)
+        with pytest.raises(ValueError):
+            TruncatedElement.from_json_dict(
+                {"chain": {"kind": "pochhammer"}, "level": -2, "rep": ["1"]}
+            )
+
     def test_element_json_round_trip(self):
         for chain in all_chain_kinds():
             a = reduce(P(3, -5, 11, 2), chain, 4)

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocomp import (
     IntPolynomial,
@@ -176,6 +178,28 @@ class TestResultantBezout:
     def test_both_zero_rejected(self):
         with pytest.raises(BothZero):
             subresultant_bezout(IntPolynomial.zero(), IntPolynomial.zero())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    )
+    def test_one_pass_matches_sylvester_and_bezout(self, a, b, common):
+        # `common` of degree 0 leaves the pair as drawn; a higher degree
+        # plants a shared factor (resultant 0).
+        a, b = P(*a) * P(*common), P(*b) * P(*common)
+        if a.is_zero or b.is_zero:
+            return
+        res = resultant(a, b)
+        assert res == sylvester_determinant(a, b)
+        if a.degree == 0 and b.degree == 0:
+            assert res == 1
+            if math.gcd(a.coeffs[0], b.coeffs[0]) != 1:
+                return  # no integer Bezout identity reaches 1
+        r, u, v = subresultant_bezout(a, b)
+        assert r == res
+        assert u * a + v * b == IntPolynomial.constant(res)
 
     def test_constant_cases(self):
         res, u, v = subresultant_bezout(P(3), P(1, 0, 0, 1))
