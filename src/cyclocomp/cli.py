@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -148,7 +149,10 @@ def _parse_lambda(text: str) -> qcrt.ExponentVector:
             raise argparse.ArgumentTypeError(
                 f"bad exponent vector {text!r} (expected n:e,n:e,...)"
             )
-        pairs[_positive(n)] = _positive(e)
+        n = _positive(n)
+        if n in pairs:
+            raise argparse.ArgumentTypeError(f"index {n} repeated in exponent vector {text!r}")
+        pairs[n] = _positive(e)
     return qcrt.ExponentVector(pairs)
 
 
@@ -171,6 +175,9 @@ class Budgets:
             raise UsageError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError(f"config {path!r} must hold a JSON object")
+        unknown = sorted(set(data) - {"max_level", "max_order"})
+        if unknown:
+            raise UsageError(f"config {path!r} has unknown keys {unknown}")
         for key in ("max_level", "max_order"):
             value = data.get(key)
             # bool is an int subclass; a budget of `true` is not a number
@@ -335,21 +342,6 @@ def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
 # -- selfcheck ----------------------------------------------------------------
 
 
-def _phi_by_trial_division(n: int) -> int:
-    out, rest, p = 1, n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            out *= p - 1
-            rest //= p
-            while rest % p == 0:
-                out *= p
-                rest //= p
-        p += 1
-    if rest > 1:
-        out *= rest - 1
-    return out
-
-
 def _selfcheck_suite() -> list[tuple[str, bool]]:
     rng = random.Random(0x5EED)
     results: list[tuple[str, bool]] = []
@@ -375,7 +367,8 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
     check(
         "cyclotomic_degree_is_phi_n<=40",
         lambda: all(
-            cyclotomic.cyclotomic_poly(n).degree == _phi_by_trial_division(n)
+            cyclotomic.cyclotomic_poly(n).degree
+            == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
             for n in range(1, 41)
         ),
     )

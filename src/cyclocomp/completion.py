@@ -23,7 +23,6 @@ uniquely a = sum of a_n * g_n with deg a_n < deg g_{n+1} - deg g_n.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -44,14 +43,13 @@ class FiltrationChain:
 
     Subclasses implement _step(k, prev) producing g_k from g_{k-1}; the
     base class checks the divisibility and unit-leading invariants on
-    generation and synchronizes cache growth.
+    generation.
     """
 
     label: str = "chain"
 
     def __init__(self) -> None:
         self._moduli: list[IntPolynomial] = [IntPolynomial.one()]
-        self._lock = threading.Lock()
 
     def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
         raise NotImplementedError
@@ -60,16 +58,15 @@ class FiltrationChain:
         """g_k; g_0 = 1."""
         if k < 0:
             raise ValueError("level must be >= 0")
-        with self._lock:
-            while len(self._moduli) <= k:
-                i = len(self._moduli)
-                g = self._step(i, self._moduli[-1])
-                if not g.has_unit_leading_coefficient:
-                    raise AssertionError(f"{self.label}: g_{i} not unit-leading")
-                if not divides(self._moduli[-1], g):
-                    raise AssertionError(f"{self.label}: g_{i-1} does not divide g_{i}")
-                self._moduli.append(g)
-            return self._moduli[k]
+        while len(self._moduli) <= k:
+            i = len(self._moduli)
+            g = self._step(i, self._moduli[-1])
+            if not g.has_unit_leading_coefficient:
+                raise AssertionError(f"{self.label}: g_{i} not unit-leading")
+            if not divides(self._moduli[-1], g):
+                raise AssertionError(f"{self.label}: g_{i-1} does not divide g_{i}")
+            self._moduli.append(g)
+        return self._moduli[k]
 
     def signature(self) -> tuple:
         raise NotImplementedError
@@ -281,7 +278,8 @@ def to_digits(a: TruncatedElement) -> DigitExpansion:
     if k > 0:
         digits[0] = r
     for n, d in enumerate(digits):
-        assert d.degree < digit_degree_bound(chain, n)
+        if d.degree >= digit_degree_bound(chain, n):
+            raise AssertionError(f"{chain.label}: digit {n} exceeds its degree bound")
     return DigitExpansion(chain, tuple(digits))
 
 
@@ -405,5 +403,6 @@ def unit_inverse_mod(
     if res not in (1, -1):
         return None
     w = (a * res) % modulus
-    assert (u * w) % modulus == IntPolynomial.one() % modulus
+    if (u * w) % modulus != IntPolynomial.one() % modulus:
+        raise AssertionError("Bezout inverse fails: u*w != 1 mod modulus")
     return w

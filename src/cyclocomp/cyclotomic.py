@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -23,30 +22,27 @@ from .polyring import IntPolynomial, is_prime, poly_mod_prime, subresultant_bezo
 # -- cyclotomic polynomials -----------------------------------------------
 
 _cyclo_cache: dict[int, IntPolynomial] = {}
-_cyclo_lock = threading.Lock()
 
 
 def cyclotomic_poly(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by iterated exact division:
     Phi_n = (q^n - 1) / prod of Phi_d over proper divisors d of n.
 
-    Results are cached; the cache tolerates concurrent readers.
+    Results are cached.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    with _cyclo_lock:
-        hit = _cyclo_cache.get(n)
+    hit = _cyclo_cache.get(n)
     if hit is not None:
         return hit
     poly = IntPolynomial.monomial(1, n) - IntPolynomial.one()
     for d in range(1, n):
         if n % d == 0:
             quot, rem = divmod(poly, cyclotomic_poly(d))
-            assert rem.is_zero
+            if not rem.is_zero:
+                raise AssertionError(f"Phi_{d} does not divide q^{n} - 1 exactly")
             poly = quot
-    with _cyclo_lock:
-        _cyclo_cache.setdefault(n, poly)
-    return poly
+    return _cyclo_cache.setdefault(n, poly)
 
 
 def load_cyclotomic_cache(path: str) -> int:
@@ -57,18 +53,16 @@ def load_cyclotomic_cache(path: str) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     loaded = 0
-    with _cyclo_lock:
-        for key, coeffs in data.items():
-            n = int(key)
-            if n >= 1 and n not in _cyclo_cache:
-                _cyclo_cache[n] = IntPolynomial.from_json(coeffs)
-                loaded += 1
+    for key, coeffs in data.items():
+        n = int(key)
+        if n >= 1 and n not in _cyclo_cache:
+            _cyclo_cache[n] = IntPolynomial.from_json(coeffs)
+            loaded += 1
     return loaded
 
 
 def save_cyclotomic_cache(path: str) -> None:
-    with _cyclo_lock:
-        data = {str(n): p.to_json() for n, p in sorted(_cyclo_cache.items())}
+    data = {str(n): p.to_json() for n, p in sorted(_cyclo_cache.items())}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True)
 
@@ -197,42 +191,18 @@ def connected_components(
 # -- the mod-p congruence between cyclotomic levels ------------------------
 
 
-def _pack_mod_p(coeffs: list[int], width: int) -> int:
-    buf = bytearray(len(coeffs) * width)
-    for i, c in enumerate(coeffs):
-        buf[i * width : (i + 1) * width] = c.to_bytes(width, "little")
-    return int.from_bytes(bytes(buf), "little")
-
-
-def _mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Schoolbook convolution via one big-integer multiply (Kronecker
-    substitution).  Coefficients must lie in [0, p); slot width is chosen
-    so convolution entries (< p^2 * len) cannot carry."""
-    if not a or not b:
-        return []
-    width = max(4, ((p * p * min(len(a), len(b))).bit_length() + 7) // 8)
-    prod = _pack_mod_p(a, width) * _pack_mod_p(b, width)
-    raw = prod.to_bytes((len(a) + len(b)) * width, "little")
-    out = []
-    for i in range(len(a) + len(b) - 1):
-        out.append(int.from_bytes(raw[i * width : (i + 1) * width], "little") % p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _pow_mod_p(base: IntPolynomial, exp: int, p: int) -> IntPolynomial:
-    cur = [c % p for c in base.coeffs]
-    while cur and cur[-1] == 0:
-        cur.pop()
-    out = [1 % p]
+    """base^exp over Z/p, by square-and-multiply with coefficients
+    reduced into [0, p) after every product."""
+    out = IntPolynomial.one()
+    base = poly_mod_prime(base, p)
     while exp:
         if exp & 1:
-            out = _mul_mod_p(out, cur, p)
+            out = poly_mod_prime(out * base, p)
         exp >>= 1
         if exp:
-            cur = _mul_mod_p(cur, cur, p)
-    return IntPolynomial(out)
+            base = poly_mod_prime(base * base, p)
+    return out
 
 
 def congruence_check(n: int, p: int, e: int) -> tuple[int, bool]:

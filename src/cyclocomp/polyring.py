@@ -133,10 +133,15 @@ class _Polynomial:
         if not a or not b:
             return self.zero()
         out = [self._coerce(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+        # The outer loop runs over the operand with fewer nonzero terms,
+        # so a product by 1 - q^k, q^n or zeta is one pass per term.
+        terms_a = [(i, c) for i, c in enumerate(a) if c]
+        terms_b = [(j, c) for j, c in enumerate(b) if c]
+        if len(terms_b) < len(terms_a):
+            terms_a, b = terms_b, a
+        width = len(b)
+        for i, ai in terms_a:
+            out[i : i + width] = [o + ai * bj for o, bj in zip(out[i : i + width], b)]
         return self._wrap(out)
 
     __rmul__ = __mul__
@@ -229,6 +234,10 @@ class _Polynomial:
 
     @classmethod
     def from_json(cls, data: Sequence) -> "_Polynomial":
+        """Inverse of to_json; anything but a list of strings is a
+        ValueError, so JSON numbers and booleans are never coerced."""
+        if not isinstance(data, (list, tuple)) or not all(isinstance(c, str) for c in data):
+            raise ValueError("a polynomial is a JSON array of coefficient strings")
         return cls([cls._parse_coeff(c) for c in data])
 
 

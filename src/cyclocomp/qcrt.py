@@ -12,7 +12,6 @@ does not exist at level 1.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -88,22 +87,18 @@ def crt_split(f: RatPolynomial, lam: ExponentVector) -> CrtComponents:
 
 
 _bezout_cache: dict[tuple, tuple[RatPolynomial, RatPolynomial]] = {}
-_bezout_lock = threading.Lock()
 
 
 def _bezout_pair(f: RatPolynomial, g: RatPolynomial):
     """Cached (u, v) with u*f + v*g = 1 for coprime moduli."""
     key = (f.coeffs, g.coeffs)
-    with _bezout_lock:
-        hit = _bezout_cache.get(key)
+    hit = _bezout_cache.get(key)
     if hit is not None:
         return hit
     one, u, v = rational_xgcd(f, g)
     if one != RatPolynomial.one():
         raise AssertionError("CRT moduli are not coprime")
-    with _bezout_lock:
-        _bezout_cache.setdefault(key, (u, v))
-    return u, v
+    return _bezout_cache.setdefault(key, (u, v))
 
 
 def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:

@@ -3,9 +3,11 @@ roots of unity: evaluation at a primitive n-th root (tau) and Taylor
 expansion in powers of (q - zeta) (sigma).
 
 Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
-Taylor coefficients are produced by repeated synthetic division of the
-representative by (q - zeta) over Z[zeta]: no factorials, no division by
-integers, everything exact.
+Taylor coefficients come straight from the representative's integer
+coefficients: c_j = sum_i C(i, j) a_i zeta^(i-j), with the powers of zeta
+collected in n integer buckets (zeta^n = 1) and reduced mod Phi_n once
+per coefficient.  No factorials, no division by integers, everything
+exact.
 
 The precision contract: an element truncated at level K determines its
 expansion at zeta only up to the multiplicity of (q - zeta) in g_K, which
@@ -17,6 +19,7 @@ the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .completion import (
@@ -89,26 +92,13 @@ class CyclotomicInteger:
         if isinstance(other, int):
             return CyclotomicInteger(self.order, [other * a for a in self.coeffs])
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (2 * len(a) - 1) if a else []
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return CyclotomicInteger(self.order, out)
+        product = IntPolynomial(self.coeffs) * IntPolynomial(other.coeffs)
+        return CyclotomicInteger(self.order, product.coeffs)
 
     __rmul__ = __mul__
 
     def mul_by_zeta(self) -> "CyclotomicInteger":
-        """Multiply by zeta: a coefficient shift plus one reduction of the
-        overflowing top term by Phi_n (O(phi) instead of a full product)."""
-        phi_poly = cyclotomic_poly(self.order).coeffs
-        shifted = [0] + list(self.coeffs)
-        top = shifted.pop()
-        if top:
-            for i in range(len(shifted)):
-                shifted[i] -= top * phi_poly[i]
-        return CyclotomicInteger(self.order, shifted)
+        return self * CyclotomicInteger.zeta(self.order)
 
     @property
     def is_zero(self) -> bool:
@@ -200,25 +190,12 @@ class RootTaylorSeries:
         }
 
 
-def _synthetic_divide(
-    coeffs: list[CyclotomicInteger], order: int
-) -> tuple[list[CyclotomicInteger], CyclotomicInteger]:
-    """Divide sum coeffs[i] q^i by (q - zeta) over Z[zeta]: returns
-    (quotient coefficients, remainder = value at zeta)."""
-    acc = CyclotomicInteger.zero(order)
-    quot: list[CyclotomicInteger] = [acc] * max(len(coeffs) - 1, 0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc.mul_by_zeta() + coeffs[i]
-        quot[i - 1] = acc
-    rem = acc.mul_by_zeta() + coeffs[0] if coeffs else CyclotomicInteger.zero(order)
-    return quot, rem
-
-
 def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
     """Taylor coefficients c_0 ... c_{j_max} of a at a primitive n-th root,
-    by repeated synthetic division of the representative.  c_0 agrees with
-    evaluate_at_root; requesting j_max beyond the precision bound raises
-    instead of fabricating coefficients."""
+    c_j = sum_i C(i, j) a_i zeta^(i-j) over the representative's
+    coefficients a_i.  c_0 agrees with evaluate_at_root; requesting j_max
+    beyond the precision bound raises instead of fabricating
+    coefficients."""
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     valid_to = root_multiplicity(a.chain, a.level, n) - 1
@@ -227,11 +204,14 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
             f"level {a.level} on {a.chain.label!r} only determines "
             f"coefficients up to index {valid_to} at order {n}; {j_max} requested"
         )
-    cur = [CyclotomicInteger.from_int(n, c) for c in a.rep.coeffs]
+    rep = a.rep.coeffs
     coeffs = []
-    for _ in range(j_max + 1):
-        cur, rem = _synthetic_divide(cur, n)
-        coeffs.append(rem)
+    for j in range(j_max + 1):
+        buckets = [0] * n  # buckets[r] collects the zeta^r terms
+        for i in range(j, len(rep)):
+            if rep[i]:
+                buckets[(i - j) % n] += comb(i, j) * rep[i]
+        coeffs.append(CyclotomicInteger(n, buckets))
     return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=tuple(coeffs))
 
 

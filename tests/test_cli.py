@@ -150,6 +150,10 @@ class TestExitCodes:
             ["habiro", "reduce", "--chain", "pochhammer", "--level", "-1", "--poly", '["1"]'],
             ["habiro", "digits", "--chain", "pochhammer", "--level", "-2", "--poly", '["1"]'],
             ["habiro", "series", "--name", "kz", "--level", "-1"],
+            # coefficients are decimal strings, never JSON numbers or booleans
+            ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", "[1.9, true]"],
+            ["qcrt", "split", "--lambda", "1:1", "--poly", "[0.5, 2]"],
+            ["qcrt", "split", "--lambda", "1:2,1:1", "--poly", '["0","0","1"]'],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -178,7 +182,8 @@ class TestBudgets:
         assert "budget" in err
 
     @pytest.mark.parametrize(
-        "text", ["[1,2]", '{"max_level": "5"}', '{"max_level": true}']
+        "text",
+        ["[1,2]", '{"max_level": "5"}', '{"max_level": true}', '{"max_levle": 2}'],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, text):
         cfg = tmp_path / "budgets.json"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from cyclocomp import (
     AdjacencyGraph,
@@ -20,6 +21,7 @@ from cyclocomp import (
     pochhammer,
     ring_z_inverted,
 )
+from cyclocomp.cyclotomic import _pow_mod_p
 from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
 
 from support import phi_by_trial_factorization
@@ -192,6 +194,21 @@ class TestCongruence:
                     if p**e * n <= 100:
                         d, ok = congruence_check(n, p, e)
                         assert ok, (n, p, e, d)
+
+    def test_power_mod_p_matches_sympy(self):
+        x = sympy.Symbol("x")
+        for p in (2, 3, 5):
+            for e in (1, 2):
+                for n in range(1, 20):
+                    if p**e * n <= 100:
+                        small = cyclotomic_poly(n)
+                        d = cyclotomic_poly(p**e * n).degree // small.degree
+                        oracle = sympy.Poly(list(reversed(small.coeffs)), x, modulus=p) ** d
+                        # sympy prints Z/p in the symmetric range; map into [0, p)
+                        expected = IntPolynomial(
+                            [int(c) % p for c in reversed(oracle.all_coeffs())]
+                        )
+                        assert _pow_mod_p(small, d, p) == expected, (n, p, e)
 
 
 class TestCoprimality:

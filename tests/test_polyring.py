@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cyclocomp import (
@@ -79,6 +80,47 @@ class TestArithmetic:
     def test_mixed_domain_rejected(self):
         with pytest.raises(TypeError):
             P(1) + RatPolynomial([1])
+
+
+def _operands(coeff):
+    """Little-endian coefficient lists, sparse, dense or mixed."""
+    return st.one_of(
+        st.builds(lambda c, k: [0] * k + [c], coeff, st.integers(0, 30)),  # c*q^k
+        st.integers(1, 30).map(lambda k: [1] + [0] * (k - 1) + [-1]),  # 1 - q^k
+        st.lists(coeff, max_size=25),
+        st.lists(st.one_of(st.just(0), coeff), max_size=40),
+    )
+
+
+def _sympy_product(a, b, domain):
+    x = sympy.Symbol("x")
+    pa = sympy.Poly(list(reversed(a)) or [0], x, domain=domain)
+    pb = sympy.Poly(list(reversed(b)) or [0], x, domain=domain)
+    return list(reversed((pa * pb).all_coeffs()))
+
+
+class TestProductAgainstSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(_operands(st.integers(-(10**20), 10**20)), _operands(st.integers(-(10**20), 10**20)))
+    def test_int_products(self, a, b):
+        expected = IntPolynomial([int(c) for c in _sympy_product(a, b, sympy.ZZ)])
+        assert IntPolynomial(a) * IntPolynomial(b) == expected
+        assert IntPolynomial(b) * IntPolynomial(a) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _operands(st.fractions(-50, 50, max_denominator=12)),
+        _operands(st.fractions(-50, 50, max_denominator=12)),
+    )
+    def test_rational_products(self, a, b):
+        product = _sympy_product(
+            [sympy.Rational(c.numerator, c.denominator) for c in a],
+            [sympy.Rational(c.numerator, c.denominator) for c in b],
+            sympy.QQ,
+        )
+        expected = RatPolynomial([Fraction(int(c.p), int(c.q)) for c in product])
+        assert RatPolynomial(a) * RatPolynomial(b) == expected
+        assert RatPolynomial(b) * RatPolynomial(a) == expected
 
 
 class TestDivMod:

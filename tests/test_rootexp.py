@@ -41,6 +41,17 @@ def div_by_q_minus_zeta(coeffs, order):
     return quot, rem
 
 
+def taylor_by_synthetic_division(coeffs, order, j_max):
+    """Taylor coefficients at zeta_order as the successive remainders of
+    repeated division by (q - zeta)."""
+    cur = [CyclotomicInteger.from_int(order, c) for c in coeffs]
+    out = []
+    for _ in range(j_max + 1):
+        cur, rem = div_by_q_minus_zeta(cur, order)
+        out.append(rem)
+    return out
+
+
 class TestCyclotomicInteger:
     def test_fourth_root_squares_to_minus_one(self):
         z = CyclotomicInteger.zeta(4)
@@ -163,15 +174,17 @@ class TestTaylor:
     def test_matches_substitution_oracle(self):
         rng = random.Random(45)
         poch = PochhammerChain()
-        for _ in range(40):
-            f = random_int_poly(rng, 18, 30)
-            n = rng.randint(1, 6)
-            k = 3 * n
-            a = reduce(f, poch, k)
-            j_max = k // n - 1
-            mine = taylor_at_root(a, n, j_max).coeffs
-            oracle = taylor_by_substitution(a.rep.coeffs, n, j_max)
-            assert list(mine) == oracle
+        for n in range(1, 13):
+            for trial in range(8):
+                # every other draw has degree below n, so some zeta powers
+                # never occur and others wrap around
+                f = random_int_poly(rng, n - 1 if trial % 2 else 18, 30)
+                k = rng.randint(n, 4 * n)
+                a = reduce(f, poch, k)
+                j_max = k // n - 1
+                mine = list(taylor_at_root(a, n, j_max).coeffs)
+                assert mine == taylor_by_substitution(a.rep.coeffs, n, j_max)
+                assert mine == taylor_by_synthetic_division(a.rep.coeffs, n, j_max)
 
     def test_order_zero_coefficient_is_evaluation(self):
         rng = random.Random(46)
