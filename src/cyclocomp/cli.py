@@ -500,96 +500,77 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON config file with budget guardrails")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=["json", "csv", "plain"], default="json"
-        )
+    leaves = []
 
-    p = sub.add_parser("cyclotomic", help="n-th cyclotomic polynomial")
+    def leaf(parent, name: str, fn, text: str):
+        p = parent.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
+        leaves.append(p)
+        return p
+
+    p = leaf(sub, "cyclotomic", _cmd_cyclotomic, "n-th cyclotomic polynomial")
     p.add_argument("n", type=_positive)
-    add_format(p)
-    p.set_defaults(fn=_cmd_cyclotomic)
 
-    p = sub.add_parser("pochhammer", help="q-Pochhammer product (q)_n")
+    p = leaf(sub, "pochhammer", _cmd_pochhammer, "q-Pochhammer product (q)_n")
     p.add_argument("n", type=_level)
-    add_format(p)
-    p.set_defaults(fn=_cmd_pochhammer)
 
-    p = sub.add_parser("graph", help="adjacency components of an index set")
+    p = leaf(sub, "graph", _cmd_graph, "adjacency components of an index set")
     p.add_argument("--ring", type=_parse_ring, required=True, help="Z, Q, or Z1/m")
     p.add_argument(
         "--set", type=_positive_list, required=True, help="comma-separated vertices"
     )
-    add_format(p)
-    p.set_defaults(fn=_cmd_graph)
 
     habiro = sub.add_parser("habiro", help="truncated completion arithmetic")
     hsub = habiro.add_subparsers(dest="subcommand", required=True)
 
-    p = hsub.add_parser("reduce", help="canonical remainder at a level")
+    p = leaf(hsub, "reduce", _cmd_habiro_reduce, "canonical remainder at a level")
     p.add_argument("--chain", type=_parse_chain, required=True)
     p.add_argument("--level", type=_level, required=True)
     p.add_argument("--poly", type=_parse_poly, required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_habiro_reduce)
 
-    p = hsub.add_parser("digits", help="unique digit expansion")
+    p = leaf(hsub, "digits", _cmd_habiro_digits, "unique digit expansion")
     p.add_argument("--chain", type=_parse_chain, required=True)
     p.add_argument("--level", type=_level, required=True)
     p.add_argument("--poly", type=_parse_poly, required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_habiro_digits)
 
-    p = hsub.add_parser("rho", help="restriction to a coarser chain")
+    p = leaf(hsub, "rho", _cmd_habiro_rho, "restriction to a coarser chain")
     p.add_argument("--from-chain", type=_parse_chain, required=True)
     p.add_argument("--from-level", type=_level, required=True)
     p.add_argument("--to-chain", type=_parse_chain, required=True)
     p.add_argument("--to-level", type=_level, required=True)
     p.add_argument("--poly", type=_parse_poly, required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_habiro_rho)
 
-    p = hsub.add_parser("series", help="realize a named series at a level")
+    p = leaf(hsub, "series", _cmd_habiro_series, "realize a named series at a level")
     p.add_argument("--name", choices=sorted(NAMED_SERIES), required=True)
     p.add_argument("--level", type=_level, required=True)
     p.add_argument("--check-unit", action="store_true")
-    add_format(p)
-    p.set_defaults(fn=_cmd_habiro_series)
 
-    p = hsub.add_parser("eval", help="values at roots of unity")
+    p = leaf(hsub, "eval", _cmd_habiro_eval, "values at roots of unity")
     p.add_argument("--series", choices=sorted(NAMED_SERIES), required=True)
     p.add_argument("--orders", type=_positive_list, required=True)
     p.add_argument("--level", type=_level, default=None)
-    add_format(p)
-    p.set_defaults(fn=_cmd_habiro_eval)
 
-    p = hsub.add_parser("expand", help="Taylor expansion at a root of unity")
+    p = leaf(hsub, "expand", _cmd_habiro_expand, "Taylor expansion at a root of unity")
     p.add_argument("--series", choices=sorted(NAMED_SERIES), required=True)
     p.add_argument("--center", type=_positive, required=True, help="order of the root")
     p.add_argument("--terms", type=_positive, required=True, help="number of coefficients")
-    add_format(p)
-    p.set_defaults(fn=_cmd_habiro_expand)
 
     qc = sub.add_parser("qcrt", help="rational CRT splitting")
     qsub = qc.add_subparsers(dest="subcommand", required=True)
 
-    p = qsub.add_parser("split", help="componentwise remainders")
+    p = leaf(qsub, "split", _cmd_qcrt_split, "componentwise remainders")
     p.add_argument(
         "--lambda", dest="lam", type=_parse_lambda, required=True, help="n:e,n:e,..."
     )
     p.add_argument("--poly", type=partial(_parse_poly, cls=RatPolynomial), required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_qcrt_split)
 
-    p = qsub.add_parser("witness", help="kernel witness for restriction over Q")
+    p = leaf(qsub, "witness", _cmd_qcrt_witness, "kernel witness for restriction over Q")
     p.add_argument("--level", type=_positive, required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_qcrt_witness)
 
-    p = sub.add_parser("selfcheck", help="run the invariant suite")
-    add_format(p)
-    p.set_defaults(fn=_cmd_selfcheck)
+    leaf(sub, "selfcheck", _cmd_selfcheck, "run the invariant suite")
 
+    for p in leaves:
+        p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     return parser
 
 

@@ -85,12 +85,13 @@ class FiltrationChain:
 
 
 class PochhammerChain(FiltrationChain):
-    """g_k = (q)_k normalized to leading coefficient +1."""
+    """g_k = (q)_k normalized to leading coefficient +1.  The moduli are
+    read from `pochhammer`, so the base class's checks test its memo."""
 
     label = "pochhammer"
 
     def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
-        g = prev * (IntPolynomial.one() - IntPolynomial.monomial(1, k))
+        g = pochhammer(k)
         return -g if g.leading_coefficient < 0 else g
 
     def signature(self) -> tuple:

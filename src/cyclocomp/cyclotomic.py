@@ -10,6 +10,7 @@ primes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -22,59 +23,87 @@ from .polyring import IntPolynomial, is_prime, poly_mod_prime, subresultant_bezo
 # -- cyclotomic polynomials -----------------------------------------------
 
 _cyclo_cache: dict[int, IntPolynomial] = {}
+# Entries read from a cache file, checked the first time they are used.
+_cyclo_unchecked: dict[int, IntPolynomial] = {}
 
 
 def cyclotomic_poly(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by iterated exact division:
-    Phi_n = (q^n - 1) / prod of Phi_d over proper divisors d of n.
+    """The n-th cyclotomic polynomial, the exact quotient N / D of the
+    Moebius products from `_moebius_products`.
 
-    Results are cached.
+    Results are cached.  An entry loaded from a cache file is used only
+    if Phi_n * D = N holds for it; otherwise it is recomputed.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
     hit = _cyclo_cache.get(n)
     if hit is not None:
         return hit
-    poly = IntPolynomial.monomial(1, n) - IntPolynomial.one()
-    for d in range(1, n):
-        if n % d == 0:
-            quot, rem = divmod(poly, cyclotomic_poly(d))
-            if not rem.is_zero:
-                raise AssertionError(f"Phi_{d} does not divide q^{n} - 1 exactly")
-            poly = quot
+    num, den = _moebius_products(n)
+    poly = _cyclo_unchecked.pop(n, None)
+    if poly is None or poly * den != num:
+        poly, rem = divmod(num, den)
+        if not rem.is_zero:
+            raise AssertionError(f"Moebius quotient for Phi_{n} is not exact")
     return _cyclo_cache.setdefault(n, poly)
 
 
+def _moebius_products(n: int) -> tuple[IntPolynomial, IntPolynomial]:
+    """(N, D): the products of q^d - 1 over the d | n with mu(n/d) = +1 and
+    with mu(n/d) = -1, so that Phi_n * D = N.  d runs over n divided by
+    products of distinct primes of n: 2^omega(n) sparse products."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    sides = [IntPolynomial.one(), IntPolynomial.one()]
+    for k in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            q_d = IntPolynomial.monomial(1, n // math.prod(chosen)) - IntPolynomial.one()
+            sides[k % 2] = sides[k % 2] * q_d
+    return sides[0], sides[1]
+
+
 def load_cyclotomic_cache(path: str) -> int:
-    """Merge a persisted n -> coefficient-list JSON file into the cache.
-    Returns the number of entries loaded; missing file loads nothing."""
+    """Read a persisted n -> coefficient-list JSON object.  Returns the
+    number of entries taken; a missing file gives none.  A malformed entry
+    is skipped on its own; the others are checked when first used."""
     if not os.path.exists(path):
         return 0
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a cyclotomic cache file is a JSON object")
     loaded = 0
     for key, coeffs in data.items():
-        n = int(key)
-        if n >= 1 and n not in _cyclo_cache:
-            _cyclo_cache[n] = IntPolynomial.from_json(coeffs)
-            loaded += 1
+        n = int(key) if key.isascii() and key.isdigit() else 0
+        if n < 1 or n in _cyclo_cache:
+            continue
+        try:
+            _cyclo_unchecked[n] = IntPolynomial.from_json(coeffs)
+        except ValueError:
+            continue
+        loaded += 1
     return loaded
 
 
 def save_cyclotomic_cache(path: str) -> None:
-    data = {str(n): p.to_json() for n, p in sorted(_cyclo_cache.items())}
+    """Write the cache and the loaded entries not yet checked."""
+    data = {str(n): p.to_json() for n, p in {**_cyclo_unchecked, **_cyclo_cache}.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True)
 
 
+_pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]
+
+
 def pochhammer(n: int) -> IntPolynomial:
-    """(q)_n = (1 - q)(1 - q^2)...(1 - q^n); (q)_0 = 1.  Degree n(n+1)/2."""
+    """(q)_n = (1 - q)(1 - q^2)...(1 - q^n); (q)_0 = 1.  Degree n(n+1)/2.
+    The only place (q)_n is built: it keeps (q)_0..(q)_n in a module list
+    and extends it by one product by 1 - q^k per new index k."""
     if n < 0:
         raise ValueError("pochhammer index must be >= 0")
-    out = IntPolynomial.one()
-    for i in range(1, n + 1):
-        out = out * (IntPolynomial.one() - IntPolynomial.monomial(1, i))
-    return out
+    memo = _pochhammer_memo
+    while len(memo) <= n:
+        memo.append(memo[-1] * (IntPolynomial.one() - IntPolynomial.monomial(1, len(memo))))
+    return memo[n]
 
 
 # -- the c table and the adjacency graph ----------------------------------

@@ -17,6 +17,7 @@ Rational coefficients serialize as "num/den".
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,6 +45,7 @@ class _Polynomial:
 
     # subclasses fill these in
     _coeff_type: type
+    _json_coeff: re.Pattern
     _coerce = staticmethod(lambda c: c)
 
     def __init__(self, coeffs: Iterable = ()):
@@ -172,19 +174,23 @@ class _Polynomial:
         if g.is_zero:
             raise DivisionByZeroPolynomial("division by the zero polynomial")
         inv = self._leading_inverse(g)
-        r = list(self.coeffs)
-        dg = len(g.coeffs) - 1
-        quot = [self._coerce(0)] * max(len(r) - dg, 0)
-        gc = g.coeffs
+        return self._long_divide(list(self.coeffs), g.coeffs, lambda c: c * inv)
+
+    @classmethod
+    def _long_divide(cls, r: list, gc: tuple, top_quotient):
+        """(quotient, remainder) of the coefficients r by gc, by schoolbook
+        steps whose quotient coefficient is top_quotient(top coefficient)."""
+        dg = len(gc) - 1
+        quot = [cls._coerce(0)] * max(len(r) - dg, 0)
         for top in range(len(r) - 1, dg - 1, -1):
             c = r[top]
             if not c:
                 continue
-            c *= inv
+            c = top_quotient(c)
             quot[top - dg] = c
             for j in range(dg + 1):
                 r[top - dg + j] -= c * gc[j]
-        return self._wrap(quot), self._wrap(r[:dg])
+        return cls._wrap(quot), cls._wrap(r[:dg])
 
     def evaluate(self, x):
         """Horner evaluation at x (int, Fraction, or anything with * and +)."""
@@ -234,11 +240,15 @@ class _Polynomial:
 
     @classmethod
     def from_json(cls, data: Sequence) -> "_Polynomial":
-        """Inverse of to_json; anything but a list of strings is a
-        ValueError, so JSON numbers and booleans are never coerced."""
-        if not isinstance(data, (list, tuple)) or not all(isinstance(c, str) for c in data):
+        """Inverse of to_json.  Anything but a list of strings of the form
+        to_json writes (ASCII digits, a leading minus, "/den" over Q) is a
+        ValueError: no JSON numbers, whitespace, underscores or exponents."""
+        if not isinstance(data, (list, tuple)):
             raise ValueError("a polynomial is a JSON array of coefficient strings")
-        return cls([cls._parse_coeff(c) for c in data])
+        for c in data:
+            if not isinstance(c, str) or not cls._json_coeff.fullmatch(c):
+                raise ValueError(f"{c!r} is not a plain decimal coefficient string")
+        return cls([cls._coeff_type(c) for c in data])
 
 
 class IntPolynomial(_Polynomial):
@@ -253,6 +263,7 @@ class IntPolynomial(_Polynomial):
 
     __slots__ = ()
     _coeff_type = int
+    _json_coeff = re.compile(r"-?[0-9]+")
 
     @staticmethod
     def _coerce(c) -> int:
@@ -261,10 +272,6 @@ class IntPolynomial(_Polynomial):
         if isinstance(c, Fraction) and c.denominator == 1:
             return c.numerator
         raise TypeError(f"integer coefficient expected, got {c!r}")
-
-    @staticmethod
-    def _parse_coeff(s) -> int:
-        return int(s)
 
     @property
     def has_unit_leading_coefficient(self) -> bool:
@@ -280,10 +287,7 @@ class IntPolynomial(_Polynomial):
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def to_rational(self) -> "RatPolynomial":
         return RatPolynomial(self.coeffs)
@@ -294,16 +298,13 @@ class RatPolynomial(_Polynomial):
 
     __slots__ = ()
     _coeff_type = Fraction
+    _json_coeff = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
     @staticmethod
     def _coerce(c) -> Fraction:
         if isinstance(c, bool):
             raise TypeError("bool is not a coefficient")
         return Fraction(c)
-
-    @staticmethod
-    def _parse_coeff(s) -> Fraction:
-        return Fraction(s)
 
     def _leading_inverse(self, g):
         return 1 / g.coeffs[-1]
@@ -351,25 +352,13 @@ def is_prime(p: int) -> bool:
 
 
 def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
-    """(q, r) with lc(b)^(deg a - deg b + 1) * a = q*b + r over Z."""
-    delta = len(a.coeffs) - len(b.coeffs)
-    alpha = b.coeffs[-1] ** (delta + 1)
-    r = [c * alpha for c in a.coeffs]
-    dg = len(b.coeffs) - 1
-    quot = [0] * (delta + 1)
+    """(q, r, alpha) with alpha = lc(b)^(deg a - deg b + 1) and
+    alpha * a = q*b + r over Z; every quotient step is an exact division."""
     lc = b.coeffs[-1]
-    bc = b.coeffs
-    for top in range(len(r) - 1, dg - 1, -1):
-        c = r[top]
-        if not c:
-            continue
-        c, rem = divmod(c, lc)
-        if rem:
-            raise AssertionError("pseudo-division step not exact")
-        quot[top - dg] = c
-        for j in range(dg + 1):
-            r[top - dg + j] -= c * bc[j]
-    return IntPolynomial._wrap(quot), IntPolynomial._wrap(r[:dg]), alpha
+    alpha = lc ** (len(a.coeffs) - len(b.coeffs) + 1)
+    r = [c * alpha for c in a.coeffs]
+    q, rem = IntPolynomial._long_divide(r, b.coeffs, lambda c: _exact_div(c, lc))
+    return q, rem, alpha
 
 
 def _prs(a: IntPolynomial, b: IntPolynomial):
@@ -398,10 +387,7 @@ def _prs(a: IntPolynomial, b: IntPolynomial):
         v2 = v0 * alpha - q * v1
         # Dividing r2 by any nonzero scalar g keeps the resultant
         # recurrence exact: res(r0, r1) picks up lc(r1)^(m-s) * (g/alpha)^n.
-        g = r2.content()
-        for p in (u2, v2):
-            for c in p.coeffs:
-                g = math.gcd(g, c)
+        g = math.gcd(r2.content(), *u2.coeffs, *v2.coeffs)
         if g > 1:
             r2 = IntPolynomial._wrap([c // g for c in r2.coeffs])
             u2 = IntPolynomial._wrap([c // g for c in u2.coeffs])
@@ -466,7 +452,7 @@ def subresultant_bezout(
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise AssertionError("cofactor rescaling not integral")
+        raise AssertionError("integer division not exact")
     return q
 
 

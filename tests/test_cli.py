@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cyclocomp import IntPolynomial, cyclotomic
 from cyclocomp.cli import run
 
 
@@ -153,6 +154,9 @@ class TestExitCodes:
             # coefficients are decimal strings, never JSON numbers or booleans
             ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", "[1.9, true]"],
             ["qcrt", "split", "--lambda", "1:1", "--poly", "[0.5, 2]"],
+            # ... and plain ASCII decimals, as to_json writes them
+            ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", '["1_0", " 2 "]'],
+            ["qcrt", "split", "--lambda", "1:1", "--poly", '["0.5", " 1_0 ", "1e1"]'],
             ["qcrt", "split", "--lambda", "1:2,1:1", "--poly", '["0","0","1"]'],
         ],
         ids=lambda a: " ".join(a),
@@ -216,3 +220,31 @@ class TestCachePersistence:
         assert "30" in data
         code, out2, _ = invoke("cyclotomic", "30")
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "data, n, expected",
+        [
+            ({"5": ["1", "1", "1", "1", "7"], "6": ["1", "1", "1"]}, 5, "q^4 + q^3 + q^2 + q + 1"),
+            ({"5": ["1", "1", "1", "1", "7"], "6": ["1", "1", "1"]}, 6, "q^2 - q + 1"),
+            ({"3": ["1", "1", "1"], "4": [1, 0, 1]}, 4, "q^2 + 1"),
+            ({"3": ["1", "1", "1"], "4": [1, 0, 1]}, 3, "q^2 + q + 1"),
+        ],
+    )
+    def test_poisoned_cache_entries_are_recomputed(self, tmp_path, monkeypatch, data, n, expected):
+        monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
+        monkeypatch.setattr(cyclotomic, "_cyclo_unchecked", {})
+        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
+        cache = tmp_path / "cyclotomic_cache.json"
+        cache.write_text(json.dumps(data))
+        code, out, _ = invoke("cyclotomic", str(n), "--format", "plain")
+        assert (code, out) == (0, f"Phi_{n} = {expected}\n")
+        # the failing or malformed entry is not written back
+        saved = json.loads(cache.read_text())
+        assert str(IntPolynomial.from_json(saved[str(n)])) == expected
+        assert saved.get("4", ["1", "0", "1"]) == ["1", "0", "1"]
+
+    def test_cache_that_is_not_an_object_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
+        (tmp_path / "cyclotomic_cache.json").write_text("[1, 2]")
+        code, out, _ = invoke("cyclotomic", "4", "--format", "plain")
+        assert (code, out) == (0, "Phi_4 = q^2 + 1\n")

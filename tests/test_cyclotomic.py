@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -21,7 +22,13 @@ from cyclocomp import (
     pochhammer,
     ring_z_inverted,
 )
-from cyclocomp.cyclotomic import _pow_mod_p
+from cyclocomp import cyclotomic
+from cyclocomp.cyclotomic import (
+    _moebius_products,
+    _pow_mod_p,
+    load_cyclotomic_cache,
+    save_cyclotomic_cache,
+)
 from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
 
 from support import phi_by_trial_factorization
@@ -68,6 +75,76 @@ class TestCyclotomicPoly:
             cyclotomic_poly(0)
 
 
+def _sympy_phi(n):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+    return IntPolynomial([int(c) for c in reversed(poly.all_coeffs())])
+
+
+@pytest.fixture
+def fresh_cyclotomic_cache(monkeypatch):
+    """Empty process-wide Phi caches for one test."""
+    monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
+    monkeypatch.setattr(cyclotomic, "_cyclo_unchecked", {})
+
+
+class TestCacheEntryCheck:
+    def test_moebius_products(self):
+        for n in range(1, 201):
+            num, den = _moebius_products(n)
+            assert _sympy_phi(n) * den == num
+
+    def test_true_entries_are_used(self, tmp_path, fresh_cyclotomic_cache):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({str(n): _sympy_phi(n).to_json() for n in range(1, 121)}))
+        assert load_cyclotomic_cache(str(path)) == 120
+        loaded = dict(cyclotomic._cyclo_unchecked)
+        for n in range(1, 121):
+            assert cyclotomic_poly(n) is loaded[n]
+        assert not cyclotomic._cyclo_unchecked
+
+    def test_wrong_entries_are_recomputed(self, tmp_path, fresh_cyclotomic_cache):
+        # Phi_3 under key 6 has degree phi(6), constant term 1 and divides
+        # q^6 - 1, so only a check that pins Phi_6 itself catches it.
+        rng = random.Random(5)
+        data = {"6": ["1", "1", "1"], "5": ["1", "1", "1", "1", "7"], "4": ["0"]}
+        for n in range(7, 61):
+            coeffs = list(_sympy_phi(n).coeffs)
+            coeffs[rng.randrange(len(coeffs))] += rng.choice([-1, 1])
+            data[str(n)] = IntPolynomial(coeffs).to_json()
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(data))
+        load_cyclotomic_cache(str(path))
+        for n in range(1, 61):
+            assert cyclotomic_poly(n) == _sympy_phi(n)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"5": ["1", "1", "1", "1", "7"], "6": ["1", "1", "1"]},
+            {"3": ["1", "1", "1"], "4": [1, 0, 1]},
+            {"1": ["-1", "1"], "x": ["1"], "0": ["1"], "2": "11", "6": ["1", "-1", "1"]},
+        ],
+    )
+    def test_loaded_entries_are_checked_on_use(self, tmp_path, fresh_cyclotomic_cache, data):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(data))
+        load_cyclotomic_cache(str(path))
+        for n in range(1, 8):
+            assert cyclotomic_poly(n) == _sympy_phi(n)
+        save_cyclotomic_cache(str(path))
+        saved = json.loads(path.read_text())
+        assert sorted(saved, key=int) == [str(n) for n in range(1, 8)]
+        for key, coeffs in saved.items():
+            assert IntPolynomial.from_json(coeffs) == _sympy_phi(int(key))
+
+    def test_a_file_that_is_not_an_object_is_rejected(self, tmp_path, fresh_cyclotomic_cache):
+        path = tmp_path / "cache.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError):
+            load_cyclotomic_cache(str(path))
+
+
 class TestPochhammer:
     def test_small_values(self):
         assert pochhammer(0) == IntPolynomial.one()
@@ -82,6 +159,19 @@ class TestPochhammer:
     def test_degree(self):
         for n in range(12):
             assert pochhammer(n).degree == n * (n + 1) // 2 or n == 0
+
+    def test_memo_matches_shift_and_subtract(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [IntPolynomial.one()])
+        expected = [[1]]
+        for k in range(1, 41):
+            # (q)_k = (q)_{k-1} - q^k * (q)_{k-1}
+            prev = expected[-1]
+            shifted = [0] * k + prev
+            expected.append([a - b for a, b in zip(prev + [0] * k, shifted)])
+        order = list(range(41))
+        random.Random(40).shuffle(order)
+        for n in order:
+            assert pochhammer(n) == IntPolynomial(expected[n])
 
 
 class TestCValue:

@@ -16,6 +16,7 @@ from cyclocomp import (
     resultant,
     subresultant_bezout,
 )
+from cyclocomp.polyring import _pseudo_divmod
 from cyclocomp.errors import (
     BothZero,
     DivisionByZeroPolynomial,
@@ -92,11 +93,12 @@ def _operands(coeff):
     )
 
 
+def _sympy_poly(coeffs, domain):
+    return sympy.Poly(list(reversed(coeffs)) or [0], sympy.Symbol("x"), domain=domain)
+
+
 def _sympy_product(a, b, domain):
-    x = sympy.Symbol("x")
-    pa = sympy.Poly(list(reversed(a)) or [0], x, domain=domain)
-    pb = sympy.Poly(list(reversed(b)) or [0], x, domain=domain)
-    return list(reversed((pa * pb).all_coeffs()))
+    return list(reversed((_sympy_poly(a, domain) * _sympy_poly(b, domain)).all_coeffs()))
 
 
 class TestProductAgainstSympy:
@@ -163,6 +165,64 @@ class TestDivMod:
     def test_divides(self):
         assert divides(P(1, 1), P(-1, 0, 1))
         assert not divides(P(1, 1), P(1, 0, 1))
+
+
+def _fractions(poly):
+    """Little-endian coefficients of a sympy Poly as Fractions."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+_small_ints = st.lists(st.integers(-(10**6), 10**6), max_size=10)
+_small_fractions = st.fractions(-50, 50, max_denominator=12)
+
+
+class TestDivModAgainstSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**12), 10**12), max_size=30),
+        _small_ints,
+        st.sampled_from([1, -1]),
+    )
+    def test_int_divmod_unit_leading(self, a, g, lc):
+        g = g + [lc]
+        quot, rem = sympy.div(_sympy_poly(a, sympy.ZZ), _sympy_poly(g, sympy.ZZ))
+        # IntPolynomial rejects a non-integral Fraction, so this also
+        # checks that sympy's result stays in Z.
+        expected = (IntPolynomial(_fractions(quot)), IntPolynomial(_fractions(rem)))
+        assert divmod(IntPolynomial(a), IntPolynomial(g)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_small_fractions, max_size=20),
+        st.lists(_small_fractions, max_size=8),
+        _small_fractions.filter(bool),
+    )
+    def test_rational_divmod_any_divisor(self, a, g, lc):
+        g = g + [lc]
+        quot, rem = sympy.div(
+            _sympy_poly([sympy.Rational(c.numerator, c.denominator) for c in a], sympy.QQ),
+            _sympy_poly([sympy.Rational(c.numerator, c.denominator) for c in g], sympy.QQ),
+        )
+        expected = (RatPolynomial(_fractions(quot)), RatPolynomial(_fractions(rem)))
+        assert divmod(RatPolynomial(a), RatPolynomial(g)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _small_ints,
+        st.integers(-9, 9).filter(bool),
+        st.lists(st.integers(-50, 50), max_size=16),
+        st.integers(-50, 50).filter(bool),
+    )
+    def test_pseudo_divmod_matches_pquo_prem(self, b, lc, a, a_lead):
+        # deg a >= deg b, as in every pseudo-division of the PRS
+        b = b + [lc]
+        a = a + [0] * (len(b) - 1 - len(a)) + [a_lead]
+        pa, pb = _sympy_poly(a, sympy.ZZ), _sympy_poly(b, sympy.ZZ)
+        quot, rem, alpha = _pseudo_divmod(IntPolynomial(a), IntPolynomial(b))
+        assert alpha == lc ** (len(a) - len(b) + 1)
+        assert quot == IntPolynomial(_fractions(pa.pquo(pb)))
+        assert rem == IntPolynomial(_fractions(pa.prem(pb)))
+        assert IntPolynomial(a) * alpha == quot * IntPolynomial(b) + rem
 
 
 class TestResultantBezout:
@@ -289,3 +349,30 @@ class TestSerialization:
     def test_big_coefficients_survive(self):
         p = P(10**40, -(10**39))
         assert IntPolynomial.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize(
+        "cls, text",
+        [
+            (IntPolynomial, "1_0"),
+            (IntPolynomial, " 2 "),
+            (IntPolynomial, "+1"),
+            (IntPolynomial, "\u0663"),  # ARABIC-INDIC DIGIT THREE
+            (IntPolynomial, "1/1"),
+            (IntPolynomial, "0x10"),
+            (IntPolynomial, ""),
+            (RatPolynomial, "0.5"),
+            (RatPolynomial, " 1_0 "),
+            (RatPolynomial, "1e1"),
+            (RatPolynomial, "1/-2"),
+            (RatPolynomial, "3\n"),
+        ],
+    )
+    def test_only_plain_decimal_strings_parse(self, cls, text):
+        with pytest.raises(ValueError):
+            cls.from_json(["1", text])
+
+    def test_plain_decimal_strings_parse(self):
+        assert IntPolynomial.from_json(["-12", "007"]) == P(-12, 7)
+        assert RatPolynomial.from_json(["-3", "4/6"]) == RatPolynomial(
+            [-3, Fraction(2, 3)]
+        )

@@ -260,6 +260,31 @@ class TestSeriesExpansion:
                 totals[j] += term[j].coeffs[0]
         assert [c.coeffs[0] for c in series.coeffs] == totals
 
+    def test_ohtsuki_coefficients_count_ascent_sequences(self):
+        # Sum (q)_n at q = 1 + x has x^j coefficient (-1)^j * A(j), with
+        # A(j) the number of ascent sequences of length j
+        # (Bousquet-Melou, Claesson, Dukes, Kitaev 2010), counted here by
+        # enumerating them: x_1 = 0 and x_i <= 1 + (ascents so far).
+        def ascent_sequences(length):
+            count = 0
+            stack = [(1, 0, 0)] if length else []  # (length, last, ascents)
+            while stack:
+                size, last, ascents = stack.pop()
+                if size == length:
+                    count += 1
+                    continue
+                for x in range(ascents + 2):
+                    stack.append((size + 1, x, ascents + (x > last)))
+            return count if length else 1
+
+        counts = [ascent_sequences(j) for j in range(10)]
+        assert counts == [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]
+        series = ohtsuki_series(KONTSEVICH_ZAGIER_SPEC, 9)
+        assert series.valid_to == 9
+        assert [c.coeffs[0] for c in series.coeffs] == [
+            (-1) ** j * a for j, a in enumerate(counts)
+        ]
+
     def test_expand_at_higher_order_center(self):
         series = expand_series(KONTSEVICH_ZAGIER_SPEC, 3, 2)
         assert series.order == 3 and series.valid_to == 2
