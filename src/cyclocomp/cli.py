@@ -30,7 +30,7 @@ from .completion import (
     ProductChain,
 )
 from .errors import PrecisionContractError
-from .polyring import IntPolynomial, RatPolynomial
+from .polyring import DECIMAL_INTEGER, IntPolynomial, RatPolynomial
 
 
 class UsageError(Exception):
@@ -81,13 +81,9 @@ def _element_result(elt: completion.TruncatedElement) -> _Result:
 
 
 def _int_at_least(text: str, least: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < least:
+    if not DECIMAL_INTEGER.fullmatch(text) or int(text) < least:
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
-    return value
+    return int(text)
 
 
 def _level(text: str) -> int:
@@ -134,10 +130,7 @@ def _parse_ring(name: str) -> cyclotomic.RingDescriptor:
     if name == "Q":
         return cyclotomic.RING_Q
     if name.startswith("Z1/"):
-        try:
-            return cyclotomic.ring_z_inverted(int(name[3:]))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad ring spec {name!r}") from exc
+        return cyclotomic.ring_z_inverted(_positive(name[3:]))
     raise argparse.ArgumentTypeError(f"unknown ring {name!r} (expected Z, Q, or Z1/m)")
 
 
@@ -303,6 +296,9 @@ def _cmd_habiro_expand(args, budgets: Budgets) -> _Result:
 
 def _cmd_qcrt_split(args, budgets: Budgets) -> _Result:
     lam = args.lam
+    for n, e in lam.exponents:
+        budgets.check_order(n)
+        budgets.check_level(e)
     comps = qcrt.crt_split(args.poly, lam).components
     return _Result(
         {

@@ -25,6 +25,8 @@ from .polyring import IntPolynomial, is_prime, poly_mod_prime, subresultant_bezo
 _cyclo_cache: dict[int, IntPolynomial] = {}
 # Entries read from a cache file, checked the first time they are used.
 _cyclo_unchecked: dict[int, IntPolynomial] = {}
+# path -> the JSON object last read from that cache file.
+_cyclo_file_data: dict[str, dict] = {}
 
 
 def cyclotomic_poly(n: int) -> IntPolynomial:
@@ -71,6 +73,7 @@ def load_cyclotomic_cache(path: str) -> int:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a cyclotomic cache file is a JSON object")
+    _cyclo_file_data[path] = data
     loaded = 0
     for key, coeffs in data.items():
         n = int(key) if key.isascii() and key.isdigit() else 0
@@ -85,10 +88,20 @@ def load_cyclotomic_cache(path: str) -> int:
 
 
 def save_cyclotomic_cache(path: str) -> None:
-    """Write the cache and the loaded entries not yet checked."""
+    """Write the cache and the loaded entries not yet checked, unless the
+    file held just these when read.  The write goes to a file beside it,
+    renamed over it, so a reader never sees a partly written file."""
     data = {str(n): p.to_json() for n, p in {**_cyclo_unchecked, **_cyclo_cache}.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
+    if data == _cyclo_file_data.get(path):
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 _pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]

@@ -29,6 +29,8 @@ from .errors import (
 )
 
 NEG_INFINITY = float("-inf")
+# A plain decimal integer as to_json writes it: ASCII digits, optional minus.
+DECIMAL_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _strip(coeffs: list) -> tuple:
@@ -263,7 +265,7 @@ class IntPolynomial(_Polynomial):
 
     __slots__ = ()
     _coeff_type = int
-    _json_coeff = re.compile(r"-?[0-9]+")
+    _json_coeff = DECIMAL_INTEGER
 
     @staticmethod
     def _coerce(c) -> int:

@@ -7,18 +7,25 @@ over Q lossy: dropping a component is a surjection with a visible kernel.
 `rho_q_kernel_witness` constructs such kernel elements explicitly, and a
 bounded search certifies that the analogous integer-coefficient element
 does not exist at level 1.
+
+The splitting rests on one integer Bezout identity per factor: with F_n =
+Phi_n^lambda(n) and R_n the product of the other factors,
+`subresultant_bezout(R_n, F_n)` returns res and u, v with u*R_n + v*F_n =
+res, an identity it checks.  So s_n = u/res inverts R_n mod F_n, and e_n =
+s_n*R_n is the idempotent that is 1 mod F_n and 0 mod the other factors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DegreeViolation
-from .polyring import IntPolynomial, RatPolynomial, rational_xgcd
+from .polyring import IntPolynomial, RatPolynomial, subresultant_bezout
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,7 @@ class ExponentVector:
         return (cyclotomic_poly(n) ** self.exponent(n)).to_rational()
 
     def modulus(self) -> RatPolynomial:
-        out = RatPolynomial.one()
-        for n, _ in self.exponents:
-            out = out * self.factor(n)
-        return out
+        return math.prod((self.factor(n) for n in self.support), start=RatPolynomial.one())
 
     def component_degree_bound(self, n: int) -> int:
         return self.exponent(n) * (len(cyclotomic_poly(n).coeffs) - 1)
@@ -86,66 +90,49 @@ def crt_split(f: RatPolynomial, lam: ExponentVector) -> CrtComponents:
     )
 
 
-_bezout_cache: dict[tuple, tuple[RatPolynomial, RatPolynomial]] = {}
-
-
-def _bezout_pair(f: RatPolynomial, g: RatPolynomial):
-    """Cached (u, v) with u*f + v*g = 1 for coprime moduli."""
-    key = (f.coeffs, g.coeffs)
-    hit = _bezout_cache.get(key)
-    if hit is not None:
-        return hit
-    one, u, v = rational_xgcd(f, g)
-    if one != RatPolynomial.one():
-        raise AssertionError("CRT moduli are not coprime")
-    return _bezout_cache.setdefault(key, (u, v))
+def _bezout_factors(lam: ExponentVector):
+    """Yield (n, F_n, R_n, s_n) over Q for each support index n, as in
+    the module docstring; deg s_n < deg F_n."""
+    factors = {n: cyclotomic_poly(n) ** e for n, e in lam.exponents}
+    for n, f in factors.items():
+        rest = math.prod((g for m, g in factors.items() if m != n), start=IntPolynomial.one())
+        res, u, _ = subresultant_bezout(rest, f)
+        if res == 0:
+            raise AssertionError("CRT moduli are not coprime")
+        yield n, f.to_rational(), rest.to_rational(), u.to_rational() * Fraction(1, res)
 
 
 def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
     """The unique representative of degree < deg modulus hitting every
-    component; inverse to crt_split."""
+    component; inverse to crt_split.  It is the sum of the terms
+    ((c_n * s_n) mod F_n) * R_n, each of degree < deg modulus."""
     if comps.support != lam.support:
         raise ValueError(
             f"component support {comps.support} does not match {lam.support}"
         )
-    for n in lam.support:
+    out = RatPolynomial.zero()
+    for n, f, rest, s in _bezout_factors(lam):
         c = comps.component(n)
-        if c.degree >= lam.component_degree_bound(n):
+        if c.degree >= f.degree:
             raise DegreeViolation(
-                f"component at {n} has degree {c.degree}, bound is "
-                f"{lam.component_degree_bound(n)}"
+                f"component at {n} has degree {c.degree}, bound is {f.degree}"
             )
-    ns = lam.support
-    acc_mod = lam.factor(ns[0])
-    acc = comps.component(ns[0])
-    for n in ns[1:]:
-        f, c = lam.factor(n), comps.component(n)
-        u, v = _bezout_pair(acc_mod, f)
-        # u*acc_mod + v*f = 1: glue acc (mod acc_mod) with c (mod f)
-        acc = (acc * v * f + c * u * acc_mod) % (acc_mod * f)
-        acc_mod = acc_mod * f
-    return acc
+        out = out + ((c * s) % f) * rest
+    return out
 
 
 def crt_idempotents(lam: ExponentVector) -> dict[int, RatPolynomial]:
-    """Preimages e_n of the unit vectors: e_n = 1 at n, 0 elsewhere."""
-    out = {}
-    zero, one = RatPolynomial.zero(), RatPolynomial.one()
-    for n in lam.support:
-        comps = CrtComponents({m: (one if m == n else zero) for m in lam.support})
-        out[n] = crt_reconstruct(comps, lam)
-    return out
+    """Preimages e_n = s_n * R_n of the unit vectors: e_n = 1 at n, 0
+    elsewhere."""
+    return {n: s * rest for n, _, rest, s in _bezout_factors(lam)}
 
 
 def rho_q_kernel_witness(level: int) -> RatPolynomial:
     """A rational polynomial that is 0 mod (q-1)^level and 1 mod
     (q+1)^level: nonzero in the completion at {1, 2} but killed by
-    restriction to {1}.  Built by CRT reconstruction."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    lam = ExponentVector({1: level, 2: level})
-    comps = CrtComponents({1: RatPolynomial.zero(), 2: RatPolynomial.one()})
-    return crt_reconstruct(comps, lam)
+    restriction to {1}.  It is the CRT idempotent e_2; a level < 1 is a
+    ValueError."""
+    return crt_idempotents(ExponentVector({1: level, 2: level}))[2]
 
 
 def integer_witness_search(

@@ -158,6 +158,12 @@ class TestExitCodes:
             ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", '["1_0", " 2 "]'],
             ["qcrt", "split", "--lambda", "1:1", "--poly", '["0.5", " 1_0 ", "1e1"]'],
             ["qcrt", "split", "--lambda", "1:2,1:1", "--poly", '["0","0","1"]'],
+            # integer arguments are plain ASCII decimals too
+            ["cyclotomic", "1_0"],
+            ["cyclotomic", "\u0663"],
+            ["pochhammer", " 3"],
+            ["graph", "--ring", "Z1/ 2", "--set", "1,\u0662"],
+            ["graph", "--ring", "Z1/1_0", "--set", "1,2"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -199,6 +205,21 @@ class TestBudgets:
         assert (code, out) == (1, "")
         assert err.startswith("error: usage:")
 
+    def test_budget_bounds_qcrt_split_lambda(self, tmp_path):
+        cfg = tmp_path / "budgets.json"
+        cfg.write_text('{"max_order": 4, "max_level": 2}')
+        for lam in ("7:1", "1:9"):
+            code, out, err = invoke(
+                "--config", str(cfg),
+                "qcrt", "split", "--lambda", lam, "--poly", '["1","2"]',
+            )
+            assert (code, out) == (1, "")
+            assert "budget" in err
+        code, _, _ = invoke(
+            "--config", str(cfg), "qcrt", "split", "--lambda", "4:2", "--poly", '["1","2"]'
+        )
+        assert code == 0
+
     def test_budget_allows_within_limit(self, tmp_path):
         cfg = tmp_path / "budgets.json"
         cfg.write_text('{"max_level": 5, "max_order": 10}')
@@ -220,6 +241,19 @@ class TestCachePersistence:
         assert "30" in data
         code, out2, _ = invoke("cyclotomic", "30")
         assert out1 == out2
+
+    def test_unchanged_cache_is_not_rewritten(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
+        assert invoke("cyclotomic", "30")[0] == 0
+        cache = tmp_path / "cyclotomic_cache.json"
+        before = cache.stat()
+        # as in a new process: nothing cached but what the file holds
+        monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
+        monkeypatch.setattr(cyclotomic, "_cyclo_unchecked", {})
+        assert invoke("cyclotomic", "30")[0] == 0
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert [p.name for p in tmp_path.iterdir()] == ["cyclotomic_cache.json"]
 
     @pytest.mark.parametrize(
         "data, n, expected",

@@ -20,6 +20,7 @@ from cyclocomp import (
     cyclotomic_poly,
     is_adjacent,
     pochhammer,
+    resultant,
     ring_z_inverted,
 )
 from cyclocomp import cyclotomic
@@ -331,6 +332,22 @@ class TestCoprimality:
                 else:
                     assert isinstance(cert, CommonPrimeCertificate)
                     assert cert.resultant == cert.p**cert.exponent > 1
+
+    def test_apostol_resultants(self):
+        # Apostol, "Resultants of cyclotomic polynomials", Proc. AMS 1970:
+        # for m < n, res(Phi_m, Phi_n) = p^phi(m) when n/m is a power of
+        # the prime p, and 1 otherwise.
+        def prime_of_power(x):
+            p = next(d for d in range(2, x + 1) if x % d == 0)
+            while x % p == 0:
+                x //= p
+            return p if x == 1 else None
+
+        for n in range(2, 61):
+            for m in range(1, n):
+                p = prime_of_power(n // m) if n % m == 0 else None
+                expected = p ** phi_by_trial_factorization(m) if p else 1
+                assert resultant(cyclotomic_poly(m), cyclotomic_poly(n)) == expected, (m, n)
 
 
 class TestArrowWitness:

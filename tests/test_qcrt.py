@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from cyclocomp import (
     CrtComponents,
@@ -129,6 +131,47 @@ class TestReconstruct:
             assert (total - ONE) % modulus == ZERO
 
 
+X = sympy.Symbol("x")
+
+
+def _to_sympy(coeffs):
+    rationals = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+    return sympy.Poly(rationals or [0], X, domain=sympy.QQ)
+
+
+def _from_sympy(poly):
+    return RatPolynomial([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+class TestCrtAgainstSympy:
+    # The factors come from sympy's cyclotomic polynomials and the Bezout
+    # cofactors from sympy's gcdex over QQ, not from the integer PRS.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 12), st.integers(1, 3), min_size=1, max_size=5),
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=80),
+    )
+    def test_idempotents_and_round_trip(self, exponents, f_coeffs):
+        lam = ExponentVector(exponents)
+        factors = {
+            n: sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain=sympy.QQ) ** e
+            for n, e in exponents.items()
+        }
+        modulus = _to_sympy([1])
+        for f in factors.values():
+            modulus = modulus * f
+        ids = crt_idempotents(lam)
+        assert sorted(ids) == sorted(exponents)
+        for n, f in factors.items():
+            rest = modulus.exquo(f)
+            s, _, h = sympy.gcdex(rest, f)
+            assert h == _to_sympy([1])
+            assert ids[n] == _from_sympy((s * rest).rem(modulus))
+        f = RatPolynomial(f_coeffs)
+        expected = _from_sympy(_to_sympy(f.coeffs).rem(modulus))
+        assert crt_reconstruct(crt_split(f, lam), lam) == expected
+
+
 class TestKernelWitness:
     def test_level_one_exact_value(self):
         assert rho_q_kernel_witness(1) == RatPolynomial([Fraction(1, 2), Fraction(-1, 2)])
@@ -139,6 +182,10 @@ class TestKernelWitness:
             assert not w.is_zero
             assert w % factor(1, n) == ZERO
             assert (w - ONE) % factor(2, n) == ZERO
+
+    def test_level_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            rho_q_kernel_witness(0)
 
     def test_witness_degree_bounded(self):
         for n in range(1, 6):
