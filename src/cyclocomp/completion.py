@@ -35,7 +35,7 @@ from .errors import (
     NonUnitLeadingCoefficient,
     NotCoarser,
 )
-from .polyring import IntPolynomial, divides, subresultant_bezout
+from .polyring import IntPolynomial, divides, json_int, subresultant_bezout
 
 
 class FiltrationChain:
@@ -218,7 +218,7 @@ class TruncatedElement:
     @staticmethod
     def from_json_dict(data: dict) -> "TruncatedElement":
         chain = chain_from_json_dict(data["chain"])
-        return reduce(IntPolynomial.from_json(data["rep"]), chain, data["level"])
+        return reduce(IntPolynomial.from_json(data["rep"]), chain, json_int(data["level"]))
 
     def __repr__(self):
         return f"<{self.rep} mod g_{self.level} on {self.chain.label}>"
@@ -323,23 +323,28 @@ def rho(
 class SeriesSpec:
     """An infinite sum sum_n t_n convergent in a completion: term(n) is
     t_n and witness(n) is a level k with g_k | t_n, so terms eventually
-    vanish at every finite truncation."""
+    vanish at every finite truncation.  The optional step(n) is the
+    ratio of consecutive terms, t_n = t_{n-1} * step(n) for n >= 1; it
+    lets the expansion at a root of unity build each term from the last."""
 
     name: str
     term: Callable[[int], IntPolynomial]
     witness: Callable[[int], int]
+    step: Optional[Callable[[int], IntPolynomial]] = None
 
 
 KONTSEVICH_ZAGIER_SPEC = SeriesSpec(
     name="kz",
     term=pochhammer,
     witness=lambda n: n,
+    step=lambda n: IntPolynomial.one() - IntPolynomial.monomial(1, n),
 )
 
 Q_INVERSE_SPEC = SeriesSpec(
     name="qinv",
     term=lambda n: IntPolynomial.monomial(1, n) * pochhammer(n),
     witness=lambda n: n,
+    step=lambda n: IntPolynomial.monomial(1, 1) - IntPolynomial.monomial(1, n + 1),
 )
 
 NAMED_SERIES: dict[str, SeriesSpec] = {
@@ -348,11 +353,15 @@ NAMED_SERIES: dict[str, SeriesSpec] = {
 }
 
 
+# Terms a series may take before its witness passes the level.
+MAX_SERIES_TERMS = 10_000
+
+
 def series_realize(
     spec: SeriesSpec,
     chain: FiltrationChain,
     level: int,
-    max_terms: int = 10_000,
+    max_terms: int = MAX_SERIES_TERMS,
 ) -> TruncatedElement:
     """Partial sum of the series at a truncation level: terms are added
     until the divisibility witness exceeds the level, at which point all

@@ -109,14 +109,21 @@ _pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]
 
 def pochhammer(n: int) -> IntPolynomial:
     """(q)_n = (1 - q)(1 - q^2)...(1 - q^n); (q)_0 = 1.  Degree n(n+1)/2.
-    The only place (q)_n is built: it keeps (q)_0..(q)_n in a module list
-    and extends it by one product by 1 - q^k per new index k."""
+    The only place (q)_n is built: a module list keeps (q)_0, (q)_1, ...
+    as far as indices were asked for in order.  The next index extends it
+    by one product by 1 - q^n; an index past that is built from the last
+    entry without storing the products in between."""
     if n < 0:
         raise ValueError("pochhammer index must be >= 0")
     memo = _pochhammer_memo
-    while len(memo) <= n:
-        memo.append(memo[-1] * (IntPolynomial.one() - IntPolynomial.monomial(1, len(memo))))
-    return memo[n]
+    if n < len(memo):
+        return memo[n]
+    poly = memo[-1]
+    for k in range(len(memo), n + 1):
+        poly = poly * (IntPolynomial.one() - IntPolynomial.monomial(1, k))
+    if n == len(memo):
+        memo.append(poly)
+    return poly
 
 
 # -- the c table and the adjacency graph ----------------------------------

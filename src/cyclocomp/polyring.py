@@ -33,6 +33,16 @@ NEG_INFINITY = float("-inf")
 DECIMAL_INTEGER = re.compile(r"-?[0-9]+")
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON object: a JSON integer (not a boolean) or
+    a DECIMAL_INTEGER string; anything else is a ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and DECIMAL_INTEGER.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{value!r} is not a plain decimal integer")
+
+
 def _strip(coeffs: list) -> tuple:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:

@@ -9,11 +9,19 @@ collected in n integer buckets (zeta^n = 1) and reduced mod Phi_n once
 per coefficient.  No factorials, no division by integers, everything
 exact.
 
+A convergent series is expanded locally, without a global representative:
+`expand_series` works with jets, the images of polynomials in
+Z[y]/(y^n - 1)[x]/(x^(J+1)) under q -> y + x, stored as J + 1 rows of n
+buckets.  Mapping y to zeta_n is a ring homomorphism onto
+Z[zeta_n][x]/(x^(J+1)), so the sum of the terms' jets, reduced mod Phi_n
+row by row, is the expansion c_0 ... c_J of the series' value.
+
 The precision contract: an element truncated at level K determines its
 expansion at zeta only up to the multiplicity of (q - zeta) in g_K, which
 for the Pochhammer chain at a primitive n-th root is floor(K/n).  The
 `valid_to` bound is always computed from the chain, never trusted from
-the caller.
+the caller; `expand_series` sums the terms up to level n(J+1), so
+valid_to = J.
 """
 
 from __future__ import annotations
@@ -23,15 +31,15 @@ from math import comb
 from typing import Sequence
 
 from .completion import (
+    MAX_SERIES_TERMS,
     FiltrationChain,
     PochhammerChain,
     SeriesSpec,
     TruncatedElement,
-    series_realize,
 )
 from .cyclotomic import cyclotomic_poly
-from .errors import InsufficientPrecision, OrderMismatch
-from .polyring import IntPolynomial
+from .errors import InsufficientPrecision, NonConvergent, OrderMismatch
+from .polyring import IntPolynomial, json_int
 
 
 class CyclotomicInteger:
@@ -127,7 +135,10 @@ class CyclotomicInteger:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CyclotomicInteger":
-        return CyclotomicInteger(data["order"], [int(c) for c in data["coeffs"]])
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ValueError("coeffs is a JSON array of integers")
+        return CyclotomicInteger(json_int(data["order"]), [json_int(c) for c in coeffs])
 
 
 # -- evaluation (tau) ---------------------------------------------------------
@@ -190,6 +201,18 @@ class RootTaylorSeries:
         }
 
 
+def _jet(poly: IntPolynomial, n: int, j_max: int) -> list[list[int]]:
+    """Image of poly under q -> y + x in Z[y]/(y^n - 1)[x]/(x^(j_max+1)):
+    row j holds the x^j coefficient as n buckets, row[r] collecting the
+    y^r terms C(i, j) a_i y^(i-j)."""
+    rows = [[0] * n for _ in range(j_max + 1)]
+    for i, a in enumerate(poly.coeffs):
+        if a:
+            for j in range(min(i, j_max) + 1):
+                rows[j][(i - j) % n] += comb(i, j) * a
+    return rows
+
+
 def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
     """Taylor coefficients c_0 ... c_{j_max} of a at a primitive n-th root,
     c_j = sum_i C(i, j) a_i zeta^(i-j) over the representative's
@@ -204,24 +227,75 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
             f"level {a.level} on {a.chain.label!r} only determines "
             f"coefficients up to index {valid_to} at order {n}; {j_max} requested"
         )
-    rep = a.rep.coeffs
-    coeffs = []
-    for j in range(j_max + 1):
-        buckets = [0] * n  # buckets[r] collects the zeta^r terms
-        for i in range(j, len(rep)):
-            if rep[i]:
-                buckets[(i - j) % n] += comb(i, j) * rep[i]
-        coeffs.append(CyclotomicInteger(n, buckets))
-    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=tuple(coeffs))
+    coeffs = tuple(CyclotomicInteger(n, row) for row in _jet(a.rep, n, j_max))
+    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=coeffs)
+
+
+def _jet_mul(rows: list[list[int]], factor: list[list[int]], low: int) -> list[list[int]]:
+    """rows * factor with everything at x^(j_max+1) or above dropped; the
+    rows of `rows` below `low` are zero.  One pass per nonzero bucket
+    c*y^r*x^j of factor: rotate every row by r, scale by c, add j rows up."""
+    n, top = len(rows[0]), len(rows)
+    out = [[0] * n for _ in range(top)]
+    for j, factor_row in enumerate(factor):
+        for r, c in enumerate(factor_row):
+            if not c:
+                continue
+            for t in range(low, top - j):
+                row = rows[t]
+                out[t + j] = [d + c * s for d, s in zip(out[t + j], row[n - r :] + row[: n - r])]
+    return out
 
 
 def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
-    """Taylor-expand a convergent series at a primitive n-th root, with
-    the Pochhammer level auto-selected as n*(j_max+1) so every requested
-    coefficient is stable under any further precision increase."""
-    chain = PochhammerChain()
+    """Taylor coefficients c_0 ... c_{j_max} at a primitive n-th root of
+    the series' value, computed locally in Z[zeta_n][x]/(x^(j_max+1))
+    with q = zeta + x, as a sum of the terms' jets (see `_jet`).
+
+    Precision: terms are summed while witness(k) <= n*(j_max+1), the
+    Pochhammer level whose multiplicity at zeta_n is j_max + 1.  A later
+    term is divisible by (q)_w with w past that level, so by
+    (q - zeta)^(j_max+1), and adds nothing: every coefficient returned is
+    stable under any further precision, and valid_to = j_max.
+
+    With spec.step the jet of term k is that of term k - 1 times the jet
+    of step(k); without it, the jet of term(k).  Each consumed term's
+    witness w is checked locally: its x^j coefficients must vanish in
+    Z[zeta_n] for j < min(w // n, j_max + 1), else AssertionError.  A
+    witness that stays <= the level for MAX_SERIES_TERMS terms raises
+    NonConvergent, as in `series_realize`."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
     level = n * (j_max + 1)
-    return taylor_at_root(series_realize(spec, chain, level), n, j_max)
+    top = j_max + 1
+    total = [[0] * n for _ in range(top)]
+    term, low = None, 0  # term's rows below low are zero
+    for k in range(MAX_SERIES_TERMS + 1):
+        w = spec.witness(k)
+        if w > level:
+            break
+        if term is None or spec.step is None:
+            term = _jet(spec.term(k), n, j_max)
+        elif low < top:
+            term = _jet_mul(term, _jet(spec.step(k), n, j_max), low)
+        low = next((j for j, row in enumerate(term) if any(row)), top)
+        for j in range(low, min(w // n, top)):
+            if not CyclotomicInteger(n, term[j]).is_zero:
+                raise AssertionError(
+                    f"series {spec.name!r}: witness {w} of term {k} fails "
+                    f"at order {n}: x^{j} coefficient is not zero"
+                )
+        for j in range(low, top):
+            total[j] = [a + b for a, b in zip(total[j], term[j])]
+    else:
+        raise NonConvergent(
+            f"series {spec.name!r}: witness stayed <= {level} for {MAX_SERIES_TERMS} terms"
+        )
+    valid_to = root_multiplicity(PochhammerChain(), level, n) - 1
+    coeffs = tuple(CyclotomicInteger(n, row) for row in total)
+    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=coeffs)
 
 
 def ohtsuki_series(spec: SeriesSpec, j_max: int) -> RootTaylorSeries:

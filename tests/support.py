@@ -12,7 +12,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cyclocomp import CyclotomicInteger, IntPolynomial, RatPolynomial
+from cyclocomp import (
+    CyclotomicInteger,
+    IntPolynomial,
+    PochhammerChain,
+    RatPolynomial,
+    series_realize,
+    taylor_at_root,
+)
 
 
 def random_int_poly(rng: random.Random, max_degree: int, coeff_bound: int = 50):
@@ -118,8 +125,8 @@ def kz_value_oracle(order: int) -> CyclotomicInteger:
 def taylor_by_substitution(coeffs, order: int, j_max: int):
     """Taylor coefficients of an integer polynomial at zeta_order,
     computed by expanding P(x + zeta) with Horner over Z[zeta][x] —
-    a different algorithm from the library's repeated synthetic
-    division."""
+    a different algorithm from the library's binomial sums over zeta
+    buckets (c_j = sum_i C(i, j) a_i zeta^(i-j))."""
     zero = CyclotomicInteger.zero(order)
     zeta = CyclotomicInteger.zeta(order)
     acc: list[CyclotomicInteger] = []
@@ -134,3 +141,11 @@ def taylor_by_substitution(coeffs, order: int, j_max: int):
     for j in range(j_max + 1):
         out.append(acc[j] if j < len(acc) else zero)
     return out
+
+
+def expand_series_global(spec, order: int, j_max: int):
+    """Expansion of a series at zeta_order by the global route: realise it
+    mod (q)_level at level order*(j_max+1), a representative of degree
+    about level^2/2, then Taylor-expand that representative."""
+    level = order * (j_max + 1)
+    return taylor_at_root(series_realize(spec, PochhammerChain(), level), order, j_max)

@@ -28,6 +28,7 @@ from cyclocomp import (
     connected_components,
     cyclotomic_poly,
     evaluate_at_root,
+    expand_series,
     from_digits,
     integer_witness_search,
     is_adjacent,
@@ -180,6 +181,17 @@ def test_criterion_08_expansion_stabilization():
             term_by_term[j] += expansion[j].coeffs[0]
     assert by_level[9] == term_by_term
     report(8, "expansion at 1 stable across levels 9/15 and both paths")
+
+
+def test_criterion_08_expansion_budget_at_center_30():
+    start = time.perf_counter()
+    series = expand_series(KONTSEVICH_ZAGIER_SPEC, 30, 9)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s, budget 0.5s"
+    assert series.valid_to == 9 and len(series.coeffs) == 10
+    assert series.coeffs[0] == kz_value_oracle(30)
+    assert series.coeffs[:5] == expand_series(KONTSEVICH_ZAGIER_SPEC, 30, 4).coeffs
+    report(8, "10 coefficients at a primitive 30th root within 0.5 s")
 
 
 def test_criterion_09_rational_contrast():

@@ -1,5 +1,10 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +287,50 @@ class TestCachePersistence:
         (tmp_path / "cyclotomic_cache.json").write_text("[1, 2]")
         code, out, _ = invoke("cyclotomic", "4", "--format", "plain")
         assert (code, out) == (0, "Phi_4 = q^2 + 1\n")
+
+
+# Runs argv and reports its peak RSS (KiB) and exit code on stderr.  The
+# peak a child reports includes the image it was forked from, so the CLI
+# is forked from this small interpreter, not from the test process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
+"""
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter, as `python -S -m cyclocomp.cli`:
+    (exit code, stdout bytes, peak RSS in MiB)."""
+    src = str(Path(cyclotomic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("HABIRO_CACHE_DIR", None)
+    cli = [sys.executable, "-S", "-m", "cyclocomp.cli", *argv]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCHER, *cli], capture_output=True, env=env, check=True
+    )
+    rss_kib, code = proc.stderr.split()[-2:]
+    return int(code), proc.stdout, int(rss_kib) / 1024  # Linux reports KiB
+
+
+class TestFreshProcess:
+    def test_pochhammer_250_memory(self):
+        # (q)_250 alone, not (q)_0 ... (q)_250, is kept
+        code, out, rss_mib = run_fresh("pochhammer", "250")
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == (
+            "2e9f5ce04d5e698b4713a19bea4848bbdea69c218117d0903d9c63adedb42f50"
+        )
+        assert rss_mib < 40, f"peak RSS {rss_mib:.1f} MiB, budget 40 MiB"
+
+    def test_expand_center_30_memory(self):
+        # the same bytes as realising the series mod (q)_300 and expanding
+        code, out, rss_mib = run_fresh(
+            "habiro", "expand", "--series", "kz", "--center", "30", "--terms", "10"
+        )
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == (
+            "e9f69ee8daa6033edd88e51ddff321411ca8baf983cea9c5e64fa69b366f4f73"
+        )
+        assert rss_mib < 30, f"peak RSS {rss_mib:.1f} MiB, budget 30 MiB"

@@ -6,6 +6,7 @@ from cyclocomp import (
     AdicChain,
     IntPolynomial,
     KONTSEVICH_ZAGIER_SPEC,
+    NAMED_SERIES,
     PochhammerChain,
     ProductChain,
     Q_INVERSE_SPEC,
@@ -167,6 +168,13 @@ class TestReduce:
         for chain in all_chain_kinds():
             a = reduce(P(3, -5, 11, 2), chain, 4)
             assert TruncatedElement.from_json_dict(a.to_json_dict()) == a
+
+    @pytest.mark.parametrize("level", [True, False, 3.0, "3 ", "1_0", "+3", "\u0663", None, [3]])
+    def test_element_json_rejects_non_integer_level(self, level):
+        with pytest.raises(ValueError):
+            TruncatedElement.from_json_dict(
+                {"chain": {"kind": "pochhammer"}, "level": level, "rep": ["1"]}
+            )
 
 
 class TestDigits:
@@ -341,6 +349,12 @@ class TestSeries:
         lying = SeriesSpec(name="lying", term=lambda n: Q, witness=lambda n: n)
         with pytest.raises(AssertionError):
             series_realize(lying, PochhammerChain(), 3)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SERIES))
+    def test_step_is_the_ratio_of_consecutive_terms(self, name):
+        spec = NAMED_SERIES[name]
+        for k in range(1, 41):
+            assert spec.term(k) == spec.term(k - 1) * spec.step(k)
 
     def test_realization_on_adic_chain(self):
         # (q-1)^n divides (q)_n, so the same witness works on the

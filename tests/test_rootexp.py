@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocomp import (
     AdicChain,
@@ -21,9 +22,14 @@ from cyclocomp import (
     tau_values,
     taylor_at_root,
 )
-from cyclocomp.errors import InsufficientPrecision, OrderMismatch
+from cyclocomp.errors import InsufficientPrecision, NonConvergent, OrderMismatch
 
-from support import kz_value_oracle, random_int_poly, taylor_by_substitution
+from support import (
+    expand_series_global,
+    kz_value_oracle,
+    random_int_poly,
+    taylor_by_substitution,
+)
 
 
 def P(*coeffs):
@@ -295,3 +301,102 @@ class TestSeriesExpansion:
         data = series.to_json_dict()
         assert data["order"] == 1 and data["valid_to"] == 2
         assert [c["coeffs"] for c in data["coeffs"]] == [["1"], ["-1"], ["2"]]
+
+
+def weighted_spec(weights, stride):
+    """A step-less spec: term(k) = w_(k mod len) * (q)_(stride*k) with
+    witness stride*k, so every term is a genuine multiple of its witness."""
+    polys = [IntPolynomial(w) for w in weights]
+    return SeriesSpec(
+        name="weighted",
+        term=lambda k: polys[k % len(polys)] * pochhammer(stride * k),
+        witness=lambda k: stride * k,
+    )
+
+
+@st.composite
+def centers_and_terms(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.integers(0, 40 // n - 1))  # n*(j_max+1) <= 40
+
+
+class TestJetBackend:
+    @settings(max_examples=60, deadline=None)
+    @given(centers_and_terms(), st.sampled_from(["kz", "qinv"]))
+    def test_named_series_match_global_route(self, center, name):
+        n, j_max = center
+        spec = KONTSEVICH_ZAGIER_SPEC if name == "kz" else Q_INVERSE_SPEC
+        assert expand_series(spec, n, j_max) == expand_series_global(spec, n, j_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        centers_and_terms(),
+        st.lists(st.lists(st.integers(-9, 9), max_size=4), min_size=1, max_size=4),
+        st.integers(1, 2),
+    )
+    def test_stepless_spec_matches_global_route(self, center, weights, stride):
+        n, j_max = center
+        spec = weighted_spec(weights, stride)
+        assert spec.step is None
+        assert expand_series(spec, n, j_max) == expand_series_global(spec, n, j_max)
+
+    @pytest.mark.parametrize("n, j_max", [(1, 0), (1, 3), (3, 2), (5, 1)])
+    def test_lying_witness_detected(self, n, j_max):
+        # every term is 1, but the witness claims (q)_k divides term k
+        lying = SeriesSpec(
+            name="lying",
+            term=lambda k: IntPolynomial.one(),
+            witness=lambda k: k,
+            step=lambda k: IntPolynomial.one(),
+        )
+        with pytest.raises(AssertionError):
+            expand_series(lying, n, j_max)
+
+    @pytest.mark.parametrize("step", [None, lambda k: IntPolynomial.one()])
+    def test_stuck_spec_detected(self, step):
+        stuck = SeriesSpec(
+            name="stuck", term=lambda k: IntPolynomial.one(), witness=lambda k: 0, step=step
+        )
+        with pytest.raises(NonConvergent):
+            expand_series(stuck, 2, 3)
+
+    def test_value_is_terminating_sum_at_large_center(self):
+        # c_0 of the jet route is sum_{k < n} (zeta)_k, by direct products
+        for n in (13, 17, 24):
+            assert expand_series(KONTSEVICH_ZAGIER_SPEC, n, 0).coeffs[0] == kz_value_oracle(n)
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            expand_series(KONTSEVICH_ZAGIER_SPEC, 0, 2)
+        with pytest.raises(ValueError):
+            expand_series(KONTSEVICH_ZAGIER_SPEC, 3, -1)
+
+
+class TestJsonLoaders:
+    def test_round_trip(self):
+        a = CyclotomicInteger(12, [3, -1, 4, 1])
+        assert CyclotomicInteger.from_json_dict(a.to_json_dict()) == a
+        assert CyclotomicInteger.from_json_dict({"order": "3", "coeffs": [2, "-1"]}) == (
+            CyclotomicInteger(3, [2, -1])
+        )
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"order": 3, "coeffs": ["1_0", " 2 "]},
+            {"order": 3, "coeffs": ["1", " 2"]},
+            {"order": 3, "coeffs": ["+1"]},
+            {"order": 3, "coeffs": ["\u0663"]},
+            {"order": 3, "coeffs": [1.0]},
+            {"order": 3, "coeffs": [True]},
+            {"order": 3, "coeffs": [None]},
+            {"order": 3, "coeffs": "12"},
+            {"order": True, "coeffs": ["1"]},
+            {"order": 3.0, "coeffs": ["1"]},
+            {"order": "3 ", "coeffs": ["1"]},
+            {"order": 0, "coeffs": ["1"]},
+        ],
+    )
+    def test_cyclotomic_integer_rejects(self, data):
+        with pytest.raises(ValueError):
+            CyclotomicInteger.from_json_dict(data)
