@@ -323,14 +323,19 @@ def rho(
 class SeriesSpec:
     """An infinite sum sum_n t_n convergent in a completion: term(n) is
     t_n and witness(n) is a level k with g_k | t_n, so terms eventually
-    vanish at every finite truncation.  The optional step(n) is the
-    ratio of consecutive terms, t_n = t_{n-1} * step(n) for n >= 1; it
-    lets the expansion at a root of unity build each term from the last."""
+    vanish at every finite truncation.  The optional step(n) makes the
+    series a sum of products: t_0 = 1 and t_n = t_{n-1} * step(n) for
+    n >= 1, so the expansion at a root of unity builds each term from the
+    last without calling term."""
 
     name: str
     term: Callable[[int], IntPolynomial]
     witness: Callable[[int], int]
     step: Optional[Callable[[int], IntPolynomial]] = None
+
+    def __post_init__(self):
+        if self.step is not None and self.term(0) != IntPolynomial.one():
+            raise ValueError(f"series {self.name!r}: a spec with a step needs term(0) = 1")
 
 
 KONTSEVICH_ZAGIER_SPEC = SeriesSpec(

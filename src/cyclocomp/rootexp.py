@@ -18,10 +18,10 @@ row by row, is the expansion c_0 ... c_J of the series' value.
 
 The precision contract: an element truncated at level K determines its
 expansion at zeta only up to the multiplicity of (q - zeta) in g_K, which
-for the Pochhammer chain at a primitive n-th root is floor(K/n).  The
-`valid_to` bound is always computed from the chain, never trusted from
-the caller; `expand_series` sums the terms up to level n(J+1), so
-valid_to = J.
+for the Pochhammer chain at a primitive n-th root is floor(K/n).
+`taylor_at_root` computes its `valid_to` bound from the chain, never
+trusting the caller; `expand_series` sums the terms up to level n(J+1),
+whose multiplicity at zeta_n is J + 1, so valid_to = J.
 """
 
 from __future__ import annotations
@@ -258,8 +258,9 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     (q - zeta)^(j_max+1), and adds nothing: every coefficient returned is
     stable under any further precision, and valid_to = j_max.
 
-    With spec.step the jet of term k is that of term k - 1 times the jet
-    of step(k); without it, the jet of term(k).  Each consumed term's
+    With spec.step the jet of term 0 is 1 and that of term k is the jet
+    of term k - 1 times the jet of step(k), so term is never called;
+    without a step, the jet of term(k).  Each consumed term's
     witness w is checked locally: its x^j coefficients must vanish in
     Z[zeta_n] for j < min(w // n, j_max + 1), else AssertionError.  A
     witness that stays <= the level for MAX_SERIES_TERMS terms raises
@@ -271,14 +272,15 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     level = n * (j_max + 1)
     top = j_max + 1
     total = [[0] * n for _ in range(top)]
-    term, low = None, 0  # term's rows below low are zero
+    term = _jet(IntPolynomial.one(), n, j_max)  # term(0) of a spec with a step
+    low = 0  # term's rows below low are zero
     for k in range(MAX_SERIES_TERMS + 1):
         w = spec.witness(k)
         if w > level:
             break
-        if term is None or spec.step is None:
+        if spec.step is None:
             term = _jet(spec.term(k), n, j_max)
-        elif low < top:
+        elif k and low < top:
             term = _jet_mul(term, _jet(spec.step(k), n, j_max), low)
         low = next((j for j, row in enumerate(term) if any(row)), top)
         for j in range(low, min(w // n, top)):
@@ -293,9 +295,9 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
         raise NonConvergent(
             f"series {spec.name!r}: witness stayed <= {level} for {MAX_SERIES_TERMS} terms"
         )
-    valid_to = root_multiplicity(PochhammerChain(), level, n) - 1
     coeffs = tuple(CyclotomicInteger(n, row) for row in total)
-    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=coeffs)
+    # level n*(j_max+1) has multiplicity j_max + 1 at zeta_n
+    return RootTaylorSeries(order=n, valid_to=j_max, coeffs=coeffs)
 
 
 def ohtsuki_series(spec: SeriesSpec, j_max: int) -> RootTaylorSeries:

@@ -314,6 +314,7 @@ def run_fresh(*argv):
     return int(code), proc.stdout, int(rss_kib) / 1024  # Linux reports KiB
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 class TestFreshProcess:
     def test_pochhammer_250_memory(self):
         # (q)_250 alone, not (q)_0 ... (q)_250, is kept

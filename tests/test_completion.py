@@ -353,8 +353,13 @@ class TestSeries:
     @pytest.mark.parametrize("name", sorted(NAMED_SERIES))
     def test_step_is_the_ratio_of_consecutive_terms(self, name):
         spec = NAMED_SERIES[name]
+        assert spec.term(0) == ONE
         for k in range(1, 41):
             assert spec.term(k) == spec.term(k - 1) * spec.step(k)
+
+    def test_step_needs_term_zero_one(self):
+        with pytest.raises(ValueError):
+            SeriesSpec(name="shifted", term=lambda n: Q, witness=lambda n: n, step=lambda n: ONE)
 
     def test_realization_on_adic_chain(self):
         # (q-1)^n divides (q)_n, so the same witness works on the
