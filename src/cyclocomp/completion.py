@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .cyclotomic import cyclotomic_poly, pochhammer
+from .cyclotomic import cyclotomic_poly, monic_pochhammer, pochhammer
 from .errors import (
     ChainMismatch,
     DigitDegreeViolation,
@@ -86,13 +86,13 @@ class FiltrationChain:
 
 class PochhammerChain(FiltrationChain):
     """g_k = (q)_k normalized to leading coefficient +1.  The moduli are
-    read from `pochhammer`, so the base class's checks test its memo."""
+    the entries of `monic_pochhammer`'s memo, not copies, so the base
+    class's checks test that store."""
 
     label = "pochhammer"
 
     def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
-        g = pochhammer(k)
-        return -g if g.leading_coefficient < 0 else g
+        return monic_pochhammer(k)
 
     def signature(self) -> tuple:
         return ("pochhammer",)

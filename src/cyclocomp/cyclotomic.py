@@ -107,12 +107,12 @@ def save_cyclotomic_cache(path: str) -> None:
 _pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]
 
 
-def pochhammer(n: int) -> IntPolynomial:
-    """(q)_n = (1 - q)(1 - q^2)...(1 - q^n); (q)_0 = 1.  Degree n(n+1)/2.
-    The only place (q)_n is built: a module list keeps (q)_0, (q)_1, ...
-    as far as indices were asked for in order.  The next index extends it
-    by one product by 1 - q^n; an index past that is built from the last
-    entry without storing the products in between."""
+def monic_pochhammer(n: int) -> IntPolynomial:
+    """g_n = (q - 1)(q^2 - 1)...(q^n - 1) = (-1)^n (q)_n; g_0 = 1.
+    The only store of (q)_n: a module list keeps g_0, g_1, ... as far as
+    indices were asked for in order.  The next index extends it by one
+    product by q^n - 1; an index past that is built from the last entry
+    without storing the products in between."""
     if n < 0:
         raise ValueError("pochhammer index must be >= 0")
     memo = _pochhammer_memo
@@ -120,10 +120,17 @@ def pochhammer(n: int) -> IntPolynomial:
         return memo[n]
     poly = memo[-1]
     for k in range(len(memo), n + 1):
-        poly = poly * (IntPolynomial.one() - IntPolynomial.monomial(1, k))
+        poly = poly * (IntPolynomial.monomial(1, k) - IntPolynomial.one())
     if n == len(memo):
         memo.append(poly)
     return poly
+
+
+def pochhammer(n: int) -> IntPolynomial:
+    """(q)_n = (1 - q)(1 - q^2)...(1 - q^n); (q)_0 = 1.  Degree n(n+1)/2.
+    Read from `monic_pochhammer`, with the sign restored for odd n."""
+    g = monic_pochhammer(n)
+    return -g if n % 2 else g
 
 
 # -- the c table and the adjacency graph ----------------------------------

@@ -3,11 +3,13 @@ roots of unity: evaluation at a primitive n-th root (tau) and Taylor
 expansion in powers of (q - zeta) (sigma).
 
 Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
-Taylor coefficients come straight from the representative's integer
-coefficients: c_j = sum_i C(i, j) a_i zeta^(i-j), with the powers of zeta
-collected in n integer buckets (zeta^n = 1) and reduced mod Phi_n once
-per coefficient.  No factorials, no division by integers, everything
-exact.
+Evaluation folds instead of dividing: Phi_n divides q^n - 1, so the value
+of a representative at zeta_n is its coefficients summed into n buckets by
+index mod n (zeta^n = 1), and only those n sums are reduced mod Phi_n.
+Taylor coefficients come the same way from the representative's integer
+coefficients: c_j = sum_i C(i, j) a_i zeta^(i-j), collected in n buckets
+and reduced mod Phi_n once per coefficient, so c_0 is the value.  No
+factorials, no division by integers, everything exact.
 
 A convergent series is expanded locally, without a global representative:
 `expand_series` works with jets, the images of polynomials in
@@ -42,6 +44,14 @@ from .errors import InsufficientPrecision, NonConvergent, OrderMismatch
 from .polyring import IntPolynomial, json_int
 
 
+def _check_index(value: int, name: str, least: int) -> None:
+    """TypeError unless value is an int (not a bool); ValueError below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 class CyclotomicInteger:
     """An element of Z[zeta_n], stored as exactly phi(n) power-basis
     coordinates (n = 1 is a plain integer in disguise)."""
@@ -49,10 +59,12 @@ class CyclotomicInteger:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[int]):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        _check_index(order, "order", 1)
         phi = len(cyclotomic_poly(order).coeffs) - 1
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"integer coefficient expected, got {c!r}")
         if len(coeffs) > phi:
             rem = IntPolynomial(coeffs) % cyclotomic_poly(order)
             coeffs = list(rem.coeffs)
@@ -97,6 +109,8 @@ class CyclotomicInteger:
         return CyclotomicInteger(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, bool):
+            raise TypeError("bool is not a scalar")
         if isinstance(other, int):
             return CyclotomicInteger(self.order, [other * a for a in self.coeffs])
         self._check(other)
@@ -164,19 +178,25 @@ def root_multiplicity(chain: FiltrationChain, level: int, n: int) -> int:
 def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     """Value of a at a primitive n-th root of unity, as an element of
     Z[zeta_n]; well defined only when Phi_n divides the truncation
-    modulus (level >= n on the Pochhammer chain)."""
+    modulus (level >= n on the Pochhammer chain).  The coefficients are
+    folded into n buckets by index mod n, since Phi_n divides q^n - 1,
+    and CyclotomicInteger reduces the n sums mod Phi_n: row 0 of `_jet`."""
+    _check_index(n, "order", 1)
     if root_multiplicity(a.chain, a.level, n) < 1:
         raise InsufficientPrecision(
             f"level {a.level} on {a.chain.label!r} does not determine the "
             f"value at a primitive {n}-th root"
         )
-    rem = a.rep % cyclotomic_poly(n)
-    return CyclotomicInteger(n, rem.coeffs)
+    coeffs = a.rep.coeffs
+    return CyclotomicInteger(n, [sum(coeffs[r::n]) for r in range(n)])
 
 
 def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, CyclotomicInteger]:
     """Componentwise evaluation at every order in `orders` (a finite slice
     of the product-of-residues picture of the completion)."""
+    orders = list(orders)
+    for n in orders:
+        _check_index(n, "order", 1)
     return {n: evaluate_at_root(a, n) for n in sorted(set(orders))}
 
 
@@ -219,8 +239,8 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
     coefficients a_i.  c_0 agrees with evaluate_at_root; requesting j_max
     beyond the precision bound raises instead of fabricating
     coefficients."""
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    _check_index(n, "order", 1)
+    _check_index(j_max, "j_max", 0)
     valid_to = root_multiplicity(a.chain, a.level, n) - 1
     if j_max > valid_to:
         raise InsufficientPrecision(
@@ -233,9 +253,25 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
 
 def _jet_mul(rows: list[list[int]], factor: list[list[int]], low: int) -> list[list[int]]:
     """rows * factor with everything at x^(j_max+1) or above dropped; the
-    rows of `rows` below `low` are zero.  One pass per nonzero bucket
-    c*y^r*x^j of factor: rotate every row by r, scale by c, add j rows up."""
+    rows of `rows` below `low` are zero.  Each nonzero bucket c*y^r*x^j of
+    factor adds c times rows, rotated by r and moved j rows up, in passes
+    along the longer axis of the live part of rows: with at most n live
+    rows, one pass per row (rotate it by r, scale, add); with more, the
+    live rows are transposed into n x-columns and each column b is scaled,
+    shifted up j and added into column (b + r) mod n.  A bucket then
+    costs min(live rows, n) passes, one at n = 1."""
     n, top = len(rows[0]), len(rows)
+    if top - low > n:
+        columns = list(zip(*rows[low:]))
+        out_columns = [[0] * (top - low) for _ in range(n)]
+        for j, factor_row in enumerate(factor):
+            for r, c in enumerate(factor_row):
+                if not c:
+                    continue
+                for b, column in enumerate(columns):
+                    dest = out_columns[(b + r) % n]
+                    dest[j:] = [d + c * s for d, s in zip(dest[j:], column)]
+        return [[0] * n for _ in range(low)] + [list(row) for row in zip(*out_columns)]
     out = [[0] * n for _ in range(top)]
     for j, factor_row in enumerate(factor):
         for r, c in enumerate(factor_row):
@@ -265,10 +301,8 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     Z[zeta_n] for j < min(w // n, j_max + 1), else AssertionError.  A
     witness that stays <= the level for MAX_SERIES_TERMS terms raises
     NonConvergent, as in `series_realize`."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    _check_index(n, "order", 1)
+    _check_index(j_max, "j_max", 0)
     level = n * (j_max + 1)
     top = j_max + 1
     total = [[0] * n for _ in range(top)]

@@ -17,6 +17,7 @@ from cyclocomp import (
     IntPolynomial,
     PochhammerChain,
     RatPolynomial,
+    cyclotomic_poly,
     series_realize,
     taylor_at_root,
 )
@@ -149,3 +150,10 @@ def expand_series_global(spec, order: int, j_max: int):
     about level^2/2, then Taylor-expand that representative."""
     level = order * (j_max + 1)
     return taylor_at_root(series_realize(spec, PochhammerChain(), level), order, j_max)
+
+
+def evaluate_by_division(a, order: int) -> CyclotomicInteger:
+    """Value of a truncated element at zeta_order by long division of its
+    representative by Phi_order, instead of folding its coefficients into
+    order buckets."""
+    return CyclotomicInteger(order, (a.rep % cyclotomic_poly(order)).coeffs)

@@ -32,6 +32,7 @@ from cyclocomp import (
     from_digits,
     integer_witness_search,
     is_adjacent,
+    ohtsuki_series,
     pochhammer,
     reduce,
     rho_q_kernel_witness,
@@ -192,6 +193,16 @@ def test_criterion_08_expansion_budget_at_center_30():
     assert series.coeffs[0] == kz_value_oracle(30)
     assert series.coeffs[:5] == expand_series(KONTSEVICH_ZAGIER_SPEC, 30, 4).coeffs
     report(8, "10 coefficients at a primitive 30th root within 0.5 s")
+
+
+def test_criterion_08_ohtsuki_budget():
+    start = time.process_time()
+    series = ohtsuki_series(KONTSEVICH_ZAGIER_SPEC, 99)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.1, f"took {elapsed:.3f}s CPU, budget 0.1s"
+    assert series.valid_to == 99 and len(series.coeffs) == 100
+    assert series.coeffs[:10] == ohtsuki_series(KONTSEVICH_ZAGIER_SPEC, 9).coeffs
+    report(8, "100 coefficients at q = 1 within 0.1 s CPU")
 
 
 def test_criterion_09_rational_contrast():

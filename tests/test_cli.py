@@ -335,3 +335,12 @@ class TestFreshProcess:
             "e9f69ee8daa6033edd88e51ddff321411ca8baf983cea9c5e64fa69b366f4f73"
         )
         assert rss_mib < 30, f"peak RSS {rss_mib:.1f} MiB, budget 30 MiB"
+
+    def test_series_level_200_memory(self):
+        # the chain's moduli are the (q)_k store's entries, not copies
+        code, out, rss_mib = run_fresh("habiro", "series", "--name", "kz", "--level", "200")
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == (
+            "29caae9bd4d22a4b699bd0068ed68785a280d028c6233e8a7a2aa7bfac6d70be"
+        )
+        assert rss_mib < 85, f"peak RSS {rss_mib:.1f} MiB, budget 85 MiB"

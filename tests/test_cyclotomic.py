@@ -8,6 +8,7 @@ from cyclocomp import (
     AdjacencyGraph,
     CommonPrimeCertificate,
     IntPolynomial,
+    PochhammerChain,
     RING_Q,
     RING_Z,
     RING_ZERO,
@@ -28,6 +29,7 @@ from cyclocomp.cyclotomic import (
     _moebius_products,
     _pow_mod_p,
     load_cyclotomic_cache,
+    monic_pochhammer,
     save_cyclotomic_cache,
 )
 from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
@@ -160,6 +162,21 @@ class TestPochhammer:
     def test_degree(self):
         for n in range(12):
             assert pochhammer(n).degree == n * (n + 1) // 2 or n == 0
+
+    def test_sign_of_the_monic_store(self):
+        for n in range(12):
+            g = monic_pochhammer(n)
+            assert g.leading_coefficient == 1
+            assert pochhammer(n) == (-g if n % 2 else g)
+        assert pochhammer(6) is monic_pochhammer(6)
+
+    def test_chain_shares_the_store(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [IntPolynomial.one()])
+        chain = PochhammerChain()
+        chain.modulus(9)
+        for k in range(1, 10):
+            assert chain.modulus(k) is monic_pochhammer(k)
+            assert chain.modulus(k) is cyclotomic._pochhammer_memo[k]
 
     def test_memo_matches_shift_and_subtract(self, monkeypatch):
         monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [IntPolynomial.one()])

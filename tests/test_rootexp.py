@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,10 @@ from cyclocomp import (
     taylor_at_root,
 )
 from cyclocomp.errors import InsufficientPrecision, NonConvergent, OrderMismatch
+from cyclocomp.rootexp import _jet_mul
 
 from support import (
+    evaluate_by_division,
     expand_series_global,
     kz_value_oracle,
     random_int_poly,
@@ -99,6 +102,30 @@ class TestCyclotomicInteger:
         assert a.coeffs == (42,)
         assert a.mul_by_zeta() == a  # zeta_1 = 1
 
+    @pytest.mark.parametrize(
+        "coeffs", [[1.9, 2.5], [1, 2.0], [True], [1, False], [Fraction(2)], ["1"], [None]]
+    )
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            CyclotomicInteger(3, coeffs)
+
+    @pytest.mark.parametrize("order", [True, 3.0, "3", None])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(TypeError):
+            CyclotomicInteger(order, [1])
+
+    @pytest.mark.parametrize("scalar", [True, False, 2.5, 2.0, Fraction(2)])
+    def test_non_integer_scalars_rejected(self, scalar):
+        a = CyclotomicInteger(3, [1, 2])
+        with pytest.raises(TypeError):
+            a * scalar
+        with pytest.raises(TypeError):
+            scalar * a
+
+    def test_integer_scalar(self):
+        a = CyclotomicInteger(3, [1, 2])
+        assert a * 3 == 3 * a == CyclotomicInteger(3, [3, 6])
+
 
 class TestEvaluation:
     def test_kz_values_against_terminating_sum_oracle(self):
@@ -141,6 +168,26 @@ class TestEvaluation:
     def test_zero_element_gives_zero_tuple(self):
         a = reduce(IntPolynomial.zero(), PochhammerChain(), 6)
         assert all(v.is_zero for v in tau_values(a, [1, 2, 3, 5]).values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.lists(st.integers(-(10**12), 10**12), max_size=80),
+        st.integers(0, 3),
+    )
+    def test_bucket_fold_matches_division_oracle(self, n, coeffs, extra):
+        # short lists give reps of degree < n, the empty list the zero rep
+        a = reduce(IntPolynomial(coeffs), PochhammerChain(), n + extra)
+        assert evaluate_at_root(a, n) == evaluate_by_division(a, n)
+
+    def test_bucket_fold_of_short_and_zero_reps(self):
+        poch = PochhammerChain()
+        for n in (1, 2, 7, 12, 40):
+            zero = reduce(IntPolynomial.zero(), poch, n)
+            assert evaluate_at_root(zero, n).is_zero
+            short = reduce(IntPolynomial(list(range(1, n))), poch, n)
+            assert short.rep.degree < n
+            assert evaluate_at_root(short, n) == evaluate_by_division(short, n)
 
     def test_evaluation_is_ring_homomorphism(self):
         rng = random.Random(44)
@@ -370,6 +417,116 @@ class TestJetBackend:
             expand_series(KONTSEVICH_ZAGIER_SPEC, 0, 2)
         with pytest.raises(ValueError):
             expand_series(KONTSEVICH_ZAGIER_SPEC, 3, -1)
+
+
+def jet_mul_schoolbook(rows, factor):
+    """rows * factor in Z[y]/(y^n - 1)[x]/(x^top), bucket by bucket."""
+    n, top = len(rows[0]), len(rows)
+    out = [[0] * n for _ in range(top)]
+    for t in range(top):
+        for b in range(n):
+            for j in range(top - t):
+                for r in range(n):
+                    out[t + j][(b + r) % n] += rows[t][b] * factor[j][r]
+    return out
+
+
+@st.composite
+def jet_pairs(draw):
+    n = draw(st.integers(1, 6))
+    top = draw(st.integers(1, 14))
+    low = draw(st.integers(0, top - 1))
+    bucket = st.integers(-50, 50)
+    row = st.lists(bucket, min_size=n, max_size=n)
+    rows = [[0] * n if t < low else draw(row) for t in range(top)]
+    factor = [draw(row) for _ in range(top)]
+    return rows, factor, low
+
+
+class TestJetMul:
+    @settings(max_examples=200, deadline=None)
+    @given(jet_pairs())
+    def test_matches_schoolbook(self, pair):
+        rows, factor, low = pair
+        assert _jet_mul(rows, factor, low) == jet_mul_schoolbook(rows, factor)
+
+    # (n, top, low): live rows top - low below, at and above n, and low > 0
+    @pytest.mark.parametrize(
+        "n, top, low",
+        [(5, 3, 0), (5, 5, 0), (5, 12, 0), (4, 9, 2), (4, 9, 5), (3, 9, 6), (1, 8, 3), (1, 1, 0)],
+    )
+    def test_each_axis(self, n, top, low):
+        rng = random.Random(n * 100 + top * 10 + low)
+        rows = [[0] * n if t < low else [rng.randint(-9, 9) for _ in range(n)] for t in range(top)]
+        factor = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(top)]
+        factor[0][0] = 0  # a zero bucket is skipped
+        assert _jet_mul(rows, factor, low) == jet_mul_schoolbook(rows, factor)
+
+
+def _element():
+    return reduce(P(1, 2, 3), PochhammerChain(), 6)
+
+
+def _spec():
+    # any work on the spec fails loudly, so a check must come first
+    def boom(k):
+        raise RuntimeError("the spec was used")
+
+    return SeriesSpec(name="boom", term=boom, witness=boom)
+
+
+BAD_ORDERS = [
+    (0, ValueError),
+    (-2, ValueError),
+    (True, TypeError),
+    (2.0, TypeError),
+    ("3", TypeError),
+    (None, TypeError),
+]
+BAD_J_MAX = [
+    (-1, ValueError),
+    (True, TypeError),
+    (False, TypeError),
+    (1.0, TypeError),
+    ("2", TypeError),
+]
+
+
+class TestBadIndices:
+    @pytest.mark.parametrize("n, error", BAD_ORDERS)
+    def test_evaluate_at_root(self, n, error):
+        with pytest.raises(error):
+            evaluate_at_root(_element(), n)
+
+    @pytest.mark.parametrize("n, error", BAD_ORDERS)
+    def test_taylor_at_root_order(self, n, error):
+        with pytest.raises(error):
+            taylor_at_root(_element(), n, 0)
+
+    @pytest.mark.parametrize("j_max, error", BAD_J_MAX)
+    def test_taylor_at_root_j_max(self, j_max, error):
+        with pytest.raises(error):
+            taylor_at_root(_element(), 2, j_max)
+
+    @pytest.mark.parametrize("n, error", BAD_ORDERS)
+    def test_tau_values(self, n, error):
+        with pytest.raises(error):
+            tau_values(_element(), [1, n])
+
+    @pytest.mark.parametrize("n, error", BAD_ORDERS)
+    def test_expand_series_order(self, n, error):
+        with pytest.raises(error):
+            expand_series(_spec(), n, 2)
+
+    @pytest.mark.parametrize("j_max, error", BAD_J_MAX)
+    def test_expand_series_j_max(self, j_max, error):
+        with pytest.raises(error):
+            expand_series(_spec(), 3, j_max)
+
+    @pytest.mark.parametrize("j_max, error", BAD_J_MAX)
+    def test_ohtsuki_series(self, j_max, error):
+        with pytest.raises(error):
+            ohtsuki_series(_spec(), j_max)
 
 
 class TestJsonLoaders:
