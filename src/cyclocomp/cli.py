@@ -311,13 +311,18 @@ def _cmd_qcrt_split(args, budgets: Budgets) -> _Result:
     )
 
 
-def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
-    level = budgets.check_level(args.level)
+def _checked_witness(level: int) -> tuple[RatPolynomial, bool, bool]:
+    """The kernel witness at a level, and whether it is 0 mod (q-1)^level
+    and 1 mod (q+1)^level."""
     w = qcrt.rho_q_kernel_witness(level)
     f1 = (cyclotomic.cyclotomic_poly(1) ** level).to_rational()
     f2 = (cyclotomic.cyclotomic_poly(2) ** level).to_rational()
-    zero_check = (w % f1).is_zero
-    one_check = ((w - RatPolynomial.one()) % f2).is_zero
+    return w, (w % f1).is_zero, ((w - RatPolynomial.one()) % f2).is_zero
+
+
+def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
+    level = budgets.check_level(args.level)
+    w, zero_check, one_check = _checked_witness(level)
     return _poly_result(
         {
             "checks": {
@@ -442,12 +447,8 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
 
     def witnesses():
         for n in range(1, 4):
-            w = qcrt.rho_q_kernel_witness(n)
-            f1 = (cyclotomic.cyclotomic_poly(1) ** n).to_rational()
-            f2 = (cyclotomic.cyclotomic_poly(2) ** n).to_rational()
-            if w.is_zero or not (w % f1).is_zero:
-                return False
-            if not ((w - RatPolynomial.one()) % f2).is_zero:
+            w, zero_check, one_check = _checked_witness(n)
+            if w.is_zero or not (zero_check and one_check):
                 return False
         return True
 

@@ -35,7 +35,7 @@ from .errors import (
     NonUnitLeadingCoefficient,
     NotCoarser,
 )
-from .polyring import IntPolynomial, divides, json_int, subresultant_bezout
+from .polyring import IntPolynomial, check_index, divides, json_int, subresultant_bezout
 
 
 class FiltrationChain:
@@ -56,8 +56,7 @@ class FiltrationChain:
 
     def modulus(self, k: int) -> IntPolynomial:
         """g_k; g_0 = 1."""
-        if k < 0:
-            raise ValueError("level must be >= 0")
+        check_index(k, "level", 0)
         while len(self._moduli) <= k:
             i = len(self._moduli)
             g = self._step(i, self._moduli[-1])
@@ -138,12 +137,10 @@ class ProductChain(FiltrationChain):
         label: Optional[str] = None,
     ) -> None:
         super().__init__()
-        self.indices = tuple(sorted(set(indices)))
+        self.indices = tuple(sorted({check_index(n, "cyclotomic index", 1) for n in indices}))
         if enumeration is None:
             if not self.indices:
                 raise ValueError("a product chain needs indices or an enumeration")
-            if any(n < 1 for n in self.indices):
-                raise ValueError("cyclotomic indices must be >= 1")
             cycle = self.indices
             enumeration = lambda i: cycle[i % len(cycle)]
             self._custom = False
@@ -167,13 +164,19 @@ class ProductChain(FiltrationChain):
 
 
 def chain_from_json_dict(data: dict) -> FiltrationChain:
-    kind = data["kind"]
+    """Inverse of to_json_dict; a malformed object is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a chain is a JSON object")
+    kind = data.get("kind")
     if kind == "pochhammer":
         return PochhammerChain()
     if kind == "adic":
-        return AdicChain(IntPolynomial.from_json(data["f"]))
+        return AdicChain(IntPolynomial.from_json(data.get("f")))
     if kind == "product":
-        return ProductChain(data["indices"])
+        indices = data.get("indices")
+        if not isinstance(indices, list):
+            raise ValueError("indices is a JSON array of integers")
+        return ProductChain([json_int(n) for n in indices])
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
@@ -226,7 +229,8 @@ class TruncatedElement:
 
 def reduce(f: IntPolynomial, chain: FiltrationChain, level: int) -> TruncatedElement:
     """Canonical remainder of f modulo g_level; a ring homomorphism onto
-    each truncation level.  Raises ValueError for a negative level."""
+    each truncation level.  A level that is not an int is a TypeError,
+    a negative level a ValueError."""
     return TruncatedElement(chain, level, f % chain.modulus(level))
 
 
@@ -362,21 +366,26 @@ NAMED_SERIES: dict[str, SeriesSpec] = {
 MAX_SERIES_TERMS = 10_000
 
 
-def series_realize(
-    spec: SeriesSpec,
-    chain: FiltrationChain,
-    level: int,
-    max_terms: int = MAX_SERIES_TERMS,
-) -> TruncatedElement:
-    """Partial sum of the series at a truncation level: terms are added
-    until the divisibility witness exceeds the level, at which point all
-    later terms vanish mod g_level.  Each consumed term's witness is
-    verified by exact division."""
-    total = IntPolynomial.zero()
-    for n in range(max_terms + 1):
-        w = spec.witness(n)
+def _series_terms(spec: SeriesSpec, level: int):
+    """Yield (k, witness(k)) for k = 0, 1, ... while the witness is <= the
+    level; later terms vanish mod g_level.  A witness still <= the level
+    after MAX_SERIES_TERMS terms raises NonConvergent."""
+    for k in range(MAX_SERIES_TERMS + 1):
+        w = spec.witness(k)
         if w > level:
-            return reduce(total, chain, level)
+            return
+        yield k, w
+    raise NonConvergent(
+        f"series {spec.name!r}: witness stayed <= {level} for {MAX_SERIES_TERMS} terms"
+    )
+
+
+def series_realize(spec: SeriesSpec, chain: FiltrationChain, level: int) -> TruncatedElement:
+    """Partial sum of the series at a truncation level: the terms of
+    `_series_terms`.  Each consumed term's witness is verified by exact
+    division."""
+    total = IntPolynomial.zero()
+    for n, w in _series_terms(spec, level):
         t = spec.term(n)
         if not divides(chain.modulus(w), t):
             raise AssertionError(
@@ -384,9 +393,7 @@ def series_realize(
                 f"chain {chain.label!r}"
             )
         total = total + t
-    raise NonConvergent(
-        f"series {spec.name!r}: witness stayed <= {level} for {max_terms} terms"
-    )
+    return reduce(total, chain, level)
 
 
 # -- units --------------------------------------------------------------------
@@ -395,10 +402,8 @@ def series_realize(
 def alternating_unit(m: int) -> IntPolynomial:
     """1 - q + q^2 - ... + q^(m-1) for odd m >= 3; a unit mod q^n - 1
     whenever gcd(n, 2m) = 1."""
-    if m % 2 == 0:
+    if check_index(m, "m", 3) % 2 == 0:
         raise EvenM(f"alternating units need odd m, got {m}")
-    if m < 3:
-        raise ValueError("alternating units need m >= 3")
     return IntPolynomial([(-1) ** i for i in range(m)])
 
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import EmptySet, EqualIndices, NonUnitLeadingCoefficient, NotPrime
-from .polyring import IntPolynomial, is_prime, poly_mod_prime, subresultant_bezout
+from .polyring import (
+    IntPolynomial,
+    check_index,
+    is_prime,
+    poly_mod_prime,
+    prime_factors,
+    subresultant_bezout,
+)
 
 # -- cyclotomic polynomials -----------------------------------------------
 
@@ -36,8 +43,7 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     Results are cached.  An entry loaded from a cache file is used only
     if Phi_n * D = N holds for it; otherwise it is recomputed.
     """
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
+    check_index(n, "cyclotomic index", 1)
     hit = _cyclo_cache.get(n)
     if hit is not None:
         return hit
@@ -54,7 +60,7 @@ def _moebius_products(n: int) -> tuple[IntPolynomial, IntPolynomial]:
     """(N, D): the products of q^d - 1 over the d | n with mu(n/d) = +1 and
     with mu(n/d) = -1, so that Phi_n * D = N.  d runs over n divided by
     products of distinct primes of n: 2^omega(n) sparse products."""
-    primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    primes = prime_factors(n)
     sides = [IntPolynomial.one(), IntPolynomial.one()]
     for k in range(len(primes) + 1):
         for chosen in itertools.combinations(primes, k):
@@ -113,8 +119,7 @@ def monic_pochhammer(n: int) -> IntPolynomial:
     indices were asked for in order.  The next index extends it by one
     product by q^n - 1; an index past that is built from the last entry
     without storing the products in between."""
-    if n < 0:
-        raise ValueError("pochhammer index must be >= 0")
+    check_index(n, "pochhammer index", 0)
     memo = _pochhammer_memo
     if n < len(memo):
         return memo[n]
@@ -136,25 +141,11 @@ def pochhammer(n: int) -> IntPolynomial:
 # -- the c table and the adjacency graph ----------------------------------
 
 
-def is_prime_power(x: int) -> Optional[int]:
-    """The prime p with x = p^k (k >= 1), or None."""
-    if x < 2:
-        return None
-    for p in range(2, x + 1):
-        if p * p > x:
-            return x  # x itself is prime
-        if x % p == 0:
-            while x % p == 0:
-                x //= p
-            return p if x == 1 else None
-    return None
-
-
 def c_value(m: int, n: int) -> int:
     """0 if m = n; p if n/m is a nonzero integer power of the prime p;
     1 otherwise.  Symmetric in its arguments."""
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
+    check_index(m, "cyclotomic index", 1)
+    check_index(n, "cyclotomic index", 1)
     if m == n:
         return 0
     g = math.gcd(m, n)
@@ -163,8 +154,8 @@ def c_value(m: int, n: int) -> int:
         m, n = n, m
     if m != 1:
         return 1
-    p = is_prime_power(n)
-    return p if p is not None else 1
+    primes = prime_factors(n)
+    return primes[0] if len(primes) == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -192,8 +183,7 @@ RING_ZERO = RingDescriptor("0", True, lambda p: True)
 
 def ring_z_inverted(m: int) -> RingDescriptor:
     """Z[1/m]: separated exactly at the primes not dividing m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_index(m, "m", 1)
     return RingDescriptor(f"Z[1/{m}]", False, lambda p: m % p != 0)
 
 
@@ -222,7 +212,7 @@ def connected_components(
 ) -> list[list[int]]:
     """Partition of S into adjacency-connected components, each sorted,
     ordered by smallest member."""
-    verts = sorted(set(S))
+    verts = sorted({check_index(v, "vertex", 1) for v in S})
     if not verts:
         raise EmptySet("component partition of the empty set")
     seen: set[int] = set()
@@ -270,8 +260,8 @@ def congruence_check(n: int, p: int, e: int) -> tuple[int, bool]:
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if e < 1 or n < 1:
-        raise ValueError("need e >= 1 and n >= 1")
+    check_index(n, "n", 1)
+    check_index(e, "e", 1)
     big = cyclotomic_poly(p**e * n)
     small = cyclotomic_poly(n)
     d, rem = divmod(len(big.coeffs) - 1, len(small.coeffs) - 1)
@@ -345,8 +335,8 @@ def arrow_witness(
         raise NonUnitLeadingCoefficient(
             f"modulus {g} does not have a unit leading coefficient"
         )
-    if c < 0 or max_power < 1:
-        raise ValueError("need c >= 0 and max_power >= 1")
+    check_index(c, "c", 0)
+    check_index(max_power, "max_power", 1)
     power = IntPolynomial.one()
     for m in range(max_power + 1):
         rem = power % g

@@ -43,6 +43,16 @@ def json_int(value) -> int:
     raise ValueError(f"{value!r} is not a plain decimal integer")
 
 
+def check_index(value: int, name: str, least: int | float) -> int:
+    """The one check of integer arguments: value if its type is int (not
+    bool) and value >= least (NEG_INFINITY: none); else TypeError/ValueError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def _strip(coeffs: list) -> tuple:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
@@ -86,8 +96,7 @@ class _Polynomial:
     @classmethod
     def monomial(cls, c, power: int):
         """c * q^power."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        check_index(power, "power", 0)
         return cls._wrap([cls._coerce(0)] * power + [cls._coerce(c)])
 
     @property
@@ -104,10 +113,6 @@ class _Polynomial:
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def coefficient(self, i: int):
-        """Coefficient of q^i (zero beyond the stored length)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._coerce(0)
 
     # -- ring operations ------------------------------------------------
 
@@ -161,8 +166,7 @@ class _Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
+        check_index(n, "exponent", 0)
         result = self.one()
         base = self
         while n:
@@ -203,13 +207,6 @@ class _Polynomial:
             for j in range(dg + 1):
                 r[top - dg + j] -= c * gc[j]
         return cls._wrap(quot), cls._wrap(r[:dg])
-
-    def evaluate(self, x):
-        """Horner evaluation at x (int, Fraction, or anything with * and +)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- comparison / hashing --------------------------------------------
 
@@ -339,19 +336,24 @@ def poly_mod_prime(a: IntPolynomial, p: int) -> IntPolynomial:
     return IntPolynomial._wrap([c % p for c in a.coeffs])
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    check_index(n, "n", 1)
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p > 1 and prime_factors(p) == [p]
 
 
 # -- resultants and Bezout certificates ----------------------------------

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DegreeViolation
-from .polyring import IntPolynomial, RatPolynomial, subresultant_bezout
+from .polyring import IntPolynomial, RatPolynomial, check_index, subresultant_bezout
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,12 @@ class ExponentVector:
     exponents: tuple[tuple[int, int], ...]
 
     def __init__(self, exponents: Mapping[int, int]):
-        items = tuple(sorted((int(n), int(e)) for n, e in exponents.items()))
+        items = tuple(sorted(exponents.items()))
         if not items:
             raise ValueError("exponent vector needs nonempty support")
         for n, e in items:
-            if n < 1 or e < 1:
-                raise ValueError("indices and exponents must be >= 1")
+            check_index(n, "cyclotomic index", 1)
+            check_index(e, "exponent", 1)
         object.__setattr__(self, "exponents", items)
 
     @property
@@ -69,11 +69,10 @@ class CrtComponents:
     components: tuple[tuple[int, RatPolynomial], ...]
 
     def __init__(self, components: Mapping[int, RatPolynomial]):
-        object.__setattr__(
-            self,
-            "components",
-            tuple(sorted((int(n), c) for n, c in components.items())),
-        )
+        items = tuple(sorted(components.items()))
+        for n, _ in items:
+            check_index(n, "cyclotomic index", 1)
+        object.__setattr__(self, "components", items)
 
     def component(self, n: int) -> RatPolynomial:
         return dict(self.components)[n]

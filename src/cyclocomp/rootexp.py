@@ -33,23 +33,15 @@ from math import comb
 from typing import Sequence
 
 from .completion import (
-    MAX_SERIES_TERMS,
     FiltrationChain,
     PochhammerChain,
     SeriesSpec,
     TruncatedElement,
+    _series_terms,
 )
 from .cyclotomic import cyclotomic_poly
-from .errors import InsufficientPrecision, NonConvergent, OrderMismatch
-from .polyring import IntPolynomial, json_int
-
-
-def _check_index(value: int, name: str, least: int) -> None:
-    """TypeError unless value is an int (not a bool); ValueError below least."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+from .errors import InsufficientPrecision, OrderMismatch
+from .polyring import NEG_INFINITY, IntPolynomial, check_index, json_int
 
 
 class CyclotomicInteger:
@@ -59,12 +51,8 @@ class CyclotomicInteger:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[int]):
-        _check_index(order, "order", 1)
         phi = len(cyclotomic_poly(order).coeffs) - 1
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
+        coeffs = [check_index(c, "coefficient", NEG_INFINITY) for c in coeffs]
         if len(coeffs) > phi:
             rem = IntPolynomial(coeffs) % cyclotomic_poly(order)
             coeffs = list(rem.coeffs)
@@ -162,6 +150,7 @@ def root_multiplicity(chain: FiltrationChain, level: int, n: int) -> int:
     """Multiplicity of (q - zeta_n) in g_level: floor(level/n) on the
     Pochhammer chain, otherwise the exact multiplicity of Phi_n obtained
     by repeated exact division."""
+    check_index(n, "order", 1)
     if isinstance(chain, PochhammerChain):
         return level // n
     phi_n = cyclotomic_poly(n)
@@ -181,7 +170,6 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     modulus (level >= n on the Pochhammer chain).  The coefficients are
     folded into n buckets by index mod n, since Phi_n divides q^n - 1,
     and CyclotomicInteger reduces the n sums mod Phi_n: row 0 of `_jet`."""
-    _check_index(n, "order", 1)
     if root_multiplicity(a.chain, a.level, n) < 1:
         raise InsufficientPrecision(
             f"level {a.level} on {a.chain.label!r} does not determine the "
@@ -194,10 +182,8 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
 def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, CyclotomicInteger]:
     """Componentwise evaluation at every order in `orders` (a finite slice
     of the product-of-residues picture of the completion)."""
-    orders = list(orders)
-    for n in orders:
-        _check_index(n, "order", 1)
-    return {n: evaluate_at_root(a, n) for n in sorted(set(orders))}
+    orders = sorted({check_index(n, "order", 1) for n in orders})
+    return {n: evaluate_at_root(a, n) for n in orders}
 
 
 # -- Taylor expansion (sigma) -------------------------------------------------
@@ -239,8 +225,7 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
     coefficients a_i.  c_0 agrees with evaluate_at_root; requesting j_max
     beyond the precision bound raises instead of fabricating
     coefficients."""
-    _check_index(n, "order", 1)
-    _check_index(j_max, "j_max", 0)
+    check_index(j_max, "j_max", 0)
     valid_to = root_multiplicity(a.chain, a.level, n) - 1
     if j_max > valid_to:
         raise InsufficientPrecision(
@@ -298,20 +283,16 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     of term k - 1 times the jet of step(k), so term is never called;
     without a step, the jet of term(k).  Each consumed term's
     witness w is checked locally: its x^j coefficients must vanish in
-    Z[zeta_n] for j < min(w // n, j_max + 1), else AssertionError.  A
-    witness that stays <= the level for MAX_SERIES_TERMS terms raises
-    NonConvergent, as in `series_realize`."""
-    _check_index(n, "order", 1)
-    _check_index(j_max, "j_max", 0)
+    Z[zeta_n] for j < min(w // n, j_max + 1), else AssertionError.  The
+    terms come from `_series_terms`, as in `series_realize`."""
+    check_index(n, "order", 1)
+    check_index(j_max, "j_max", 0)
     level = n * (j_max + 1)
     top = j_max + 1
     total = [[0] * n for _ in range(top)]
     term = _jet(IntPolynomial.one(), n, j_max)  # term(0) of a spec with a step
     low = 0  # term's rows below low are zero
-    for k in range(MAX_SERIES_TERMS + 1):
-        w = spec.witness(k)
-        if w > level:
-            break
+    for k, w in _series_terms(spec, level):
         if spec.step is None:
             term = _jet(spec.term(k), n, j_max)
         elif k and low < top:
@@ -325,10 +306,6 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
                 )
         for j in range(low, top):
             total[j] = [a + b for a, b in zip(total[j], term[j])]
-    else:
-        raise NonConvergent(
-            f"series {spec.name!r}: witness stayed <= {level} for {MAX_SERIES_TERMS} terms"
-        )
     coeffs = tuple(CyclotomicInteger(n, row) for row in total)
     # level n*(j_max+1) has multiplicity j_max + 1 at zeta_n
     return RootTaylorSeries(order=n, valid_to=j_max, coeffs=coeffs)

@@ -24,6 +24,7 @@ from cyclocomp import (
     to_digits,
     unit_inverse_mod,
 )
+from cyclocomp import completion
 from cyclocomp.completion import DigitExpansion, chain_from_json_dict, digit_degree_bound
 from cyclocomp.errors import (
     ChainMismatch,
@@ -340,10 +341,11 @@ class TestSeries:
             inv = series_realize(Q_INVERSE_SPEC, poch, n)
             assert reduce(Q, poch, n) * inv == reduce(ONE, poch, n)
 
-    def test_non_convergent_detected(self):
+    def test_non_convergent_detected(self, monkeypatch):
+        monkeypatch.setattr(completion, "MAX_SERIES_TERMS", 50)
         stuck = SeriesSpec(name="stuck", term=lambda n: ONE, witness=lambda n: 0)
         with pytest.raises(NonConvergent):
-            series_realize(stuck, PochhammerChain(), 1, max_terms=50)
+            series_realize(stuck, PochhammerChain(), 1)
 
     def test_bad_witness_detected(self):
         lying = SeriesSpec(name="lying", term=lambda n: Q, witness=lambda n: n)

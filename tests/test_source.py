@@ -22,3 +22,34 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _referenced_names() -> set[str]:
+    """Every name used as a Name, an Attribute or an import alias in the
+    library and its tests."""
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    names = set()
+    for path in SOURCES + tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_no_unreferenced_functions():
+    # A function or method that nothing in the library or its tests
+    # names is dead code; dunder methods are called by the language.
+    used = _referenced_names()
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert found == []
