@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from functools import partial
@@ -95,12 +94,7 @@ def _positive(text: str) -> int:
 
 
 def _positive_list(text: str) -> list[int]:
-    values = [_positive(x) for x in text.split(",") if x != ""]
-    if not values:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated integer list, got {text!r}"
-        )
-    return values
+    return [_positive(x) for x in text.split(",")]
 
 
 def _parse_poly(text: str, cls=IntPolynomial):
@@ -572,14 +566,7 @@ def build_parser() -> _Parser:
 
 
 def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:
-    cache_dir = os.environ.get("HABIRO_CACHE_DIR")
-    cache_file = os.path.join(cache_dir, "cyclotomic_cache.json") if cache_dir else None
     try:
-        if cache_file:
-            try:
-                cyclotomic.load_cyclotomic_cache(cache_file)
-            except (OSError, ValueError):
-                pass  # corrupt or unreadable cache must never break a run
         parser = build_parser()
         args = parser.parse_args(argv)
         budgets = Budgets.load(args.config)
@@ -594,13 +581,6 @@ def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:
     except Exception as exc:  # internal invariant failure
         err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return 3
-    finally:
-        if cache_file:
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-                cyclotomic.save_cyclotomic_cache(cache_file)
-            except OSError:
-                pass
     return result.code
 
 

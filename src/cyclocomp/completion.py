@@ -35,7 +35,9 @@ from .errors import (
     NonUnitLeadingCoefficient,
     NotCoarser,
 )
-from .polyring import IntPolynomial, check_index, divides, json_int, subresultant_bezout
+from .polyring import (
+    IntPolynomial, check_index, divides, json_fields, json_int, subresultant_bezout
+)
 
 
 class FiltrationChain:
@@ -165,9 +167,7 @@ class ProductChain(FiltrationChain):
 
 def chain_from_json_dict(data: dict) -> FiltrationChain:
     """Inverse of to_json_dict; a malformed object is a ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError("a chain is a JSON object")
-    kind = data.get("kind")
+    (kind,) = json_fields(data, "kind")
     if kind == "pochhammer":
         return PochhammerChain()
     if kind == "adic":
@@ -220,8 +220,8 @@ class TruncatedElement:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TruncatedElement":
-        chain = chain_from_json_dict(data["chain"])
-        return reduce(IntPolynomial.from_json(data["rep"]), chain, json_int(data["level"]))
+        chain, rep, level = json_fields(data, "chain", "rep", "level")
+        return reduce(IntPolynomial.from_json(rep), chain_from_json_dict(chain), json_int(level))
 
     def __repr__(self):
         return f"<{self.rep} mod g_{self.level} on {self.chain.label}>"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
@@ -30,80 +31,44 @@ from .polyring import (
 # -- cyclotomic polynomials -----------------------------------------------
 
 _cyclo_cache: dict[int, IntPolynomial] = {}
-# Entries read from a cache file, checked the first time they are used.
-_cyclo_unchecked: dict[int, IntPolynomial] = {}
-# path -> the JSON object last read from that cache file.
-_cyclo_file_data: dict[str, dict] = {}
 
 
 def cyclotomic_poly(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, the exact quotient N / D of the
-    Moebius products from `_moebius_products`.
-
-    Results are cached.  An entry loaded from a cache file is used only
-    if Phi_n * D = N holds for it; otherwise it is recomputed.
-    """
+    """The n-th cyclotomic polynomial, cached: -+ prod_{d | n} (1 - q^d)^mu(n/d)
+    (minus for n = 1 only) as a power series cut above degree phi(n), after
+    A. Arnold and M. Monagan, "Calculating cyclotomic polynomials" (2011).
+    A factor with d > phi(n) acts as 1.  Multiplying by 1 - q^d is a slice
+    update; dividing by it, a running sum along each class mod d.  Cost
+    O(2^omega(n) phi(n)) additions.  A result that is not monic, and for
+    n >= 2 palindromic, is an AssertionError."""
     check_index(n, "cyclotomic index", 1)
-    hit = _cyclo_cache.get(n)
-    if hit is not None:
-        return hit
-    num, den = _moebius_products(n)
-    poly = _cyclo_unchecked.pop(n, None)
-    if poly is None or poly * den != num:
-        poly, rem = divmod(num, den)
-        if not rem.is_zero:
-            raise AssertionError(f"Moebius quotient for Phi_{n} is not exact")
-    return _cyclo_cache.setdefault(n, poly)
-
-
-def _moebius_products(n: int) -> tuple[IntPolynomial, IntPolynomial]:
-    """(N, D): the products of q^d - 1 over the d | n with mu(n/d) = +1 and
-    with mu(n/d) = -1, so that Phi_n * D = N.  d runs over n divided by
-    products of distinct primes of n: 2^omega(n) sparse products."""
+    if n in _cyclo_cache:
+        return _cyclo_cache[n]
     primes = prime_factors(n)
-    sides = [IntPolynomial.one(), IntPolynomial.one()]
+    deg = n // math.prod(primes) * math.prod(p - 1 for p in primes)
+    f = [-1 if n == 1 else 1] + [0] * deg
     for k in range(len(primes) + 1):
         for chosen in itertools.combinations(primes, k):
-            q_d = IntPolynomial.monomial(1, n // math.prod(chosen)) - IntPolynomial.one()
-            sides[k % 2] = sides[k % 2] * q_d
-    return sides[0], sides[1]
-
-
-def load_cyclotomic_cache(path: str) -> int:
-    """Read a persisted n -> coefficient-list JSON object.  Returns the
-    number of entries taken; a missing file gives none.  A malformed entry
-    is skipped on its own; the others are checked when first used."""
-    if not os.path.exists(path):
-        return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a cyclotomic cache file is a JSON object")
-    _cyclo_file_data[path] = data
-    loaded = 0
-    for key, coeffs in data.items():
-        n = int(key) if key.isascii() and key.isdigit() else 0
-        if n < 1 or n in _cyclo_cache:
-            continue
-        try:
-            _cyclo_unchecked[n] = IntPolynomial.from_json(coeffs)
-        except ValueError:
-            continue
-        loaded += 1
-    return loaded
+            d = n // math.prod(chosen)
+            if d > deg:
+                continue
+            if k % 2 == 0:  # mu(n/d) = 1
+                f[d:] = map(operator.sub, f[d:], f[: deg + 1 - d])
+            else:
+                for r in range(d):
+                    f[r::d] = itertools.accumulate(f[r::d])
+    if f[deg] != 1 or (n > 1 and f != f[::-1]):
+        raise AssertionError(f"Moebius series for Phi_{n} is not monic and palindromic")
+    return _cyclo_cache.setdefault(n, IntPolynomial(f))
 
 
 def save_cyclotomic_cache(path: str) -> None:
-    """Write the cache and the loaded entries not yet checked, unless the
-    file held just these when read.  The write goes to a file beside it,
-    renamed over it, so a reader never sees a partly written file."""
-    data = {str(n): p.to_json() for n, p in {**_cyclo_unchecked, **_cyclo_cache}.items()}
-    if data == _cyclo_file_data.get(path):
-        return
+    """Write the cached Phi_n as a JSON object n -> coefficients, through a
+    file beside path renamed over it, so no reader sees a partial file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
+            json.dump({str(n): p.to_json() for n, p in _cyclo_cache.items()}, fh, sort_keys=True)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -43,6 +43,14 @@ def json_int(value) -> int:
     raise ValueError(f"{value!r} is not a plain decimal integer")
 
 
+def json_fields(data, *names: str) -> list:
+    """The named fields of a JSON object; a non-object or a missing field
+    is a ValueError."""
+    if not isinstance(data, dict) or not all(k in data for k in names):
+        raise ValueError(f"expected a JSON object with the fields {list(names)}")
+    return [data[k] for k in names]
+
+
 def check_index(value: int, name: str, least: int | float) -> int:
     """The one check of integer arguments: value if its type is int (not
     bool) and value >= least (NEG_INFINITY: none); else TypeError/ValueError."""

@@ -41,7 +41,7 @@ from .completion import (
 )
 from .cyclotomic import cyclotomic_poly
 from .errors import InsufficientPrecision, OrderMismatch
-from .polyring import NEG_INFINITY, IntPolynomial, check_index, json_int
+from .polyring import NEG_INFINITY, IntPolynomial, check_index, json_fields, json_int
 
 
 class CyclotomicInteger:
@@ -137,10 +137,10 @@ class CyclotomicInteger:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CyclotomicInteger":
-        coeffs = data["coeffs"]
+        order, coeffs = json_fields(data, "order", "coeffs")
         if not isinstance(coeffs, list):
             raise ValueError("coeffs is a JSON array of integers")
-        return CyclotomicInteger(json_int(data["order"]), [json_int(c) for c in coeffs])
+        return CyclotomicInteger(json_int(order), [json_int(c) for c in coeffs])
 
 
 # -- evaluation (tau) ---------------------------------------------------------

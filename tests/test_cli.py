@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclocomp import IntPolynomial, cyclotomic
+from cyclocomp import cyclotomic
 from cyclocomp.cli import run
 
 
@@ -169,6 +169,10 @@ class TestExitCodes:
             ["pochhammer", " 3"],
             ["graph", "--ring", "Z1/ 2", "--set", "1,\u0662"],
             ["graph", "--ring", "Z1/1_0", "--set", "1,2"],
+            # an integer list has no empty items
+            ["graph", "--ring", "Z", "--set", "1,,2,"],
+            ["habiro", "eval", "--series", "kz", "--orders", ",3"],
+            ["habiro", "reduce", "--chain", "product:1,,2", "--level", "2", "--poly", '["1"]'],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -235,30 +239,47 @@ class TestBudgets:
         assert code == 0
 
 
+def src_env(**extra) -> dict:
+    """The environment of a CLI child that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclotomic.__file__).resolve().parents[1])}
+    env.pop("HABIRO_CACHE_DIR", None)
+    return {**env, **extra}
+
+
 class TestCachePersistence:
+    # Phi_n is cheap to compute, so the CLI keeps no cache between runs: a
+    # file where one used to be, right or wrong, changes neither the output
+    # nor the file.
+
     def test_cache_file_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
         code, out1, _ = invoke("cyclotomic", "30")
         assert code == 0
         cache = tmp_path / "cyclotomic_cache.json"
-        assert cache.exists()
-        data = json.loads(cache.read_text())
-        assert "30" in data
-        code, out2, _ = invoke("cyclotomic", "30")
-        assert out1 == out2
+        cyclotomic.save_cyclotomic_cache(str(cache))
+        assert [p.name for p in tmp_path.iterdir()] == ["cyclotomic_cache.json"]
+        assert json.loads(cache.read_text()) == {"30": json.loads(out1)["coeffs"]}
+        before = cache.read_bytes()
+        monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
+        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
+        assert invoke("cyclotomic", "30") == (0, out1, "")
+        assert cache.read_bytes() == before
 
     def test_unchanged_cache_is_not_rewritten(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
-        assert invoke("cyclotomic", "30")[0] == 0
-        cache = tmp_path / "cyclotomic_cache.json"
-        before = cache.stat()
-        # as in a new process: nothing cached but what the file holds
         monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
-        monkeypatch.setattr(cyclotomic, "_cyclo_unchecked", {})
+        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
+        cache = tmp_path / "cyclotomic_cache.json"
+        cache.write_text('{"3": ["1", "1", "1"]}')
+        before = cache.stat()
         assert invoke("cyclotomic", "30")[0] == 0
         after = cache.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
         assert [p.name for p in tmp_path.iterdir()] == ["cyclotomic_cache.json"]
+
+    def test_no_cache_file_is_created(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert invoke("cyclotomic", "30")[0] == 0
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "data, n, expected",
@@ -271,22 +292,51 @@ class TestCachePersistence:
     )
     def test_poisoned_cache_entries_are_recomputed(self, tmp_path, monkeypatch, data, n, expected):
         monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
-        monkeypatch.setattr(cyclotomic, "_cyclo_unchecked", {})
         monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
         cache = tmp_path / "cyclotomic_cache.json"
         cache.write_text(json.dumps(data))
+        before = cache.read_bytes()
         code, out, _ = invoke("cyclotomic", str(n), "--format", "plain")
         assert (code, out) == (0, f"Phi_{n} = {expected}\n")
-        # the failing or malformed entry is not written back
-        saved = json.loads(cache.read_text())
-        assert str(IntPolynomial.from_json(saved[str(n)])) == expected
-        assert saved.get("4", ["1", "0", "1"]) == ["1", "0", "1"]
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cyclotomic_cache.json"]
+
+    def test_poisoned_cache_file_in_a_fresh_process(self, tmp_path):
+        cache = tmp_path / "cyclotomic_cache.json"
+        cache.write_text('{"5": ["1","1","1","1","7"]}')
+        before = cache.read_bytes()
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "cyclocomp.cli", "cyclotomic", "5", "--format", "plain"],
+            capture_output=True,
+            env=src_env(HABIRO_CACHE_DIR=str(tmp_path)),
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"Phi_5 = q^4 + q^3 + q^2 + q + 1\n")
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cyclotomic_cache.json"]
 
     def test_cache_that_is_not_an_object_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HABIRO_CACHE_DIR", str(tmp_path))
         (tmp_path / "cyclotomic_cache.json").write_text("[1, 2]")
         code, out, _ = invoke("cyclotomic", "4", "--format", "plain")
         assert (code, out) == (0, "Phi_4 = q^2 + 1\n")
+        assert (tmp_path / "cyclotomic_cache.json").read_text() == "[1, 2]"
+
+
+@pytest.mark.parametrize(
+    "argv", [["selfcheck", "--format", "json"], ["cyclotomic", "30030"]], ids=" ".join
+)
+def test_optimized_interpreter_gives_the_same_bytes(argv):
+    # `python -O` strips assert statements; the invariants are explicit raises.
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-S", "-m", "cyclocomp.cli", *argv],
+            capture_output=True,
+            env=src_env(),
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
 
 
 # Runs argv and reports its peak RSS (KiB) and exit code on stderr.  The
@@ -303,12 +353,12 @@ print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
 def run_fresh(*argv):
     """Run the CLI in a new interpreter, as `python -S -m cyclocomp.cli`:
     (exit code, stdout bytes, peak RSS in MiB)."""
-    src = str(Path(cyclotomic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("HABIRO_CACHE_DIR", None)
     cli = [sys.executable, "-S", "-m", "cyclocomp.cli", *argv]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", LAUNCHER, *cli], capture_output=True, env=env, check=True
+        [sys.executable, "-S", "-c", LAUNCHER, *cli],
+        capture_output=True,
+        env=src_env(),
+        check=True,
     )
     rss_kib, code = proc.stderr.split()[-2:]
     return int(code), proc.stdout, int(rss_kib) / 1024  # Linux reports KiB

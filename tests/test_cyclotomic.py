@@ -1,5 +1,7 @@
-import json
+import itertools
+import math
 import random
+import time
 
 import pytest
 import sympy
@@ -25,13 +27,7 @@ from cyclocomp import (
     ring_z_inverted,
 )
 from cyclocomp import cyclotomic
-from cyclocomp.cyclotomic import (
-    _moebius_products,
-    _pow_mod_p,
-    load_cyclotomic_cache,
-    monic_pochhammer,
-    save_cyclotomic_cache,
-)
+from cyclocomp.cyclotomic import _pow_mod_p, monic_pochhammer
 from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
 
 from support import phi_by_trial_factorization
@@ -77,75 +73,52 @@ class TestCyclotomicPoly:
         with pytest.raises(ValueError):
             cyclotomic_poly(0)
 
+    def test_matches_sympy_to_400(self):
+        for n in range(1, 401):
+            assert cyclotomic_poly(n) == _sympy_phi(n), n
+
+    @pytest.mark.parametrize("n", [2310, 4620, 9699, 30030])
+    def test_matches_sympy_at_many_primes(self, n):
+        assert cyclotomic_poly(n) == _sympy_phi(n)
+
+    def test_phi_30030_cpu_time(self, fresh_cyclotomic_cache):
+        # 2^6 sparse series passes over phi(30030) = 5760 coefficients
+        start = time.process_time()
+        cyclotomic_poly(30030)
+        elapsed = time.process_time() - start
+        assert elapsed < 2.0, f"Phi_30030 took {elapsed:.2f} s CPU, budget 2 s"
+
 
 def _sympy_phi(n):
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+    poly = sympy.cyclotomic_poly(n, sympy.Symbol("x"), polys=True)
     return IntPolynomial([int(c) for c in reversed(poly.all_coeffs())])
 
 
 @pytest.fixture
 def fresh_cyclotomic_cache(monkeypatch):
-    """Empty process-wide Phi caches for one test."""
+    """An empty process-wide Phi cache for one test."""
     monkeypatch.setattr(cyclotomic, "_cyclo_cache", {})
-    monkeypatch.setattr(cyclotomic, "_cyclo_unchecked", {})
 
 
 class TestCacheEntryCheck:
     def test_moebius_products(self):
+        # Phi_n * D = N, with N and D the products of q^d - 1 over the
+        # d | n with mu(n/d) = +1 and -1: dense products, no power series.
         for n in range(1, 201):
-            num, den = _moebius_products(n)
-            assert _sympy_phi(n) * den == num
+            sides = [IntPolynomial.one(), IntPolynomial.one()]
+            primes = sympy.primefactors(n)
+            for k in range(len(primes) + 1):
+                for chosen in itertools.combinations(primes, k):
+                    q_d = IntPolynomial.monomial(1, n // math.prod(chosen)) - IntPolynomial.one()
+                    sides[k % 2] = sides[k % 2] * q_d
+            assert cyclotomic_poly(n) * sides[1] == sides[0]
 
-    def test_true_entries_are_used(self, tmp_path, fresh_cyclotomic_cache):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({str(n): _sympy_phi(n).to_json() for n in range(1, 121)}))
-        assert load_cyclotomic_cache(str(path)) == 120
-        loaded = dict(cyclotomic._cyclo_unchecked)
-        for n in range(1, 121):
-            assert cyclotomic_poly(n) is loaded[n]
-        assert not cyclotomic._cyclo_unchecked
-
-    def test_wrong_entries_are_recomputed(self, tmp_path, fresh_cyclotomic_cache):
-        # Phi_3 under key 6 has degree phi(6), constant term 1 and divides
-        # q^6 - 1, so only a check that pins Phi_6 itself catches it.
-        rng = random.Random(5)
-        data = {"6": ["1", "1", "1"], "5": ["1", "1", "1", "1", "7"], "4": ["0"]}
-        for n in range(7, 61):
-            coeffs = list(_sympy_phi(n).coeffs)
-            coeffs[rng.randrange(len(coeffs))] += rng.choice([-1, 1])
-            data[str(n)] = IntPolynomial(coeffs).to_json()
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(data))
-        load_cyclotomic_cache(str(path))
-        for n in range(1, 61):
-            assert cyclotomic_poly(n) == _sympy_phi(n)
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"5": ["1", "1", "1", "1", "7"], "6": ["1", "1", "1"]},
-            {"3": ["1", "1", "1"], "4": [1, 0, 1]},
-            {"1": ["-1", "1"], "x": ["1"], "0": ["1"], "2": "11", "6": ["1", "-1", "1"]},
-        ],
-    )
-    def test_loaded_entries_are_checked_on_use(self, tmp_path, fresh_cyclotomic_cache, data):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(data))
-        load_cyclotomic_cache(str(path))
-        for n in range(1, 8):
-            assert cyclotomic_poly(n) == _sympy_phi(n)
-        save_cyclotomic_cache(str(path))
-        saved = json.loads(path.read_text())
-        assert sorted(saved, key=int) == [str(n) for n in range(1, 8)]
-        for key, coeffs in saved.items():
-            assert IntPolynomial.from_json(coeffs) == _sympy_phi(int(key))
-
-    def test_a_file_that_is_not_an_object_is_rejected(self, tmp_path, fresh_cyclotomic_cache):
-        path = tmp_path / "cache.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError):
-            load_cyclotomic_cache(str(path))
+    def test_a_series_that_is_not_monic_is_rejected(self, monkeypatch, fresh_cyclotomic_cache):
+        # With no primes the series is 1 - q^6 cut at degree 6: not monic.
+        monkeypatch.setattr(cyclotomic, "prime_factors", lambda n: [])
+        with pytest.raises(AssertionError):
+            cyclotomic_poly(6)
+        assert 6 not in cyclotomic._cyclo_cache
 
 
 class TestPochhammer:

@@ -1,7 +1,8 @@
 """Integer arguments are checked by one rule, `polyring.check_index`: a
 bool or a non-int is a TypeError and an int below the bound a ValueError,
 at every entry point that takes an index, level, order or exponent.
-Chain JSON is read strictly and round-trips."""
+Chain JSON is read strictly and round-trips, and every JSON loader raises
+ValueError for a non-object or a missing field."""
 
 import json
 
@@ -11,6 +12,7 @@ import sympy
 from cyclocomp import (
     AdicChain,
     CrtComponents,
+    CyclotomicInteger,
     ExponentVector,
     IntPolynomial,
     PochhammerChain,
@@ -151,3 +153,18 @@ def test_malformed_chain_json_is_value_error(data):
         chain_from_json_dict(data)
     with pytest.raises(ValueError):
         TruncatedElement.from_json_dict({"chain": data, "level": 1, "rep": ["1"]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], 3, {"coeffs": []}, {"chain": {"kind": "pochhammer"}, "rep": ["1"]}],
+    ids=["empty", "array", "number", "coeffs only", "no level"],
+)
+@pytest.mark.parametrize(
+    "loader",
+    [TruncatedElement.from_json_dict, CyclotomicInteger.from_json_dict],
+    ids=["element", "cyclotomic_integer"],
+)
+def test_non_object_or_missing_field_is_value_error(loader, data):
+    with pytest.raises(ValueError):
+        loader(data)
