@@ -18,7 +18,7 @@ import math
 import random
 import sys
 from functools import partial
-from typing import Any, NamedTuple, Optional, TextIO
+from typing import Any, Callable, NamedTuple, Optional, TextIO
 
 from . import completion, cyclotomic, qcrt, rootexp
 from .completion import (
@@ -104,17 +104,24 @@ def _parse_poly(text: str, cls=IntPolynomial):
         raise argparse.ArgumentTypeError(f"bad polynomial JSON {text!r}: {exc}") from exc
 
 
-def _parse_chain(spec: str) -> FiltrationChain:
-    """pochhammer | adic:<n> | adic:<coeff json> | product:<n1,n2,...>"""
+def _parse_chain(spec: str) -> Callable[["Budgets"], FiltrationChain]:
+    """pochhammer | adic:<n> | adic:<coeff json> | product:<n1,n2,...>
+
+    Returns a function of the budgets that checks every cyclotomic index
+    against max_order before it builds Phi_n, so no Phi_n is built while
+    the arguments are parsed, before --config is read."""
     if spec == "pochhammer":
-        return PochhammerChain()
+        return lambda budgets: PochhammerChain()
     if spec.startswith("adic:"):
         arg = spec[len("adic:") :]
         if arg.startswith("["):
-            return AdicChain(_parse_poly(arg))
-        return AdicChain(cyclotomic.cyclotomic_poly(_positive(arg)))
+            chain = AdicChain(_parse_poly(arg))
+            return lambda budgets: chain
+        n = _positive(arg)
+        return lambda budgets: AdicChain(cyclotomic.cyclotomic_poly(budgets.check_order(n)))
     if spec.startswith("product:"):
-        return ProductChain(_positive_list(spec[len("product:") :]))
+        indices = _positive_list(spec[len("product:") :])
+        return lambda budgets: ProductChain([budgets.check_order(n) for n in indices])
     raise argparse.ArgumentTypeError(f"unknown chain spec {spec!r}")
 
 
@@ -153,7 +160,7 @@ class Budgets:
 
     @staticmethod
     def load(path: Optional[str]) -> "Budgets":
-        if not path:
+        if path is None:
             return Budgets()
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -202,6 +209,7 @@ def _cmd_pochhammer(args, budgets: Budgets) -> _Result:
 
 def _cmd_graph(args, budgets: Budgets) -> _Result:
     desc, members = args.ring, args.set
+    budgets.check_order(max(members))
     comps = cyclotomic.connected_components(desc, members)
     return _Result(
         {"components": comps, "ring": desc.name, "set": sorted(set(members))},
@@ -214,16 +222,16 @@ def _cmd_graph(args, budgets: Budgets) -> _Result:
 
 def _cmd_habiro_reduce(args, budgets: Budgets) -> _Result:
     level = budgets.check_level(args.level)
-    return _element_result(completion.reduce(args.poly, args.chain, level))
+    return _element_result(completion.reduce(args.poly, args.chain(budgets), level))
 
 
 def _cmd_habiro_digits(args, budgets: Budgets) -> _Result:
     level = budgets.check_level(args.level)
-    elt = completion.reduce(args.poly, args.chain, level)
+    elt = completion.reduce(args.poly, args.chain(budgets), level)
     digits = completion.to_digits(elt).digits
     return _Result(
         {
-            "chain": args.chain.to_json_dict(),
+            "chain": elt.chain.to_json_dict(),
             "digits": [d.to_json() for d in digits],
             "level": level,
         },
@@ -235,8 +243,9 @@ def _cmd_habiro_digits(args, budgets: Budgets) -> _Result:
 
 def _cmd_habiro_rho(args, budgets: Budgets) -> _Result:
     budgets.check_level(max(args.from_level, args.to_level))
-    elt = completion.reduce(args.poly, args.from_chain, args.from_level)
-    return _element_result(completion.rho(elt, args.to_chain, args.to_level))
+    from_chain, to_chain = args.from_chain(budgets), args.to_chain(budgets)
+    elt = completion.reduce(args.poly, from_chain, args.from_level)
+    return _element_result(completion.rho(elt, to_chain, args.to_level))
 
 
 def _cmd_habiro_series(args, budgets: Budgets) -> _Result:

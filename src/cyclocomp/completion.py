@@ -8,14 +8,19 @@ rep the canonical remainder mod g_k.  Raising precision is the caller's
 job (via higher-level reps or series specs); nothing here pretends to
 hold infinite data, so the precision contract is always explicit.
 
+Each g_k is g_{k-1} times one unit-leading factor f_k: a chain class
+supplies factor(k) and `FiltrationChain.modulus` multiplies the factors
+out, so the divisibility g_{k-1} | g_k holds by construction and only the
+unit-leading property of each factor is checked.
+
 Three chain kinds are provided:
 
 * PochhammerChain: g_k = (q)_k up to sign, normalized to leading
-  coefficient +1 (the generated ideals are unchanged).
-* AdicChain(f): g_k = f^k, the f-adic filtration.
+  coefficient +1 (the generated ideals are unchanged); f_k = q^k - 1.
+* AdicChain(f): g_k = f^k, the f-adic filtration; f_k = f.
 * ProductChain(S): g_k = product of the first k entries of an enumeration
-  of cyclotomic indices drawn from S with unbounded repetition; the
-  default enumeration cycles through sorted(S).
+  e of cyclotomic indices drawn from S with unbounded repetition; the
+  default enumeration cycles through sorted(S); f_k = Phi_{e(k-1)}.
 
 Digit expansions generalize base-p digits: every level-k element is
 uniquely a = sum of a_n * g_n with deg a_n < deg g_{n+1} - deg g_n.
@@ -26,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .cyclotomic import cyclotomic_poly, monic_pochhammer, pochhammer
+from . import cyclotomic
+from .cyclotomic import cyclotomic_poly, pochhammer
 from .errors import (
     ChainMismatch,
     DigitDegreeViolation,
@@ -43,9 +49,10 @@ from .polyring import (
 class FiltrationChain:
     """Base class: lazily generated, memoized modulus chain.
 
-    Subclasses implement _step(k, prev) producing g_k from g_{k-1}; the
-    base class checks the divisibility and unit-leading invariants on
-    generation.
+    Subclasses implement factor(k), the unit-leading f_k with
+    g_k = g_{k-1} * f_k for k >= 1, and do not override `modulus`, the
+    one loop that multiplies the factors out.  A factor that is not
+    unit-leading is an AssertionError naming the chain and k.
     """
 
     label: str = "chain"
@@ -53,21 +60,20 @@ class FiltrationChain:
     def __init__(self) -> None:
         self._moduli: list[IntPolynomial] = [IntPolynomial.one()]
 
-    def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
+    def factor(self, k: int) -> IntPolynomial:
         raise NotImplementedError
 
     def modulus(self, k: int) -> IntPolynomial:
         """g_k; g_0 = 1."""
         check_index(k, "level", 0)
-        while len(self._moduli) <= k:
-            i = len(self._moduli)
-            g = self._step(i, self._moduli[-1])
-            if not g.has_unit_leading_coefficient:
-                raise AssertionError(f"{self.label}: g_{i} not unit-leading")
-            if not divides(self._moduli[-1], g):
-                raise AssertionError(f"{self.label}: g_{i-1} does not divide g_{i}")
-            self._moduli.append(g)
-        return self._moduli[k]
+        moduli = self._moduli
+        while len(moduli) <= k:
+            i = len(moduli)
+            f = self.factor(i)
+            if not f.has_unit_leading_coefficient:
+                raise AssertionError(f"{self.label}: factor f_{i} = {f} is not unit-leading")
+            moduli.append(moduli[-1] * f)
+        return moduli[k]
 
     def signature(self) -> tuple:
         raise NotImplementedError
@@ -86,14 +92,17 @@ class FiltrationChain:
 
 
 class PochhammerChain(FiltrationChain):
-    """g_k = (q)_k normalized to leading coefficient +1.  The moduli are
-    the entries of `monic_pochhammer`'s memo, not copies, so the base
-    class's checks test that store."""
+    """g_k = (q)_k normalized to leading coefficient +1: f_k = q^k - 1.
+    The moduli list is `monic_pochhammer`'s memo itself, so every
+    instance and `pochhammer` extend and read one store."""
 
     label = "pochhammer"
 
-    def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
-        return monic_pochhammer(k)
+    def __init__(self) -> None:
+        self._moduli = cyclotomic._pochhammer_memo
+
+    def factor(self, k: int) -> IntPolynomial:
+        return IntPolynomial.monomial(1, k) - IntPolynomial.one()
 
     def signature(self) -> tuple:
         return ("pochhammer",)
@@ -114,8 +123,8 @@ class AdicChain(FiltrationChain):
         self.f = f
         self.label = f"adic({f})"
 
-    def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
-        return prev * self.f
+    def factor(self, k: int) -> IntPolynomial:
+        return self.f
 
     def signature(self) -> tuple:
         return ("adic", self.f.coeffs)
@@ -151,8 +160,8 @@ class ProductChain(FiltrationChain):
         self.enumeration = enumeration
         self.label = label or f"product{list(self.indices)}"
 
-    def _step(self, k: int, prev: IntPolynomial) -> IntPolynomial:
-        return prev * cyclotomic_poly(self.enumeration(k - 1))
+    def factor(self, k: int) -> IntPolynomial:
+        return cyclotomic_poly(self.enumeration(k - 1))
 
     def signature(self) -> tuple:
         if self._custom:
@@ -368,12 +377,15 @@ MAX_SERIES_TERMS = 10_000
 
 def _series_terms(spec: SeriesSpec, level: int):
     """Yield (k, witness(k)) for k = 0, 1, ... while the witness is <= the
-    level; later terms vanish mod g_level.  A witness still <= the level
-    after MAX_SERIES_TERMS terms raises NonConvergent."""
+    level; later terms vanish mod g_level.  At most MAX_SERIES_TERMS terms
+    are yielded: a witness still <= the level at k = MAX_SERIES_TERMS
+    raises NonConvergent."""
     for k in range(MAX_SERIES_TERMS + 1):
         w = spec.witness(k)
         if w > level:
             return
+        if k == MAX_SERIES_TERMS:
+            break
         yield k, w
     raise NonConvergent(
         f"series {spec.name!r}: witness stayed <= {level} for {MAX_SERIES_TERMS} terms"

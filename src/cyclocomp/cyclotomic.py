@@ -81,7 +81,8 @@ _pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]
 def monic_pochhammer(n: int) -> IntPolynomial:
     """g_n = (q - 1)(q^2 - 1)...(q^n - 1) = (-1)^n (q)_n; g_0 = 1.
     The only store of (q)_n: a module list keeps g_0, g_1, ... as far as
-    indices were asked for in order.  The next index extends it by one
+    indices were asked for in order, and is the moduli list of every
+    `completion.PochhammerChain`.  The next index extends it by one
     product by q^n - 1; an index past that is built from the last entry
     without storing the products in between."""
     check_index(n, "pochhammer index", 0)

@@ -229,6 +229,48 @@ class TestBudgets:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["habiro", "reduce", "--chain", "adic:2000003", "--level", "1", "--poly", '["1","2"]'],
+            [
+                "habiro", "digits",
+                "--chain", "product:61,2000003", "--level", "1", "--poly", '["1","2"]',
+            ],
+            [
+                "habiro", "rho",
+                "--from-chain", "pochhammer", "--from-level", "2",
+                "--to-chain", "product:1,2000003", "--to-level", "1",
+                "--poly", '["1","2"]',
+            ],
+            ["graph", "--ring", "Z", "--set", "1,100000000000031"],
+        ],
+        ids=["adic", "product", "rho-target", "graph"],
+    )
+    def test_budget_bounds_indices_before_factoring(self, tmp_path, monkeypatch, argv):
+        # every Phi_n and every c(m, n) starts by factoring its index
+        factored = []
+        monkeypatch.setattr(cyclotomic, "prime_factors", lambda n: factored.append(n) or [n])
+        cfg = tmp_path / "budgets.json"
+        cfg.write_text('{"max_order": 60}')
+        code, out, err = invoke("--config", str(cfg), *argv)
+        assert (code, out, factored) == (1, "", [])
+        assert "budget" in err
+
+    def test_budget_allows_chain_indices_within_limit(self, tmp_path):
+        cfg = tmp_path / "budgets.json"
+        cfg.write_text('{"max_order": 60}')
+        argv = ["habiro", "reduce", "--chain", "product:2,60", "--level", "2", "--poly", '["1","2"]']
+        assert invoke("--config", str(cfg), *argv) == invoke(*argv)
+        assert invoke(*argv)[0] == 0
+
+    def test_empty_config_path_is_usage_error(self):
+        code, out, err = invoke(
+            "--config", "", "habiro", "series", "--name", "kz", "--level", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage:")
+
     def test_budget_allows_within_limit(self, tmp_path):
         cfg = tmp_path / "budgets.json"
         cfg.write_text('{"max_level": 5, "max_order": 10}')

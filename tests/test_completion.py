@@ -4,6 +4,7 @@ import pytest
 
 from cyclocomp import (
     AdicChain,
+    FiltrationChain,
     IntPolynomial,
     KONTSEVICH_ZAGIER_SPEC,
     NAMED_SERIES,
@@ -15,6 +16,7 @@ from cyclocomp import (
     alternating_unit,
     cyclotomic_poly,
     divides,
+    expand_series,
     from_digits,
     pochhammer,
     poly_mod_prime,
@@ -24,7 +26,7 @@ from cyclocomp import (
     to_digits,
     unit_inverse_mod,
 )
-from cyclocomp import completion
+from cyclocomp import completion, cyclotomic
 from cyclocomp.completion import DigitExpansion, chain_from_json_dict, digit_degree_bound
 from cyclocomp.errors import (
     ChainMismatch,
@@ -91,6 +93,44 @@ class TestChains:
     def test_custom_enumeration(self):
         chain = ProductChain(enumeration=lambda i: 2, label="all-twos")
         assert chain.modulus(4) == cyclotomic_poly(2) ** 4
+
+    def test_moduli_are_products_of_factors_without_division(self, monkeypatch):
+        def no_division(self, g):
+            raise AssertionError("a chain modulus divided")
+
+        monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [ONE])
+        monkeypatch.setattr(IntPolynomial, "__divmod__", no_division)
+        phi = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 6: [1, -1, 1]}
+        cases = [
+            (PochhammerChain(), lambda k: [-1] + [0] * (k - 1) + [1]),
+            (AdicChain(cyclotomic_poly(3)), lambda k: phi[3]),
+            (ProductChain([1, 2, 3]), lambda k: phi[(1, 2, 3)[(k - 1) % 3]]),
+            (
+                ProductChain(enumeration=lambda i: (4, 6, 1)[i % 3], label="4-6-1"),
+                lambda k: phi[(4, 6, 1)[(k - 1) % 3]],
+            ),
+        ]
+        for chain, factor in cases:
+            chain.modulus(30)
+            expected = [1]
+            for k in range(1, 31):
+                f = factor(k)
+                product = [0] * (len(expected) + len(f) - 1)
+                for i, a in enumerate(expected):
+                    for j, b in enumerate(f):
+                        product[i + j] += a * b
+                expected = product
+                assert chain.modulus(k) == IntPolynomial(expected), (chain, k)
+
+    def test_non_unit_leading_factor_rejected(self):
+        class Doubling(FiltrationChain):
+            label = "doubling"
+
+            def factor(self, k):
+                return P(1, 2)
+
+        with pytest.raises(AssertionError, match=r"doubling: factor f_1 "):
+            Doubling().modulus(1)
 
     def test_structural_equality(self):
         assert PochhammerChain() == PochhammerChain()
@@ -346,6 +386,32 @@ class TestSeries:
         stuck = SeriesSpec(name="stuck", term=lambda n: ONE, witness=lambda n: 0)
         with pytest.raises(NonConvergent):
             series_realize(stuck, PochhammerChain(), 1)
+
+    @pytest.mark.parametrize(
+        "realize",
+        [
+            lambda spec: series_realize(spec, PochhammerChain(), 1),
+            lambda spec: expand_series(spec, 1, 0),
+        ],
+        ids=["series_realize", "expand_series"],
+    )
+    def test_series_take_at_most_max_series_terms(self, monkeypatch, realize):
+        monkeypatch.setattr(completion, "MAX_SERIES_TERMS", 50)
+        calls = []
+
+        def term(n):
+            calls.append(n)
+            return ONE
+
+        # witness(50) is past level 1: the 50 terms 0..49 are the whole sum
+        last = SeriesSpec(name="last", term=term, witness=lambda n: 0 if n < 50 else 2)
+        realize(last)
+        assert calls == list(range(50))
+        calls.clear()
+        stuck = SeriesSpec(name="stuck", term=term, witness=lambda n: 0)
+        with pytest.raises(NonConvergent, match="for 50 terms"):
+            realize(stuck)
+        assert calls == list(range(50))
 
     def test_bad_witness_detected(self):
         lying = SeriesSpec(name="lying", term=lambda n: Q, witness=lambda n: n)

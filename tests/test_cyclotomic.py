@@ -146,6 +146,7 @@ class TestPochhammer:
     def test_chain_shares_the_store(self, monkeypatch):
         monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [IntPolynomial.one()])
         chain = PochhammerChain()
+        assert chain._moduli is cyclotomic._pochhammer_memo
         chain.modulus(9)
         for k in range(1, 10):
             assert chain.modulus(k) is monic_pochhammer(k)

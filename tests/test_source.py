@@ -53,3 +53,18 @@ def test_no_unreferenced_functions():
         and node.name not in used
     ]
     assert found == []
+
+
+def test_no_chain_overrides_modulus():
+    # The traced benchmark patches FiltrationChain.modulus on the base
+    # class; a subclass that defines its own would drop out of the
+    # completion.modulus counters.  Chains supply factor(k) instead.
+    from cyclocomp.completion import FiltrationChain
+
+    found, todo = [], list(FiltrationChain.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "modulus" in vars(cls):
+            found.append(cls.__qualname__)
+    assert found == []
