@@ -8,6 +8,9 @@ independent of it (series evaluation, auto-leveled expansions).
 
 Exit codes: 0 success, 1 usage error, 2 violated mathematical
 precondition, 3 internal invariant failure.
+
+--help wraps at a fixed 78 columns, whatever the terminal or $COLUMNS,
+so every help screen is byte-identical in every environment too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional, TextIO
@@ -37,6 +39,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting.  Help wraps at the width
+    argparse picks when stdout is not a terminal and $COLUMNS is unset;
+    a fixed width also spares argparse a terminal-size query (and the
+    import of shutil) at every add_argument."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -347,6 +357,8 @@ def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
 
 
 def _selfcheck_suite() -> list[tuple[str, bool]]:
+    import random  # only the seeded selfcheck draws; kept out of start-up
+
     rng = random.Random(0x5EED)
     results: list[tuple[str, bool]] = []
 
@@ -496,7 +508,9 @@ def _cmd_selfcheck(args, budgets: Budgets) -> _Result:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="cyclocomp", description=__doc__)
+    # the module docstring less its last paragraph, which is about --help
+    description = __doc__ and __doc__.rpartition("\n\n")[0]
+    parser = _Parser(prog="cyclocomp", description=description)
     parser.add_argument("--config", help="JSON config file with budget guardrails")
     sub = parser.add_subparsers(dest="command", required=True)
 

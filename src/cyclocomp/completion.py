@@ -102,7 +102,7 @@ class PochhammerChain(FiltrationChain):
         self._moduli = cyclotomic._pochhammer_memo
 
     def factor(self, k: int) -> IntPolynomial:
-        return IntPolynomial.monomial(1, k) - IntPolynomial.one()
+        return cyclotomic.pochhammer_factor(k)
 
     def signature(self) -> tuple:
         return ("pochhammer",)

@@ -78,6 +78,11 @@ def save_cyclotomic_cache(path: str) -> None:
 _pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]
 
 
+def pochhammer_factor(k: int) -> IntPolynomial:
+    """q^k - 1, the factor g_k / g_{k-1} of the monic (q)_k chain."""
+    return IntPolynomial.monomial(1, k) - IntPolynomial.one()
+
+
 def monic_pochhammer(n: int) -> IntPolynomial:
     """g_n = (q - 1)(q^2 - 1)...(q^n - 1) = (-1)^n (q)_n; g_0 = 1.
     The only store of (q)_n: a module list keeps g_0, g_1, ... as far as
@@ -91,7 +96,7 @@ def monic_pochhammer(n: int) -> IntPolynomial:
         return memo[n]
     poly = memo[-1]
     for k in range(len(memo), n + 1):
-        poly = poly * (IntPolynomial.monomial(1, k) - IntPolynomial.one())
+        poly = poly * pochhammer_factor(k)
     if n == len(memo):
         memo.append(poly)
     return poly

@@ -10,6 +10,7 @@ import pytest
 
 from cyclocomp import cyclotomic
 from cyclocomp.cli import run
+from test_acceptance import GOLDEN_CORPUS
 
 
 def invoke(*argv):
@@ -379,6 +380,92 @@ def test_optimized_interpreter_gives_the_same_bytes(argv):
     ]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+# Runs cli.run on each argv of a JSON list in turn and prints, after each,
+# its exit code and which of the modules start-up must not pay for are
+# loaded.
+IMPORT_PROBE = """
+import io, json, sys
+from cyclocomp.cli import run
+for argv in json.loads(sys.argv[1]):
+    code = run(argv, io.StringIO(), io.StringIO())
+    print(json.dumps([code, sorted({"random", "shutil"} & set(sys.modules))]))
+"""
+
+
+def test_start_up_imports_neither_shutil_nor_random():
+    # argparse imports shutil to ask for the terminal's width unless the
+    # help width is fixed; random serves only selfcheck's seeded draws.
+    leaves = {}
+    for argv in GOLDEN_CORPUS:
+        leaves.setdefault(tuple(argv[:2] if argv[0] in ("habiro", "qcrt") else argv[:1]), argv)
+    argvs = sorted(leaves.values(), key=lambda argv: argv == ["selfcheck"])
+    assert len(argvs) == 12 and argvs[-1] == ["selfcheck"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True,
+        env=src_env(),
+        check=True,
+    )
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert reports[:-1] == [[0, []]] * 11
+    code, loaded = reports[-1]
+    assert code == 0 and set(loaded) <= {"random"}
+
+
+HELP_SCREENS = [
+    [],
+    ["habiro"],
+    ["qcrt"],
+    ["cyclotomic"],
+    ["pochhammer"],
+    ["graph"],
+    ["habiro", "reduce"],
+    ["habiro", "digits"],
+    ["habiro", "rho"],
+    ["habiro", "series"],
+    ["habiro", "eval"],
+    ["habiro", "expand"],
+    ["qcrt", "split"],
+    ["qcrt", "witness"],
+    ["selfcheck"],
+]
+
+# Prints the --help screen of each argv of a JSON list, after a
+# "$ cyclocomp ... --help" line, to a stdout that is not a terminal.
+HELP_PRINTER = """
+import contextlib, io, json, sys
+from cyclocomp.cli import run
+for argv in json.loads(sys.argv[1]):
+    screen = io.StringIO()
+    with contextlib.redirect_stdout(screen):
+        try:
+            run(argv + ["--help"], screen)
+        except SystemExit as exc:
+            if exc.code != 0:
+                raise
+    sys.stdout.write(" ".join(["$ cyclocomp", *argv, "--help"]) + "\\n" + screen.getvalue())
+"""
+
+# The screens as printed before the help width was fixed, one fresh
+# process per screen, stdout a pipe and COLUMNS unset.
+GOLDEN_HELP_FILE = Path(__file__).with_name("golden_help.txt")
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"], ids=lambda c: f"COLUMNS={c}")
+def test_help_screens_match_the_golden_file(columns):
+    env = src_env()
+    env.pop("COLUMNS", None)
+    if columns is not None:
+        env["COLUMNS"] = columns
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", HELP_PRINTER, json.dumps(HELP_SCREENS)],
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout == GOLDEN_HELP_FILE.read_bytes()
 
 
 # Runs argv and reports its peak RSS (KiB) and exit code on stderr.  The

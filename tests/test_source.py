@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import cyclocomp
@@ -68,3 +69,13 @@ def test_no_chain_overrides_modulus():
         if "modulus" in vars(cls):
             found.append(cls.__qualname__)
     assert found == []
+
+
+def test_sources_parse_at_the_python_floor():
+    # New syntax slips in unseen when the suite runs on a newer Python;
+    # the floor is the one pyproject.toml declares.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', pyproject.read_text(encoding="utf-8"))
+    assert floor is not None
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor[1])))
