@@ -17,6 +17,7 @@ Three chain kinds are provided:
 
 * PochhammerChain: g_k = (q)_k up to sign, normalized to leading
   coefficient +1 (the generated ideals are unchanged); f_k = q^k - 1.
+  Its moduli list, shared by every instance, is the one store of (q)_k.
 * AdicChain(f): g_k = f^k, the f-adic filtration; f_k = f.
 * ProductChain(S): g_k = product of the first k entries of an enumeration
   e of cyclotomic indices drawn from S with unbounded repetition; the
@@ -31,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from . import cyclotomic
-from .cyclotomic import cyclotomic_poly, pochhammer
+from .cyclotomic import cyclotomic_poly, pochhammer_factor
 from .errors import (
     ChainMismatch,
     DigitDegreeViolation,
@@ -93,16 +93,17 @@ class FiltrationChain:
 
 class PochhammerChain(FiltrationChain):
     """g_k = (q)_k normalized to leading coefficient +1: f_k = q^k - 1.
-    The moduli list is `monic_pochhammer`'s memo itself, so every
-    instance and `pochhammer` extend and read one store."""
+    The moduli list is a class attribute, the one store of the g_k: every
+    instance reads it, and only `FiltrationChain.modulus` extends it."""
 
     label = "pochhammer"
+    _moduli: list[IntPolynomial] = [IntPolynomial.one()]
 
     def __init__(self) -> None:
-        self._moduli = cyclotomic._pochhammer_memo
+        """No per-instance list: the class-level `_moduli` is shared."""
 
     def factor(self, k: int) -> IntPolynomial:
-        return cyclotomic.pochhammer_factor(k)
+        return pochhammer_factor(k)
 
     def signature(self) -> tuple:
         return ("pochhammer",)
@@ -351,16 +352,22 @@ class SeriesSpec:
             raise ValueError(f"series {self.name!r}: a spec with a step needs term(0) = 1")
 
 
+def _stored_pochhammer(n: int) -> IntPolynomial:
+    """(q)_n = (-1)^n g_n, read from the Pochhammer chain's store."""
+    g = PochhammerChain().modulus(n)
+    return -g if n % 2 else g
+
+
 KONTSEVICH_ZAGIER_SPEC = SeriesSpec(
     name="kz",
-    term=pochhammer,
+    term=_stored_pochhammer,
     witness=lambda n: n,
     step=lambda n: IntPolynomial.one() - IntPolynomial.monomial(1, n),
 )
 
 Q_INVERSE_SPEC = SeriesSpec(
     name="qinv",
-    term=lambda n: IntPolynomial.monomial(1, n) * pochhammer(n),
+    term=lambda n: IntPolynomial.monomial(1, n) * _stored_pochhammer(n),
     witness=lambda n: n,
     step=lambda n: IntPolynomial.monomial(1, 1) - IntPolynomial.monomial(1, n + 1),
 )

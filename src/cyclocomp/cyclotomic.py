@@ -5,7 +5,8 @@ The central combinatorial datum is c(m, n): 0 when m = n, a prime p when
 n/m is a nonzero integer power of p, and 1 otherwise.  Two indices are
 adjacent over a coefficient ring exactly when the ring is c-adically
 separated, which for the built-in descriptors reduces to a predicate on
-primes.
+primes.  The module's one store is the Phi_n table `_cyclo_cache`; the
+(q)_k store is `completion.PochhammerChain`'s, and `pochhammer` keeps none.
 """
 
 from __future__ import annotations
@@ -75,37 +76,16 @@ def save_cyclotomic_cache(path: str) -> None:
             os.remove(tmp)
 
 
-_pochhammer_memo: list[IntPolynomial] = [IntPolynomial.one()]
-
-
 def pochhammer_factor(k: int) -> IntPolynomial:
     """q^k - 1, the factor g_k / g_{k-1} of the monic (q)_k chain."""
     return IntPolynomial.monomial(1, k) - IntPolynomial.one()
 
 
-def monic_pochhammer(n: int) -> IntPolynomial:
-    """g_n = (q - 1)(q^2 - 1)...(q^n - 1) = (-1)^n (q)_n; g_0 = 1.
-    The only store of (q)_n: a module list keeps g_0, g_1, ... as far as
-    indices were asked for in order, and is the moduli list of every
-    `completion.PochhammerChain`.  The next index extends it by one
-    product by q^n - 1; an index past that is built from the last entry
-    without storing the products in between."""
-    check_index(n, "pochhammer index", 0)
-    memo = _pochhammer_memo
-    if n < len(memo):
-        return memo[n]
-    poly = memo[-1]
-    for k in range(len(memo), n + 1):
-        poly = poly * pochhammer_factor(k)
-    if n == len(memo):
-        memo.append(poly)
-    return poly
-
-
 def pochhammer(n: int) -> IntPolynomial:
     """(q)_n = (1 - q)(1 - q^2)...(1 - q^n); (q)_0 = 1.  Degree n(n+1)/2.
-    Read from `monic_pochhammer`, with the sign restored for odd n."""
-    g = monic_pochhammer(n)
+    The product of the factors q^k - 1, sign restored; it stores nothing."""
+    check_index(n, "pochhammer index", 0)
+    g = math.prod(map(pochhammer_factor, range(1, n + 1)), start=IntPolynomial.one())
     return -g if n % 2 else g
 
 
@@ -182,27 +162,32 @@ def connected_components(
     desc: RingDescriptor, S: Iterable[int]
 ) -> list[list[int]]:
     """Partition of S into adjacency-connected components, each sorted,
-    ordered by smallest member."""
+    ordered by smallest member.  A union-find joins each v to the members
+    v / p^j (j >= 1) at the primes p where desc is separated, its
+    neighbours below it; over the zero ring all of S is one component."""
     verts = sorted({check_index(v, "vertex", 1) for v in S})
     if not verts:
         raise EmptySet("component partition of the empty set")
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in verts:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for other in verts:
-                if other not in seen and is_adjacent(desc, cur, other):
-                    seen.add(other)
-                    comp.append(other)
-                    queue.append(other)
-        comps.append(sorted(comp))
-    return comps
+    if desc.is_zero_ring:
+        return [verts]
+    parent = {v: v for v in verts}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for v in verts:
+        for p in filter(desc.is_separated_at, prime_factors(v)):
+            u = v
+            while u % p == 0:
+                u //= p
+                if u in parent:
+                    parent[root(u)] = root(v)
+    comps: dict[int, list[int]] = {}
+    for v in verts:
+        comps.setdefault(root(v), []).append(v)
+    return list(comps.values())
 
 
 # -- the mod-p congruence between cyclotomic levels ------------------------

@@ -142,8 +142,12 @@ def integer_witness_search(
 
     This is a finite certificate over the searched box, not a proof: it
     scans all coefficient vectors with entries in [-coeff_bound,
-    coeff_bound] and returns the first witness found, or None.
+    coeff_bound] and returns the first witness found, or None.  A level
+    below 1 or a negative max_degree or coeff_bound is a ValueError.
     """
+    check_index(level, "level", 1)
+    check_index(max_degree, "max_degree", 0)
+    check_index(coeff_bound, "coeff_bound", 0)
     f1 = cyclotomic_poly(1) ** level
     f2 = cyclotomic_poly(2) ** level
     rng = range(-coeff_bound, coeff_bound + 1)

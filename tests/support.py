@@ -18,6 +18,7 @@ from cyclocomp import (
     PochhammerChain,
     RatPolynomial,
     cyclotomic_poly,
+    is_adjacent,
     series_realize,
     taylor_at_root,
 )
@@ -157,3 +158,27 @@ def evaluate_by_division(a, order: int) -> CyclotomicInteger:
     representative by Phi_order, instead of folding its coefficients into
     order buckets."""
     return CyclotomicInteger(order, (a.rep % cyclotomic_poly(order)).coeffs)
+
+
+def components_by_pairwise_closure(desc, S) -> list[list[int]]:
+    """Connected components by a search that tests `is_adjacent` on every
+    pair it meets, O(V^2) tests, instead of a union-find over prime-power
+    divisors.  Each component sorted, ordered by smallest member."""
+    verts = sorted(set(S))
+    seen: set[int] = set()
+    comps = []
+    for start in verts:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            cur = queue.pop()
+            for other in verts:
+                if other not in seen and is_adjacent(desc, cur, other):
+                    seen.add(other)
+                    comp.append(other)
+                    queue.append(other)
+        comps.append(sorted(comp))
+    return comps

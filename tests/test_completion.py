@@ -26,7 +26,7 @@ from cyclocomp import (
     to_digits,
     unit_inverse_mod,
 )
-from cyclocomp import completion, cyclotomic
+from cyclocomp import completion
 from cyclocomp.completion import DigitExpansion, chain_from_json_dict, digit_degree_bound
 from cyclocomp.errors import (
     ChainMismatch,
@@ -98,7 +98,7 @@ class TestChains:
         def no_division(self, g):
             raise AssertionError("a chain modulus divided")
 
-        monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [ONE])
+        monkeypatch.setattr(PochhammerChain, "_moduli", [ONE])
         monkeypatch.setattr(IntPolynomial, "__divmod__", no_division)
         phi = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 6: [1, -1, 1]}
         cases = [
@@ -424,6 +424,13 @@ class TestSeries:
         assert spec.term(0) == ONE
         for k in range(1, 41):
             assert spec.term(k) == spec.term(k - 1) * spec.step(k)
+
+    def test_terms_read_the_store_and_match_the_product(self, monkeypatch):
+        monkeypatch.setattr(PochhammerChain, "_moduli", [ONE])
+        for n in range(41):
+            assert KONTSEVICH_ZAGIER_SPEC.term(n) == pochhammer(n)
+            assert Q_INVERSE_SPEC.term(n) == IntPolynomial.monomial(1, n) * pochhammer(n)
+        assert len(PochhammerChain._moduli) == 41
 
     def test_step_needs_term_zero_one(self):
         with pytest.raises(ValueError):

@@ -27,10 +27,10 @@ from cyclocomp import (
     ring_z_inverted,
 )
 from cyclocomp import cyclotomic
-from cyclocomp.cyclotomic import _pow_mod_p, monic_pochhammer
+from cyclocomp.cyclotomic import _pow_mod_p
 from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
 
-from support import phi_by_trial_factorization
+from support import components_by_pairwise_closure, phi_by_trial_factorization
 
 
 def P(*coeffs):
@@ -137,23 +137,30 @@ class TestPochhammer:
             assert pochhammer(n).degree == n * (n + 1) // 2 or n == 0
 
     def test_sign_of_the_monic_store(self):
+        chain = PochhammerChain()
         for n in range(12):
-            g = monic_pochhammer(n)
+            g = chain.modulus(n)
             assert g.leading_coefficient == 1
             assert pochhammer(n) == (-g if n % 2 else g)
-        assert pochhammer(6) is monic_pochhammer(6)
 
-    def test_chain_shares_the_store(self, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [IntPolynomial.one()])
-        chain = PochhammerChain()
-        assert chain._moduli is cyclotomic._pochhammer_memo
-        chain.modulus(9)
-        for k in range(1, 10):
-            assert chain.modulus(k) is monic_pochhammer(k)
-            assert chain.modulus(k) is cyclotomic._pochhammer_memo[k]
+    def test_instances_share_one_store(self, monkeypatch):
+        monkeypatch.setattr(PochhammerChain, "_moduli", [IntPolynomial.one()])
+        a, b = PochhammerChain(), PochhammerChain()
+        assert a._moduli is b._moduli is PochhammerChain._moduli
+        a.modulus(9)
+        assert len(b._moduli) == 10
+        for k in range(10):
+            assert b.modulus(k) is a.modulus(k)
 
-    def test_memo_matches_shift_and_subtract(self, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "_pochhammer_memo", [IntPolynomial.one()])
+    def test_pochhammer_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(PochhammerChain, "_moduli", [IntPolynomial.one()])
+        PochhammerChain().modulus(5)
+        for n in (3, 6, 7, 40):  # inside, at and past the store's end
+            pochhammer(n)
+            assert len(PochhammerChain._moduli) == 6
+
+    def test_store_and_product_match_shift_and_subtract(self, monkeypatch):
+        monkeypatch.setattr(PochhammerChain, "_moduli", [IntPolynomial.one()])
         expected = [[1]]
         for k in range(1, 41):
             # (q)_k = (q)_{k-1} - q^k * (q)_{k-1}
@@ -162,8 +169,11 @@ class TestPochhammer:
             expected.append([a - b for a, b in zip(prev + [0] * k, shifted)])
         order = list(range(41))
         random.Random(40).shuffle(order)
+        chain = PochhammerChain()
         for n in order:
-            assert pochhammer(n) == IntPolynomial(expected[n])
+            want = IntPolynomial(expected[n])
+            assert pochhammer(n) == want
+            assert chain.modulus(n) == (-want if n % 2 else want)
 
 
 class TestCValue:
@@ -243,6 +253,22 @@ class TestComponents:
             flat = [m for comp in comps for m in comp]
             assert sorted(flat) == sorted(S)
             assert len(set(flat)) == len(flat)
+
+    def test_matches_pairwise_closure(self):
+        rng = random.Random(12)
+        rings = [RING_Z, RING_Q, RING_ZERO] + [ring_z_inverted(m) for m in (2, 6, 10)]
+        for desc in rings:
+            for _ in range(40):
+                top = rng.choice([30, 120, 399])
+                S = rng.sample(range(1, top + 1), rng.randint(1, min(top, 40)))
+                assert connected_components(desc, S) == components_by_pairwise_closure(desc, S)
+
+    def test_two_thousand_vertices(self):
+        start = time.process_time()
+        comps = connected_components(RING_Z, range(1, 2001))
+        elapsed = time.process_time() - start
+        assert elapsed < 0.25, f"1..2000 over Z took {elapsed:.2f} s CPU, budget 0.25 s"
+        assert comps == components_by_pairwise_closure(RING_Z, range(1, 2001))
 
     def test_adjacency_graph_wrapper(self):
         graph = AdjacencyGraph(frozenset({1, 2, 6}), RING_Z)

@@ -26,13 +26,13 @@ from cyclocomp import (
     congruence_check,
     connected_components,
     cyclotomic_poly,
+    integer_witness_search,
     pochhammer,
     reduce,
     ring_z_inverted,
     root_multiplicity,
 )
 from cyclocomp.completion import chain_from_json_dict
-from cyclocomp.cyclotomic import monic_pochhammer
 from cyclocomp.polyring import check_index, is_prime, prime_factors
 
 F = IntPolynomial([3, -1, 4, 1, 5])
@@ -63,7 +63,6 @@ REJECTIONS = [
     ("pochhammer(2.0)", lambda: pochhammer(2.0), TypeError),
     ("pochhammer(True)", lambda: pochhammer(True), TypeError),
     ("pochhammer(-1)", lambda: pochhammer(-1), ValueError),
-    ("monic_pochhammer(True)", lambda: monic_pochhammer(True), TypeError),
     ("c_value(True, 2)", lambda: c_value(True, 2), TypeError),
     ("c_value(2, 4.0)", lambda: c_value(2, 4.0), TypeError),
     ("c_value(0, 2)", lambda: c_value(0, 2), ValueError),
@@ -89,6 +88,12 @@ REJECTIONS = [
     ("root_multiplicity order 0", lambda: root_multiplicity(PochhammerChain(), 5, 0), ValueError),
     ("prime_factors(0)", lambda: prime_factors(0), ValueError),
     ("prime_factors(6.0)", lambda: prime_factors(6.0), TypeError),
+    ("integer_witness_search level 0", lambda: integer_witness_search(0, 1, 2), ValueError),
+    ("integer_witness_search level 1.0", lambda: integer_witness_search(1.0, 1, 2), TypeError),
+    ("integer_witness_search max_degree -1", lambda: integer_witness_search(1, -1, 2), ValueError),
+    ("integer_witness_search max_degree True", lambda: integer_witness_search(1, True, 2), TypeError),
+    ("integer_witness_search coeff_bound -2", lambda: integer_witness_search(1, 1, -2), ValueError),
+    ("integer_witness_search coeff_bound 2.0", lambda: integer_witness_search(1, 1, 2.0), TypeError),
 ]
 
 

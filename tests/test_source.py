@@ -71,6 +71,27 @@ def test_no_chain_overrides_modulus():
     assert found == []
 
 
+def test_no_store_but_the_known_ones():
+    # A module- or class-level list, dict or set is state shared by every
+    # caller in the process.  The library keeps three: the Phi_n table,
+    # the series registry and the Pochhammer chain's (q)_k store.
+    containers = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [("", tree)] + [
+            (f"{node.name}.", node) for node in tree.body if isinstance(node, ast.ClassDef)
+        ]
+        for prefix, scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    node.value, containers
+                ):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [prefix + ast.unparse(t) for t in targets]
+    assert sorted(found) == ["NAMED_SERIES", "PochhammerChain._moduli", "_cyclo_cache"]
+
+
 def test_sources_parse_at_the_python_floor():
     # New syntax slips in unseen when the suite runs on a newer Python;
     # the floor is the one pyproject.toml declares.
