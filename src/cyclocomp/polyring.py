@@ -7,7 +7,8 @@ every integer, so degree inequalities can be written without special cases.
 
 Over Z, division is only defined when the divisor's leading coefficient is
 a unit (+-1); exact divisibility by such divisors is tested with
-`divides`.  Over Q any nonzero divisor works.
+`divides`.  Over Q any nonzero divisor works; products and division over
+Q run the integer kernels on integer numerators.
 
 Serialization: a polynomial is a JSON array of decimal coefficient
 strings, little-endian, e.g. 1 - q^3  <->  ["1", "0", "0", "-1"].
@@ -152,7 +153,7 @@ class _Polynomial:
         return self._wrap([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if not isinstance(other, _Polynomial):
             c = self._coerce(other)
             return self._wrap([c * x for x in self.coeffs])
         self._same_domain(other)
@@ -186,6 +187,8 @@ class _Polynomial:
 
     def __divmod__(self, g):
         self._same_domain(g)
+        if g.is_zero:
+            raise DivisionByZeroPolynomial("division by the zero polynomial")
         return self._divmod(g)
 
     def __floordiv__(self, g):
@@ -193,28 +196,6 @@ class _Polynomial:
 
     def __mod__(self, g):
         return divmod(self, g)[1]
-
-    def _divmod(self, g):
-        if g.is_zero:
-            raise DivisionByZeroPolynomial("division by the zero polynomial")
-        inv = self._leading_inverse(g)
-        return self._long_divide(list(self.coeffs), g.coeffs, lambda c: c * inv)
-
-    @classmethod
-    def _long_divide(cls, r: list, gc: tuple, top_quotient):
-        """(quotient, remainder) of the coefficients r by gc, by schoolbook
-        steps whose quotient coefficient is top_quotient(top coefficient)."""
-        dg = len(gc) - 1
-        quot = [cls._coerce(0)] * max(len(r) - dg, 0)
-        for top in range(len(r) - 1, dg - 1, -1):
-            c = r[top]
-            if not c:
-                continue
-            c = top_quotient(c)
-            quot[top - dg] = c
-            for j in range(dg + 1):
-                r[top - dg + j] -= c * gc[j]
-        return cls._wrap(quot), cls._wrap(r[:dg])
 
     # -- comparison / hashing --------------------------------------------
 
@@ -294,13 +275,14 @@ class IntPolynomial(_Polynomial):
     def has_unit_leading_coefficient(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] in (1, -1)
 
-    def _leading_inverse(self, g):
+    def _divmod(self, g):
         lc = g.coeffs[-1]
         if lc not in (1, -1):
             raise NonUnitLeadingCoefficient(
                 f"divisor leading coefficient {lc} is not a unit of Z"
             )
-        return lc  # +-1 is its own inverse
+        # +-1 is its own inverse
+        return _long_divide(list(self.coeffs), g.coeffs, lambda c: c * lc)
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
@@ -311,7 +293,17 @@ class IntPolynomial(_Polynomial):
 
 
 class RatPolynomial(_Polynomial):
-    """Polynomial with exact rational coefficients (always in lowest terms)."""
+    """Polynomial with exact rational coefficients, each a Fraction in
+    lowest terms.
+
+    Products and division run on integer numerators: each operand is
+    scaled by the lcm of its denominators, the integer kernels
+    (`IntPolynomial` products, `_pseudo_divmod`) do the work, and each
+    output coefficient becomes one Fraction over the combined scale.
+
+    >>> RatPolynomial([Fraction(1, 2), 1]) * RatPolynomial([Fraction(2, 3)])
+    RatPolynomial('2/3*q + 1/3')
+    """
 
     __slots__ = ()
     _coeff_type = Fraction
@@ -319,12 +311,38 @@ class RatPolynomial(_Polynomial):
 
     @staticmethod
     def _coerce(c) -> Fraction:
-        if isinstance(c, bool):
-            raise TypeError("bool is not a coefficient")
-        return Fraction(c)
+        if isinstance(c, Fraction):
+            return c
+        if isinstance(c, int) and not isinstance(c, bool):
+            return Fraction(c)
+        raise TypeError(f"rational coefficient expected, got {c!r}")
 
-    def _leading_inverse(self, g):
-        return 1 / g.coeffs[-1]
+    def _numerators(self) -> tuple[IntPolynomial, int]:
+        """(N, d) with self = N/d: d the lcm of the denominators."""
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        return IntPolynomial._wrap([c.numerator * (d // c.denominator) for c in self.coeffs]), d
+
+    @classmethod
+    def _over(cls, nums: Iterable[int], den: int) -> "RatPolynomial":
+        return cls._wrap([Fraction(c, den) for c in nums])
+
+    def __mul__(self, other):
+        if type(other) is not RatPolynomial:
+            return super().__mul__(other)
+        a, da = self._numerators()
+        b, db = other._numerators()
+        return self._over((a * b).coeffs, da * db)
+
+    def _divmod(self, g):
+        if len(self.coeffs) < len(g.coeffs):
+            return self.zero(), self
+        a, da = self._numerators()
+        b, db = g._numerators()
+        # alpha*a = quot*b + rem over Z, so with self = a/da and g = b/db:
+        # self = (quot*db / (alpha*da)) * g + rem / (alpha*da).
+        quot, rem, alpha = _pseudo_divmod(a, b)
+        den = alpha * da
+        return self._over((c * db for c in quot.coeffs), den), self._over(rem.coeffs, den)
 
     def to_json(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
@@ -369,62 +387,74 @@ def is_prime(p: int) -> bool:
 # Sign convention: `resultant(a, b)` equals the determinant of the
 # Sylvester matrix whose first deg(b) rows carry the coefficients of a
 # (descending, shifted) and whose remaining deg(a) rows carry b.
-# Computed by a primitive pseudo-remainder sequence; only scalar
-# bookkeeping uses Fractions, so the polynomial work stays in Z.
+# Computed by a primitive pseudo-remainder sequence over Z: the polynomial
+# work and the scalar bookkeeping (one integer numerator and denominator)
+# both stay in Z.
+
+
+def _long_divide(r: list, gc: tuple, top_quotient):
+    """(quotient, remainder) of the integer coefficients r by gc, by
+    schoolbook steps whose quotient coefficient is top_quotient(top
+    coefficient); r is overwritten."""
+    dg = len(gc) - 1
+    quot = [0] * max(len(r) - dg, 0)
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top]
+        if not c:
+            continue
+        c = top_quotient(c)
+        quot[top - dg] = c
+        for j in range(dg + 1):
+            r[top - dg + j] -= c * gc[j]
+    return IntPolynomial._wrap(quot), IntPolynomial._wrap(r[:dg])
 
 
 def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
     """(q, r, alpha) with alpha = lc(b)^(deg a - deg b + 1) and
-    alpha * a = q*b + r over Z; every quotient step is an exact division."""
+    alpha * a = q*b + r over Z, for deg a >= deg b - 1; every quotient
+    step is an exact division."""
     lc = b.coeffs[-1]
     alpha = lc ** (len(a.coeffs) - len(b.coeffs) + 1)
     r = [c * alpha for c in a.coeffs]
-    q, rem = IntPolynomial._long_divide(r, b.coeffs, lambda c: _exact_div(c, lc))
+    q, rem = _long_divide(r, b.coeffs, lambda c: _exact_div(c, lc))
     return q, rem, alpha
 
 
 def _prs(a: IntPolynomial, b: IntPolynomial):
-    """One primitive PRS of nonzero a and b: (res, R, u, v) with res the
-    resultant of a and b, and integer cofactors with u*a + v*b = R, the
-    last remainder, a nonzero constant.  When a and b share a
-    nonconstant factor the sequence reaches zero and res = R = 0 with
-    zero cofactors."""
-    zero, one = IntPolynomial.zero(), IntPolynomial.one()
-    acc = Fraction(1)
-    swapped = len(a.coeffs) < len(b.coeffs)
-    if swapped:
+    """One primitive PRS of nonzero a and b: (res, R, u) with res the
+    resultant of a and b, R the last remainder, a nonzero constant, and u
+    the integer cofactor of the longer input (a on a tie): u*long + v*short
+    = R for a v that is not carried.  When a and b share a nonconstant
+    factor the sequence reaches zero and res = R = 0 with u = 0."""
+    num, den = 1, 1
+    if len(a.coeffs) < len(b.coeffs):
         if (len(a.coeffs) - 1) * (len(b.coeffs) - 1) % 2:
-            acc = -acc
+            num = -1
         a, b = b, a
     r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
+    u0, u1 = IntPolynomial.one(), IntPolynomial.zero()
     while len(r1.coeffs) > 1:
         m = len(r0.coeffs) - 1
         n = len(r1.coeffs) - 1
         q, r2, alpha = _pseudo_divmod(r0, r1)
         if r2.is_zero:
-            return 0, 0, zero, zero
+            return 0, 0, IntPolynomial.zero()
         u2 = u0 * alpha - q * u1
-        v2 = v0 * alpha - q * v1
         # Dividing r2 by any nonzero scalar g keeps the resultant
-        # recurrence exact: res(r0, r1) picks up lc(r1)^(m-s) * (g/alpha)^n.
-        g = math.gcd(r2.content(), *u2.coeffs, *v2.coeffs)
+        # recurrence exact: res(r0, r1) picks up lc(r1)^(m-s) * (g/alpha)^n,
+        # and alpha = lc(r1)^(m-n+1), so the powers of lc(r1) cancel first.
+        g = math.gcd(r2.content(), *u2.coeffs)
         if g > 1:
             r2 = IntPolynomial._wrap([c // g for c in r2.coeffs])
             u2 = IntPolynomial._wrap([c // g for c in u2.coeffs])
-            v2 = IntPolynomial._wrap([c // g for c in v2.coeffs])
-        s = len(r2.coeffs) - 1
-        acc *= Fraction(r1.coeffs[-1]) ** (m - s) * Fraction(g, alpha) ** n
+        e = len(r2.coeffs) - 1 - m + n * (m - n + 1)
+        num *= g**n * r1.coeffs[-1] ** max(-e, 0)
+        den *= r1.coeffs[-1] ** max(e, 0)
         if (m * n) % 2:
-            acc = -acc
-        r0, r1, u0, u1, v0, v1 = r1, r2, u1, u2, v1, v2
-    acc *= Fraction(r1.coeffs[0]) ** (len(r0.coeffs) - 1)
-    if acc.denominator != 1:
-        raise AssertionError("resultant bookkeeping left a fraction")
-    if swapped:
-        u1, v1 = v1, u1
-    return acc.numerator, r1.coeffs[0], u1, v1
+            num = -num
+        r0, r1, u0, u1 = r1, r2, u1, u2
+    num *= r1.coeffs[0] ** (len(r0.coeffs) - 1)
+    return _exact_div(num, den), r1.coeffs[0], u1
 
 
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
@@ -459,13 +489,22 @@ def subresultant_bezout(
             )
         return 1, IntPolynomial([x]), IntPolynomial([y])
 
-    res, R, u, v = _prs(a, b)
+    swapped = len(a.coeffs) < len(b.coeffs)
+    long, short = (b, a) if swapped else (a, b)
+    res, R, u = _prs(a, b)
+    v = zero
     if res:
-        # Rescale u*a + v*b = R to the resultant.  The minimal-degree
-        # cofactors for `res` are integral (Cramer on the Sylvester
-        # system), and they equal (u/R)*res, so the divisions are exact.
+        # Rescale u*long + v*short = R to the resultant.  The minimal-degree
+        # cofactors for `res` are integral (Cramer on the Sylvester system)
+        # and equal (u/R)*res, so every division here is exact, including
+        # each step of v = (res - u*long)/short; at the R scale v need not
+        # be integral.  The identity check also catches a nonzero remainder.
         u = IntPolynomial._wrap([_exact_div(c * res, R) for c in u.coeffs])
-        v = IntPolynomial._wrap([_exact_div(c * res, R) for c in v.coeffs])
+        lc = short.coeffs[-1]
+        rest = (IntPolynomial.constant(res) - u * long).coeffs
+        v = _long_divide(list(rest), short.coeffs, lambda c: _exact_div(c, lc))[0]
+    if swapped:
+        u, v = v, u
     if u * a + v * b != IntPolynomial.constant(res):
         raise AssertionError("Bezout identity u*a + v*b = res fails")
     return res, u, v

@@ -13,6 +13,9 @@ Phi_n^lambda(n) and R_n the product of the other factors,
 `subresultant_bezout(R_n, F_n)` returns res and u, v with u*R_n + v*F_n =
 res, an identity it checks.  So s_n = u/res inverts R_n mod F_n, and e_n =
 s_n*R_n is the idempotent that is 1 mod F_n and 0 mod the other factors.
+An `ExponentVector` computes its factor powers, its modulus and this
+Bezout data (F_n, R_n, s_n) once, on first use, and keeps them, so
+repeated splits and reconstructions over one vector share them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly
@@ -31,7 +34,8 @@ from .polyring import IntPolynomial, RatPolynomial, check_index, subresultant_be
 @dataclass(frozen=True)
 class ExponentVector:
     """Finite support map n -> lambda(n) >= 1 selecting the modulus
-    prod Phi_n^lambda(n)."""
+    prod Phi_n^lambda(n).  The derived polynomials are cached properties,
+    computed on first use."""
 
     exponents: tuple[tuple[int, int], ...]
 
@@ -48,18 +52,51 @@ class ExponentVector:
     def support(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.exponents)
 
+    @cached_property
+    def _exponent_of(self) -> dict[int, int]:
+        return dict(self.exponents)
+
     def exponent(self, n: int) -> int:
-        return dict(self.exponents)[n]
+        return self._exponent_of[n]
+
+    @cached_property
+    def _factors(self) -> dict[int, IntPolynomial]:
+        """n -> Phi_n^lambda(n) over Z."""
+        return {n: cyclotomic_poly(n) ** e for n, e in self.exponents}
+
+    @cached_property
+    def _rational_factors(self) -> dict[int, RatPolynomial]:
+        return {n: f.to_rational() for n, f in self._factors.items()}
 
     def factor(self, n: int) -> RatPolynomial:
         """Phi_n^lambda(n) over Q."""
-        return (cyclotomic_poly(n) ** self.exponent(n)).to_rational()
+        return self._rational_factors[n]
+
+    @cached_property
+    def _modulus(self) -> RatPolynomial:
+        return math.prod(self._factors.values(), start=IntPolynomial.one()).to_rational()
 
     def modulus(self) -> RatPolynomial:
-        return math.prod((self.factor(n) for n in self.support), start=RatPolynomial.one())
+        return self._modulus
 
     def component_degree_bound(self, n: int) -> int:
-        return self.exponent(n) * (len(cyclotomic_poly(n).coeffs) - 1)
+        return self._factors[n].degree
+
+    @cached_property
+    def _bezout(self) -> tuple[tuple[int, RatPolynomial, RatPolynomial, RatPolynomial], ...]:
+        """(n, F_n, R_n, s_n) over Q for each support index n, as in the
+        module docstring; deg s_n < deg F_n."""
+        out = []
+        for n, f in self._factors.items():
+            rest = math.prod(
+                (g for m, g in self._factors.items() if m != n), start=IntPolynomial.one()
+            )
+            res, u, _ = subresultant_bezout(rest, f)
+            if res == 0:
+                raise AssertionError("CRT moduli are not coprime")
+            s = RatPolynomial._over(u.coeffs, res)
+            out.append((n, self._rational_factors[n], rest.to_rational(), s))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -89,18 +126,6 @@ def crt_split(f: RatPolynomial, lam: ExponentVector) -> CrtComponents:
     )
 
 
-def _bezout_factors(lam: ExponentVector):
-    """Yield (n, F_n, R_n, s_n) over Q for each support index n, as in
-    the module docstring; deg s_n < deg F_n."""
-    factors = {n: cyclotomic_poly(n) ** e for n, e in lam.exponents}
-    for n, f in factors.items():
-        rest = math.prod((g for m, g in factors.items() if m != n), start=IntPolynomial.one())
-        res, u, _ = subresultant_bezout(rest, f)
-        if res == 0:
-            raise AssertionError("CRT moduli are not coprime")
-        yield n, f.to_rational(), rest.to_rational(), u.to_rational() * Fraction(1, res)
-
-
 def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
     """The unique representative of degree < deg modulus hitting every
     component; inverse to crt_split.  It is the sum of the terms
@@ -110,7 +135,7 @@ def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
             f"component support {comps.support} does not match {lam.support}"
         )
     out = RatPolynomial.zero()
-    for n, f, rest, s in _bezout_factors(lam):
+    for n, f, rest, s in lam._bezout:
         c = comps.component(n)
         if c.degree >= f.degree:
             raise DegreeViolation(
@@ -123,7 +148,7 @@ def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
 def crt_idempotents(lam: ExponentVector) -> dict[int, RatPolynomial]:
     """Preimages e_n = s_n * R_n of the unit vectors: e_n = 1 at n, 0
     elsewhere."""
-    return {n: s * rest for n, _, rest, s in _bezout_factors(lam)}
+    return {n: s * rest for n, _, rest, s in lam._bezout}
 
 
 def rho_q_kernel_witness(level: int) -> RatPolynomial:

@@ -1,8 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here recomputes expected values by a route different from the
-implementation under test: Sylvester determinants by fraction-free
-elimination instead of remainder sequences, totients by trial
+implementation under test: products and division over Q Fraction by
+Fraction instead of on integer numerators, Sylvester determinants by
+fraction-free elimination instead of remainder sequences, totients by trial
 factorization instead of polynomial degrees, root-of-unity arithmetic by
 direct products in Z[zeta] instead of polynomial reduction, and so on.
 """
@@ -41,6 +42,35 @@ def random_rat_poly(rng: random.Random, max_degree: int, bound: int = 20):
     return RatPolynomial(
         [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n)]
     )
+
+
+def schoolbook_rat_mul(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
+    """Product over Q coefficient by coefficient, Fraction by Fraction,
+    instead of integer numerators over a common denominator."""
+    if not a.coeffs or not b.coeffs:
+        return RatPolynomial.zero()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return RatPolynomial(out)
+
+
+def schoolbook_rat_divmod(a: RatPolynomial, g: RatPolynomial):
+    """(quotient, remainder) over Q by long division with the inverse of
+    g's leading coefficient, Fraction by Fraction, instead of an integer
+    pseudo-division."""
+    r = list(a.coeffs)
+    gc = g.coeffs
+    dg = len(gc) - 1
+    inv = 1 / gc[-1]
+    quot = [Fraction(0)] * max(len(r) - dg, 0)
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top] * inv
+        quot[top - dg] = c
+        for j in range(dg + 1):
+            r[top - dg + j] -= c * gc[j]
+    return RatPolynomial(quot), RatPolynomial(r[:dg])
 
 
 def sylvester_determinant(a: IntPolynomial, b: IntPolynomial) -> int:

@@ -1,17 +1,20 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclocomp import (
     IntPolynomial,
     NEG_INFINITY,
     RatPolynomial,
+    cyclotomic_poly,
     divides,
     poly_mod_prime,
+    polyring,
     rational_xgcd,
     resultant,
     subresultant_bezout,
@@ -24,7 +27,13 @@ from cyclocomp.errors import (
     NotPrime,
 )
 
-from support import random_int_poly, random_unit_leading_poly, sylvester_determinant
+from support import (
+    random_int_poly,
+    random_unit_leading_poly,
+    schoolbook_rat_divmod,
+    schoolbook_rat_mul,
+    sylvester_determinant,
+)
 
 
 def P(*coeffs):
@@ -82,6 +91,30 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             P(1) + RatPolynomial([1])
 
+    @pytest.mark.parametrize(
+        "cls, coeff",
+        [
+            (IntPolynomial, True),
+            (IntPolynomial, 0.5),
+            (IntPolynomial, "3"),
+            (IntPolynomial, Fraction(1, 2)),
+            (RatPolynomial, True),
+            (RatPolynomial, 0.1),
+            (RatPolynomial, "1e3"),
+            (RatPolynomial, " 2/4 "),
+            (RatPolynomial, Decimal("0.5")),
+        ],
+    )
+    def test_coefficient_neither_int_nor_fraction_rejected(self, cls, coeff):
+        # Coefficients and scalars are ints (not bools) or Fractions;
+        # floats and strings are not parsed on the way in.
+        with pytest.raises(TypeError):
+            cls([1, coeff])
+        with pytest.raises(TypeError):
+            cls.constant(coeff)
+        with pytest.raises(TypeError):
+            cls.one() * coeff
+
 
 def _operands(coeff):
     """Little-endian coefficient lists, sparse, dense or mixed."""
@@ -123,6 +156,59 @@ class TestProductAgainstSympy:
         expected = RatPolynomial([Fraction(int(c.p), int(c.q)) for c in product])
         assert RatPolynomial(a) * RatPolynomial(b) == expected
         assert RatPolynomial(b) * RatPolynomial(a) == expected
+
+
+def _rat_sympy(p):
+    return _sympy_poly([sympy.Rational(c.numerator, c.denominator) for c in p.coeffs], sympy.QQ)
+
+
+def _rat_from_sympy(poly):
+    return RatPolynomial(_fractions(poly))
+
+
+_rat_coeffs = st.one_of(
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(-50, 50, max_denominator=12),
+    st.fractions(-(10**6), 10**6, max_denominator=10**30),  # large denominators
+)
+# Zero, sparse and dense operands; a random leading coefficient makes
+# most of them non-monic and non-integral.
+_rat_polys = st.one_of(
+    st.just(RatPolynomial.zero()),
+    st.builds(RatPolynomial.monomial, _rat_coeffs, st.integers(0, 12)),
+    st.lists(_rat_coeffs, max_size=14).map(RatPolynomial),
+)
+
+
+class TestRationalKernelsAgainstOracles:
+    # Products and division run on integer numerators; the oracles are
+    # the Fraction-by-Fraction schoolbook routes and sympy over QQ.
+    @settings(max_examples=300, deadline=None)
+    @given(_rat_polys, _rat_polys)
+    def test_product(self, a, b):
+        expected = schoolbook_rat_mul(a, b)
+        assert a * b == expected
+        assert b * a == expected
+        assert _rat_from_sympy(_rat_sympy(a) * _rat_sympy(b)) == expected
+        assert all(type(c) is Fraction for c in (a * b).coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rat_polys, _rat_polys.filter(bool))
+    @example(RatPolynomial([1, 2]), RatPolynomial([0, 0, Fraction(3, 7)]))
+    @example(RatPolynomial.zero(), RatPolynomial([Fraction(1, 10**20), 3]))
+    @example(RatPolynomial([5, 0, 1]), RatPolynomial([Fraction(-2, 3)]))
+    @example(
+        RatPolynomial([Fraction(1, 3**40), 0, 0, 0, Fraction(7, 2**50)]),
+        RatPolynomial([Fraction(5, 9), Fraction(-4, 11**20)]),
+    )
+    def test_divmod_and_mod(self, a, g):
+        expected = schoolbook_rat_divmod(a, g)
+        assert divmod(a, g) == expected
+        assert a // g == expected[0]
+        assert a % g == expected[1]
+        quot, rem = sympy.div(_rat_sympy(a), _rat_sympy(g))
+        assert (_rat_from_sympy(quot), _rat_from_sympy(rem)) == expected
+        assert all(type(c) is Fraction for part in divmod(a, g) for c in part.coeffs)
 
 
 class TestDivMod:
@@ -287,6 +373,15 @@ class TestResultantBezout:
         st.lists(st.integers(-6, 6), min_size=1, max_size=6),
         st.lists(st.integers(-3, 3), min_size=1, max_size=3),
     )
+    @example([1, 2, 3], [-2, 0, 5], [1])  # non-monic, equal degrees
+    @example([4, 0, 0, 6], [2, 3], [1])  # non-monic, longer first
+    @example([5, -1], [3, 0, 1, 0, -2], [1])  # non-monic, shorter first
+    @example([1, 2, 3], [-4, 2], [2, 3])  # non-monic common factor
+    @example([1, 1], [1, 0, 1], [0, 0, -1])  # common factor q^2
+    @example([6], [1, 2, 3], [1])  # constant first
+    @example([1, -1, 4], [-9], [1])  # constant second
+    @example([6], [-10], [1])  # two constants, gcd 2
+    @example([3], [-4], [1])  # two coprime constants
     def test_one_pass_matches_sylvester_and_bezout(self, a, b, common):
         # `common` of degree 0 leaves the pair as drawn; a higher degree
         # plants a shared factor (resultant 0).
@@ -307,6 +402,35 @@ class TestResultantBezout:
         res, u, v = subresultant_bezout(P(3), P(1, 0, 0, 1))
         assert res == 27
         assert u * P(3) + v * P(1, 0, 0, 1) == P(27)
+
+    def test_integer_inputs_build_no_fraction(self, monkeypatch):
+        # The PRS keeps its bookkeeping in Z; a Fraction in polyring is
+        # only for RatPolynomial.
+        def no_fraction(*args):
+            raise AssertionError("Fraction built for integer inputs")
+
+        monkeypatch.setattr(polyring, "Fraction", no_fraction)
+        pairs = [
+            (P(1, 1, 1), P(-1, 1)),
+            (P(-1, 1), P(1, 1, 1)),
+            (P(3), P(1, 0, 0, 1)),
+            (P(1, 0, 0, 1), P(3)),
+            (P(2, 0, 3), P(1, 5, 0, 7)),
+            (P(1, 1) * P(1, 2, 3), P(1, 1) * P(-4, 1)),
+            (cyclotomic_poly(12), cyclotomic_poly(8)),
+            (cyclotomic_poly(15), cyclotomic_poly(5)),
+        ]
+        rng = random.Random(8)
+        while len(pairs) < 60:
+            a, b = random_int_poly(rng, 6, 9), random_int_poly(rng, 6, 9)
+            if a and b and (a.degree or b.degree):
+                pairs.append((a, b))
+        for a, b in pairs:
+            res = resultant(a, b)
+            assert res == sylvester_determinant(a, b)
+            r, u, v = subresultant_bezout(a, b)
+            assert r == res
+            assert u * a + v * b == IntPolynomial.constant(res)
 
 
 class TestModPrime:

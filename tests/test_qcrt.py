@@ -17,6 +17,7 @@ from cyclocomp import (
     integer_witness_search,
     rho_q_kernel_witness,
 )
+from cyclocomp import qcrt
 from cyclocomp.errors import DegreeViolation
 
 from support import random_rat_poly
@@ -37,6 +38,27 @@ class TestExponentVector:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ExponentVector({})
+
+    def test_bezout_data_computed_once_per_vector(self, monkeypatch):
+        calls = []
+        bezout = qcrt.subresultant_bezout
+
+        def counted(a, b):
+            calls.append((a, b))
+            return bezout(a, b)
+
+        monkeypatch.setattr(qcrt, "subresultant_bezout", counted)
+        lam = ExponentVector({1: 2, 2: 1, 3: 2, 5: 1})
+        f = RatPolynomial([Fraction(k - 4, k + 1) for k in range(15)])
+        for _ in range(3):
+            comps = crt_split(f, lam)
+            assert crt_split(crt_reconstruct(comps, lam), lam) == comps
+            assert sorted(crt_idempotents(lam)) == [1, 2, 3, 5]
+        assert len(calls) == len(lam.support)
+        # The cached data does not take part in equality or hashing.
+        fresh = ExponentVector({5: 1, 3: 2, 2: 1, 1: 2})
+        assert lam == fresh and hash(lam) == hash(fresh)
+        assert lam.exponent(3) == 2 and lam.component_degree_bound(3) == 4
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,29 @@ def test_no_store_but_the_known_ones():
     assert sorted(found) == ["NAMED_SERIES", "PochhammerChain._moduli", "_cyclo_cache"]
 
 
+def test_fraction_only_in_rational_coefficients():
+    # The integer kernels and the PRS keep their bookkeeping in Z.  In
+    # polyring.py a Fraction may be named only inside RatPolynomial and
+    # where coefficients are parsed (`_coerce`).
+    path = Path(cyclocomp.__file__).parent / "polyring.py"
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            named = (isinstance(child, ast.Name) and child.id == "Fraction") or (
+                isinstance(child, ast.Attribute) and child.attr == "Fraction"
+            )
+            if named and "RatPolynomial" not in scope and scope[-1:] != ("_coerce",):
+                found.append(f"{'.'.join(scope) or '<module>'}:{child.lineno}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert found == []
+
+
 def test_sources_parse_at_the_python_floor():
     # New syntax slips in unseen when the suite runs on a newer Python;
     # the floor is the one pyproject.toml declares.
