@@ -110,7 +110,7 @@ def _positive_list(text: str) -> list[int]:
 def _parse_poly(text: str, cls=IntPolynomial):
     try:
         return cls.from_json(json.loads(text))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad polynomial JSON {text!r}: {exc}") from exc
 
 

@@ -276,13 +276,18 @@ class IntPolynomial(_Polynomial):
         return bool(self.coeffs) and self.coeffs[-1] in (1, -1)
 
     def _divmod(self, g):
-        lc = g.coeffs[-1]
+        lc = g._unit_leading_coefficient()
+        # +-1 is its own inverse
+        return _long_divide(list(self.coeffs), g.coeffs, lambda c: c * lc)
+
+    def _unit_leading_coefficient(self) -> int:
+        """The leading coefficient of nonzero self, if it is +-1."""
+        lc = self.coeffs[-1]
         if lc not in (1, -1):
             raise NonUnitLeadingCoefficient(
                 f"divisor leading coefficient {lc} is not a unit of Z"
             )
-        # +-1 is its own inverse
-        return _long_divide(list(self.coeffs), g.coeffs, lambda c: c * lc)
+        return lc
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
@@ -307,7 +312,7 @@ class RatPolynomial(_Polynomial):
 
     __slots__ = ()
     _coeff_type = Fraction
-    _json_coeff = re.compile(r"-?[0-9]+(/[0-9]+)?")
+    _json_coeff = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # no zero denominator
 
     @staticmethod
     def _coerce(c) -> Fraction:
@@ -349,9 +354,17 @@ class RatPolynomial(_Polynomial):
 
 
 def divides(g: IntPolynomial, a: IntPolynomial) -> bool:
-    """True iff g divides a exactly; g must have a unit leading coefficient."""
+    """True iff g divides a exactly; g must have a unit leading coefficient.
+    Up to deg g there is no division: below it only 0 is a multiple, and
+    at it only lc(a) lc(g) g (lc(g) = +-1 is its own inverse)."""
     if g.is_zero:
         return a.is_zero
+    lc = g._unit_leading_coefficient()
+    if len(a.coeffs) < len(g.coeffs):
+        return a.is_zero
+    if len(a.coeffs) == len(g.coeffs):
+        c = a.coeffs[-1] * lc
+        return a.coeffs == tuple([c * x for x in g.coeffs])
     return divmod(a, g)[1].is_zero
 
 

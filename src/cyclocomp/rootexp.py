@@ -6,17 +6,15 @@ Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
 Evaluation folds instead of dividing: Phi_n divides q^n - 1, so the value
 of a representative at zeta_n is its coefficients summed into n buckets by
 index mod n (zeta^n = 1), and only those n sums are reduced mod Phi_n.
-Taylor coefficients come the same way from the representative's integer
-coefficients: c_j = sum_i C(i, j) a_i zeta^(i-j), collected in n buckets
-and reduced mod Phi_n once per coefficient, so c_0 is the value.  No
-factorials, no division by integers, everything exact.
 
-A convergent series is expanded locally, without a global representative:
-`expand_series` works with jets, the images of polynomials in
-Z[y]/(y^n - 1)[x]/(x^(J+1)) under q -> y + x, stored as J + 1 rows of n
-buckets.  Mapping y to zeta_n is a ring homomorphism onto
-Z[zeta_n][x]/(x^(J+1)), so the sum of the terms' jets, reduced mod Phi_n
-row by row, is the expansion c_0 ... c_J of the series' value.
+Taylor coefficients come from jets, the images of polynomials in
+Z[y]/(y^n - 1)[x]/(x^(J+1)) under q -> y + x; y -> zeta_n maps them onto
+Z[zeta_n][x]/(x^(J+1)).  A jet is kept in the basis z = x/y, q = y(1 + z),
+as one flat row-major list of J + 1 rows of n buckets: the z^j row of
+sum a_i q^i holds C(i, j) a_i in bucket i mod n.  The x^j coefficient c_j
+is that row times y^(-j), a rotation, reduced mod Phi_n once, and c_0 is
+the value.  A convergent series is expanded locally, without a global
+representative, as the sum of its terms' jets (`expand_series`).
 
 The precision contract: an element truncated at level K determines its
 expansion at zeta only up to the multiplicity of (q - zeta) in g_K, which
@@ -29,6 +27,7 @@ whose multiplicity at zeta_n is J + 1, so valid_to = J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import Sequence
 
@@ -169,7 +168,7 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     Z[zeta_n]; well defined only when Phi_n divides the truncation
     modulus (level >= n on the Pochhammer chain).  The coefficients are
     folded into n buckets by index mod n, since Phi_n divides q^n - 1,
-    and CyclotomicInteger reduces the n sums mod Phi_n: row 0 of `_jet`."""
+    and CyclotomicInteger reduces the n sums mod Phi_n: row 0 of `_z_jet`."""
     if root_multiplicity(a.chain, a.level, n) < 1:
         raise InsufficientPrecision(
             f"level {a.level} on {a.chain.label!r} does not determine the "
@@ -207,16 +206,25 @@ class RootTaylorSeries:
         }
 
 
-def _jet(poly: IntPolynomial, n: int, j_max: int) -> list[list[int]]:
-    """Image of poly under q -> y + x in Z[y]/(y^n - 1)[x]/(x^(j_max+1)):
-    row j holds the x^j coefficient as n buckets, row[r] collecting the
-    y^r terms C(i, j) a_i y^(i-j)."""
-    rows = [[0] * n for _ in range(j_max + 1)]
-    for i, a in enumerate(poly.coeffs):
-        if a:
-            for j in range(min(i, j_max) + 1):
-                rows[j][(i - j) % n] += comb(i, j) * a
-    return rows
+def _z_jet(coeffs: Sequence[int], n: int, top: int) -> list[int]:
+    """Image of sum a_i q^i under q -> y(1 + z) in Z[y]/(y^n - 1)[z]/(z^top),
+    flat and row-major: entry j*n + r is the z^j y^r coefficient, the sum
+    of C(i, j) a_i over i = r mod n.  Row j folds w_j(i) = C(i, j) a_i into
+    n buckets, and w_j(i) = w_(j-1)(i) (i - j + 1) / j exactly."""
+    flat, w = [], coeffs
+    for j in range(top):
+        if j:
+            w = [c * (i - j + 1) // j for i, c in enumerate(w)]
+        flat += [sum(w[r::n]) for r in range(n)]
+    return flat
+
+
+def _emit(flat: list[int], n: int, valid_to: int) -> RootTaylorSeries:
+    """The x^j coefficient is the z^j row times y^(-j), a rotation by
+    j mod n, reduced mod Phi_n."""
+    rows = [flat[t : t + n] for t in range(0, len(flat), n)]
+    coeffs = tuple(CyclotomicInteger(n, r[j % n :] + r[: j % n]) for j, r in enumerate(rows))
+    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=coeffs)
 
 
 def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
@@ -232,46 +240,37 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
             f"level {a.level} on {a.chain.label!r} only determines "
             f"coefficients up to index {valid_to} at order {n}; {j_max} requested"
         )
-    coeffs = tuple(CyclotomicInteger(n, row) for row in _jet(a.rep, n, j_max))
-    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=coeffs)
+    return _emit(_z_jet(a.rep.coeffs, n, j_max + 1), n, valid_to)
 
 
-def _jet_mul(rows: list[list[int]], factor: list[list[int]], low: int) -> list[list[int]]:
-    """rows * factor with everything at x^(j_max+1) or above dropped; the
-    rows of `rows` below `low` are zero.  Each nonzero bucket c*y^r*x^j of
-    factor adds c times rows, rotated by r and moved j rows up, in passes
-    along the longer axis of the live part of rows: with at most n live
-    rows, one pass per row (rotate it by r, scale, add); with more, the
-    live rows are transposed into n x-columns and each column b is scaled,
-    shifted up j and added into column (b + r) mod n.  A bucket then
-    costs min(live rows, n) passes, one at n = 1."""
-    n, top = len(rows[0]), len(rows)
-    if top - low > n:
-        columns = list(zip(*rows[low:]))
-        out_columns = [[0] * (top - low) for _ in range(n)]
-        for j, factor_row in enumerate(factor):
-            for r, c in enumerate(factor_row):
-                if not c:
-                    continue
-                for b, column in enumerate(columns):
-                    dest = out_columns[(b + r) % n]
-                    dest[j:] = [d + c * s for d, s in zip(dest[j:], column)]
-        return [[0] * n for _ in range(low)] + [list(row) for row in zip(*out_columns)]
-    out = [[0] * n for _ in range(top)]
-    for j, factor_row in enumerate(factor):
-        for r, c in enumerate(factor_row):
-            if not c:
-                continue
-            for t in range(low, top - j):
-                row = rows[t]
-                out[t + j] = [d + c * s for d, s in zip(out[t + j], row[n - r :] + row[: n - r])]
+def _times_step(term: list[int], step: Sequence[int], n: int, low: int) -> list[int]:
+    """term * sum a_i q^i in the z-basis, where q^i = y^i (1 + z)^i; the
+    rows of term below low are zero.  Each nonzero a_i rotates the live
+    rows by i mod n once and adds C(i, j) a_i times them, moved j rows up,
+    in one slice pass per j below the live row count."""
+    out = [0] * len(term)
+    live = term[low * n :]
+    for i in compress(range(len(step)), step):
+        s, src = i % n, live
+        if s:  # times y^i: every live row rotated by s
+            src = []
+            for t in range(0, len(live), n):
+                src += live[t + n - s : t + n] + live[t : t + n - s]
+        for j in range(min(i + 1, len(live) // n)):
+            c, at = comb(i, j) * step[i], (low + j) * n
+            if c == 1:
+                out[at:] = [o + v for o, v in zip(out[at:], src)]
+            elif c == -1:
+                out[at:] = [o - v for o, v in zip(out[at:], src)]
+            else:
+                out[at:] = [o + c * v for o, v in zip(out[at:], src)]
     return out
 
 
 def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     """Taylor coefficients c_0 ... c_{j_max} at a primitive n-th root of
-    the series' value, computed locally in Z[zeta_n][x]/(x^(j_max+1))
-    with q = zeta + x, as a sum of the terms' jets (see `_jet`).
+    the series' value: the sum of the terms' z-basis jets (see the module
+    docstring), turned into x^j coefficients once, at the end.
 
     Precision: terms are summed while witness(k) <= n*(j_max+1), the
     Pochhammer level whose multiplicity at zeta_n is j_max + 1.  A later
@@ -280,35 +279,35 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     stable under any further precision, and valid_to = j_max.
 
     With spec.step the jet of term 0 is 1 and that of term k is the jet
-    of term k - 1 times the jet of step(k), so term is never called;
-    without a step, the jet of term(k).  Each consumed term's
-    witness w is checked locally: its x^j coefficients must vanish in
-    Z[zeta_n] for j < min(w // n, j_max + 1), else AssertionError.  The
-    terms come from `_series_terms`, as in `series_realize`."""
+    of term k - 1 times step(k), so term is never called: per nonzero
+    coefficient a_i of the step, one rotation and min(i + 1, live rows)
+    slice passes (`_times_step`).  Without a step, the jet of term(k).
+    The sum costs one pass per term.  Each consumed term's witness w is
+    checked locally: its z^j rows must vanish in Z[zeta_n] for
+    j < min(w // n, j_max + 1), else AssertionError; zeta is a unit, so
+    the x^j coefficients vanish with them.  The terms come from
+    `_series_terms`, as in `series_realize`."""
     check_index(n, "order", 1)
     check_index(j_max, "j_max", 0)
-    level = n * (j_max + 1)
     top = j_max + 1
-    total = [[0] * n for _ in range(top)]
-    term = _jet(IntPolynomial.one(), n, j_max)  # term(0) of a spec with a step
+    total = [0] * (top * n)
+    term = [1] + [0] * (top * n - 1)  # term(0) of a spec with a step
     low = 0  # term's rows below low are zero
-    for k, w in _series_terms(spec, level):
+    for k, w in _series_terms(spec, n * top):
         if spec.step is None:
-            term = _jet(spec.term(k), n, j_max)
+            term, low = _z_jet(spec.term(k).coeffs, n, top), 0
         elif k and low < top:
-            term = _jet_mul(term, _jet(spec.step(k), n, j_max), low)
-        low = next((j for j, row in enumerate(term) if any(row)), top)
+            term = _times_step(term, spec.step(k).coeffs, n, low)
+        low = next((j for j in range(low, top) if any(term[j * n : (j + 1) * n])), top)
         for j in range(low, min(w // n, top)):
-            if not CyclotomicInteger(n, term[j]).is_zero:
+            if not CyclotomicInteger(n, term[j * n : (j + 1) * n]).is_zero:
                 raise AssertionError(
                     f"series {spec.name!r}: witness {w} of term {k} fails "
                     f"at order {n}: x^{j} coefficient is not zero"
                 )
-        for j in range(low, top):
-            total[j] = [a + b for a, b in zip(total[j], term[j])]
-    coeffs = tuple(CyclotomicInteger(n, row) for row in total)
-    # level n*(j_max+1) has multiplicity j_max + 1 at zeta_n
-    return RootTaylorSeries(order=n, valid_to=j_max, coeffs=coeffs)
+        at = low * n
+        total[at:] = [a + b for a, b in zip(total[at:], term[at:])]
+    return _emit(total, n, j_max)
 
 
 def ohtsuki_series(spec: SeriesSpec, j_max: int) -> RootTaylorSeries:

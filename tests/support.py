@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from cyclocomp import (
     CyclotomicInteger,
     IntPolynomial,
     PochhammerChain,
     RatPolynomial,
+    RootTaylorSeries,
     cyclotomic_poly,
     is_adjacent,
     series_realize,
-    taylor_at_root,
 )
+from cyclocomp.errors import InsufficientPrecision
 
 
 def random_int_poly(rng: random.Random, max_degree: int, coeff_bound: int = 50):
@@ -175,12 +177,67 @@ def taylor_by_substitution(coeffs, order: int, j_max: int):
     return out
 
 
+def x_jet(coeffs, order: int, j_max: int) -> list[list[int]]:
+    """Image of sum a_i q^i under q -> y + x in
+    Z[y]/(y^order - 1)[x]/(x^(j_max+1)): row j holds the x^j coefficient
+    as order buckets, bucket r collecting C(i, j) a_i for i - j = r mod
+    order — the binomial sum in the x-basis, term by term, where the
+    library works in the basis z = x / y."""
+    rows = [[0] * order for _ in range(j_max + 1)]
+    for i, a in enumerate(coeffs):
+        if a:
+            for j in range(min(i, j_max) + 1):
+                rows[j][(i - j) % order] += comb(i, j) * a
+    return rows
+
+
+def div_by_q_minus_zeta(coeffs, order):
+    """Synthetic division over Z[zeta]: (quotient, remainder)."""
+    acc = CyclotomicInteger.zero(order)
+    quot = [acc] * max(len(coeffs) - 1, 0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc.mul_by_zeta() + coeffs[i]
+        quot[i - 1] = acc
+    rem = acc.mul_by_zeta() + coeffs[0] if coeffs else acc
+    return quot, rem
+
+
+def multiplicity_by_synthetic_division(g: IntPolynomial, order: int) -> int:
+    """Exponent of (q - zeta_order) in nonzero g over Z[zeta_order]."""
+    coeffs = [CyclotomicInteger.from_int(order, c) for c in g.coeffs]
+    mult = 0
+    while True:
+        quot, rem = div_by_q_minus_zeta(coeffs, order)
+        if not rem.is_zero:
+            return mult
+        mult, coeffs = mult + 1, quot
+
+
+def taylor_by_binomial_sum(coeffs, order: int, j_max: int, valid_to: int) -> RootTaylorSeries:
+    """Taylor coefficients of sum a_i q^i at zeta_order: the rows of
+    `x_jet` reduced mod Phi_order."""
+    rows = x_jet(coeffs, order, j_max)
+    return RootTaylorSeries(order, valid_to, tuple(CyclotomicInteger(order, r) for r in rows))
+
+
+def taylor_oracle(a, order: int, j_max: int) -> RootTaylorSeries:
+    """taylor_at_root by other routes: the precision bound from the
+    multiplicity of (q - zeta) in the truncation modulus, counted by
+    synthetic division, and the coefficients from `x_jet`."""
+    valid_to = multiplicity_by_synthetic_division(a.chain.modulus(a.level), order) - 1
+    if j_max > valid_to:
+        raise InsufficientPrecision(f"valid to {valid_to}, {j_max} requested")
+    return taylor_by_binomial_sum(a.rep.coeffs, order, j_max, valid_to)
+
+
 def expand_series_global(spec, order: int, j_max: int):
     """Expansion of a series at zeta_order by the global route: realise it
     mod (q)_level at level order*(j_max+1), a representative of degree
-    about level^2/2, then Taylor-expand that representative."""
+    about level^2/2 whose expansion is valid to j_max, then Taylor-expand
+    that representative by `x_jet`."""
     level = order * (j_max + 1)
-    return taylor_at_root(series_realize(spec, PochhammerChain(), level), order, j_max)
+    rep = series_realize(spec, PochhammerChain(), level).rep
+    return taylor_by_binomial_sum(rep.coeffs, order, j_max, j_max)
 
 
 def evaluate_by_division(a, order: int) -> CyclotomicInteger:

@@ -153,6 +153,7 @@ class TestExitCodes:
             ["habiro", "reduce", "--chain", "product:", "--level", "2", "--poly", '["1"]'],
             ["qcrt", "split", "--lambda", "1:0", "--poly", '["1","2"]'],
             ["qcrt", "split", "--lambda", "1:1", "--poly", '["1/0"]'],
+            ["qcrt", "split", "--lambda", "1:1", "--poly", '["2", "-3/00"]'],
             ["qcrt", "witness", "--level", "0"],
             ["habiro", "reduce", "--chain", "pochhammer", "--level", "-1", "--poly", '["1"]'],
             ["habiro", "digits", "--chain", "pochhammer", "--level", "-2", "--poly", '["1"]'],

@@ -26,7 +26,7 @@ from cyclocomp import (
     to_digits,
     unit_inverse_mod,
 )
-from cyclocomp import completion
+from cyclocomp import completion, polyring
 from cyclocomp.completion import DigitExpansion, chain_from_json_dict, digit_degree_bound
 from cyclocomp.errors import (
     ChainMismatch,
@@ -417,6 +417,25 @@ class TestSeries:
         lying = SeriesSpec(name="lying", term=lambda n: Q, witness=lambda n: n)
         with pytest.raises(AssertionError):
             series_realize(lying, PochhammerChain(), 3)
+
+    def test_bad_witness_of_the_divisor_degree_detected(self):
+        # term n = g_n + 1 has the degree of its witness's modulus
+        poch = PochhammerChain()
+        off = SeriesSpec(name="off", term=lambda n: poch.modulus(n) + ONE, witness=lambda n: n)
+        with pytest.raises(AssertionError, match="witness 1 of term 1 fails"):
+            series_realize(off, poch, 3)
+
+    def test_kz_witnesses_need_no_long_division(self, monkeypatch):
+        # each kz term is +-g_w: the check is one comparison
+        calls = []
+        divide = polyring._long_divide
+        monkeypatch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+        poch = PochhammerChain()
+        for n, w in completion._series_terms(KONTSEVICH_ZAGIER_SPEC, 30):
+            assert divides(poch.modulus(w), KONTSEVICH_ZAGIER_SPEC.term(n))
+        assert calls == []
+        assert divides(poch.modulus(30), Q_INVERSE_SPEC.term(30))
+        assert calls == [1]  # deg q^30 (q)_30 > deg g_30: one long division
 
     @pytest.mark.parametrize("name", sorted(NAMED_SERIES))
     def test_step_is_the_ratio_of_consecutive_terms(self, name):

@@ -252,6 +252,31 @@ class TestDivMod:
         assert divides(P(1, 1), P(-1, 0, 1))
         assert not divides(P(1, 1), P(1, 0, 1))
 
+    @pytest.mark.parametrize("g", [P(-1, 0, 1), P(2, -3, 0, -1)], ids=["monic", "lc -1"])
+    def test_divides_up_to_the_divisor_degree(self, g):
+        assert divides(g, IntPolynomial.zero())
+        assert not divides(g, P(5))
+        assert not divides(g, P(1, 1))  # deg a < deg g
+        assert divides(g, g) and divides(g, -g) and divides(g, g * -7)
+        assert not divides(g, g + P(1))
+        assert not divides(g, g * 3 + P(0, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=5),
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-9, 9), max_size=8),
+    )
+    def test_divides_matches_the_remainder(self, body, lc, a):
+        g, a = IntPolynomial(body + [lc]), IntPolynomial(a)
+        assert divides(g, a) == divmod(a, g)[1].is_zero
+
+    def test_divides_needs_a_unit_leading_divisor(self):
+        # whatever the degree of the dividend
+        for a in (IntPolynomial.zero(), P(1), P(0, 2), P(1, 2, 3)):
+            with pytest.raises(NonUnitLeadingCoefficient):
+                divides(P(1, 2), a)
+
 
 def _fractions(poly):
     """Little-endian coefficients of a sympy Poly as Fractions."""
@@ -489,6 +514,8 @@ class TestSerialization:
             (RatPolynomial, "1e1"),
             (RatPolynomial, "1/-2"),
             (RatPolynomial, "3\n"),
+            (RatPolynomial, "1/0"),
+            (RatPolynomial, "-3/00"),
         ],
     )
     def test_only_plain_decimal_strings_parse(self, cls, text):
@@ -499,4 +526,7 @@ class TestSerialization:
         assert IntPolynomial.from_json(["-12", "007"]) == P(-12, 7)
         assert RatPolynomial.from_json(["-3", "4/6"]) == RatPolynomial(
             [-3, Fraction(2, 3)]
+        )
+        assert RatPolynomial.from_json(["1/02", "-3/10"]) == RatPolynomial(
+            [Fraction(1, 2), Fraction(-3, 10)]
         )

@@ -10,6 +10,7 @@ from cyclocomp import (
     IntPolynomial,
     KONTSEVICH_ZAGIER_SPEC,
     PochhammerChain,
+    ProductChain,
     Q_INVERSE_SPEC,
     SeriesSpec,
     cyclotomic_poly,
@@ -24,30 +25,23 @@ from cyclocomp import (
     taylor_at_root,
 )
 from cyclocomp.errors import InsufficientPrecision, NonConvergent, OrderMismatch
-from cyclocomp.rootexp import _jet_mul
+from cyclocomp.rootexp import _times_step
 
 from support import (
+    div_by_q_minus_zeta,
     evaluate_by_division,
     expand_series_global,
     kz_value_oracle,
+    multiplicity_by_synthetic_division,
     random_int_poly,
     taylor_by_substitution,
+    taylor_oracle,
+    x_jet,
 )
 
 
 def P(*coeffs):
     return IntPolynomial(coeffs)
-
-
-def div_by_q_minus_zeta(coeffs, order):
-    """Test-local synthetic division over Z[zeta]: (quotient, remainder)."""
-    acc = CyclotomicInteger.zero(order)
-    quot = [acc] * max(len(coeffs) - 1, 0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc.mul_by_zeta() + coeffs[i]
-        quot[i - 1] = acc
-    rem = acc.mul_by_zeta() + coeffs[0] if coeffs else acc
-    return quot, rem
 
 
 def taylor_by_synthetic_division(coeffs, order, j_max):
@@ -278,17 +272,7 @@ class TestTaylor:
         # measured by repeated exact synthetic division
         for n in (1, 2, 3, 4, 5):
             for K in range(0, 11):
-                coeffs = [
-                    CyclotomicInteger.from_int(n, c) for c in pochhammer(K).coeffs
-                ]
-                mult = 0
-                while True:
-                    quot, rem = div_by_q_minus_zeta(coeffs, n)
-                    if not rem.is_zero:
-                        break
-                    mult += 1
-                    coeffs = quot
-                assert mult == K // n
+                assert multiplicity_by_synthetic_division(pochhammer(K), n) == K // n
                 assert root_multiplicity(PochhammerChain(), K, n) == K // n
 
 
@@ -364,7 +348,7 @@ def weighted_spec(weights, stride):
 @st.composite
 def centers_and_terms(draw):
     n = draw(st.integers(1, 12))
-    return n, draw(st.integers(0, 40 // n - 1))  # n*(j_max+1) <= 40
+    return n, draw(st.integers(0, 45 // n - 1))  # n*(j_max+1) <= 45, as in the roots bench
 
 
 class TestJetBackend:
@@ -431,36 +415,87 @@ def jet_mul_schoolbook(rows, factor):
     return out
 
 
+def x_to_z(rows):
+    """x-basis rows to a flat z-basis jet: the z^j row is the x^j row
+    times y^j, since x = y z."""
+    n = len(rows[0])
+    return [row[(r - j) % n] for j, row in enumerate(rows) for r in range(n)]
+
+
+def z_to_x(flat, n):
+    return [[flat[j * n + (r + j) % n] for r in range(n)] for j in range(len(flat) // n)]
+
+
+def step_by_schoolbook(rows, step):
+    """rows * step(q) with both sides in the x-basis (the z-basis pass's
+    oracle): the step's jet by binomial sums, then bucket products."""
+    return jet_mul_schoolbook(rows, x_jet(step, len(rows[0]), len(rows) - 1))
+
+
 @st.composite
-def jet_pairs(draw):
+def jet_and_step(draw):
     n = draw(st.integers(1, 6))
     top = draw(st.integers(1, 14))
     low = draw(st.integers(0, top - 1))
-    bucket = st.integers(-50, 50)
-    row = st.lists(bucket, min_size=n, max_size=n)
+    row = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
     rows = [[0] * n if t < low else draw(row) for t in range(top)]
-    factor = [draw(row) for _ in range(top)]
-    return rows, factor, low
+    # zeros, negatives and degrees past top - 1 included
+    step = draw(st.lists(st.integers(-50, 50), max_size=top + 8))
+    return rows, step, low
 
 
-class TestJetMul:
+class TestStepPass:
     @settings(max_examples=200, deadline=None)
-    @given(jet_pairs())
-    def test_matches_schoolbook(self, pair):
-        rows, factor, low = pair
-        assert _jet_mul(rows, factor, low) == jet_mul_schoolbook(rows, factor)
+    @given(jet_and_step())
+    def test_matches_schoolbook(self, case):
+        rows, step, low = case
+        out = _times_step(x_to_z(rows), step, len(rows[0]), low)
+        assert z_to_x(out, len(rows[0])) == step_by_schoolbook(rows, step)
 
     # (n, top, low): live rows top - low below, at and above n, and low > 0
     @pytest.mark.parametrize(
         "n, top, low",
         [(5, 3, 0), (5, 5, 0), (5, 12, 0), (4, 9, 2), (4, 9, 5), (3, 9, 6), (1, 8, 3), (1, 1, 0)],
     )
-    def test_each_axis(self, n, top, low):
+    @pytest.mark.parametrize(
+        "step",
+        [[7], [-1], [1, 0, 0, -1], [0, 3, 0, -2, 0, 0, 5], [0] * 12 + [-4], [2] + [0] * 20 + [1]],
+        ids=["constant", "minus-one", "kz", "zeros-negatives", "monomial", "past-top"],
+    )
+    def test_each_shape(self, n, top, low, step):
         rng = random.Random(n * 100 + top * 10 + low)
         rows = [[0] * n if t < low else [rng.randint(-9, 9) for _ in range(n)] for t in range(top)]
-        factor = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(top)]
-        factor[0][0] = 0  # a zero bucket is skipped
-        assert _jet_mul(rows, factor, low) == jet_mul_schoolbook(rows, factor)
+        out = _times_step(x_to_z(rows), step, n, low)
+        assert z_to_x(out, n) == step_by_schoolbook(rows, step)
+
+
+@st.composite
+def elements_and_orders(draw):
+    n = draw(st.integers(1, 6))
+    index = st.one_of(st.just(n), st.integers(1, 6))  # often the order itself
+    kind = draw(st.sampled_from(["pochhammer", "adic", "product"]))
+    if kind == "pochhammer":
+        chain = PochhammerChain()
+    elif kind == "adic":
+        chain = AdicChain(cyclotomic_poly(draw(index)))
+    else:
+        chain = ProductChain(draw(st.lists(index, min_size=1, max_size=3)))
+    rep = IntPolynomial(draw(st.lists(st.integers(-(10**6), 10**6), max_size=30)))
+    return reduce(rep, chain, draw(st.integers(0, 10))), n, draw(st.integers(0, 3))
+
+
+class TestTaylorOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(elements_and_orders())
+    def test_taylor_at_root_matches_binomial_sum_oracle(self, case):
+        a, n, j_max = case
+        try:
+            expected = taylor_oracle(a, n, j_max)
+        except InsufficientPrecision:
+            with pytest.raises(InsufficientPrecision):
+                taylor_at_root(a, n, j_max)
+            return
+        assert taylor_at_root(a, n, j_max) == expected
 
 
 def _element():

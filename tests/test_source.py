@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import cyclocomp
 
 SOURCES = sorted(Path(cyclocomp.__file__).parent.glob("*.py"))
@@ -71,11 +73,22 @@ def test_no_chain_overrides_modulus():
     assert found == []
 
 
+def _memo_decorator(node) -> bool:
+    """@cache, @lru_cache, @lru_cache(...) and their functools.* forms."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name in ("cache", "lru_cache")
+
+
 def test_no_store_but_the_known_ones():
     # A module- or class-level list, dict or set is state shared by every
-    # caller in the process.  The library keeps three: the Phi_n table,
-    # the series registry and the Pochhammer chain's (q)_k store.
+    # caller in the process, and so is the table behind a module- or
+    # class-level function memoized by functools.cache or lru_cache.  The
+    # library keeps three stores: the Phi_n table, the series registry and
+    # the Pochhammer chain's (q)_k store.
     containers = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -89,7 +102,17 @@ def test_no_store_but_the_known_ones():
                 ):
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     found += [prefix + ast.unparse(t) for t in targets]
+                if isinstance(node, functions) and any(map(_memo_decorator, node.decorator_list)):
+                    found.append(prefix + node.name)
     assert sorted(found) == ["NAMED_SERIES", "PochhammerChain._moduli", "_cyclo_cache"]
+
+
+@pytest.mark.parametrize(
+    "decorator", ["cache", "functools.cache", "lru_cache(maxsize=None)", "functools.lru_cache()"]
+)
+def test_memo_decorators_are_recognised(decorator):
+    tree = ast.parse(f"@{decorator}\ndef f(): pass\n@cached_property\ndef g(self): pass")
+    assert [_memo_decorator(fn.decorator_list[0]) for fn in tree.body] == [True, False]
 
 
 def test_fraction_only_in_rational_coefficients():
