@@ -353,17 +353,16 @@ class RatPolynomial(_Polynomial):
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
 
-def divides(g: IntPolynomial, a: IntPolynomial) -> bool:
-    """True iff g divides a exactly; g must have a unit leading coefficient.
-    Up to deg g there is no division: below it only 0 is a multiple, and
-    at it only lc(a) lc(g) g (lc(g) = +-1 is its own inverse)."""
+def divides(g: _Polynomial, a: _Polynomial) -> bool:
+    """True iff g divides a exactly; g and a share a coefficient domain,
+    and over Z g must have a unit leading coefficient.  Over Z an a of
+    the degree of g needs no division: it is a multiple only of the form
+    lc(a) lc(g) g (lc(g) = +-1 is its own inverse)."""
+    g._same_domain(a)
     if g.is_zero:
         return a.is_zero
-    lc = g._unit_leading_coefficient()
-    if len(a.coeffs) < len(g.coeffs):
-        return a.is_zero
-    if len(a.coeffs) == len(g.coeffs):
-        c = a.coeffs[-1] * lc
+    if type(g) is IntPolynomial and len(a.coeffs) == len(g.coeffs):
+        c = a.coeffs[-1] * g._unit_leading_coefficient()
         return a.coeffs == tuple([c * x for x in g.coeffs])
     return divmod(a, g)[1].is_zero
 

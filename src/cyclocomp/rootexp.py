@@ -258,12 +258,7 @@ def _times_step(term: list[int], step: Sequence[int], n: int, low: int) -> list[
                 src += live[t + n - s : t + n] + live[t : t + n - s]
         for j in range(min(i + 1, len(live) // n)):
             c, at = comb(i, j) * step[i], (low + j) * n
-            if c == 1:
-                out[at:] = [o + v for o, v in zip(out[at:], src)]
-            elif c == -1:
-                out[at:] = [o - v for o, v in zip(out[at:], src)]
-            else:
-                out[at:] = [o + c * v for o, v in zip(out[at:], src)]
+            out[at:] = [o + c * v for o, v in zip(out[at:], src)]
     return out
 
 

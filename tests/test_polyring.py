@@ -277,6 +277,22 @@ class TestDivMod:
             with pytest.raises(NonUnitLeadingCoefficient):
                 divides(P(1, 2), a)
 
+    def test_divides_over_q_takes_any_nonzero_divisor(self):
+        g = RatPolynomial([2, 2])
+        assert divides(g, RatPolynomial([-1, 0, 1]))
+        assert divides(g, RatPolynomial([Fraction(1, 3), Fraction(1, 3)]))
+        assert not divides(g, RatPolynomial([1, 2]))
+        assert not divides(g, RatPolynomial([1]))
+        assert divides(g, RatPolynomial.zero())
+
+    def test_divides_rejects_mixed_domains(self):
+        # whatever the degrees, as divmod does
+        for g, a in ((P(1, 1), RatPolynomial([1, 1])), (P(1, 1), RatPolynomial([1])),
+                     (P(1, 1), RatPolynomial([1, 0, 1])), (RatPolynomial([1, 1]), P(1, 1)),
+                     (IntPolynomial.zero(), RatPolynomial.zero())):
+            with pytest.raises(TypeError, match="mixed coefficient domains"):
+                divides(g, a)
+
 
 def _fractions(poly):
     """Little-endian coefficients of a sympy Poly as Fractions."""
