@@ -11,7 +11,8 @@ hold infinite data, so the precision contract is always explicit.
 Each g_k is g_{k-1} times one unit-leading factor f_k: a chain class
 supplies factor(k) and `FiltrationChain.modulus` multiplies the factors
 out, so the divisibility g_{k-1} | g_k holds by construction and only the
-unit-leading property of each factor is checked.
+unit-leading property of each factor is checked.  Multiplicities of Phi_n
+and digit gaps are read from the factors, never from the dense g_k.
 
 Three chain kinds are provided:
 
@@ -24,7 +25,8 @@ Three chain kinds are provided:
   default enumeration cycles through sorted(S); f_k = Phi_{e(k-1)}.
 
 Digit expansions generalize base-p digits: every level-k element is
-uniquely a = sum of a_n * g_n with deg a_n < deg g_{n+1} - deg g_n.
+uniquely a = sum of a_n * g_n with deg a_n < deg f_{n+1}, the mixed-radix
+expansion a_0 + f_1 (a_1 + f_2 (a_2 + ...)) in the factors.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class FiltrationChain:
     Subclasses implement factor(k), the unit-leading f_k with
     g_k = g_{k-1} * f_k for k >= 1, and do not override `modulus`, the
     one loop that multiplies the factors out.  A factor that is not
-    unit-leading is an AssertionError naming the chain and k.
+    unit-leading is an AssertionError naming the chain and k, wherever
+    the factor is read.
     """
 
     label: str = "chain"
@@ -68,12 +71,27 @@ class FiltrationChain:
         check_index(k, "level", 0)
         moduli = self._moduli
         while len(moduli) <= k:
-            i = len(moduli)
-            f = self.factor(i)
-            if not f.has_unit_leading_coefficient:
-                raise AssertionError(f"{self.label}: factor f_{i} = {f} is not unit-leading")
-            moduli.append(moduli[-1] * f)
+            moduli.append(moduli[-1] * self._checked_factor(len(moduli)))
         return moduli[k]
+
+    def _checked_factor(self, k: int) -> IntPolynomial:
+        """factor(k), checked to be unit-leading; every reader of the
+        factors goes through here."""
+        f = self.factor(k)
+        if not f.has_unit_leading_coefficient:
+            raise AssertionError(f"{self.label}: factor f_{k} = {f} is not unit-leading")
+        return f
+
+    def multiplicity(self, n: int, level: int) -> int:
+        """Multiplicity of Phi_n in g_level (checked ints n >= 1, level >= 0):
+        the count of exact divisions by Phi_n over f_1 ... f_level."""
+        phi, mult = cyclotomic_poly(n), 0
+        for k in range(1, level + 1):
+            quot, rem = divmod(self._checked_factor(k), phi)
+            while rem.is_zero:
+                mult += 1
+                quot, rem = divmod(quot, phi)
+        return mult
 
     def signature(self) -> tuple:
         raise NotImplementedError
@@ -104,6 +122,10 @@ class PochhammerChain(FiltrationChain):
 
     def factor(self, k: int) -> IntPolynomial:
         return pochhammer_factor(k)
+
+    def multiplicity(self, n: int, level: int) -> int:
+        """Phi_n divides q^k - 1 once exactly when n | k."""
+        return level // n
 
     def signature(self) -> tuple:
         return ("pochhammer",)
@@ -268,8 +290,8 @@ def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedE
 
 @dataclass(frozen=True)
 class DigitExpansion:
-    """Digits a_0 ... a_{k-1} with deg a_n < deg g_{n+1} - deg g_n; the
-    bounds make the representation a = sum a_n g_n unique."""
+    """Digits a_0 ... a_{k-1} with deg a_n < deg f_{n+1}; the bounds make
+    the representation a = sum a_n g_n unique."""
 
     chain: FiltrationChain
     digits: tuple[IntPolynomial, ...]
@@ -279,8 +301,9 @@ class DigitExpansion:
 
 
 def digit_degree_bound(chain: FiltrationChain, n: int) -> int:
-    """deg a_n must stay strictly below this (gap of the chain at n)."""
-    return len(chain.modulus(n + 1).coeffs) - len(chain.modulus(n).coeffs)
+    """deg a_n must stay strictly below this: deg f_{n+1}, the gap
+    deg g_{n+1} - deg g_n of the chain at n."""
+    return chain._checked_factor(check_index(n, "digit index", 0) + 1).degree
 
 
 def to_digits(a: TruncatedElement) -> DigitExpansion:
@@ -299,16 +322,16 @@ def to_digits(a: TruncatedElement) -> DigitExpansion:
 
 
 def from_digits(d: DigitExpansion, level: int) -> TruncatedElement:
-    """Re-sum digits and reduce mod g_level; inverse to to_digits."""
+    """Re-sum digits by Horner's rule in the factors,
+    a_0 + f_1 (a_1 + f_2 (a_2 + ...)) = sum a_n g_n, and reduce mod
+    g_level; inverse to to_digits."""
     for n, digit in enumerate(d.digits):
-        if digit.degree >= digit_degree_bound(d.chain, n):
-            raise DigitDegreeViolation(
-                f"digit {n} has degree {digit.degree}, bound is "
-                f"{digit_degree_bound(d.chain, n)}"
-            )
+        bound = digit_degree_bound(d.chain, n)
+        if digit.degree >= bound:
+            raise DigitDegreeViolation(f"digit {n} has degree {digit.degree}, bound is {bound}")
     total = IntPolynomial.zero()
-    for n, digit in enumerate(d.digits):
-        total = total + digit * d.chain.modulus(n)
+    for n in reversed(range(len(d.digits))):
+        total = total * d.chain._checked_factor(n + 1) + d.digits[n]
     return reduce(total, d.chain, level)
 
 
@@ -362,14 +385,16 @@ KONTSEVICH_ZAGIER_SPEC = SeriesSpec(
     name="kz",
     term=_stored_pochhammer,
     witness=lambda n: n,
-    step=lambda n: IntPolynomial.one() - IntPolynomial.monomial(1, n),
+    # step(n) = 1 - q^n
+    step=lambda n: IntPolynomial([1] + [0] * (check_index(n, "step", 1) - 1) + [-1]),
 )
 
 Q_INVERSE_SPEC = SeriesSpec(
     name="qinv",
     term=lambda n: IntPolynomial.monomial(1, n) * _stored_pochhammer(n),
     witness=lambda n: n,
-    step=lambda n: IntPolynomial.monomial(1, 1) - IntPolynomial.monomial(1, n + 1),
+    # step(n) = q - q^(n+1)
+    step=lambda n: IntPolynomial([0, 1] + [0] * (check_index(n, "step", 1) - 1) + [-1]),
 )
 
 NAMED_SERIES: dict[str, SeriesSpec] = {

@@ -77,8 +77,8 @@ def save_cyclotomic_cache(path: str) -> None:
 
 
 def pochhammer_factor(k: int) -> IntPolynomial:
-    """q^k - 1, the factor g_k / g_{k-1} of the monic (q)_k chain."""
-    return IntPolynomial.monomial(1, k) - IntPolynomial.one()
+    """q^k - 1 for k >= 1, the factor g_k / g_{k-1} of the monic (q)_k chain."""
+    return IntPolynomial([-1] + [0] * (check_index(k, "pochhammer factor", 1) - 1) + [1])
 
 
 def pochhammer(n: int) -> IntPolynomial:

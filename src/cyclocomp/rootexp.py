@@ -16,12 +16,13 @@ is that row times y^(-j), a rotation, reduced mod Phi_n once, and c_0 is
 the value.  A convergent series is expanded locally, without a global
 representative, as the sum of its terms' jets (`expand_series`).
 
-The precision contract: an element truncated at level K determines its
-expansion at zeta only up to the multiplicity of (q - zeta) in g_K, which
-for the Pochhammer chain at a primitive n-th root is floor(K/n).
-`taylor_at_root` computes its `valid_to` bound from the chain, never
-trusting the caller; `expand_series` sums the terms up to level n(J+1),
-whose multiplicity at zeta_n is J + 1, so valid_to = J.
+The precision contract comes from the chain's factors: an element
+truncated at level K determines its expansion at a primitive n-th root
+zeta only up to the multiplicity of (q - zeta) in g_K, which the chain
+counts as the multiplicity of Phi_n over f_1 ... f_K (floor(K/n) on the
+Pochhammer chain).  `taylor_at_root` computes its `valid_to` bound from
+the chain, never trusting the caller; `expand_series` sums the terms up
+to level n(J+1), whose multiplicity at zeta_n is J + 1, so valid_to = J.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from itertools import compress
 from math import comb
 from typing import Sequence
 
-from .completion import (
-    FiltrationChain,
-    PochhammerChain,
-    SeriesSpec,
-    TruncatedElement,
-    _series_terms,
-)
+from .completion import SeriesSpec, TruncatedElement, _series_terms
 from .cyclotomic import cyclotomic_poly
 from .errors import InsufficientPrecision, OrderMismatch
 from .polyring import NEG_INFINITY, IntPolynomial, check_index, json_fields, json_int
@@ -145,30 +140,20 @@ class CyclotomicInteger:
 # -- evaluation (tau) ---------------------------------------------------------
 
 
-def root_multiplicity(chain: FiltrationChain, level: int, n: int) -> int:
-    """Multiplicity of (q - zeta_n) in g_level: floor(level/n) on the
-    Pochhammer chain, otherwise the exact multiplicity of Phi_n obtained
-    by repeated exact division."""
-    check_index(n, "order", 1)
-    if isinstance(chain, PochhammerChain):
-        return level // n
-    phi_n = cyclotomic_poly(n)
-    g = chain.modulus(level)
-    mult = 0
-    while True:
-        quot, rem = divmod(g, phi_n)
-        if not rem.is_zero:
-            return mult
-        mult += 1
-        g = quot
+def root_multiplicity(chain, level: int, n: int) -> int:
+    """Multiplicity of (q - zeta_n) in g_level of a filtration chain: the
+    multiplicity of Phi_n that the chain counts over its factors
+    f_1 ... f_level (floor(level/n) on the Pochhammer chain)."""
+    return chain.multiplicity(check_index(n, "order", 1), check_index(level, "level", 0))
 
 
 def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     """Value of a at a primitive n-th root of unity, as an element of
-    Z[zeta_n]; well defined only when Phi_n divides the truncation
-    modulus (level >= n on the Pochhammer chain).  The coefficients are
-    folded into n buckets by index mod n, since Phi_n divides q^n - 1,
-    and CyclotomicInteger reduces the n sums mod Phi_n: row 0 of `_z_jet`."""
+    Z[zeta_n]; well defined only when Phi_n divides one of the chain's
+    factors f_1 ... f_level (level >= n on the Pochhammer chain).  The
+    coefficients are folded into n buckets by index mod n, since Phi_n
+    divides q^n - 1, and CyclotomicInteger reduces the n sums mod Phi_n:
+    row 0 of `_z_jet`."""
     if root_multiplicity(a.chain, a.level, n) < 1:
         raise InsufficientPrecision(
             f"level {a.level} on {a.chain.label!r} does not determine the "

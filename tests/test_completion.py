@@ -129,8 +129,24 @@ class TestChains:
             def factor(self, k):
                 return P(1, 2)
 
+        class Vanishing(Doubling):
+            label = "vanishing"
+
+            def factor(self, k):
+                return IntPolynomial.zero()
+
         with pytest.raises(AssertionError, match=r"doubling: factor f_1 "):
             Doubling().modulus(1)
+        # Every reader of the factors checks them, not only `modulus`; a
+        # zero factor would otherwise divide by Phi_n forever.
+        for chain in (Doubling(), Vanishing()):
+            for read in (
+                lambda: chain.multiplicity(1, 1),
+                lambda: digit_degree_bound(chain, 0),
+                lambda: from_digits(DigitExpansion(chain, (ONE,)), 0),
+            ):
+                with pytest.raises(AssertionError, match=f"{chain.label}: factor f_1 "):
+                    read()
 
     def test_structural_equality(self):
         assert PochhammerChain() == PochhammerChain()
@@ -249,11 +265,27 @@ class TestDigits:
 
     def test_degree_bounds_hold(self):
         rng = random.Random(24)
-        chain = PochhammerChain()
-        for _ in range(100):
-            a = reduce(random_int_poly(rng, 30, 1000), chain, 8)
-            for n, digit in enumerate(to_digits(a).digits):
-                assert digit.degree < digit_degree_bound(chain, n) == n + 1
+        for chain in all_chain_kinds():
+            gaps = [chain.modulus(n + 1).degree - chain.modulus(n).degree for n in range(8)]
+            for _ in range(40):
+                a = reduce(random_int_poly(rng, 30, 1000), chain, 8)
+                for n, digit in enumerate(to_digits(a).digits):
+                    assert digit.degree < digit_degree_bound(chain, n) == gaps[n]
+
+    def test_digits_read_the_factors(self, monkeypatch):
+        # Digit gaps and the Horner sum use f_k; only the final reduce
+        # reads a dense modulus.
+        chain = ProductChain([1, 2, 3])
+        d = to_digits(reduce(random_int_poly(random.Random(26), 30, 100), chain, 7))
+        read = []
+        modulus = FiltrationChain.modulus
+        monkeypatch.setattr(
+            FiltrationChain, "modulus", lambda self, k: read.append(k) or modulus(self, k)
+        )
+        assert [digit_degree_bound(chain, n) for n in range(7)] == [1, 1, 2] * 2 + [1]
+        assert read == []
+        from_digits(d, 5)
+        assert read == [5]
 
     def test_uniqueness_by_perturbation(self):
         rng = random.Random(25)

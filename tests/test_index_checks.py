@@ -15,8 +15,10 @@ from cyclocomp import (
     CyclotomicInteger,
     ExponentVector,
     IntPolynomial,
+    KONTSEVICH_ZAGIER_SPEC,
     PochhammerChain,
     ProductChain,
+    Q_INVERSE_SPEC,
     RING_Z,
     RatPolynomial,
     TruncatedElement,
@@ -32,7 +34,8 @@ from cyclocomp import (
     ring_z_inverted,
     root_multiplicity,
 )
-from cyclocomp.completion import chain_from_json_dict
+from cyclocomp.completion import chain_from_json_dict, digit_degree_bound
+from cyclocomp.cyclotomic import pochhammer_factor
 from cyclocomp.polyring import check_index, is_prime, prime_factors
 
 F = IntPolynomial([3, -1, 4, 1, 5])
@@ -86,6 +89,16 @@ REJECTIONS = [
     ("arrow_witness c 2.0", lambda: arrow_witness(PHI2, PHI2, 2.0, 3), TypeError),
     ("arrow_witness max_power 0", lambda: arrow_witness(PHI2, PHI2, 2, 0), ValueError),
     ("root_multiplicity order 0", lambda: root_multiplicity(PochhammerChain(), 5, 0), ValueError),
+    ("root_multiplicity level -3", lambda: root_multiplicity(PochhammerChain(), -3, 2), ValueError),
+    ("root_multiplicity level True", lambda: root_multiplicity(PochhammerChain(), True, 1), TypeError),
+    ("root_multiplicity level 4.0", lambda: root_multiplicity(PochhammerChain(), 4.0, 2), TypeError),
+    ("root_multiplicity adic level 2.0", lambda: root_multiplicity(AdicChain(PHI2), 2.0, 2), TypeError),
+    ("pochhammer_factor(0)", lambda: pochhammer_factor(0), ValueError),
+    ("pochhammer_factor(True)", lambda: pochhammer_factor(True), TypeError),
+    ("kz step(-1)", lambda: KONTSEVICH_ZAGIER_SPEC.step(-1), ValueError),
+    ("qinv step(True)", lambda: Q_INVERSE_SPEC.step(True), TypeError),
+    ("digit_degree_bound n -1", lambda: digit_degree_bound(PochhammerChain(), -1), ValueError),
+    ("digit_degree_bound n True", lambda: digit_degree_bound(PochhammerChain(), True), TypeError),
     ("prime_factors(0)", lambda: prime_factors(0), ValueError),
     ("prime_factors(6.0)", lambda: prime_factors(6.0), TypeError),
     ("integer_witness_search level 0", lambda: integer_witness_search(0, 1, 2), ValueError),

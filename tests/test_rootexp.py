@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cyclocomp import (
     AdicChain,
     CyclotomicInteger,
+    FiltrationChain,
     IntPolynomial,
     KONTSEVICH_ZAGIER_SPEC,
     PochhammerChain,
@@ -274,6 +275,61 @@ class TestTaylor:
             for K in range(0, 11):
                 assert multiplicity_by_synthetic_division(pochhammer(K), n) == K // n
                 assert root_multiplicity(PochhammerChain(), K, n) == K // n
+
+
+class PlusOneChain(FiltrationChain):
+    """A chain known only by its factors f_k = q^k + 1, each a product of
+    the Phi_d with d | 2k and d not dividing k."""
+
+    label = "plus-one"
+
+    def factor(self, k):
+        return IntPolynomial([1] + [0] * (k - 1) + [1])
+
+    def signature(self):
+        return ("plus-one",)
+
+
+# Phi_2^2 (q^2 + 3q + 1): a repeated cyclotomic factor beside one that
+# vanishes at no root of unity.
+REPEATED = cyclotomic_poly(2) ** 2 * P(1, 3, 1)
+
+MULTIPLICITY_CHAINS = [
+    PochhammerChain(),
+    AdicChain(cyclotomic_poly(6)),
+    AdicChain(REPEATED),
+    ProductChain([1, 2, 3, 4, 6]),
+    ProductChain(enumeration=lambda i: (4, 6, 1, 4)[i % 4], label="4-6-1-4"),
+    PlusOneChain(),
+]
+
+
+class TestChainMultiplicity:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(MULTIPLICITY_CHAINS), st.integers(0, 10), st.integers(1, 12))
+    def test_matches_synthetic_division_of_the_modulus(self, chain, level, n):
+        expected = multiplicity_by_synthetic_division(chain.modulus(level), n)
+        assert root_multiplicity(chain, level, n) == expected
+
+    def test_repeated_factor_counts_twice_per_level(self):
+        chain = AdicChain(REPEATED)
+        assert [root_multiplicity(chain, 5, n) for n in (1, 2, 3)] == [0, 10, 0]
+
+    @pytest.mark.parametrize(
+        "chain", [AdicChain(REPEATED), ProductChain([1, 2, 3, 6])], ids=["adic", "product"]
+    )
+    def test_roots_answer_without_the_dense_modulus(self, chain, monkeypatch):
+        a = reduce(P(3, -1, 4, 1, 5, 9, -2, 6), chain, 6)
+        orders = [n for n in range(1, 7) if root_multiplicity(chain, 6, n)]
+        expected = {n: taylor_oracle(a, n, root_multiplicity(chain, 6, n) - 1) for n in orders}
+
+        def no_modulus(self, k):
+            raise AssertionError(f"g_{k} was read")
+
+        monkeypatch.setattr(FiltrationChain, "modulus", no_modulus)
+        for n in orders:
+            assert evaluate_at_root(a, n) == evaluate_by_division(a, n)
+            assert taylor_at_root(a, n, expected[n].valid_to) == expected[n]
 
 
 class TestSeriesExpansion:

@@ -58,19 +58,68 @@ def test_no_unreferenced_functions():
     assert found == []
 
 
+def _chain_classes() -> list[type]:
+    """FiltrationChain and every subclass of it defined so far."""
+    from cyclocomp.completion import FiltrationChain
+
+    classes, todo = [], [FiltrationChain]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return classes
+
+
 def test_no_chain_overrides_modulus():
     # The traced benchmark patches FiltrationChain.modulus on the base
     # class; a subclass that defines its own would drop out of the
     # completion.modulus counters.  Chains supply factor(k) instead.
-    from cyclocomp.completion import FiltrationChain
-
-    found, todo = [], list(FiltrationChain.__subclasses__())
-    while todo:
-        cls = todo.pop()
-        todo.extend(cls.__subclasses__())
-        if "modulus" in vars(cls):
-            found.append(cls.__qualname__)
+    found = [cls.__qualname__ for cls in _chain_classes()[1:] if "modulus" in vars(cls)]
     assert found == []
+
+
+def _isinstance_against(tree, names: set[str]) -> list[int]:
+    """Lines of isinstance calls whose class argument names one of `names`,
+    outside the class bodies of those names."""
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in names
+        for node in ast.walk(cls)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and id(node) not in inside
+        and any(
+            getattr(ref, "id", getattr(ref, "attr", None)) in names
+            for arg in node.args[1:]
+            for ref in ast.walk(arg)
+        )
+    ]
+
+
+def test_no_isinstance_against_a_chain_class():
+    # What a chain's factors determine (root multiplicities, digit gaps)
+    # is answered by the chain, not by a caller branching on its class.
+    # A chain's own methods may test types (FiltrationChain.__eq__).
+    names = {cls.__name__ for cls in _chain_classes()}
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _isinstance_against(ast.parse(path.read_text(encoding="utf-8")), names)
+    ]
+    assert found == []
+
+
+def test_isinstance_against_a_chain_class_is_recognised():
+    tree = ast.parse(
+        "class AdicChain:\n    def f(self, c): return isinstance(c, AdicChain)\n"
+        "isinstance(c, (int, completion.PochhammerChain))\nisinstance(c, int)\n"
+    )
+    assert _isinstance_against(tree, {"AdicChain", "PochhammerChain"}) == [3]
 
 
 def _memo_decorator(node) -> bool:
