@@ -20,18 +20,22 @@ import json
 import math
 import sys
 from functools import partial
-from typing import Any, Callable, NamedTuple, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, TextIO
 
-from . import completion, cyclotomic, qcrt, rootexp
-from .completion import (
-    AdicChain,
-    FiltrationChain,
-    NAMED_SERIES,
-    PochhammerChain,
-    ProductChain,
-)
+# Start-up imports only the polynomial and cyclotomic layers; the
+# completion, root and CRT layers are imported by the argument types and
+# subcommands that use them.
+from . import cyclotomic
 from .errors import PrecisionContractError
 from .polyring import DECIMAL_INTEGER, IntPolynomial, RatPolynomial
+
+if TYPE_CHECKING:
+    from .completion import FiltrationChain, TruncatedElement
+    from .qcrt import ExponentVector
+
+# sorted(completion.NAMED_SERIES), spelled out so that building the parser
+# does not import the completion layer
+SERIES_NAMES = ("kz", "qinv")
 
 
 class UsageError(Exception):
@@ -77,7 +81,7 @@ def _poly_result(payload, poly, plain: str, code: int = 0) -> _Result:
     return _Result(payload, "index,coefficient", list(enumerate(poly.to_json())), plain, code)
 
 
-def _element_result(elt: completion.TruncatedElement) -> _Result:
+def _element_result(elt: TruncatedElement) -> _Result:
     plain = f"{elt.rep} (mod g_{elt.level} on {elt.chain.label})\n"
     return _poly_result(elt.to_json_dict(), elt.rep, plain)
 
@@ -120,6 +124,8 @@ def _parse_chain(spec: str) -> Callable[["Budgets"], FiltrationChain]:
     Returns a function of the budgets that checks every cyclotomic index
     against max_order before it builds Phi_n, so no Phi_n is built while
     the arguments are parsed, before --config is read."""
+    from .completion import AdicChain, PochhammerChain, ProductChain
+
     if spec == "pochhammer":
         return lambda budgets: PochhammerChain()
     if spec.startswith("adic:"):
@@ -145,7 +151,9 @@ def _parse_ring(name: str) -> cyclotomic.RingDescriptor:
     raise argparse.ArgumentTypeError(f"unknown ring {name!r} (expected Z, Q, or Z1/m)")
 
 
-def _parse_lambda(text: str) -> qcrt.ExponentVector:
+def _parse_lambda(text: str) -> ExponentVector:
+    from .qcrt import ExponentVector
+
     pairs = {}
     for item in text.split(","):
         n, sep, e = item.partition(":")
@@ -157,7 +165,7 @@ def _parse_lambda(text: str) -> qcrt.ExponentVector:
         if n in pairs:
             raise argparse.ArgumentTypeError(f"index {n} repeated in exponent vector {text!r}")
         pairs[n] = _positive(e)
-    return qcrt.ExponentVector(pairs)
+    return ExponentVector(pairs)
 
 
 class Budgets:
@@ -231,11 +239,15 @@ def _cmd_graph(args, budgets: Budgets) -> _Result:
 
 
 def _cmd_habiro_reduce(args, budgets: Budgets) -> _Result:
+    from . import completion
+
     level = budgets.check_level(args.level)
     return _element_result(completion.reduce(args.poly, args.chain(budgets), level))
 
 
 def _cmd_habiro_digits(args, budgets: Budgets) -> _Result:
+    from . import completion
+
     level = budgets.check_level(args.level)
     elt = completion.reduce(args.poly, args.chain(budgets), level)
     digits = completion.to_digits(elt).digits
@@ -252,6 +264,8 @@ def _cmd_habiro_digits(args, budgets: Budgets) -> _Result:
 
 
 def _cmd_habiro_rho(args, budgets: Budgets) -> _Result:
+    from . import completion
+
     budgets.check_level(max(args.from_level, args.to_level))
     from_chain, to_chain = args.from_chain(budgets), args.to_chain(budgets)
     elt = completion.reduce(args.poly, from_chain, args.from_level)
@@ -259,11 +273,13 @@ def _cmd_habiro_rho(args, budgets: Budgets) -> _Result:
 
 
 def _cmd_habiro_series(args, budgets: Budgets) -> _Result:
+    from . import completion
+
     if args.check_unit and args.name != "qinv":
         raise UsageError("--check-unit only applies to the qinv series")
     level = budgets.check_level(args.level)
-    chain = PochhammerChain()
-    elt = completion.series_realize(NAMED_SERIES[args.name], chain, level)
+    chain = completion.PochhammerChain()
+    elt = completion.series_realize(completion.NAMED_SERIES[args.name], chain, level)
     if not args.check_unit:
         return _element_result(elt)
     q_elt = completion.reduce(IntPolynomial.monomial(1, 1), chain, level)
@@ -274,6 +290,8 @@ def _cmd_habiro_series(args, budgets: Budgets) -> _Result:
 
 
 def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
+    from . import completion, rootexp
+
     for n in args.orders:
         budgets.check_order(n)
     # Values of a terminating evaluation do not depend on the level once
@@ -281,7 +299,8 @@ def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
     # default here.
     level = args.level if args.level is not None else max(args.orders)
     budgets.check_level(level)
-    elt = completion.series_realize(NAMED_SERIES[args.series], PochhammerChain(), level)
+    spec = completion.NAMED_SERIES[args.series]
+    elt = completion.series_realize(spec, completion.PochhammerChain(), level)
     values = sorted(rootexp.tau_values(elt, args.orders).items())
     return _Result(
         {
@@ -296,9 +315,12 @@ def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
 
 
 def _cmd_habiro_expand(args, budgets: Budgets) -> _Result:
+    from . import completion, rootexp
+
     budgets.check_order(args.center)
     budgets.check_level(args.center * args.terms)
-    series = rootexp.expand_series(NAMED_SERIES[args.series], args.center, args.terms - 1)
+    spec = completion.NAMED_SERIES[args.series]
+    series = rootexp.expand_series(spec, args.center, args.terms - 1)
     return _Result(
         series.to_json_dict(),
         "j,coefficient",
@@ -308,6 +330,8 @@ def _cmd_habiro_expand(args, budgets: Budgets) -> _Result:
 
 
 def _cmd_qcrt_split(args, budgets: Budgets) -> _Result:
+    from . import qcrt
+
     lam = args.lam
     for n, e in lam.exponents:
         budgets.check_order(n)
@@ -327,7 +351,9 @@ def _cmd_qcrt_split(args, budgets: Budgets) -> _Result:
 def _checked_witness(level: int) -> tuple[RatPolynomial, bool, bool]:
     """The kernel witness at a level, and whether it is 0 mod (q-1)^level
     and 1 mod (q+1)^level."""
-    w = qcrt.rho_q_kernel_witness(level)
+    from .qcrt import rho_q_kernel_witness
+
+    w = rho_q_kernel_witness(level)
     f1 = (cyclotomic.cyclotomic_poly(1) ** level).to_rational()
     f2 = (cyclotomic.cyclotomic_poly(2) ** level).to_rational()
     return w, (w % f1).is_zero, ((w - RatPolynomial.one()) % f2).is_zero
@@ -358,6 +384,10 @@ def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
 
 def _selfcheck_suite() -> list[tuple[str, bool]]:
     import random  # only the seeded selfcheck draws; kept out of start-up
+
+    from . import completion, qcrt, rootexp
+    from .certificates import UnitCertificate
+    from .completion import AdicChain, PochhammerChain, ProductChain
 
     rng = random.Random(0x5EED)
     results: list[tuple[str, bool]] = []
@@ -424,7 +454,7 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
         for m in range(1, 21):
             for n in range(m + 1, 21):
                 cert = cyclotomic.cyclotomic_coprimality(m, n)
-                unit = isinstance(cert, cyclotomic.UnitCertificate)
+                unit = isinstance(cert, UnitCertificate)
                 if unit != (cyclotomic.c_value(m, n) == 1):
                     return False
         return True
@@ -555,17 +585,17 @@ def build_parser() -> _Parser:
     p.add_argument("--poly", type=_parse_poly, required=True)
 
     p = leaf(hsub, "series", _cmd_habiro_series, "realize a named series at a level")
-    p.add_argument("--name", choices=sorted(NAMED_SERIES), required=True)
+    p.add_argument("--name", choices=SERIES_NAMES, required=True)
     p.add_argument("--level", type=_level, required=True)
     p.add_argument("--check-unit", action="store_true")
 
     p = leaf(hsub, "eval", _cmd_habiro_eval, "values at roots of unity")
-    p.add_argument("--series", choices=sorted(NAMED_SERIES), required=True)
+    p.add_argument("--series", choices=SERIES_NAMES, required=True)
     p.add_argument("--orders", type=_positive_list, required=True)
     p.add_argument("--level", type=_level, default=None)
 
     p = leaf(hsub, "expand", _cmd_habiro_expand, "Taylor expansion at a root of unity")
-    p.add_argument("--series", choices=sorted(NAMED_SERIES), required=True)
+    p.add_argument("--series", choices=SERIES_NAMES, required=True)
     p.add_argument("--center", type=_positive, required=True, help="order of the root")
     p.add_argument("--terms", type=_positive, required=True, help="number of coefficients")
 

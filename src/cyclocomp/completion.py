@@ -149,6 +149,10 @@ class AdicChain(FiltrationChain):
     def factor(self, k: int) -> IntPolynomial:
         return self.f
 
+    def multiplicity(self, n: int, level: int) -> int:
+        """Every factor is f: level times the multiplicity of Phi_n in f."""
+        return level * super().multiplicity(n, 1)
+
     def signature(self) -> tuple:
         return ("adic", self.f.coeffs)
 
@@ -386,7 +390,7 @@ KONTSEVICH_ZAGIER_SPEC = SeriesSpec(
     term=_stored_pochhammer,
     witness=lambda n: n,
     # step(n) = 1 - q^n
-    step=lambda n: IntPolynomial([1] + [0] * (check_index(n, "step", 1) - 1) + [-1]),
+    step=lambda n: IntPolynomial._wrap([1] + [0] * (check_index(n, "step", 1) - 1) + [-1]),
 )
 
 Q_INVERSE_SPEC = SeriesSpec(
@@ -394,7 +398,7 @@ Q_INVERSE_SPEC = SeriesSpec(
     term=lambda n: IntPolynomial.monomial(1, n) * _stored_pochhammer(n),
     witness=lambda n: n,
     # step(n) = q - q^(n+1)
-    step=lambda n: IntPolynomial([0, 1] + [0] * (check_index(n, "step", 1) - 1) + [-1]),
+    step=lambda n: IntPolynomial._wrap([0, 1] + [0] * (check_index(n, "step", 1) - 1) + [-1]),
 )
 
 NAMED_SERIES: dict[str, SeriesSpec] = {
@@ -454,9 +458,12 @@ def alternating_unit(m: int) -> IntPolynomial:
 def unit_inverse_mod(
     u: IntPolynomial, modulus: IntPolynomial
 ) -> Optional[IntPolynomial]:
-    """Inverse of u modulo a unit-leading modulus, when the Bezout
-    certificate has unit resultant; None otherwise (no Hensel lifting of
-    prime-power resultants is attempted)."""
+    """Inverse of u modulo a unit-leading modulus m of degree >= 1, or None
+    exactly when u is not a unit of Z[q]/(m).  That ring is free over Z of
+    rank deg m, and multiplication by u has determinant +-res(u, m) on it,
+    so u is a unit iff the resultant is +-1: None proves u is no unit, and
+    no lifting of other resultants is missing.  E.g. q + 1 mod q - 1 has
+    resultant -2, and its value 2 at q = 1 is no unit of Z."""
     if not modulus.has_unit_leading_coefficient:
         raise NonUnitLeadingCoefficient(
             f"modulus {modulus} does not have a unit leading coefficient"

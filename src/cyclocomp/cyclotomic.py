@@ -7,6 +7,10 @@ adjacent over a coefficient ring exactly when the ring is c-adically
 separated, which for the built-in descriptors reduces to a predicate on
 primes.  The module's one store is the Phi_n table `_cyclo_cache`; the
 (q)_k store is `completion.PochhammerChain`'s, and `pochhammer` keeps none.
+
+The CLI's light subcommands load only this layer and `polyring`, so the
+value classes here are `polyring.Frozen` rather than dataclasses, and the
+coprimality certificates live in `certificates`, imported on first call.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import EmptySet, EqualIndices, NonUnitLeadingCoefficient, NotPrime
 from .polyring import (
+    Frozen,
     IntPolynomial,
     check_index,
     is_prime,
@@ -28,6 +32,9 @@ from .polyring import (
     prime_factors,
     subresultant_bezout,
 )
+
+if TYPE_CHECKING:
+    from .certificates import CommonPrimeCertificate, UnitCertificate
 
 # -- cyclotomic polynomials -----------------------------------------------
 
@@ -78,7 +85,7 @@ def save_cyclotomic_cache(path: str) -> None:
 
 def pochhammer_factor(k: int) -> IntPolynomial:
     """q^k - 1 for k >= 1, the factor g_k / g_{k-1} of the monic (q)_k chain."""
-    return IntPolynomial([-1] + [0] * (check_index(k, "pochhammer factor", 1) - 1) + [1])
+    return IntPolynomial._wrap([-1] + [0] * (check_index(k, "pochhammer factor", 1) - 1) + [1])
 
 
 def pochhammer(n: int) -> IntPolynomial:
@@ -109,14 +116,16 @@ def c_value(m: int, n: int) -> int:
     return primes[0] if len(primes) == 1 else 1
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Frozen):
     """Separatedness profile of a coefficient ring: everything the
     adjacency graph needs, nothing else (no ring elements)."""
 
-    name: str
-    is_zero_ring: bool
-    separated_primes: Callable[[int], bool]
+    _fields = ("name", "is_zero_ring", "separated_primes")
+
+    def __init__(
+        self, name: str, is_zero_ring: bool, separated_primes: Callable[[int], bool]
+    ) -> None:
+        self._init(name, is_zero_ring, separated_primes)
 
     def is_separated_at(self, c: int) -> bool:
         """Whether the ring is (c)-adically separated, for c in {0, 1, p}."""
@@ -144,10 +153,11 @@ def is_adjacent(desc: RingDescriptor, m: int, n: int) -> bool:
     return desc.is_separated_at(c_value(m, n))
 
 
-@dataclass(frozen=True)
-class AdjacencyGraph:
-    vertices: frozenset[int]
-    descriptor: RingDescriptor
+class AdjacencyGraph(Frozen):
+    _fields = ("vertices", "descriptor")
+
+    def __init__(self, vertices: frozenset[int], descriptor: RingDescriptor) -> None:
+        self._init(vertices, descriptor)
 
     def edge(self, m: int, n: int) -> bool:
         if m not in self.vertices or n not in self.vertices:
@@ -231,31 +241,12 @@ def congruence_check(n: int, p: int, e: int) -> tuple[int, bool]:
 # -- coprimality certificates ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitCertificate:
-    """u*Phi_m + v*Phi_n = 1 with integer cofactors."""
-
-    u: IntPolynomial
-    v: IntPolynomial
-    resultant: int
-
-
-@dataclass(frozen=True)
-class CommonPrimeCertificate:
-    """The two indices share the prime p; the resultant is p^exponent."""
-
-    p: int
-    resultant: int
-    exponent: int
-
-
-CoprimalityResult = Union[UnitCertificate, CommonPrimeCertificate]
-
-
-def cyclotomic_coprimality(m: int, n: int) -> CoprimalityResult:
+def cyclotomic_coprimality(m: int, n: int) -> UnitCertificate | CommonPrimeCertificate:
     """Dichotomy for the ideal (Phi_m, Phi_n) in Z[q]: a Bezout
     certificate of coprimality when c(m, n) = 1, otherwise the shared
     prime with the verified prime-power resultant."""
+    from .certificates import CommonPrimeCertificate, UnitCertificate
+
     if m == n:
         raise EqualIndices("coprimality needs two distinct indices")
     c = c_value(m, n)

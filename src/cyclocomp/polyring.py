@@ -62,6 +62,41 @@ def check_index(value: int, name: str, least: int | float) -> int:
     return value
 
 
+class Frozen:
+    """Base of the immutable value classes, without the import cost of
+    `dataclasses`: the attributes named by `_fields`, set once by `_init`,
+    decide equality, hash and a dataclass-style repr, and assigning or
+    deleting any attribute is an AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _strip(coeffs: list) -> tuple:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:

@@ -16,28 +16,30 @@ s_n*R_n is the idempotent that is 1 mod F_n and 0 mod the other factors.
 An `ExponentVector` computes its factor powers, its modulus and this
 Bezout data (F_n, R_n, s_n) once, on first use, and keeps them, so
 repeated splits and reconstructions over one vector share them.
+
+`ExponentVector` and `CrtComponents` are `polyring.Frozen` values, not
+dataclasses, so the CLI's `qcrt` subcommands start without importing
+`dataclasses`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DegreeViolation
-from .polyring import IntPolynomial, RatPolynomial, check_index, subresultant_bezout
+from .polyring import Frozen, IntPolynomial, RatPolynomial, check_index, subresultant_bezout
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(Frozen):
     """Finite support map n -> lambda(n) >= 1 selecting the modulus
-    prod Phi_n^lambda(n).  The derived polynomials are cached properties,
-    computed on first use."""
+    prod Phi_n^lambda(n), kept as the sorted pairs `exponents`.  The
+    derived polynomials are cached properties, computed on first use."""
 
-    exponents: tuple[tuple[int, int], ...]
+    _fields = ("exponents",)
 
     def __init__(self, exponents: Mapping[int, int]):
         items = tuple(sorted(exponents.items()))
@@ -46,7 +48,7 @@ class ExponentVector:
         for n, e in items:
             check_index(n, "cyclotomic index", 1)
             check_index(e, "exponent", 1)
-        object.__setattr__(self, "exponents", items)
+        self._init(items)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -99,17 +101,17 @@ class ExponentVector:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CrtComponents:
-    """One residue per support index, each reduced mod Phi_n^lambda(n)."""
+class CrtComponents(Frozen):
+    """One residue per support index, each reduced mod Phi_n^lambda(n),
+    kept as the sorted pairs `components`."""
 
-    components: tuple[tuple[int, RatPolynomial], ...]
+    _fields = ("components",)
 
     def __init__(self, components: Mapping[int, RatPolynomial]):
         items = tuple(sorted(components.items()))
         for n, _ in items:
             check_index(n, "cyclotomic index", 1)
-        object.__setattr__(self, "components", items)
+        self._init(items)
 
     def component(self, n: int) -> RatPolynomial:
         return dict(self.components)[n]

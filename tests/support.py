@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from cyclocomp import (
     CyclotomicInteger,
     IntPolynomial,
@@ -269,3 +271,19 @@ def components_by_pairwise_closure(desc, S) -> list[list[int]]:
                     queue.append(other)
         comps.append(sorted(comp))
     return comps
+
+
+def check_frozen_value(make, other, text: str, field: str) -> None:
+    """What the frozen dataclasses gave the value classes that replaced
+    them: equality and hash by field values, the repr `text`, and an
+    AttributeError on assigning or deleting `field` or any new attribute."""
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != other() and a != text
+    assert repr(a) == text
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1

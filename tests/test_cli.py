@@ -384,35 +384,74 @@ def test_optimized_interpreter_gives_the_same_bytes(argv):
 
 
 # Runs cli.run on each argv of a JSON list in turn and prints, after each,
-# its exit code and which of the modules start-up must not pay for are
-# loaded.
+# its exit code and which of the modules that a leaf may not need are
+# loaded.  Modules stay loaded from one argv to the next.
 IMPORT_PROBE = """
 import io, json, sys
 from cyclocomp.cli import run
+watched = {"random", "shutil", "dataclasses"} | {
+    f"cyclocomp.{layer}" for layer in ("completion", "rootexp", "qcrt")
+}
 for argv in json.loads(sys.argv[1]):
     code = run(argv, io.StringIO(), io.StringIO())
-    print(json.dumps([code, sorted({"random", "shutil"} & set(sys.modules))]))
+    print(json.dumps([code, sorted(watched & set(sys.modules))]))
 """
 
 
-def test_start_up_imports_neither_shutil_nor_random():
-    # argparse imports shutil to ask for the terminal's width unless the
-    # help width is fixed; random serves only selfcheck's seeded draws.
-    leaves = {}
-    for argv in GOLDEN_CORPUS:
-        leaves.setdefault(tuple(argv[:2] if argv[0] in ("habiro", "qcrt") else argv[:1]), argv)
-    argvs = sorted(leaves.values(), key=lambda argv: argv == ["selfcheck"])
-    assert len(argvs) == 12 and argvs[-1] == ["selfcheck"]
+def _probe(argvs: list) -> list:
     proc = subprocess.run(
         [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs)],
         capture_output=True,
         env=src_env(),
         check=True,
     )
-    reports = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert reports[:-1] == [[0, []]] * 11
-    code, loaded = reports[-1]
-    assert code == 0 and set(loaded) <= {"random"}
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_start_up_imports_neither_shutil_nor_random():
+    # argparse imports shutil to ask for the terminal's width unless the
+    # help width is fixed; random serves only selfcheck's seeded draws.
+    # The light leaves load neither dataclasses nor the completion and root
+    # layers, and only the qcrt leaves load the CRT layer.  As a probe
+    # keeps what it loaded, the light and qcrt leaves share one probe, the
+    # habiro leaves and selfcheck another.
+    leaves = {}
+    for argv in GOLDEN_CORPUS:
+        leaves.setdefault(tuple(argv[:2] if argv[0] in ("habiro", "qcrt") else argv[:1]), argv)
+    light = [leaves[("cyclotomic",)], leaves[("pochhammer",)], leaves[("graph",)]]
+    crt = [leaves[("qcrt", "split")], leaves[("qcrt", "witness")]]
+    habiro = [argv for key, argv in leaves.items() if key[0] == "habiro"]
+    assert len(leaves) == 12 and len(habiro) == 6 and leaves[("selfcheck",)] == ["selfcheck"]
+    assert _probe(light + crt) == [[0, []]] * 3 + [[0, ["cyclocomp.qcrt"]]] * 2
+    reports = _probe(habiro + [["selfcheck"]])
+    assert [code for code, _ in reports] == [0] * 7
+    allowed = {"dataclasses", "cyclocomp.completion", "cyclocomp.rootexp"}
+    assert all(set(loaded) <= allowed for _, loaded in reports[:-1])
+    assert "shutil" not in reports[-1][1]
+
+
+def test_package_import_loads_no_layer():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, cyclocomp; print(sorted(m for m in sys.modules if 'cyclocomp.' in m))",
+        ],
+        capture_output=True,
+        env=src_env(),
+        check=True,
+    )
+    assert proc.stdout == b"[]\n"
+
+
+def test_series_names_are_the_registered_ones():
+    # build_parser spells the --name and --series choices out, so that
+    # the completion layer stays out of start-up.
+    from cyclocomp.cli import SERIES_NAMES
+    from cyclocomp.completion import NAMED_SERIES
+
+    assert SERIES_NAMES == tuple(sorted(NAMED_SERIES))
 
 
 HELP_SCREENS = [

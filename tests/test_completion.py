@@ -21,6 +21,7 @@ from cyclocomp import (
     pochhammer,
     poly_mod_prime,
     reduce,
+    resultant,
     rho,
     series_realize,
     to_digits,
@@ -514,6 +515,14 @@ class TestUnits:
     def test_zero_divisor_has_no_inverse(self):
         modulus = IntPolynomial.monomial(1, 5) - ONE
         assert unit_inverse_mod(P(-1, 1), modulus) is None
+
+    def test_none_means_not_a_unit(self):
+        # res(q + 1, q - 1) = -2: q + 1 takes the value 2 at q = 1, and 2 is
+        # no unit of Z = Z[q]/(q - 1), so None is the answer, not a give-up.
+        assert resultant(P(1, 1), P(-1, 1)) == -2
+        assert unit_inverse_mod(P(1, 1), P(-1, 1)) is None
+        # Phi_6 vanishes at zeta_6, a root of g_6: no unit mod g_6 either
+        assert unit_inverse_mod(cyclotomic_poly(6), PochhammerChain().modulus(6)) is None
 
     def test_non_unit_modulus_rejected(self):
         with pytest.raises(NonUnitLeadingCoefficient):

@@ -14,6 +14,7 @@ from cyclocomp import (
     RING_Q,
     RING_Z,
     RING_ZERO,
+    RingDescriptor,
     UnitCertificate,
     arrow_witness,
     c_value,
@@ -30,7 +31,11 @@ from cyclocomp import cyclotomic
 from cyclocomp.cyclotomic import _pow_mod_p
 from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
 
-from support import components_by_pairwise_closure, phi_by_trial_factorization
+from support import (
+    check_frozen_value,
+    components_by_pairwise_closure,
+    phi_by_trial_factorization,
+)
 
 
 def P(*coeffs):
@@ -276,6 +281,32 @@ class TestComponents:
         assert graph.components() == [[1, 2, 6]]
         with pytest.raises(ValueError):
             graph.edge(1, 7)
+
+
+DESCRIPTOR = RingDescriptor("Z", False, bool)
+
+VALUE_CASES = [
+    (
+        lambda: RingDescriptor(name="Z", is_zero_ring=False, separated_primes=bool),
+        lambda: RingDescriptor("Q", False, bool),
+        "RingDescriptor(name='Z', is_zero_ring=False, separated_primes=<class 'bool'>)",
+        "name",
+    ),
+    (
+        lambda: AdjacencyGraph(frozenset({2, 6}), DESCRIPTOR),
+        lambda: AdjacencyGraph(frozenset({2}), DESCRIPTOR),
+        "AdjacencyGraph(vertices=frozenset({2, 6}), descriptor=RingDescriptor(name='Z', "
+        "is_zero_ring=False, separated_primes=<class 'bool'>))",
+        "vertices",
+    ),
+]
+
+
+class TestValueClasses:
+    # Plain classes that behave as the frozen dataclasses they replaced.
+    @pytest.mark.parametrize("make, other, text, field", VALUE_CASES, ids=["ring", "graph"])
+    def test_equality_hash_repr_and_no_assignment(self, make, other, text, field):
+        check_frozen_value(make, other, text, field)
 
 
 class TestCongruence:

@@ -20,7 +20,7 @@ from cyclocomp import (
 from cyclocomp import qcrt
 from cyclocomp.errors import DegreeViolation
 
-from support import random_rat_poly
+from support import check_frozen_value, random_rat_poly
 
 ZERO = RatPolynomial.zero()
 ONE = RatPolynomial.one()
@@ -63,6 +63,38 @@ class TestExponentVector:
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
             ExponentVector({3: 0})
+
+
+class TestValueClasses:
+    # Plain classes that behave as the frozen dataclasses they replaced.
+    @pytest.mark.parametrize(
+        "make, other, text, field",
+        [
+            (
+                lambda: ExponentVector({1: 2}),
+                lambda: ExponentVector({1: 3}),
+                "ExponentVector(exponents=((1, 2),))",
+                "exponents",
+            ),
+            (
+                lambda: CrtComponents({2: RatPolynomial([1, 2]), 1: ZERO}),
+                lambda: CrtComponents({2: RatPolynomial([1, 2])}),
+                "CrtComponents(components=((1, RatPolynomial('0')), "
+                "(2, RatPolynomial('2*q + 1'))))",
+                "components",
+            ),
+        ],
+        ids=["exponents", "components"],
+    )
+    def test_equality_hash_repr_and_no_assignment(self, make, other, text, field):
+        check_frozen_value(make, other, text, field)
+
+    def test_cached_polynomials_leave_equality_and_repr_alone(self):
+        lam = ExponentVector({2: 1, 1: 2})
+        lam.modulus()
+        crt_idempotents(lam)
+        assert lam == ExponentVector({1: 2, 2: 1})
+        assert repr(lam) == "ExponentVector(exponents=((1, 2), (2, 1)))"
 
 
 class TestSplit:

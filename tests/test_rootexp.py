@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -310,6 +311,27 @@ class TestChainMultiplicity:
     def test_matches_synthetic_division_of_the_modulus(self, chain, level, n):
         expected = multiplicity_by_synthetic_division(chain.modulus(level), n)
         assert root_multiplicity(chain, level, n) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3)), min_size=1, max_size=3),
+        st.booleans(),
+        st.integers(0, 6),
+        st.integers(1, 9),
+    )
+    def test_adic_multiplicity_matches_synthetic_division(self, powers, other, level, n):
+        # f = prod Phi_d^e, times q^2 + 3q + 1 (no root of unity) if `other`
+        f = math.prod((cyclotomic_poly(d) ** e for d, e in powers), start=P(1))
+        chain = AdicChain(f * P(1, 3, 1) if other else f)
+        expected = multiplicity_by_synthetic_division(chain.modulus(level), n)
+        assert chain.multiplicity(n, level) == expected
+
+    def test_adic_multiplicity_reads_one_factor(self, monkeypatch):
+        chain = AdicChain(REPEATED)
+        reads = []
+        monkeypatch.setattr(chain, "factor", lambda k: reads.append(k) or REPEATED)
+        assert chain.multiplicity(2, 10**6) == 2 * 10**6
+        assert reads == [1]
 
     def test_repeated_factor_counts_twice_per_level(self):
         chain = AdicChain(REPEATED)

@@ -27,6 +27,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_dataclasses_only_where_the_benchmark_replaces_fields():
+    # Importing dataclasses costs the CLI's start-up inspect, ast and dis.
+    # The value classes are polyring.Frozen instead; the dataclasses left
+    # are the ones the benchmark's tests rebuild with dataclasses.replace.
+    found = sorted(
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    )
+    assert found == ["certificates.py", "completion.py", "rootexp.py"]
+
+
 def _referenced_names() -> set[str]:
     """Every name used as a Name, an Attribute or an import alias in the
     library and its tests."""
