@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence, TextIO
 
 # Start-up imports only the polynomial and cyclotomic layers; the
 # completion, root and CRT layers are imported by the argument types and
@@ -537,90 +537,150 @@ def _cmd_selfcheck(args, budgets: Budgets) -> _Result:
 # -- parser / dispatcher -------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+_REQUIRED_CHAIN_LEVEL_POLY = (
+    ("--chain", {"type": _parse_chain, "required": True}),
+    ("--level", {"type": _level, "required": True}),
+    ("--poly", {"type": _parse_poly, "required": True}),
+)
+
+# The command tree in help order, one row per group and leaf: (path,
+# handler, help, arguments), a group's handler None, each argument a
+# (name, add_argument keywords) pair.  Every leaf also takes --format.
+_COMMANDS = (
+    (
+        ("cyclotomic",),
+        _cmd_cyclotomic,
+        "n-th cyclotomic polynomial",
+        (("n", {"type": _positive}),),
+    ),
+    (
+        ("pochhammer",),
+        _cmd_pochhammer,
+        "q-Pochhammer product (q)_n",
+        (("n", {"type": _level}),),
+    ),
+    (
+        ("graph",),
+        _cmd_graph,
+        "adjacency components of an index set",
+        (
+            ("--ring", {"type": _parse_ring, "required": True, "help": "Z, Q, or Z1/m"}),
+            (
+                "--set",
+                {"type": _positive_list, "required": True, "help": "comma-separated vertices"},
+            ),
+        ),
+    ),
+    (("habiro",), None, "truncated completion arithmetic", ()),
+    (
+        ("habiro", "reduce"),
+        _cmd_habiro_reduce,
+        "canonical remainder at a level",
+        _REQUIRED_CHAIN_LEVEL_POLY,
+    ),
+    (
+        ("habiro", "digits"),
+        _cmd_habiro_digits,
+        "unique digit expansion",
+        _REQUIRED_CHAIN_LEVEL_POLY,
+    ),
+    (
+        ("habiro", "rho"),
+        _cmd_habiro_rho,
+        "restriction to a coarser chain",
+        (
+            ("--from-chain", {"type": _parse_chain, "required": True}),
+            ("--from-level", {"type": _level, "required": True}),
+            ("--to-chain", {"type": _parse_chain, "required": True}),
+            ("--to-level", {"type": _level, "required": True}),
+            ("--poly", {"type": _parse_poly, "required": True}),
+        ),
+    ),
+    (
+        ("habiro", "series"),
+        _cmd_habiro_series,
+        "realize a named series at a level",
+        (
+            ("--name", {"choices": SERIES_NAMES, "required": True}),
+            ("--level", {"type": _level, "required": True}),
+            ("--check-unit", {"action": "store_true"}),
+        ),
+    ),
+    (
+        ("habiro", "eval"),
+        _cmd_habiro_eval,
+        "values at roots of unity",
+        (
+            ("--series", {"choices": SERIES_NAMES, "required": True}),
+            ("--orders", {"type": _positive_list, "required": True}),
+            ("--level", {"type": _level, "default": None}),
+        ),
+    ),
+    (
+        ("habiro", "expand"),
+        _cmd_habiro_expand,
+        "Taylor expansion at a root of unity",
+        (
+            ("--series", {"choices": SERIES_NAMES, "required": True}),
+            ("--center", {"type": _positive, "required": True, "help": "order of the root"}),
+            ("--terms", {"type": _positive, "required": True, "help": "number of coefficients"}),
+        ),
+    ),
+    (("qcrt",), None, "rational CRT splitting", ()),
+    (
+        ("qcrt", "split"),
+        _cmd_qcrt_split,
+        "componentwise remainders",
+        (
+            (
+                "--lambda",
+                {"dest": "lam", "type": _parse_lambda, "required": True, "help": "n:e,n:e,..."},
+            ),
+            ("--poly", {"type": partial(_parse_poly, cls=RatPolynomial), "required": True}),
+        ),
+    ),
+    (
+        ("qcrt", "witness"),
+        _cmd_qcrt_witness,
+        "kernel witness for restriction over Q",
+        (("--level", {"type": _positive, "required": True}),),
+    ),
+    (("selfcheck",), _cmd_selfcheck, "run the invariant suite", ()),
+)
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
+    """The parser of the command tree.  When argv opens with a leaf's path,
+    only the root, the leaf's group and the leaf are built: argparse hands
+    everything after the path to the leaf, so that branch parses argv as
+    the whole tree does.  Any other argv (help screens, a leading option,
+    an unknown or partial command) gets the whole tree."""
+    branch = ()
+    if argv is not None:
+        leaves = (path for path, fn, _, _ in _COMMANDS if fn is not None)
+        branch = next((path for path in leaves if tuple(argv[: len(path)]) == path), ())
     # the module docstring less its last paragraph, which is about --help
     description = __doc__ and __doc__.rpartition("\n\n")[0]
     parser = _Parser(prog="cyclocomp", description=description)
     parser.add_argument("--config", help="JSON config file with budget guardrails")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    leaves = []
-
-    def leaf(parent, name: str, fn, text: str):
-        p = parent.add_parser(name, help=text)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, fn, text, arguments in _COMMANDS:
+        if branch[: len(path)] != path[: len(branch)]:
+            continue  # neither path is a prefix of the other: off the branch
+        p = subparsers[path[:-1]].add_parser(path[-1], help=text)
+        if fn is None:
+            subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
         p.set_defaults(fn=fn)
-        leaves.append(p)
-        return p
-
-    p = leaf(sub, "cyclotomic", _cmd_cyclotomic, "n-th cyclotomic polynomial")
-    p.add_argument("n", type=_positive)
-
-    p = leaf(sub, "pochhammer", _cmd_pochhammer, "q-Pochhammer product (q)_n")
-    p.add_argument("n", type=_level)
-
-    p = leaf(sub, "graph", _cmd_graph, "adjacency components of an index set")
-    p.add_argument("--ring", type=_parse_ring, required=True, help="Z, Q, or Z1/m")
-    p.add_argument(
-        "--set", type=_positive_list, required=True, help="comma-separated vertices"
-    )
-
-    habiro = sub.add_parser("habiro", help="truncated completion arithmetic")
-    hsub = habiro.add_subparsers(dest="subcommand", required=True)
-
-    p = leaf(hsub, "reduce", _cmd_habiro_reduce, "canonical remainder at a level")
-    p.add_argument("--chain", type=_parse_chain, required=True)
-    p.add_argument("--level", type=_level, required=True)
-    p.add_argument("--poly", type=_parse_poly, required=True)
-
-    p = leaf(hsub, "digits", _cmd_habiro_digits, "unique digit expansion")
-    p.add_argument("--chain", type=_parse_chain, required=True)
-    p.add_argument("--level", type=_level, required=True)
-    p.add_argument("--poly", type=_parse_poly, required=True)
-
-    p = leaf(hsub, "rho", _cmd_habiro_rho, "restriction to a coarser chain")
-    p.add_argument("--from-chain", type=_parse_chain, required=True)
-    p.add_argument("--from-level", type=_level, required=True)
-    p.add_argument("--to-chain", type=_parse_chain, required=True)
-    p.add_argument("--to-level", type=_level, required=True)
-    p.add_argument("--poly", type=_parse_poly, required=True)
-
-    p = leaf(hsub, "series", _cmd_habiro_series, "realize a named series at a level")
-    p.add_argument("--name", choices=SERIES_NAMES, required=True)
-    p.add_argument("--level", type=_level, required=True)
-    p.add_argument("--check-unit", action="store_true")
-
-    p = leaf(hsub, "eval", _cmd_habiro_eval, "values at roots of unity")
-    p.add_argument("--series", choices=SERIES_NAMES, required=True)
-    p.add_argument("--orders", type=_positive_list, required=True)
-    p.add_argument("--level", type=_level, default=None)
-
-    p = leaf(hsub, "expand", _cmd_habiro_expand, "Taylor expansion at a root of unity")
-    p.add_argument("--series", choices=SERIES_NAMES, required=True)
-    p.add_argument("--center", type=_positive, required=True, help="order of the root")
-    p.add_argument("--terms", type=_positive, required=True, help="number of coefficients")
-
-    qc = sub.add_parser("qcrt", help="rational CRT splitting")
-    qsub = qc.add_subparsers(dest="subcommand", required=True)
-
-    p = leaf(qsub, "split", _cmd_qcrt_split, "componentwise remainders")
-    p.add_argument(
-        "--lambda", dest="lam", type=_parse_lambda, required=True, help="n:e,n:e,..."
-    )
-    p.add_argument("--poly", type=partial(_parse_poly, cls=RatPolynomial), required=True)
-
-    p = leaf(qsub, "witness", _cmd_qcrt_witness, "kernel witness for restriction over Q")
-    p.add_argument("--level", type=_positive, required=True)
-
-    leaf(sub, "selfcheck", _cmd_selfcheck, "run the invariant suite")
-
-    for p in leaves:
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
         p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     return parser
 
 
 def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:
     try:
-        parser = build_parser()
+        parser = build_parser(argv)
         args = parser.parse_args(argv)
         budgets = Budgets.load(args.config)
         result = args.fn(args, budgets)

@@ -44,7 +44,7 @@ from .errors import (
     NotCoarser,
 )
 from .polyring import (
-    IntPolynomial, check_index, divides, json_fields, json_int, subresultant_bezout
+    Frozen, IntPolynomial, check_index, divides, json_fields, json_int, subresultant_bezout
 )
 
 
@@ -292,13 +292,14 @@ def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedE
 # -- digit expansions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(Frozen):
     """Digits a_0 ... a_{k-1} with deg a_n < deg f_{n+1}; the bounds make
     the representation a = sum a_n g_n unique."""
 
-    chain: FiltrationChain
-    digits: tuple[IntPolynomial, ...]
+    _fields = ("chain", "digits")
+
+    def __init__(self, chain: FiltrationChain, digits: tuple[IntPolynomial, ...]) -> None:
+        self._init(chain, digits)
 
     def __len__(self):
         return len(self.digits)
@@ -360,8 +361,7 @@ def rho(
 # -- convergent series -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Frozen):
     """An infinite sum sum_n t_n convergent in a completion: term(n) is
     t_n and witness(n) is a level k with g_k | t_n, so terms eventually
     vanish at every finite truncation.  The optional step(n) makes the
@@ -369,19 +369,26 @@ class SeriesSpec:
     n >= 1, so the expansion at a root of unity builds each term from the
     last without calling term."""
 
-    name: str
-    term: Callable[[int], IntPolynomial]
-    witness: Callable[[int], int]
-    step: Optional[Callable[[int], IntPolynomial]] = None
+    _fields = ("name", "term", "witness", "step")
 
-    def __post_init__(self):
-        if self.step is not None and self.term(0) != IntPolynomial.one():
-            raise ValueError(f"series {self.name!r}: a spec with a step needs term(0) = 1")
+    def __init__(
+        self,
+        name: str,
+        term: Callable[[int], IntPolynomial],
+        witness: Callable[[int], int],
+        step: Optional[Callable[[int], IntPolynomial]] = None,
+    ) -> None:
+        self._init(name, term, witness, step)
+        if step is not None and term(0) != IntPolynomial.one():
+            raise ValueError(f"series {name!r}: a spec with a step needs term(0) = 1")
+
+
+_POCHHAMMER = PochhammerChain()
 
 
 def _stored_pochhammer(n: int) -> IntPolynomial:
     """(q)_n = (-1)^n g_n, read from the Pochhammer chain's store."""
-    g = PochhammerChain().modulus(n)
+    g = _POCHHAMMER.modulus(n)
     return -g if n % 2 else g
 
 

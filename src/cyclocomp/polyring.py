@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Iterable, Sequence
+import sys
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BothZero,
@@ -110,9 +110,9 @@ class _Polynomial:
     __slots__ = ("coeffs",)
 
     # subclasses fill these in
-    _coeff_type: type
     _json_coeff: re.Pattern
     _coerce = staticmethod(lambda c: c)
+    _parse_coeffs: Callable[[Sequence[str]], list]  # checked JSON strings -> coefficients
 
     def __init__(self, coeffs: Iterable = ()):
         coerce = self._coerce
@@ -281,7 +281,7 @@ class _Polynomial:
         for c in data:
             if not isinstance(c, str) or not cls._json_coeff.fullmatch(c):
                 raise ValueError(f"{c!r} is not a plain decimal coefficient string")
-        return cls([cls._coeff_type(c) for c in data])
+        return cls._wrap(cls._parse_coeffs(data))
 
 
 class IntPolynomial(_Polynomial):
@@ -295,16 +295,22 @@ class IntPolynomial(_Polynomial):
     """
 
     __slots__ = ()
-    _coeff_type = int
     _json_coeff = DECIMAL_INTEGER
 
     @staticmethod
     def _coerce(c) -> int:
         if isinstance(c, int) and not isinstance(c, bool):
             return c
-        if isinstance(c, Fraction) and c.denominator == 1:
+        # No value is a Fraction while the fractions module is not loaded,
+        # so integer work never imports it.
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(c, fractions.Fraction) and c.denominator == 1:
             return c.numerator
         raise TypeError(f"integer coefficient expected, got {c!r}")
+
+    @staticmethod
+    def _parse_coeffs(strings: Sequence[str]) -> list[int]:
+        return [int(c) for c in strings]
 
     @property
     def has_unit_leading_coefficient(self) -> bool:
@@ -340,22 +346,36 @@ class RatPolynomial(_Polynomial):
     scaled by the lcm of its denominators, the integer kernels
     (`IntPolynomial` products, `_pseudo_divmod`) do the work, and each
     output coefficient becomes one Fraction over the combined scale.
+    The fractions module is imported where a coefficient is built, so
+    integer work never loads it.  There `import fractions` is used: it
+    costs a tenth of `from fractions import Fraction`.
 
+    >>> from fractions import Fraction
     >>> RatPolynomial([Fraction(1, 2), 1]) * RatPolynomial([Fraction(2, 3)])
     RatPolynomial('2/3*q + 1/3')
     """
 
     __slots__ = ()
-    _coeff_type = Fraction
     _json_coeff = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # no zero denominator
 
     @staticmethod
-    def _coerce(c) -> Fraction:
-        if isinstance(c, Fraction):
+    def _coerce(c):
+        # c can only be a Fraction once fractions is loaded; the lookup is
+        # cheaper than an import statement per coefficient.
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(c, fractions.Fraction):
             return c
         if isinstance(c, int) and not isinstance(c, bool):
-            return Fraction(c)
+            import fractions
+
+            return fractions.Fraction(c)
         raise TypeError(f"rational coefficient expected, got {c!r}")
+
+    @staticmethod
+    def _parse_coeffs(strings: Sequence[str]) -> list:
+        import fractions
+
+        return [fractions.Fraction(c) for c in strings]
 
     def _numerators(self) -> tuple[IntPolynomial, int]:
         """(N, d) with self = N/d: d the lcm of the denominators."""
@@ -364,7 +384,9 @@ class RatPolynomial(_Polynomial):
 
     @classmethod
     def _over(cls, nums: Iterable[int], den: int) -> "RatPolynomial":
-        return cls._wrap([Fraction(c, den) for c in nums])
+        import fractions
+
+        return cls._wrap([fractions.Fraction(c, den) for c in nums])
 
     def __mul__(self, other):
         if type(other) is not RatPolynomial:
@@ -392,10 +414,16 @@ def divides(g: _Polynomial, a: _Polynomial) -> bool:
     """True iff g divides a exactly; g and a share a coefficient domain,
     and over Z g must have a unit leading coefficient.  Over Z an a of
     the degree of g needs no division: it is a multiple only of the form
-    lc(a) lc(g) g (lc(g) = +-1 is its own inverse)."""
+    lc(a) lc(g) g (lc(g) = +-1 is its own inverse).  When g(0) != 0, q is
+    prime to g, so a = q^s a' with a'(0) != 0 is tested as a': a
+    multiple of g times a power of q needs no division either."""
     g._same_domain(a)
     if g.is_zero:
         return a.is_zero
+    if type(g) is IntPolynomial and g.coeffs[0]:
+        s = next((i for i, c in enumerate(a.coeffs) if c), 0)
+        if s:
+            a = IntPolynomial._wrap(a.coeffs[s:])
     if type(g) is IntPolynomial and len(a.coeffs) == len(g.coeffs):
         c = a.coeffs[-1] * g._unit_leading_coefficient()
         return a.coeffs == tuple([c * x for x in g.coeffs])

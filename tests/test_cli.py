@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclocomp import cyclotomic
+from cyclocomp import cli, cyclotomic
 from cyclocomp.cli import run
 from test_acceptance import GOLDEN_CORPUS
 
@@ -115,6 +116,48 @@ class TestFormats:
                 json.loads(out)
 
 
+# Argument values the parser rejects: each is a usage error, exit 1.
+OUT_OF_RANGE = [
+    ["cyclotomic", "0"],
+    ["pochhammer", "-1"],
+    ["graph", "--ring", "Z", "--set", "0,1"],
+    ["habiro", "eval", "--series", "kz", "--orders", "0"],
+    ["habiro", "expand", "--series", "kz", "--center", "0", "--terms", "2"],
+    [
+        "habiro", "rho",
+        "--from-chain", "pochhammer", "--from-level", "3",
+        "--to-chain", "adic:1", "--to-level", "-1",
+        "--poly", '["1"]',
+    ],
+    ["habiro", "reduce", "--chain", "adic:0", "--level", "2", "--poly", '["1"]'],
+    ["habiro", "reduce", "--chain", "product:", "--level", "2", "--poly", '["1"]'],
+    ["qcrt", "split", "--lambda", "1:0", "--poly", '["1","2"]'],
+    ["qcrt", "split", "--lambda", "1:1", "--poly", '["1/0"]'],
+    ["qcrt", "split", "--lambda", "1:1", "--poly", '["2", "-3/00"]'],
+    ["qcrt", "witness", "--level", "0"],
+    ["habiro", "reduce", "--chain", "pochhammer", "--level", "-1", "--poly", '["1"]'],
+    ["habiro", "digits", "--chain", "pochhammer", "--level", "-2", "--poly", '["1"]'],
+    ["habiro", "series", "--name", "kz", "--level", "-1"],
+    # coefficients are decimal strings, never JSON numbers or booleans
+    ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", "[1.9, true]"],
+    ["qcrt", "split", "--lambda", "1:1", "--poly", "[0.5, 2]"],
+    # ... and plain ASCII decimals, as to_json writes them
+    ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", '["1_0", " 2 "]'],
+    ["qcrt", "split", "--lambda", "1:1", "--poly", '["0.5", " 1_0 ", "1e1"]'],
+    ["qcrt", "split", "--lambda", "1:2,1:1", "--poly", '["0","0","1"]'],
+    # integer arguments are plain ASCII decimals too
+    ["cyclotomic", "1_0"],
+    ["cyclotomic", "\u0663"],
+    ["pochhammer", " 3"],
+    ["graph", "--ring", "Z1/ 2", "--set", "1,\u0662"],
+    ["graph", "--ring", "Z1/1_0", "--set", "1,2"],
+    # an integer list has no empty items
+    ["graph", "--ring", "Z", "--set", "1,,2,"],
+    ["habiro", "eval", "--series", "kz", "--orders", ",3"],
+    ["habiro", "reduce", "--chain", "product:1,,2", "--level", "2", "--poly", '["1"]'],
+]
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         code, _, err = invoke("graph", "--ring", "X", "--set", "1")
@@ -135,49 +178,7 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: NotCoarser:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["cyclotomic", "0"],
-            ["pochhammer", "-1"],
-            ["graph", "--ring", "Z", "--set", "0,1"],
-            ["habiro", "eval", "--series", "kz", "--orders", "0"],
-            ["habiro", "expand", "--series", "kz", "--center", "0", "--terms", "2"],
-            [
-                "habiro", "rho",
-                "--from-chain", "pochhammer", "--from-level", "3",
-                "--to-chain", "adic:1", "--to-level", "-1",
-                "--poly", '["1"]',
-            ],
-            ["habiro", "reduce", "--chain", "adic:0", "--level", "2", "--poly", '["1"]'],
-            ["habiro", "reduce", "--chain", "product:", "--level", "2", "--poly", '["1"]'],
-            ["qcrt", "split", "--lambda", "1:0", "--poly", '["1","2"]'],
-            ["qcrt", "split", "--lambda", "1:1", "--poly", '["1/0"]'],
-            ["qcrt", "split", "--lambda", "1:1", "--poly", '["2", "-3/00"]'],
-            ["qcrt", "witness", "--level", "0"],
-            ["habiro", "reduce", "--chain", "pochhammer", "--level", "-1", "--poly", '["1"]'],
-            ["habiro", "digits", "--chain", "pochhammer", "--level", "-2", "--poly", '["1"]'],
-            ["habiro", "series", "--name", "kz", "--level", "-1"],
-            # coefficients are decimal strings, never JSON numbers or booleans
-            ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", "[1.9, true]"],
-            ["qcrt", "split", "--lambda", "1:1", "--poly", "[0.5, 2]"],
-            # ... and plain ASCII decimals, as to_json writes them
-            ["habiro", "reduce", "--chain", "pochhammer", "--level", "3", "--poly", '["1_0", " 2 "]'],
-            ["qcrt", "split", "--lambda", "1:1", "--poly", '["0.5", " 1_0 ", "1e1"]'],
-            ["qcrt", "split", "--lambda", "1:2,1:1", "--poly", '["0","0","1"]'],
-            # integer arguments are plain ASCII decimals too
-            ["cyclotomic", "1_0"],
-            ["cyclotomic", "\u0663"],
-            ["pochhammer", " 3"],
-            ["graph", "--ring", "Z1/ 2", "--set", "1,\u0662"],
-            ["graph", "--ring", "Z1/1_0", "--set", "1,2"],
-            # an integer list has no empty items
-            ["graph", "--ring", "Z", "--set", "1,,2,"],
-            ["habiro", "eval", "--series", "kz", "--orders", ",3"],
-            ["habiro", "reduce", "--chain", "product:1,,2", "--level", "2", "--poly", '["1"]'],
-        ],
-        ids=lambda a: " ".join(a),
-    )
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
     def test_out_of_range_integers_are_usage_errors(self, argv):
         code, out, err = invoke(*argv)
         assert code == 1
@@ -389,7 +390,7 @@ def test_optimized_interpreter_gives_the_same_bytes(argv):
 IMPORT_PROBE = """
 import io, json, sys
 from cyclocomp.cli import run
-watched = {"random", "shutil", "dataclasses"} | {
+watched = {"random", "shutil", "dataclasses", "fractions", "decimal"} | {
     f"cyclocomp.{layer}" for layer in ("completion", "rootexp", "qcrt")
 }
 for argv in json.loads(sys.argv[1]):
@@ -412,9 +413,10 @@ def test_start_up_imports_neither_shutil_nor_random():
     # argparse imports shutil to ask for the terminal's width unless the
     # help width is fixed; random serves only selfcheck's seeded draws.
     # The light leaves load neither dataclasses nor the completion and root
-    # layers, and only the qcrt leaves load the CRT layer.  As a probe
-    # keeps what it loaded, the light and qcrt leaves share one probe, the
-    # habiro leaves and selfcheck another.
+    # layers, and only the qcrt leaves load the CRT layer.  Only the leaves
+    # that build a rational (qcrt and selfcheck) load fractions, which
+    # imports decimal.  As a probe keeps what it loaded, the light and qcrt
+    # leaves share one probe, the habiro leaves and selfcheck another.
     leaves = {}
     for argv in GOLDEN_CORPUS:
         leaves.setdefault(tuple(argv[:2] if argv[0] in ("habiro", "qcrt") else argv[:1]), argv)
@@ -422,7 +424,8 @@ def test_start_up_imports_neither_shutil_nor_random():
     crt = [leaves[("qcrt", "split")], leaves[("qcrt", "witness")]]
     habiro = [argv for key, argv in leaves.items() if key[0] == "habiro"]
     assert len(leaves) == 12 and len(habiro) == 6 and leaves[("selfcheck",)] == ["selfcheck"]
-    assert _probe(light + crt) == [[0, []]] * 3 + [[0, ["cyclocomp.qcrt"]]] * 2
+    rational = ["cyclocomp.qcrt", "decimal", "fractions"]
+    assert _probe(light + crt) == [[0, []]] * 3 + [[0, rational]] * 2
     reports = _probe(habiro + [["selfcheck"]])
     assert [code for code, _ in reports] == [0] * 7
     allowed = {"dataclasses", "cyclocomp.completion", "cyclocomp.rootexp"}
@@ -452,6 +455,66 @@ def test_series_names_are_the_registered_ones():
     from cyclocomp.completion import NAMED_SERIES
 
     assert SERIES_NAMES == tuple(sorted(NAMED_SERIES))
+
+
+def _comparable(value):
+    """A parsed value as what it means: a chain argument by the chain it
+    builds, a ring by its name and where it is separated."""
+    if isinstance(value, cyclotomic.RingDescriptor):
+        return value.name, value.is_zero_ring, [value.separated_primes(p) for p in (2, 3, 5)]
+    if callable(value) and value.__name__ == "<lambda>":
+        return value(cli.Budgets())
+    return value
+
+
+def _parse(parser, argv):
+    try:
+        namespace = parser.parse_args(argv)
+    except cli.UsageError as exc:
+        return f"usage: {exc}"
+    return {key: _comparable(value) for key, value in vars(namespace).items()}
+
+
+def _commands(parser) -> list:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    GOLDEN_CORPUS
+    + OUT_OF_RANGE
+    + [
+        # the argvs of the other usage-error tests
+        ["graph", "--ring", "X", "--set", "1"],
+        ["habiro", "series", "--name", "nope", "--level", "3"],
+        ["habiro", "series", "--name", "kz", "--level", "3", "--check-unit"],
+        ["--config", "", "habiro", "series", "--name", "kz", "--level", "1"],
+        # no leaf path, or one that argparse must reject as a whole
+        ["habiro"],
+        ["habiro", "nope"],
+        ["nope", "3"],
+        ["cyclotomic"],
+        ["cyclotomic", "3", "--bogus"],
+        ["cyclotomic", "3", "--format", "xml"],
+        ["cyclotomic", "3", "--config", "x"],
+        ["habiro", "series", "reduce", "--name", "kz", "--level", "3"],
+    ],
+    ids=" ".join,
+)
+def test_branch_parser_matches_the_whole_tree(argv, monkeypatch):
+    # build_parser(argv) builds only the branch argv names; the whole tree
+    # must parse argv to the same namespace or the same usage error, and
+    # run must print the same bytes and exit alike.
+    build = cli.build_parser
+    branch, whole = build(argv), build()
+    assert _commands(whole) == ["cyclotomic", "pochhammer", "graph", "habiro", "qcrt", "selfcheck"]
+    if argv in GOLDEN_CORPUS:
+        assert _commands(branch) == [argv[0]]
+    assert _parse(branch, argv) == _parse(whole, argv)
+    expected = invoke(*argv)
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build())
+    assert invoke(*argv) == expected
 
 
 HELP_SCREENS = [

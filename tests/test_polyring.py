@@ -1,7 +1,12 @@
+import fractions
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -271,9 +276,40 @@ class TestDivMod:
         g, a = IntPolynomial(body + [lc]), IntPolynomial(a)
         assert divides(g, a) == divmod(a, g)[1].is_zero
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=4),
+        st.integers(0, 2),
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-9, 9), max_size=4),
+        st.integers(0, 6),
+        st.lists(st.integers(-1, 1), max_size=6),
+    )
+    @example([], 1, 1, [0, 0, 1], 2, [])  # g = q: g(0) = 0
+    @example([2, 1], 1, 1, [3], 4, [])  # g = q (2 + q + q^2), a = q^4 * 3g
+    @example([2, 1], 0, -1, [0, 0, 5], 3, [0, 1])  # a = q^3 (q^2 * 5g + q)
+    def test_divides_shifted_multiples_match_the_remainder(self, body, t, lc, h, s, e):
+        # a = q^s (g h + e) with g = q^t (body + lc q^k): the power of q in
+        # a is set aside only when g(0) != 0, i.e. t = 0 and body[0] != 0.
+        g = IntPolynomial([0] * t + body + [lc])
+        a = IntPolynomial.monomial(1, s) * (g * IntPolynomial(h) + IntPolynomial(e))
+        assert divides(g, a) == divmod(a, g)[1].is_zero
+
+    def test_divides_sets_a_power_of_q_aside_only_when_prime_to_g(self, monkeypatch):
+        calls = []
+        divide = polyring._long_divide
+        monkeypatch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+        g = P(1, 1, 1)
+        assert divides(g, IntPolynomial.monomial(-3, 7) * g)
+        assert not divides(g, IntPolynomial.monomial(1, 7) * (g + P(1)))
+        assert calls == []
+        g = P(0, 1, 1)  # g(0) = 0: the long division decides
+        assert divides(g, IntPolynomial.monomial(1, 2) * g)
+        assert calls == [1]
+
     def test_divides_needs_a_unit_leading_divisor(self):
         # whatever the degree of the dividend
-        for a in (IntPolynomial.zero(), P(1), P(0, 2), P(1, 2, 3)):
+        for a in (IntPolynomial.zero(), P(1), P(0, 2), P(0, 0, 1, 2), P(1, 2, 3)):
             with pytest.raises(NonUnitLeadingCoefficient):
                 divides(P(1, 2), a)
 
@@ -450,7 +486,6 @@ class TestResultantBezout:
         def no_fraction(*args):
             raise AssertionError("Fraction built for integer inputs")
 
-        monkeypatch.setattr(polyring, "Fraction", no_fraction)
         pairs = [
             (P(1, 1, 1), P(-1, 1)),
             (P(-1, 1), P(1, 1, 1)),
@@ -466,12 +501,44 @@ class TestResultantBezout:
             a, b = random_int_poly(rng, 6, 9), random_int_poly(rng, 6, 9)
             if a and b and (a.degree or b.degree):
                 pairs.append((a, b))
-        for a, b in pairs:
+        # The oracle computes over Q, so it runs before the patch.
+        expected = [sylvester_determinant(a, b) for a, b in pairs]
+        # polyring reads Fraction off the fractions module where it builds one
+        monkeypatch.setattr(fractions, "Fraction", no_fraction)
+        for (a, b), det in zip(pairs, expected):
             res = resultant(a, b)
-            assert res == sylvester_determinant(a, b)
+            assert res == det
             r, u, v = subresultant_bezout(a, b)
             assert r == res
             assert u * a + v * b == IntPolynomial.constant(res)
+
+    def test_integer_work_loads_no_fractions_module(self):
+        # Without the module no value can be a Fraction, so integer work
+        # in a fresh process must not load it.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", INTEGER_WORK],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(polyring.__file__).resolve().parents[1])},
+            check=True,
+        )
+        assert proc.stdout == b"[]\n"
+
+
+# Integer polynomial work that touches every coefficient check, then the
+# loaded modules among fractions and what it imports.
+INTEGER_WORK = """
+import sys
+from cyclocomp.cyclotomic import cyclotomic_poly
+from cyclocomp.polyring import IntPolynomial, divides, resultant, subresultant_bezout
+a, b = cyclotomic_poly(12), cyclotomic_poly(8) * IntPolynomial([2, 0, 3])
+resultant(a, b), subresultant_bezout(a, b), divmod(a * b, a), divides(a, b)
+IntPolynomial.from_json(["1", "-2"]) * 3
+try:
+    IntPolynomial([1, 0.5])
+except TypeError:
+    pass
+print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+"""
 
 
 class TestModPrime:

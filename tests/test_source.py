@@ -41,6 +41,49 @@ def test_dataclasses_only_where_the_benchmark_replaces_fields():
     assert found == ["certificates.py", "completion.py", "rootexp.py"]
 
 
+def _import_time_imports(tree, module: str) -> list[int]:
+    """Lines that import `module` while the source itself is imported:
+    every import of it outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (
+                isinstance(child, ast.Import)
+                and any(a.name.partition(".")[0] == module for a in child.names)
+            ) or (isinstance(child, ast.ImportFrom) and child.module == module):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_fractions_imported_only_where_a_rational_is_built():
+    # fractions, with decimal and numbers, costs every CLI process that
+    # builds no rational; polyring imports it inside RatPolynomial.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")), "fractions")
+    ]
+    assert found == []
+
+
+def test_import_time_imports_are_recognised():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "class A:\n    import fractions\n"
+        "def f():\n    from fractions import Fraction\n"
+        "if A:\n    import fractions.x\n"
+        "g = lambda: __import__('fractions')\n"
+        "import fractionsx\n"
+    )
+    assert _import_time_imports(tree, "fractions") == [1, 3, 7]
+
+
 def _referenced_names() -> set[str]:
     """Every name used as a Name, an Attribute or an import alias in the
     library and its tests."""
