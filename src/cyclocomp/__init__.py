@@ -22,12 +22,11 @@ _EXPORTS = (
         "TruncatedElement", "alternating_unit", "from_digits", "reduce", "rho",
         "series_realize", "to_digits", "trunc_arith", "unit_inverse_mod",
     )),
-    ("certificates", ("CommonPrimeCertificate", "UnitCertificate")),
     ("cyclotomic", (
-        "AdjacencyGraph", "RING_Q", "RING_Z", "RING_ZERO", "RingDescriptor",
-        "arrow_witness", "c_value", "congruence_check", "connected_components",
-        "cyclotomic_coprimality", "cyclotomic_poly", "is_adjacent", "pochhammer",
-        "ring_z_inverted",
+        "AdjacencyGraph", "CommonPrimeCertificate", "RING_Q", "RING_Z", "RING_ZERO",
+        "RingDescriptor", "UnitCertificate", "arrow_witness", "c_value", "congruence_check",
+        "connected_components", "cyclotomic_coprimality", "cyclotomic_poly", "is_adjacent",
+        "pochhammer", "ring_z_inverted",
     )),
     ("polyring", (
         "IntPolynomial", "NEG_INFINITY", "RatPolynomial", "divides", "poly_mod_prime",

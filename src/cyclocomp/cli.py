@@ -386,7 +386,6 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
     import random  # only the seeded selfcheck draws; kept out of start-up
 
     from . import completion, qcrt, rootexp
-    from .certificates import UnitCertificate
     from .completion import AdicChain, PochhammerChain, ProductChain
 
     rng = random.Random(0x5EED)
@@ -454,7 +453,7 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
         for m in range(1, 21):
             for n in range(m + 1, 21):
                 cert = cyclotomic.cyclotomic_coprimality(m, n)
-                unit = isinstance(cert, UnitCertificate)
+                unit = isinstance(cert, cyclotomic.UnitCertificate)
                 if unit != (cyclotomic.c_value(m, n) == 1):
                     return False
         return True

@@ -31,7 +31,6 @@ expansion a_0 + f_1 (a_1 + f_2 (a_2 + ...)) in the factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import cyclotomic_poly, pochhammer_factor
@@ -219,13 +218,13 @@ def chain_from_json_dict(data: dict) -> FiltrationChain:
 # -- truncated elements -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedElement:
+class TruncatedElement(Frozen):
     """An element of the completed ring known modulo g_level."""
 
-    chain: FiltrationChain
-    level: int
-    rep: IntPolynomial
+    __slots__ = _fields = ("chain", "level", "rep")
+
+    def __init__(self, chain: FiltrationChain, level: int, rep: IntPolynomial) -> None:
+        self._init(chain, level, rep)
 
     @property
     def modulus(self) -> IntPolynomial:

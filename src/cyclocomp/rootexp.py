@@ -27,7 +27,6 @@ to level n(J+1), whose multiplicity at zeta_n is J + 1, so valid_to = J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from typing import Sequence
@@ -35,7 +34,7 @@ from typing import Sequence
 from .completion import SeriesSpec, TruncatedElement, _series_terms
 from .cyclotomic import cyclotomic_poly
 from .errors import InsufficientPrecision, OrderMismatch
-from .polyring import NEG_INFINITY, IntPolynomial, check_index, json_fields, json_int
+from .polyring import NEG_INFINITY, Frozen, IntPolynomial, check_index, json_fields, json_int
 
 
 class CyclotomicInteger:
@@ -173,15 +172,17 @@ def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, Cyclotom
 # -- Taylor expansion (sigma) -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootTaylorSeries:
+class RootTaylorSeries(Frozen):
     """Expansion sum_j coeffs[j] * (q - zeta)^j at a primitive order-th
     root; coefficients with index > valid_to would depend on data beyond
     the source truncation and are never produced."""
 
-    order: int
-    valid_to: int
-    coeffs: tuple[CyclotomicInteger, ...]
+    __slots__ = _fields = ("order", "valid_to", "coeffs")
+
+    def __init__(
+        self, order: int, valid_to: int, coeffs: tuple[CyclotomicInteger, ...]
+    ) -> None:
+        self._init(order, valid_to, coeffs)
 
     def to_json_dict(self) -> dict:
         return {

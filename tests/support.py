@@ -10,6 +10,8 @@ direct products in Z[zeta] instead of polynomial reduction, and so on.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -275,10 +277,13 @@ def components_by_pairwise_closure(desc, S) -> list[list[int]]:
 
 def check_frozen_value(make, other, text: str, field: str) -> None:
     """What the frozen dataclasses gave the value classes that replaced
-    them: equality and hash by field values, the repr `text`, and an
-    AttributeError on assigning or deleting `field` or any new attribute."""
+    them: equality and hash by field values, the repr `text`, copies and
+    pickles equal to the value, and an AttributeError on assigning or
+    deleting `field` or any new attribute."""
     a, b = make(), make()
     assert a == b and hash(a) == hash(b) and a is not b
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a and twin is not a
     assert a != other() and a != text
     assert repr(a) == text
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):

@@ -384,13 +384,16 @@ def test_optimized_interpreter_gives_the_same_bytes(argv):
     assert runs[1].stdout == runs[0].stdout
 
 
+# dataclasses and what it imports; no leaf loads them.
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
 # Runs cli.run on each argv of a JSON list in turn and prints, after each,
 # its exit code and which of the modules that a leaf may not need are
 # loaded.  Modules stay loaded from one argv to the next.
 IMPORT_PROBE = """
 import io, json, sys
 from cyclocomp.cli import run
-watched = {"random", "shutil", "dataclasses", "fractions", "decimal"} | {
+watched = {"random", "shutil", "fractions", "decimal"} | set(json.loads(sys.argv[2])) | {
     f"cyclocomp.{layer}" for layer in ("completion", "rootexp", "qcrt")
 }
 for argv in json.loads(sys.argv[1]):
@@ -401,7 +404,7 @@ for argv in json.loads(sys.argv[1]):
 
 def _probe(argvs: list) -> list:
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs)],
+        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs), json.dumps(INTROSPECTION)],
         capture_output=True,
         env=src_env(),
         check=True,
@@ -412,11 +415,12 @@ def _probe(argvs: list) -> list:
 def test_start_up_imports_neither_shutil_nor_random():
     # argparse imports shutil to ask for the terminal's width unless the
     # help width is fixed; random serves only selfcheck's seeded draws.
-    # The light leaves load neither dataclasses nor the completion and root
-    # layers, and only the qcrt leaves load the CRT layer.  Only the leaves
-    # that build a rational (qcrt and selfcheck) load fractions, which
-    # imports decimal.  As a probe keeps what it loaded, the light and qcrt
-    # leaves share one probe, the habiro leaves and selfcheck another.
+    # No leaf loads dataclasses, inspect, ast, dis or tokenize.  The light
+    # leaves load neither the completion nor the root layer, and only the
+    # qcrt leaves load the CRT layer.  Only the leaves that build a
+    # rational (qcrt and selfcheck) load fractions, which imports decimal.
+    # As a probe keeps what it loaded, the light and qcrt leaves share one
+    # probe, the habiro leaves and selfcheck another.
     leaves = {}
     for argv in GOLDEN_CORPUS:
         leaves.setdefault(tuple(argv[:2] if argv[0] in ("habiro", "qcrt") else argv[:1]), argv)
@@ -428,9 +432,9 @@ def test_start_up_imports_neither_shutil_nor_random():
     assert _probe(light + crt) == [[0, []]] * 3 + [[0, rational]] * 2
     reports = _probe(habiro + [["selfcheck"]])
     assert [code for code, _ in reports] == [0] * 7
-    allowed = {"dataclasses", "cyclocomp.completion", "cyclocomp.rootexp"}
+    allowed = {"cyclocomp.completion", "cyclocomp.rootexp"}
     assert all(set(loaded) <= allowed for _, loaded in reports[:-1])
-    assert "shutil" not in reports[-1][1]
+    assert not {"shutil", *INTROSPECTION} & set(reports[-1][1])
 
 
 def test_package_import_loads_no_layer():

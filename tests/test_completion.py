@@ -546,12 +546,20 @@ VALUE_CASES = [
         "digits=(IntPolynomial('1'), IntPolynomial('q')))",
         "digits",
     ),
+    (
+        lambda: TruncatedElement(PochhammerChain(), 2, Q + ONE),
+        lambda: TruncatedElement(chain=PochhammerChain(), level=2, rep=Q),
+        "<q + 1 mod g_2 on pochhammer>",  # its own repr, not the dataclass one
+        "rep",
+    ),
 ]
 
 
 class TestValueClasses:
     # Plain classes that behave as the frozen dataclasses they replaced.
-    @pytest.mark.parametrize("make, other, text, field", VALUE_CASES, ids=["spec", "digits"])
+    @pytest.mark.parametrize(
+        "make, other, text, field", VALUE_CASES, ids=["spec", "digits", "element"]
+    )
     def test_equality_hash_repr_and_no_assignment(self, make, other, text, field):
         check_frozen_value(make, other, text, field)
 

@@ -299,14 +299,35 @@ VALUE_CASES = [
         "is_zero_ring=False, separated_primes=<class 'bool'>))",
         "vertices",
     ),
+    (
+        lambda: UnitCertificate(u=P(0, 1), v=P(-1), resultant=-1),
+        lambda: UnitCertificate(P(0, 1), P(-1), 1),
+        "UnitCertificate(u=IntPolynomial('q'), v=IntPolynomial('-1'), resultant=-1)",
+        "u",
+    ),
+    (
+        lambda: CommonPrimeCertificate(p=3, resultant=9, exponent=2),
+        lambda: CommonPrimeCertificate(3, 27, 3),
+        "CommonPrimeCertificate(p=3, resultant=9, exponent=2)",
+        "exponent",
+    ),
 ]
 
 
 class TestValueClasses:
     # Plain classes that behave as the frozen dataclasses they replaced.
-    @pytest.mark.parametrize("make, other, text, field", VALUE_CASES, ids=["ring", "graph"])
+    @pytest.mark.parametrize(
+        "make, other, text, field", VALUE_CASES, ids=["ring", "graph", "unit", "prime"]
+    )
     def test_equality_hash_repr_and_no_assignment(self, make, other, text, field):
         check_frozen_value(make, other, text, field)
+
+    def test_certificates_take_their_fields_by_keyword(self):
+        cert = UnitCertificate(resultant=1, v=P(1), u=P(0, 1))
+        assert (cert.u, cert.v, cert.resultant) == (P(0, 1), P(1), 1)
+        assert cert == UnitCertificate(P(0, 1), P(1), 1)
+        cert = CommonPrimeCertificate(exponent=1, p=2, resultant=2)
+        assert (cert.p, cert.resultant, cert.exponent) == (2, 2, 1)
 
 
 class TestCongruence:

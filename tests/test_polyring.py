@@ -307,6 +307,36 @@ class TestDivMod:
         assert divides(g, IntPolynomial.monomial(1, 2) * g)
         assert calls == [1]
 
+    def test_divides_answers_a_short_dividend_without_division(self, monkeypatch):
+        calls = []
+        divide = polyring._long_divide
+        monkeypatch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+        assert not divides(P(1, 1, 1), P(0, 0, 1))  # q^2 set aside leaves 1
+        assert not divides(P(0, 1, 1), P(3, 1))  # g(0) = 0, deg a < deg g
+        assert divides(P(1, 1, 1), IntPolynomial.zero())
+        assert calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=4),
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-9, 9), max_size=4),
+        st.integers(0, 6),
+    )
+    def test_divides_short_dividends_match_the_remainder(self, body, lc, low, s):
+        # a = q^s low with deg low < deg g: once a power of q prime to g
+        # is set aside, a is shorter than g and no division is run.
+        g = IntPolynomial(body + [lc])
+        a = IntPolynomial.monomial(1, s) * IntPolynomial(low[: len(body)])
+        calls = []
+        divide = polyring._long_divide
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+            answer = divides(g, a)
+        assert answer == divmod(a, g)[1].is_zero
+        if g.coeffs[0] or s == 0:
+            assert calls == []
+
     def test_divides_needs_a_unit_leading_divisor(self):
         # whatever the degree of the dividend
         for a in (IntPolynomial.zero(), P(1), P(0, 2), P(0, 0, 1, 2), P(1, 2, 3)):

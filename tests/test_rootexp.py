@@ -14,6 +14,7 @@ from cyclocomp import (
     PochhammerChain,
     ProductChain,
     Q_INVERSE_SPEC,
+    RootTaylorSeries,
     SeriesSpec,
     cyclotomic_poly,
     evaluate_at_root,
@@ -30,6 +31,7 @@ from cyclocomp.errors import InsufficientPrecision, NonConvergent, OrderMismatch
 from cyclocomp.rootexp import _times_step
 
 from support import (
+    check_frozen_value,
     div_by_q_minus_zeta,
     evaluate_by_division,
     expand_series_global,
@@ -276,6 +278,19 @@ class TestTaylor:
             for K in range(0, 11):
                 assert multiplicity_by_synthetic_division(pochhammer(K), n) == K // n
                 assert root_multiplicity(PochhammerChain(), K, n) == K // n
+
+
+class TestValueClasses:
+    # A plain class that behaves as the frozen dataclass it replaced.
+    def test_equality_hash_repr_and_no_assignment(self):
+        zeta = CyclotomicInteger(4, [0, 1])
+        check_frozen_value(
+            lambda: RootTaylorSeries(4, 1, (zeta, CyclotomicInteger(4, [2]))),
+            lambda: RootTaylorSeries(order=4, valid_to=0, coeffs=(zeta,)),
+            "RootTaylorSeries(order=4, valid_to=1, coeffs=(CyclotomicInteger(order=4, (0, 1)), "
+            "CyclotomicInteger(order=4, (2, 0))))",
+            "coeffs",
+        )
 
 
 class PlusOneChain(FiltrationChain):

@@ -27,20 +27,6 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_dataclasses_only_where_the_benchmark_replaces_fields():
-    # Importing dataclasses costs the CLI's start-up inspect, ast and dis.
-    # The value classes are polyring.Frozen instead; the dataclasses left
-    # are the ones the benchmark's tests rebuild with dataclasses.replace.
-    found = sorted(
-        path.name
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
-    )
-    assert found == ["certificates.py", "completion.py", "rootexp.py"]
-
-
 def _import_time_imports(tree, module: str) -> list[int]:
     """Lines that import `module` while the source itself is imported:
     every import of it outside a function body."""
@@ -61,15 +47,33 @@ def _import_time_imports(tree, module: str) -> list[int]:
     return found
 
 
+def _imported_at_import_time(module: str) -> list[str]:
+    return [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")), module)
+    ]
+
+
 def test_fractions_imported_only_where_a_rational_is_built():
     # fractions, with decimal and numbers, costs every CLI process that
     # builds no rational; polyring imports it inside RatPolynomial.
+    assert _imported_at_import_time("fractions") == []
+
+
+def test_dataclasses_imported_only_where_a_value_is_replaced():
+    # dataclasses, with inspect, ast and dis, costs every CLI process.  The
+    # value classes are polyring.Frozen; its __dataclass_fields__, read
+    # only by dataclasses.replace and its kin, holds the one import.
+    assert _imported_at_import_time("dataclasses") == []
     found = [
-        f"{path.name}:{line}"
+        path.name
         for path in SOURCES
-        for line in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")), "fractions")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     ]
-    assert found == []
+    assert found == ["polyring.py"]
 
 
 def test_import_time_imports_are_recognised():
