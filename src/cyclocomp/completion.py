@@ -43,7 +43,8 @@ from .errors import (
     NotCoarser,
 )
 from .polyring import (
-    Frozen, IntPolynomial, check_index, divides, json_fields, json_int, subresultant_bezout
+    Frozen, IntPolynomial, _Replaceable, check_index, divides, json_fields, json_int,
+    subresultant_bezout,
 )
 
 
@@ -218,17 +219,13 @@ def chain_from_json_dict(data: dict) -> FiltrationChain:
 # -- truncated elements -----------------------------------------------------
 
 
-class TruncatedElement(Frozen):
+class TruncatedElement(_Replaceable):
     """An element of the completed ring known modulo g_level."""
 
     __slots__ = _fields = ("chain", "level", "rep")
 
     def __init__(self, chain: FiltrationChain, level: int, rep: IntPolynomial) -> None:
         self._init(chain, level, rep)
-
-    @property
-    def modulus(self) -> IntPolynomial:
-        return self.chain.modulus(self.level)
 
     def __add__(self, other):
         return trunc_arith(self, other, "add")
@@ -353,8 +350,7 @@ def rho(
             f"{target_chain.label} level {target_level} is not coarser than "
             f"{a.chain.label} level {a.level}"
         )
-    rep = a.rep % h if target_level > 0 else IntPolynomial.zero()
-    return TruncatedElement(target_chain, target_level, rep)
+    return TruncatedElement(target_chain, target_level, a.rep % h)
 
 
 # -- convergent series -------------------------------------------------------

@@ -5,12 +5,10 @@ The central combinatorial datum is c(m, n): 0 when m = n, a prime p when
 n/m is a nonzero integer power of p, and 1 otherwise.  Two indices are
 adjacent over a coefficient ring exactly when the ring is c-adically
 separated, which for the built-in descriptors reduces to a predicate on
-primes.  The module's one store is the Phi_n table `_cyclo_cache`; the
-(q)_k store is `completion.PochhammerChain`'s, and `pochhammer` keeps none.
-
-The CLI's light subcommands load only this layer and `polyring`, so the
-value classes here, the coprimality certificates among them, are
-`polyring.Frozen` rather than dataclasses.
+primes.  The module's one store is the Phi_n table `_cyclo_cache`, of
+immutable polynomials; the (q)_k store is `completion.PochhammerChain`'s,
+and `pochhammer` keeps none.  Of the value classes here only the two
+coprimality certificates pose as dataclasses (`polyring._Replaceable`).
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from .errors import EmptySet, EqualIndices, NonUnitLeadingCoefficient, NotPrime
 from .polyring import (
     Frozen,
     IntPolynomial,
+    _Replaceable,
     check_index,
     is_prime,
     poly_mod_prime,
@@ -238,7 +237,7 @@ def congruence_check(n: int, p: int, e: int) -> tuple[int, bool]:
 # -- coprimality certificates ----------------------------------------------
 
 
-class UnitCertificate(Frozen):
+class UnitCertificate(_Replaceable):
     """u*Phi_m + v*Phi_n = 1 with integer cofactors."""
 
     __slots__ = _fields = ("u", "v", "resultant")
@@ -247,7 +246,7 @@ class UnitCertificate(Frozen):
         self._init(u, v, resultant)
 
 
-class CommonPrimeCertificate(Frozen):
+class CommonPrimeCertificate(_Replaceable):
     """The two indices share the prime p; the resultant is p^exponent."""
 
     __slots__ = _fields = ("p", "resultant", "exponent")

@@ -16,10 +16,6 @@ s_n*R_n is the idempotent that is 1 mod F_n and 0 mod the other factors.
 An `ExponentVector` computes its factor powers, its modulus and this
 Bezout data (F_n, R_n, s_n) once, on first use, and keeps them, so
 repeated splits and reconstructions over one vector share them.
-
-`ExponentVector` and `CrtComponents` are `polyring.Frozen` values, not
-dataclasses, so the CLI's `qcrt` subcommands start without importing
-`dataclasses`.
 """
 
 from __future__ import annotations

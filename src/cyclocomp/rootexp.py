@@ -34,14 +34,16 @@ from typing import Sequence
 from .completion import SeriesSpec, TruncatedElement, _series_terms
 from .cyclotomic import cyclotomic_poly
 from .errors import InsufficientPrecision, OrderMismatch
-from .polyring import NEG_INFINITY, Frozen, IntPolynomial, check_index, json_fields, json_int
+from .polyring import (
+    NEG_INFINITY, Frozen, IntPolynomial, _Replaceable, check_index, json_fields, json_int
+)
 
 
-class CyclotomicInteger:
+class CyclotomicInteger(Frozen):
     """An element of Z[zeta_n], stored as exactly phi(n) power-basis
     coordinates (n = 1 is a plain integer in disguise)."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = _fields = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[int]):
         phi = len(cyclotomic_poly(order).coeffs) - 1
@@ -49,8 +51,8 @@ class CyclotomicInteger:
         if len(coeffs) > phi:
             rem = IntPolynomial(coeffs) % cyclotomic_poly(order)
             coeffs = list(rem.coeffs)
-        self.order = order
-        self.coeffs = tuple(coeffs) + (0,) * (phi - len(coeffs))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(coeffs) + (0,) * (phi - len(coeffs)))
 
     @classmethod
     def from_int(cls, order: int, value: int) -> "CyclotomicInteger":
@@ -107,16 +109,6 @@ class CyclotomicInteger:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicInteger)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def __str__(self):
         if self.order == 1:
             return str(self.coeffs[0])
@@ -172,7 +164,7 @@ def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, Cyclotom
 # -- Taylor expansion (sigma) -------------------------------------------------
 
 
-class RootTaylorSeries(Frozen):
+class RootTaylorSeries(_Replaceable):
     """Expansion sum_j coeffs[j] * (q - zeta)^j at a primitive order-th
     root; coefficients with index > valid_to would depend on data beyond
     the source truncation and are never produced."""

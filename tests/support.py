@@ -276,10 +276,9 @@ def components_by_pairwise_closure(desc, S) -> list[list[int]]:
 
 
 def check_frozen_value(make, other, text: str, field: str) -> None:
-    """What the frozen dataclasses gave the value classes that replaced
-    them: equality and hash by field values, the repr `text`, copies and
-    pickles equal to the value, and an AttributeError on assigning or
-    deleting `field` or any new attribute."""
+    """The value protocol of `polyring.Frozen`: equality and hash by field
+    values, the repr `text`, copies and pickles equal to the value, and an
+    AttributeError on assigning or deleting `field` or any new attribute."""
     a, b = make(), make()
     assert a == b and hash(a) == hash(b) and a is not b
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):

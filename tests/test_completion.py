@@ -568,3 +568,14 @@ class TestValueClasses:
         spec = SeriesSpec("s", len, abs)
         object.__setattr__(spec, "term", str)
         assert spec.term is str and spec == SeriesSpec("s", str, abs)
+
+    def test_cached_moduli_cannot_be_altered(self):
+        # Phi_n and (q)_k are handed out from process-wide stores; an
+        # assignment to one would change every later answer.
+        phi_5 = cyclotomic_poly(5).coeffs
+        kz_3 = series_realize(KONTSEVICH_ZAGIER_SPEC, PochhammerChain(), 3)
+        for cached in (cyclotomic_poly(5), PochhammerChain().modulus(3)):
+            with pytest.raises(AttributeError):
+                cached.coeffs = (1,)
+        assert cyclotomic_poly(5).coeffs == phi_5 == (1, 1, 1, 1, 1)
+        assert series_realize(KONTSEVICH_ZAGIER_SPEC, PochhammerChain(), 3) == kz_3

@@ -33,6 +33,7 @@ from cyclocomp.errors import (
 )
 
 from support import (
+    check_frozen_value,
     random_int_poly,
     random_unit_leading_poly,
     schoolbook_rat_divmod,
@@ -62,6 +63,27 @@ class TestCanonicalForm:
             b = random_int_poly(rng, 8)
             for result in (a + b, a - b, a * b, -a):
                 assert not result.coeffs or result.coeffs[-1] != 0
+
+
+class TestValueClasses:
+    # Polynomials are polyring.Frozen values: cached Phi_n and (q)_k are shared.
+    @pytest.mark.parametrize(
+        "make, other, text",
+        [
+            (lambda: P(1, 1), lambda: P(1), "IntPolynomial('q + 1')"),
+            (
+                lambda: RatPolynomial([Fraction(1, 2), 0, 1]),
+                lambda: RatPolynomial([1, 0, 1]),
+                "RatPolynomial('q^2 + 1/2')",
+            ),
+        ],
+        ids=["int", "rat"],
+    )
+    def test_equality_hash_repr_and_no_assignment(self, make, other, text):
+        check_frozen_value(make, other, text, "coeffs")
+
+    def test_the_two_domains_stay_unequal(self):
+        assert P(1, 2) != RatPolynomial([1, 2]) and RatPolynomial([1, 2]) != P(1, 2)
 
 
 class TestArithmetic:

@@ -281,7 +281,7 @@ class TestTaylor:
 
 
 class TestValueClasses:
-    # A plain class that behaves as the frozen dataclass it replaced.
+    # polyring.Frozen values, as the frozen dataclass RootTaylorSeries was.
     def test_equality_hash_repr_and_no_assignment(self):
         zeta = CyclotomicInteger(4, [0, 1])
         check_frozen_value(
@@ -290,6 +290,19 @@ class TestValueClasses:
             "RootTaylorSeries(order=4, valid_to=1, coeffs=(CyclotomicInteger(order=4, (0, 1)), "
             "CyclotomicInteger(order=4, (2, 0))))",
             "coeffs",
+        )
+
+    @pytest.mark.parametrize(
+        "other, field",
+        [
+            (lambda: CyclotomicInteger(6, [1, 2]), "order"),
+            (lambda: CyclotomicInteger(3, [2, 1]), "coeffs"),
+        ],
+        ids=["order", "coeffs"],
+    )
+    def test_cyclotomic_integers_are_values(self, other, field):
+        check_frozen_value(
+            lambda: CyclotomicInteger(3, [1, 2]), other, "CyclotomicInteger(order=3, (1, 2))", field
         )
 
 

@@ -63,8 +63,9 @@ def test_fractions_imported_only_where_a_rational_is_built():
 
 def test_dataclasses_imported_only_where_a_value_is_replaced():
     # dataclasses, with inspect, ast and dis, costs every CLI process.  The
-    # value classes are polyring.Frozen; its __dataclass_fields__, read
-    # only by dataclasses.replace and its kin, holds the one import.
+    # value classes are polyring.Frozen; the __dataclass_*__ attributes of
+    # polyring._Replaceable, read only by dataclasses.replace and its kin,
+    # hold the one import.
     assert _imported_at_import_time("dataclasses") == []
     found = [
         path.name
@@ -86,6 +87,68 @@ def test_import_time_imports_are_recognised():
         "import fractionsx\n"
     )
     assert _import_time_imports(tree, "fractions") == [1, 3, 7]
+
+
+def _classes_defining(tree, wanted) -> list[str]:
+    """Names of the classes in `tree` whose body defines, by a def or an
+    assignment, a name for which `wanted` is true."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for node in cls.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if any(map(wanted, names)):
+            found.append(cls.name)
+    return found
+
+
+def _equality(name: str) -> bool:
+    return name in ("__eq__", "__hash__")
+
+
+def _dataclass_attribute(name: str) -> bool:
+    return name.startswith("__dataclass_")
+
+
+def _source_classes_defining(wanted) -> list[str]:
+    return sorted(
+        name
+        for path in SOURCES
+        for name in _classes_defining(ast.parse(path.read_text(encoding="utf-8")), wanted)
+    )
+
+
+def test_one_owner_of_value_equality():
+    # Frozen decides equality and hash for every value class; a chain is
+    # equal to another by its signature().
+    assert _source_classes_defining(_equality) == ["FiltrationChain", "Frozen"]
+
+
+def test_only_the_bridge_poses_as_a_dataclass():
+    # dataclasses.is_dataclass, replace and pprint believe any class with
+    # a __dataclass_fields__; only the classes the benchmark replaces may.
+    assert _source_classes_defining(_dataclass_attribute) == ["_Replaceable"]
+
+
+def test_value_class_lints_are_recognised():
+    # _Polynomial and CyclotomicInteger as they were with their own equality,
+    # and Frozen as it was with the dataclass bridge
+    tree = ast.parse(
+        "class _Polynomial:\n    __slots__ = ('coeffs',)\n"
+        "    def __eq__(self, other): pass\n    def __hash__(self): pass\n"
+        "class CyclotomicInteger:\n    def __hash__(self): pass\n"
+        "class Frozen:\n    __dataclass_fields__ = _DataclassFields()\n"
+        "    def __eq__(self, other): pass\n"
+        "class Chain:\n    __hash__ = None\n"
+    )
+    assert _classes_defining(tree, _equality) == [
+        "_Polynomial", "CyclotomicInteger", "Frozen", "Chain"
+    ]
+    assert _classes_defining(tree, _dataclass_attribute) == ["Frozen"]
 
 
 def _referenced_names() -> set[str]:
