@@ -16,18 +16,17 @@ so every help screen is byte-identical in every environment too.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
 
 # Start-up imports only the polynomial and cyclotomic layers; the
 # completion, root and CRT layers are imported by the argument types and
 # subcommands that use them.
 from . import cyclotomic
 from .errors import PrecisionContractError
-from .polyring import DECIMAL_INTEGER, IntPolynomial, RatPolynomial
+from .polyring import DECIMAL_INTEGER, Frozen, IntPolynomial, RatPolynomial
 
 if TYPE_CHECKING:
     from .completion import FiltrationChain, TruncatedElement
@@ -55,20 +54,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Result(NamedTuple):
-    """What a subcommand computed, ready for every output format."""
+class _Result(Frozen):
+    """What a subcommand computed, ready for every output format: the JSON
+    value (None for a verdict printed alike in every format), the CSV
+    header line and rows, the newline-terminated plain text, and the exit
+    status."""
 
-    payload: Any  # JSON value; None for a verdict printed alike in every format
-    header: str  # CSV header line
-    rows: list  # CSV rows
-    plain: str  # plain text, newline-terminated
-    code: int = 0  # exit status
+    __slots__ = _fields = ("payload", "header", "rows", "plain", "code")
+
+    def __init__(self, payload: Any, header: str, rows: list, plain: str, code: int = 0) -> None:
+        self._init(payload, header, rows, plain, code)
 
 
 def _emit(out: TextIO, fmt: str, result: _Result) -> None:
     if result.payload is None or fmt == "plain":
         out.write(result.plain)
     elif fmt == "json":
+        import json  # only where JSON is read or written; kept out of start-up
+
         out.write(json.dumps(result.payload, sort_keys=True, separators=(",", ":")))
         out.write("\n")
     else:
@@ -112,6 +115,8 @@ def _positive_list(text: str) -> list[int]:
 
 
 def _parse_poly(text: str, cls=IntPolynomial):
+    import json
+
     try:
         return cls.from_json(json.loads(text))
     except (ValueError, TypeError) as exc:
@@ -180,6 +185,8 @@ class Budgets:
     def load(path: Optional[str]) -> "Budgets":
         if path is None:
             return Budgets()
+        import json
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)

@@ -14,7 +14,6 @@ coprimality certificates pose as dataclasses (`polyring._Replaceable`).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import os
@@ -29,6 +28,7 @@ from .polyring import (
     is_prime,
     poly_mod_prime,
     prime_factors,
+    resultant,
     subresultant_bezout,
 )
 
@@ -69,6 +69,8 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
 def save_cyclotomic_cache(path: str) -> None:
     """Write the cached Phi_n as a JSON object n -> coefficients, through a
     file beside path renamed over it, so no reader sees a partial file."""
+    import json  # no CLI process writes the file; kept out of start-up
+
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -262,13 +264,15 @@ def cyclotomic_coprimality(m: int, n: int) -> UnitCertificate | CommonPrimeCerti
     if m == n:
         raise EqualIndices("coprimality needs two distinct indices")
     c = c_value(m, n)
-    res, u, v = subresultant_bezout(cyclotomic_poly(m), cyclotomic_poly(n))
     if c == 1:
+        res, u, v = subresultant_bezout(cyclotomic_poly(m), cyclotomic_poly(n))
         if res not in (1, -1):
             raise AssertionError(f"expected unit resultant for ({m},{n}), got {res}")
         if res == -1:
             u, v = -u, -v
         return UnitCertificate(u=u, v=v, resultant=res)
+    # no cofactors are kept for a shared prime, so only the resultant is built
+    res = resultant(cyclotomic_poly(m), cyclotomic_poly(n))
     exponent = 0
     r = res
     while r % c == 0 and r > 1:

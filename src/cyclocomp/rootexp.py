@@ -114,9 +114,6 @@ class CyclotomicInteger(Frozen):
             return str(self.coeffs[0])
         return f"({IntPolynomial(self.coeffs)})".replace("q", "z")
 
-    def __repr__(self):
-        return f"CyclotomicInteger(order={self.order}, {self.coeffs})"
-
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 

@@ -437,6 +437,73 @@ def test_start_up_imports_neither_shutil_nor_random():
     assert not {"shutil", *INTROSPECTION} & set(reports[-1][1])
 
 
+# Patches eval and compile, imports the CLI, then runs cli.run on each
+# command line of argv, the lines split at the word "--next", and prints
+# after each its exit code, the eval and compile calls made so far, and
+# whether it loaded json, which it then unloads.  A compile of a `.py`
+# file is importlib loading a module without bytecode and is not counted.
+# The standard library's own namedtuples, built as `re` (under argparse)
+# and `decimal` (under fractions) first load, are paid before the patch.
+# The probe itself imports no json.
+START_UP_PROBE = """
+import argparse, builtins, decimal, io, sys
+calls = []
+real_compile, real_eval = builtins.compile, builtins.eval
+def compile(source, filename, *args, **kwargs):
+    if not str(filename).endswith(".py"):
+        calls.append("compile")
+    return real_compile(source, filename, *args, **kwargs)
+def eval(*args, **kwargs):
+    calls.append("eval")
+    return real_eval(*args, **kwargs)
+builtins.compile, builtins.eval = compile, eval
+from cyclocomp.cli import run
+words = sys.argv[1:]
+while words:
+    end = words.index("--next")
+    argv, words = words[:end], words[end + 1 :]
+    code = run(argv, io.StringIO(), io.StringIO())
+    loaded = [name for name in sys.modules if name == "json" or name.startswith("json.")]
+    print(code, calls.count("compile"), calls.count("eval"), bool(loaded))
+    for name in loaded:
+        del sys.modules[name]
+"""
+
+
+def _reads_or_writes_json(argv: list) -> bool:
+    """Whether a command line reads JSON (a --poly, which every leaf with a
+    chain takes, or a --config) or writes it (--format json, but for the
+    verdict of --check-unit, printed alike in every format)."""
+    reads = bool({"--poly", "--config"} & set(argv))
+    return reads or argv[argv.index("--format") + 1] == "json" and "--check-unit" not in argv
+
+
+def test_start_up_compiles_nothing_and_loads_json_only_for_json(tmp_path):
+    # Under `from __future__ import annotations` a typing.NamedTuple class
+    # compiles a ForwardRef per field and evals its namedtuple's __new__;
+    # the CLI defines none.  json is imported only where JSON is read or
+    # written, so a csv or plain leaf that reads none skips it.
+    config = tmp_path / "budgets.json"
+    config.write_text('{"max_level": 9}')
+    argvs = [argv + ["--format", fmt] for argv in GOLDEN_CORPUS for fmt in ("json", "csv", "plain")]
+    argvs.append(["--config", str(config), "cyclotomic", "3", "--format", "plain"])
+    words = [word for argv in argvs for word in (*argv, "--next")]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_PROBE, *words],
+        capture_output=True,
+        env=src_env(),
+        check=True,
+    )
+    reports = [line.split() for line in proc.stdout.decode().splitlines()]
+    assert [code for code, *_ in reports] == ["0"] * len(argvs)
+    assert {(compiles, evals) for _, compiles, evals, _ in reports} == {("0", "0")}
+    loaded = [json_loaded == "True" for *_, json_loaded in reports]
+    assert loaded == [_reads_or_writes_json(argv) for argv in argvs]
+    # the csv and plain rows of the 13 leaves without --poly, and the
+    # --check-unit verdict in json
+    assert loaded.count(False) == 27
+
+
 def test_package_import_loads_no_layer():
     proc = subprocess.run(
         [

@@ -402,6 +402,32 @@ class TestCoprimality:
                     assert isinstance(cert, CommonPrimeCertificate)
                     assert cert.resultant == cert.p**cert.exponent > 1
 
+    def test_common_prime_pair_builds_no_cofactors(self, monkeypatch):
+        calls = []
+        bezout = cyclotomic.subresultant_bezout
+        monkeypatch.setattr(
+            cyclotomic, "subresultant_bezout", lambda a, b: calls.append((a, b)) or bezout(a, b)
+        )
+        assert cyclotomic_coprimality(3, 9) == CommonPrimeCertificate(p=3, resultant=9, exponent=2)
+        assert calls == []
+        assert isinstance(cyclotomic_coprimality(3, 4), UnitCertificate)
+        assert calls == [(cyclotomic_poly(3), cyclotomic_poly(4))]
+
+    def test_certificates_as_built_from_the_bezout_data(self):
+        # Each certificate equals the one built, as before, from the
+        # resultant and cofactors of subresultant_bezout for every pair.
+        for n in range(2, 31):
+            for m in range(1, n):
+                res, u, v = cyclotomic.subresultant_bezout(cyclotomic_poly(m), cyclotomic_poly(n))
+                c = c_value(m, n)
+                if c == 1:
+                    expected = UnitCertificate(u=u * res, v=v * res, resultant=res)
+                else:
+                    exponent = round(math.log(res, c))
+                    assert c**exponent == res
+                    expected = CommonPrimeCertificate(p=c, resultant=res, exponent=exponent)
+                assert cyclotomic_coprimality(m, n) == expected, (m, n)
+
     def test_apostol_resultants(self):
         # Apostol, "Resultants of cyclotomic polynomials", Proc. AMS 1970:
         # for m < n, res(Phi_m, Phi_n) = p^phi(m) when n/m is a power of

@@ -287,8 +287,8 @@ class TestValueClasses:
         check_frozen_value(
             lambda: RootTaylorSeries(4, 1, (zeta, CyclotomicInteger(4, [2]))),
             lambda: RootTaylorSeries(order=4, valid_to=0, coeffs=(zeta,)),
-            "RootTaylorSeries(order=4, valid_to=1, coeffs=(CyclotomicInteger(order=4, (0, 1)), "
-            "CyclotomicInteger(order=4, (2, 0))))",
+            "RootTaylorSeries(order=4, valid_to=1, coeffs=(CyclotomicInteger(order=4, "
+            "coeffs=(0, 1)), CyclotomicInteger(order=4, coeffs=(2, 0))))",
             "coeffs",
         )
 
@@ -302,8 +302,23 @@ class TestValueClasses:
     )
     def test_cyclotomic_integers_are_values(self, other, field):
         check_frozen_value(
-            lambda: CyclotomicInteger(3, [1, 2]), other, "CyclotomicInteger(order=3, (1, 2))", field
+            lambda: CyclotomicInteger(3, [1, 2]),
+            other,
+            "CyclotomicInteger(order=3, coeffs=(1, 2))",
+            field,
         )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CyclotomicInteger(12, [3, -1, 0, 7]),
+            lambda: expand_series(KONTSEVICH_ZAGIER_SPEC, 3, 2),
+        ],
+        ids=["CyclotomicInteger", "RootTaylorSeries"],
+    )
+    def test_repr_is_a_constructor_call(self, make):
+        value = make()
+        assert eval(repr(value)) == value
 
 
 class PlusOneChain(FiltrationChain):

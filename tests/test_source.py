@@ -61,6 +61,11 @@ def test_fractions_imported_only_where_a_rational_is_built():
     assert _imported_at_import_time("fractions") == []
 
 
+def test_json_imported_only_where_json_is_read_or_written():
+    # a csv or plain CLI leaf that reads no JSON skips json
+    assert _imported_at_import_time("json") == []
+
+
 def test_dataclasses_imported_only_where_a_value_is_replaced():
     # dataclasses, with inspect, ast and dis, costs every CLI process.  The
     # value classes are polyring.Frozen; the __dataclass_*__ attributes of
@@ -87,6 +92,84 @@ def test_import_time_imports_are_recognised():
         "import fractionsx\n"
     )
     assert _import_time_imports(tree, "fractions") == [1, 3, 7]
+
+
+def _typing_outside_annotations(tree) -> list[str]:
+    """Uses of a name imported from `typing` (or of `typing` itself) that
+    are run, not only read by type checkers: anywhere but an annotation
+    under `from __future__ import annotations`, except TYPE_CHECKING."""
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "typing"
+        for alias in node.names
+    } | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "typing"
+    }
+    deferred = any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+        for node in tree.body
+    )
+    annotations = set()
+    if deferred:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                found = [node.annotation]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                found = [node.annotation]
+            else:
+                continue
+            annotations.update(id(n) for a in found if a is not None for n in ast.walk(a))
+    return [
+        f"{node.id}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id in names - {"TYPE_CHECKING"}
+        and id(node) not in annotations
+    ]
+
+
+def test_typing_names_only_in_annotations():
+    # The typing imports stay while the benchmark's set-up is what caches
+    # typing's bytecode; once every imported name is only annotation or
+    # TYPE_CHECKING, moving the imports under TYPE_CHECKING drops typing
+    # from start-up.  So no NamedTuple, TypedDict, TypeVar or cast.
+    found = [
+        f"{path.name}:{use}"
+        for path in SOURCES
+        for use in _typing_outside_annotations(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_typing_lint_is_recognised():
+    # cli._Result as it was, and the uses the lint rules out
+    source = (
+        "from typing import TYPE_CHECKING, Any, NamedTuple, Optional, TypeVar, cast\n"
+        "import typing\n"
+        "if TYPE_CHECKING:\n    pass\n"
+        "class _Result(NamedTuple):\n    payload: Any\n    code: int = 0\n"
+        "T = TypeVar('T')\n"
+        "def f(x: Optional[int]) -> Optional[T]:\n    return cast(int, x)\n"
+        "y: typing.Any = typing.cast(int, 1)\n"
+    )
+    future = ast.parse("from __future__ import annotations\n" + source)
+    assert sorted(_typing_outside_annotations(future)) == [
+        "NamedTuple:6", "TypeVar:9", "cast:11", "typing:12"
+    ]
+    # without the future import every annotation is evaluated
+    assert sorted(_typing_outside_annotations(ast.parse(source))) == [
+        "Any:6", "NamedTuple:5", "Optional:9", "Optional:9",
+        "TypeVar:8", "cast:10", "typing:11", "typing:11",
+    ]
 
 
 def _classes_defining(tree, wanted) -> list[str]:
