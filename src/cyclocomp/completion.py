@@ -31,6 +31,7 @@ expansion a_0 + f_1 (a_1 + f_2 (a_2 + ...)) in the factors.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import cyclotomic_poly, pochhammer_factor
@@ -48,28 +49,29 @@ from .polyring import (
 )
 
 
-class FiltrationChain:
+class FiltrationChain(Frozen):
     """Base class: lazily generated, memoized modulus chain.
 
     Subclasses implement factor(k), the unit-leading f_k with
     g_k = g_{k-1} * f_k for k >= 1, and do not override `modulus`, the
     one loop that multiplies the factors out.  A factor that is not
     unit-leading is an AssertionError naming the chain and k, wherever
-    the factor is read.
+    the factor is read.  A chain is a `Frozen` value; its g_k are a cache.
     """
 
     label: str = "chain"
 
-    def __init__(self) -> None:
-        self._moduli: list[IntPolynomial] = [IntPolynomial.one()]
-
     def factor(self, k: int) -> IntPolynomial:
         raise NotImplementedError
+
+    def _store(self) -> list[IntPolynomial]:
+        """The g_k so far, made on first use: a copy starts its own."""
+        return self.__dict__.setdefault("_moduli", [IntPolynomial.one()])
 
     def modulus(self, k: int) -> IntPolynomial:
         """g_k; g_0 = 1."""
         check_index(k, "level", 0)
-        moduli = self._moduli
+        moduli = self._store()
         while len(moduli) <= k:
             moduli.append(moduli[-1] * self._checked_factor(len(moduli)))
         return moduli[k]
@@ -93,20 +95,8 @@ class FiltrationChain:
                 quot, rem = divmod(quot, phi)
         return mult
 
-    def signature(self) -> tuple:
-        raise NotImplementedError
-
     def to_json_dict(self) -> dict:
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, FiltrationChain) and self.signature() == other.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.label!r})"
 
 
 class PochhammerChain(FiltrationChain):
@@ -117,8 +107,8 @@ class PochhammerChain(FiltrationChain):
     label = "pochhammer"
     _moduli: list[IntPolynomial] = [IntPolynomial.one()]
 
-    def __init__(self) -> None:
-        """No per-instance list: the class-level `_moduli` is shared."""
+    def _store(self) -> list[IntPolynomial]:
+        return PochhammerChain._moduli
 
     def factor(self, k: int) -> IntPolynomial:
         return pochhammer_factor(k)
@@ -127,9 +117,6 @@ class PochhammerChain(FiltrationChain):
         """Phi_n divides q^k - 1 once exactly when n | k."""
         return level // n
 
-    def signature(self) -> tuple:
-        return ("pochhammer",)
-
     def to_json_dict(self) -> dict:
         return {"kind": "pochhammer"}
 
@@ -137,14 +124,18 @@ class PochhammerChain(FiltrationChain):
 class AdicChain(FiltrationChain):
     """g_k = f^k for a fixed unit-leading polynomial f of degree >= 1."""
 
+    _fields = ("f",)
+
     def __init__(self, f: IntPolynomial) -> None:
         if not f.has_unit_leading_coefficient or f.degree < 1:
             raise NonUnitLeadingCoefficient(
                 "adic chains need a unit-leading polynomial of degree >= 1"
             )
-        super().__init__()
-        self.f = f
-        self.label = f"adic({f})"
+        self._init(f)
+
+    @property
+    def label(self) -> str:
+        return f"adic({self.f})"
 
     def factor(self, k: int) -> IntPolynomial:
         return self.f
@@ -152,9 +143,6 @@ class AdicChain(FiltrationChain):
     def multiplicity(self, n: int, level: int) -> int:
         """Every factor is f: level times the multiplicity of Phi_n in f."""
         return level * super().multiplicity(n, 1)
-
-    def signature(self) -> tuple:
-        return ("adic", self.f.coeffs)
 
     def to_json_dict(self) -> dict:
         return {"kind": "adic", "f": self.f.to_json()}
@@ -168,35 +156,26 @@ class ProductChain(FiltrationChain):
     (an index function i -> n) to override, e.g. for an infinite S.
     """
 
+    _fields = ("indices", "enumeration", "label")
+
     def __init__(
         self,
         indices: Iterable[int] = (),
         enumeration: Optional[Callable[[int], int]] = None,
         label: Optional[str] = None,
     ) -> None:
-        super().__init__()
-        self.indices = tuple(sorted({check_index(n, "cyclotomic index", 1) for n in indices}))
-        if enumeration is None:
-            if not self.indices:
-                raise ValueError("a product chain needs indices or an enumeration")
-            cycle = self.indices
-            enumeration = lambda i: cycle[i % len(cycle)]
-            self._custom = False
-        else:
-            self._custom = True
-        self.enumeration = enumeration
-        self.label = label or f"product{list(self.indices)}"
+        indices = tuple(sorted({check_index(n, "cyclotomic index", 1) for n in indices}))
+        if enumeration is None and not indices:
+            raise ValueError("a product chain needs indices or an enumeration")
+        self._init(indices, enumeration, label or f"product{list(indices)}")
 
     def factor(self, k: int) -> IntPolynomial:
+        if self.enumeration is None:
+            return cyclotomic_poly(self.indices[(k - 1) % len(self.indices)])
         return cyclotomic_poly(self.enumeration(k - 1))
 
-    def signature(self) -> tuple:
-        if self._custom:
-            return ("product-custom", self.label, id(self.enumeration))
-        return ("product", self.indices)
-
     def to_json_dict(self) -> dict:
-        if self._custom:
+        if self.enumeration is not None:
             raise ValueError("custom-enumeration chains are not serializable")
         return {"kind": "product", "indices": list(self.indices)}
 
@@ -220,12 +199,23 @@ def chain_from_json_dict(data: dict) -> FiltrationChain:
 
 
 class TruncatedElement(_Replaceable):
-    """An element of the completed ring known modulo g_level."""
+    """An element of the completed ring known modulo g_level, by its canonical rep."""
 
     __slots__ = _fields = ("chain", "level", "rep")
 
     def __init__(self, chain: FiltrationChain, level: int, rep: IntPolynomial) -> None:
+        if rep.degree >= chain.modulus(level).degree:
+            raise ValueError(
+                f"rep {rep} is not reduced mod g_{level} on {chain.label}; use reduce()"
+            )
         self._init(chain, level, rep)
+
+    @classmethod
+    def _reduced(cls, chain: FiltrationChain, level: int, rep: IntPolynomial):
+        """Unchecked, for a rep that `reduce`, `__neg__` or `rho` reduced."""
+        element = object.__new__(cls)
+        element._init(chain, level, rep)
+        return element
 
     def __add__(self, other):
         return trunc_arith(self, other, "add")
@@ -237,7 +227,7 @@ class TruncatedElement(_Replaceable):
         return trunc_arith(self, other, "mul")
 
     def __neg__(self):
-        return TruncatedElement(self.chain, self.level, -self.rep)
+        return TruncatedElement._reduced(self.chain, self.level, -self.rep)
 
     @property
     def is_zero(self) -> bool:
@@ -263,7 +253,7 @@ def reduce(f: IntPolynomial, chain: FiltrationChain, level: int) -> TruncatedEle
     """Canonical remainder of f modulo g_level; a ring homomorphism onto
     each truncation level.  A level that is not an int is a TypeError,
     a negative level a ValueError."""
-    return TruncatedElement(chain, level, f % chain.modulus(level))
+    return TruncatedElement._reduced(chain, level, f % chain.modulus(level))
 
 
 def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedElement:
@@ -273,16 +263,9 @@ def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedE
             f"cannot mix chains {a.chain.label!r} and {b.chain.label!r}; "
             "restrict both to a common chain first"
         )
-    level = min(a.level, b.level)
-    if op == "add":
-        raw = a.rep + b.rep
-    elif op == "sub":
-        raw = a.rep - b.rep
-    elif op == "mul":
-        raw = a.rep * b.rep
-    else:
+    if op not in ("add", "sub", "mul"):
         raise ValueError(f"unknown op {op!r}")
-    return reduce(raw, a.chain, level)
+    return reduce(getattr(operator, op)(a.rep, b.rep), a.chain, min(a.level, b.level))
 
 
 # -- digit expansions --------------------------------------------------------
@@ -350,7 +333,7 @@ def rho(
             f"{target_chain.label} level {target_level} is not coarser than "
             f"{a.chain.label} level {a.level}"
         )
-    return TruncatedElement(target_chain, target_level, a.rep % h)
+    return TruncatedElement._reduced(target_chain, target_level, a.rep % h)
 
 
 # -- convergent series -------------------------------------------------------
@@ -358,11 +341,12 @@ def rho(
 
 class SeriesSpec(Frozen):
     """An infinite sum sum_n t_n convergent in a completion: term(n) is
-    t_n and witness(n) is a level k with g_k | t_n, so terms eventually
-    vanish at every finite truncation.  The optional step(n) makes the
-    series a sum of products: t_0 = 1 and t_n = t_{n-1} * step(n) for
-    n >= 1, so the expansion at a root of unity builds each term from the
-    last without calling term."""
+    t_n and witness(n) bounds the whole tail, a level k with g_k | t_m for
+    every m >= n (bounding t_n alone is not enough: the sum stops at the
+    first witness past the level).  The optional step(n) makes the series
+    a sum of products: t_0 = 1 and t_n = t_{n-1} * step(n) for n >= 1,
+    which only n = 0 checks, so the expansion at a root of unity builds
+    each term from the last without calling term."""
 
     _fields = ("name", "term", "witness", "step")
 
@@ -415,7 +399,8 @@ MAX_SERIES_TERMS = 10_000
 
 def _series_terms(spec: SeriesSpec, level: int):
     """Yield (k, witness(k)) for k = 0, 1, ... while the witness is <= the
-    level; later terms vanish mod g_level.  At most MAX_SERIES_TERMS terms
+    level; by the tail contract of `SeriesSpec` (g_witness(k) | t_m for
+    every m >= k) the later terms vanish mod g_level.  At most MAX_SERIES_TERMS terms
     are yielded: a witness still <= the level at k = MAX_SERIES_TERMS
     raises NonConvergent."""
     for k in range(MAX_SERIES_TERMS + 1):

@@ -134,15 +134,27 @@ class RingDescriptor(Frozen):
         return self.separated_primes(c)
 
 
-RING_Z = RingDescriptor("Z", False, lambda p: True)
-RING_Q = RingDescriptor("Q", False, lambda p: False)
-RING_ZERO = RingDescriptor("0", True, lambda p: True)
+class _PrimesNotDividing(Frozen):
+    """The built-in descriptors' "p does not divide m", as a value: m = 1
+    holds at every prime, m = 0 at none."""
+
+    __slots__ = _fields = ("m",)
+
+    def __init__(self, m: int) -> None:
+        self._init(m)
+
+    def __call__(self, p: int) -> bool:
+        return self.m % p != 0
+
+
+RING_Z = RingDescriptor("Z", False, _PrimesNotDividing(1))
+RING_Q = RingDescriptor("Q", False, _PrimesNotDividing(0))
+RING_ZERO = RingDescriptor("0", True, _PrimesNotDividing(1))
 
 
 def ring_z_inverted(m: int) -> RingDescriptor:
     """Z[1/m]: separated exactly at the primes not dividing m."""
-    check_index(m, "m", 1)
-    return RingDescriptor(f"Z[1/{m}]", False, lambda p: m % p != 0)
+    return RingDescriptor(f"Z[1/{m}]", False, _PrimesNotDividing(check_index(m, "m", 1)))
 
 
 def is_adjacent(desc: RingDescriptor, m: int, n: int) -> bool:

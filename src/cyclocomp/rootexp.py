@@ -243,16 +243,17 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     docstring), turned into x^j coefficients once, at the end.
 
     Precision: terms are summed while witness(k) <= n*(j_max+1), the
-    Pochhammer level whose multiplicity at zeta_n is j_max + 1.  A later
-    term is divisible by (q)_w with w past that level, so by
-    (q - zeta)^(j_max+1), and adds nothing: every coefficient returned is
-    stable under any further precision, and valid_to = j_max.
+    Pochhammer level whose multiplicity at zeta_n is j_max + 1.  A witness
+    bounds the whole tail (`SeriesSpec`), so every later term is divisible
+    by (q)_w with w past that level, so by (q - zeta)^(j_max+1), and adds
+    nothing: every coefficient is stable under any further precision, and
+    valid_to = j_max.
 
     With spec.step the jet of term 0 is 1 and that of term k is the jet
-    of term k - 1 times step(k), so term is never called: per nonzero
-    coefficient a_i of the step, one rotation and min(i + 1, live rows)
-    slice passes (`_times_step`).  Without a step, the jet of term(k).
-    The sum costs one pass per term.  Each consumed term's witness w is
+    of term k - 1 times step(k), unchecked against term(k), which is never
+    called: per nonzero coefficient a_i of the step, one rotation and
+    min(i + 1, live rows) slice passes (`_times_step`).  Without a step,
+    the jet of term(k).  The sum costs one pass per term.  Each consumed term's witness w is
     checked locally: its z^j rows must vanish in Z[zeta_n] for
     j < min(w // n, j_max + 1), else AssertionError; zeta is a unit, so
     the x^j coefficients vanish with them.  The terms come from

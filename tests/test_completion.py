@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from cyclocomp import (
     resultant,
     rho,
     series_realize,
+    taylor_at_root,
     to_digits,
     unit_inverse_mod,
 )
@@ -57,6 +60,15 @@ def all_chain_kinds():
         ProductChain([1, 2, 3]),
         ProductChain([2, 5]),
     ]
+
+
+def four_six_one(i):
+    """A custom enumeration that pickles: a module-level function."""
+    return (4, 6, 1)[i % 3]
+
+
+def twins(value):
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
 
 
 class TestChains:
@@ -159,6 +171,36 @@ class TestChains:
         for chain in all_chain_kinds():
             assert chain_from_json_dict(chain.to_json_dict()) == chain
 
+    @pytest.mark.parametrize(
+        "chain",
+        all_chain_kinds() + [ProductChain(enumeration=four_six_one, label="4-6-1")],
+        ids=repr,
+    )
+    def test_copies_and_pickles_give_the_same_moduli(self, chain):
+        # the g_k are a cache, not a field: a twin rebuilds them
+        expected = [chain.modulus(k) for k in range(7)]
+        for twin in twins(chain):
+            assert twin == chain and hash(twin) == hash(chain)
+            assert [twin.modulus(k) for k in range(7)] == expected
+            assert twin.label == chain.label
+
+    def test_copies_of_a_pochhammer_chain_read_the_one_store(self):
+        for twin in twins(PochhammerChain()):
+            assert twin._store() is PochhammerChain._moduli
+
+    def test_other_chains_start_their_own_store(self):
+        chain = AdicChain(cyclotomic_poly(3))
+        chain.modulus(4)
+        for twin in twins(chain):
+            assert twin._store() is not chain._store()
+            assert twin.modulus(4) == chain.modulus(4)
+
+    def test_custom_enumerations_are_equal_by_function(self):
+        assert ProductChain(enumeration=four_six_one) == ProductChain(enumeration=four_six_one)
+        assert ProductChain(enumeration=four_six_one) != ProductChain(
+            enumeration=lambda i: four_six_one(i)
+        )
+
 
 class TestReduce:
     def test_spec_cases(self):
@@ -226,6 +268,21 @@ class TestReduce:
         for chain in all_chain_kinds():
             a = reduce(P(3, -5, 11, 2), chain, 4)
             assert TruncatedElement.from_json_dict(a.to_json_dict()) == a
+
+    def test_constructor_refuses_a_rep_that_is_not_reduced(self):
+        # q and 1 stand for the same element mod q - 1; only 1 is canonical
+        poch = PochhammerChain()
+        with pytest.raises(ValueError, match="not reduced mod g_1 on pochhammer"):
+            TruncatedElement(poch, 1, Q)
+        with pytest.raises(ValueError, match="not reduced mod g_0"):
+            TruncatedElement(poch, 0, ONE)
+        assert TruncatedElement(poch, 1, ONE) == reduce(Q, poch, 1)
+        assert TruncatedElement(poch, 0, IntPolynomial.zero()) == reduce(Q, poch, 0)
+
+    def test_an_element_on_a_product_chain_pickles(self):
+        a = reduce(P(3, -1, 4, 1, 5), ProductChain([1, 2]), 3)
+        for twin in twins(a):
+            assert twin == a and twin.rep == a.rep
 
     @pytest.mark.parametrize("level", [True, False, 3.0, "3 ", "1_0", "+3", "\u0663", None, [3]])
     def test_element_json_rejects_non_integer_level(self, level):
@@ -446,6 +503,24 @@ class TestSeries:
             realize(stuck)
         assert calls == list(range(50))
 
+    def test_a_decreasing_tail_witness_gives_one_element_on_both_routes(self):
+        # t_k = (q)_k for even k, 0 for odd k.  witness(k) bounds the whole
+        # tail t_k, t_{k+1}, ...: k + 1 at odd k, k - 1 at even k >= 2, so
+        # it drops at every even k and is still valid.
+        poch = PochhammerChain()
+        spec = SeriesSpec(
+            name="even",
+            term=lambda k: IntPolynomial.zero() if k % 2 else pochhammer(k),
+            witness=lambda k: k + 1 if k % 2 else max(k - 1, 0),
+        )
+        for level in range(12):
+            partial = sum(map(pochhammer, range(0, level + 1, 2)), IntPolynomial.zero())
+            assert series_realize(spec, poch, level) == reduce(partial, poch, level)
+        for n in range(1, 6):
+            for j_max in range(3):
+                elt = series_realize(spec, poch, n * (j_max + 1))
+                assert expand_series(spec, n, j_max) == taylor_at_root(elt, n, j_max)
+
     def test_bad_witness_detected(self):
         lying = SeriesSpec(name="lying", term=lambda n: Q, witness=lambda n: n)
         with pytest.raises(AssertionError):
@@ -542,7 +617,7 @@ VALUE_CASES = [
     (
         lambda: DigitExpansion(PochhammerChain(), (ONE, Q)),
         lambda: DigitExpansion(PochhammerChain(), (ONE,)),
-        "DigitExpansion(chain=PochhammerChain('pochhammer'), "
+        "DigitExpansion(chain=PochhammerChain(), "
         "digits=(IntPolynomial('1'), IntPolynomial('q')))",
         "digits",
     ),
@@ -552,13 +627,34 @@ VALUE_CASES = [
         "<q + 1 mod g_2 on pochhammer>",  # its own repr, not the dataclass one
         "rep",
     ),
+    (PochhammerChain, lambda: AdicChain(cyclotomic_poly(1)), "PochhammerChain()", "label"),
+    (
+        lambda: AdicChain(cyclotomic_poly(3)),
+        lambda: AdicChain(cyclotomic_poly(6)),
+        "AdicChain(f=IntPolynomial('q^2 + q + 1'))",
+        "f",
+    ),
+    (
+        lambda: ProductChain([2, 1, 2]),
+        lambda: ProductChain([1, 2, 3]),
+        "ProductChain(indices=(1, 2), enumeration=None, label='product[1, 2]')",
+        "indices",
+    ),
+    (
+        lambda: ProductChain(enumeration=four_six_one, label="4-6-1"),
+        lambda: ProductChain(enumeration=four_six_one, label="461"),
+        f"ProductChain(indices=(), enumeration={four_six_one!r}, label='4-6-1')",
+        "enumeration",
+    ),
 ]
 
 
 class TestValueClasses:
     # Plain classes that behave as the frozen dataclasses they replaced.
     @pytest.mark.parametrize(
-        "make, other, text, field", VALUE_CASES, ids=["spec", "digits", "element"]
+        "make, other, text, field",
+        VALUE_CASES,
+        ids=["spec", "digits", "element", "pochhammer", "adic", "product", "custom"],
     )
     def test_equality_hash_repr_and_no_assignment(self, make, other, text, field):
         check_frozen_value(make, other, text, field)

@@ -239,6 +239,25 @@ class TestAdjacency:
         assert not is_adjacent(half, 1, 2)
         assert is_adjacent(half, 1, 3)
 
+    def test_separated_primes_as_the_lambdas_gave_them(self):
+        # the built-in descriptors held these lambdas before they were values
+        before = [
+            (RING_Z, lambda p: True),
+            (RING_Q, lambda p: False),
+            (RING_ZERO, lambda p: True),
+        ] + [(ring_z_inverted(m), lambda p, m=m: m % p != 0) for m in range(1, 31)]
+        for desc, separated in before:
+            for c in range(51):
+                if desc.is_zero_ring or c == 0:
+                    expected = True
+                else:
+                    expected = c != 1 and separated(c)
+                assert desc.is_separated_at(c) == expected, (desc.name, c)
+
+    def test_built_in_descriptors_are_values(self):
+        assert ring_z_inverted(2) == ring_z_inverted(2) != ring_z_inverted(4)
+        assert len({RING_Z, RING_Q, RING_ZERO, ring_z_inverted(1), ring_z_inverted(1)}) == 4
+
 
 class TestComponents:
     def test_spec_cases(self):
@@ -293,6 +312,13 @@ VALUE_CASES = [
         "name",
     ),
     (
+        lambda: ring_z_inverted(6),
+        lambda: ring_z_inverted(3),
+        "RingDescriptor(name='Z[1/6]', is_zero_ring=False, "
+        "separated_primes=_PrimesNotDividing(m=6))",
+        "separated_primes",
+    ),
+    (
         lambda: AdjacencyGraph(frozenset({2, 6}), DESCRIPTOR),
         lambda: AdjacencyGraph(frozenset({2}), DESCRIPTOR),
         "AdjacencyGraph(vertices=frozenset({2, 6}), descriptor=RingDescriptor(name='Z', "
@@ -317,7 +343,9 @@ VALUE_CASES = [
 class TestValueClasses:
     # Plain classes that behave as the frozen dataclasses they replaced.
     @pytest.mark.parametrize(
-        "make, other, text, field", VALUE_CASES, ids=["ring", "graph", "unit", "prime"]
+        "make, other, text, field",
+        VALUE_CASES,
+        ids=["ring", "z-inverted", "graph", "unit", "prime"],
     )
     def test_equality_hash_repr_and_no_assignment(self, make, other, text, field):
         check_frozen_value(make, other, text, field)

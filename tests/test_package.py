@@ -1,6 +1,8 @@
 """The package namespace: exports resolved lazily from their layers."""
 
 import importlib
+import pickle
+import pkgutil
 
 import pytest
 
@@ -57,3 +59,19 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_dir_lists_every_export():
     assert set(cyclocomp.__all__) <= set(dir(cyclocomp))
+
+
+def test_module_level_values_pickle():
+    # Chains and ring descriptors are plain values.  The two named series
+    # specs hold lambdas and are left out.
+    from cyclocomp.polyring import Frozen
+
+    specs = ("KONTSEVICH_ZAGIER_SPEC", "Q_INVERSE_SPEC")
+    checked = []
+    for info in pkgutil.iter_modules(cyclocomp.__path__):
+        module = importlib.import_module(f"cyclocomp.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, Frozen) and name not in specs:
+                assert pickle.loads(pickle.dumps(value)) == value, name
+                checked.append(name)
+    assert sorted(checked) == ["RING_Q", "RING_Z", "RING_ZERO", "_POCHHAMMER"]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -330,9 +332,6 @@ class PlusOneChain(FiltrationChain):
     def factor(self, k):
         return IntPolynomial([1] + [0] * (k - 1) + [1])
 
-    def signature(self):
-        return ("plus-one",)
-
 
 # Phi_2^2 (q^2 + 3q + 1): a repeated cyclotomic factor beside one that
 # vanishes at no root of unity.
@@ -372,9 +371,17 @@ class TestChainMultiplicity:
     def test_adic_multiplicity_reads_one_factor(self, monkeypatch):
         chain = AdicChain(REPEATED)
         reads = []
-        monkeypatch.setattr(chain, "factor", lambda k: reads.append(k) or REPEATED)
+        # a chain is a Frozen value, so the class's factor is patched
+        monkeypatch.setattr(AdicChain, "factor", lambda self, k: reads.append(k) or REPEATED)
         assert chain.multiplicity(2, 10**6) == 2 * 10**6
         assert reads == [1]
+
+    def test_a_user_chain_is_a_value_without_a_signature(self):
+        check_frozen_value(PlusOneChain, PochhammerChain, "PlusOneChain()", "label")
+        chain = PlusOneChain()
+        for twin in (copy.copy(chain), copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
+            assert twin.modulus(5) == chain.modulus(5)
+            assert root_multiplicity(twin, 5, 4) == root_multiplicity(chain, 5, 4) == 1  # q^2 + 1
 
     def test_repeated_factor_counts_twice_per_level(self):
         chain = AdicChain(REPEATED)

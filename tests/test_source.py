@@ -206,9 +206,8 @@ def _source_classes_defining(wanted) -> list[str]:
 
 
 def test_one_owner_of_value_equality():
-    # Frozen decides equality and hash for every value class; a chain is
-    # equal to another by its signature().
-    assert _source_classes_defining(_equality) == ["FiltrationChain", "Frozen"]
+    # Frozen decides equality and hash for every value class, chains too.
+    assert _source_classes_defining(_equality) == ["Frozen"]
 
 
 def test_only_the_bridge_poses_as_a_dataclass():
@@ -285,6 +284,22 @@ def test_no_chain_overrides_modulus():
     assert found == []
 
 
+def test_chains_are_frozen_values():
+    # A chain's fields decide its equality, hash, repr, copy and pickle:
+    # no chain, the library's or a user's, writes its own or a signature().
+    from cyclocomp.polyring import Frozen
+
+    own = ("signature", "__eq__", "__hash__", "__repr__")
+    assert issubclass(_chain_classes()[0], Frozen)
+    found = [
+        f"{cls.__qualname__}.{name}"
+        for cls in _chain_classes()
+        for name in own
+        if name in vars(cls)
+    ]
+    assert found == []
+
+
 def _isinstance_against(tree, names: set[str]) -> list[int]:
     """Lines of isinstance calls whose class argument names one of `names`,
     outside the class bodies of those names."""
@@ -311,7 +326,7 @@ def _isinstance_against(tree, names: set[str]) -> list[int]:
 def test_no_isinstance_against_a_chain_class():
     # What a chain's factors determine (root multiplicities, digit gaps)
     # is answered by the chain, not by a caller branching on its class.
-    # A chain's own methods may test types (FiltrationChain.__eq__).
+    # A chain's own methods may test types.
     names = {cls.__name__ for cls in _chain_classes()}
     found = [
         f"{path.name}:{line}"
