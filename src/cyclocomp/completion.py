@@ -346,7 +346,13 @@ class SeriesSpec(Frozen):
     first witness past the level).  The optional step(n) makes the series
     a sum of products: t_0 = 1 and t_n = t_{n-1} * step(n) for n >= 1,
     which only n = 0 checks, so the expansion at a root of unity builds
-    each term from the last without calling term."""
+    each term from the last without calling term.
+
+    The tail contract is trusted, not checked: no finite check sees the
+    terms past the level.  With t_n = (q)_n for even n and 0 for odd n,
+    and witness n for even n and 10**6 for odd n, every witness bounds its
+    own term, the sum stops after t_0, and `series_realize` at level 10
+    returns 1."""
 
     _fields = ("name", "term", "witness", "step")
 
@@ -418,7 +424,8 @@ def _series_terms(spec: SeriesSpec, level: int):
 def series_realize(spec: SeriesSpec, chain: FiltrationChain, level: int) -> TruncatedElement:
     """Partial sum of the series at a truncation level: the terms of
     `_series_terms`.  Each consumed term's witness is verified by exact
-    division."""
+    division; the tail contract of `SeriesSpec` is trusted (see its
+    example)."""
     total = IntPolynomial.zero()
     for n, w in _series_terms(spec, level):
         t = spec.term(n)

@@ -206,9 +206,8 @@ class _Polynomial(Frozen):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b) :]
         return self._wrap(out)
 
     def __sub__(self, other):

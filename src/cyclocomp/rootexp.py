@@ -2,10 +2,12 @@
 roots of unity: evaluation at a primitive n-th root (tau) and Taylor
 expansion in powers of (q - zeta) (sigma).
 
-Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
-Evaluation folds instead of dividing: Phi_n divides q^n - 1, so the value
-of a representative at zeta_n is its coefficients summed into n buckets by
-index mod n (zeta^n = 1), and only those n sums are reduced mod Phi_n.
+Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1);
+a longer coefficient list is reduced in place, one slice per degree past
+phi(n) - 1, since Phi_n is monic.  Evaluation folds instead of dividing:
+Phi_n divides q^n - 1, so the value of a representative at zeta_n is its
+coefficients summed into n buckets by index mod n (zeta^n = 1), and only
+those n sums are reduced mod Phi_n.
 
 Taylor coefficients come from jets, the images of polynomials in
 Z[y]/(y^n - 1)[x]/(x^(J+1)) under q -> y + x; y -> zeta_n maps them onto
@@ -14,7 +16,10 @@ as one flat row-major list of J + 1 rows of n buckets: the z^j row of
 sum a_i q^i holds C(i, j) a_i in bucket i mod n.  The x^j coefficient c_j
 is that row times y^(-j), a rotation, reduced mod Phi_n once, and c_0 is
 the value.  A convergent series is expanded locally, without a global
-representative, as the sum of its terms' jets (`expand_series`).
+representative, as the sum of its terms' jets (`expand_series`), each
+term the last one times a step, on the term's live rows only: one
+rotation per residue class mod n of the step's nonzero coefficients, and
+one slice pass per nonzero binomial sum of a class (`_times_step`).
 
 The precision contract comes from the chain's factors: an element
 truncated at level K determines its expansion at a primitive n-th root
@@ -41,16 +46,25 @@ from .polyring import (
 
 class CyclotomicInteger(Frozen):
     """An element of Z[zeta_n], stored as exactly phi(n) power-basis
-    coordinates (n = 1 is a plain integer in disguise)."""
+    coordinates (n = 1 is a plain integer in disguise).  A longer list is
+    reduced mod Phi_n in place: from the top down, each coefficient past
+    phi(n) - 1 folds into the phi(n) below it, one slice each."""
 
     __slots__ = _fields = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[int]):
-        phi = len(cyclotomic_poly(order).coeffs) - 1
-        coeffs = [check_index(c, "coefficient", NEG_INFINITY) for c in coeffs]
-        if len(coeffs) > phi:
-            rem = IntPolynomial(coeffs) % cyclotomic_poly(order)
-            coeffs = list(rem.coeffs)
+        modulus = cyclotomic_poly(order).coeffs
+        phi = len(modulus) - 1
+        coeffs = [
+            c if type(c) is int else check_index(c, "coefficient", NEG_INFINITY)
+            for c in coeffs
+        ]
+        # zeta^i = -sum_(r < phi) p_r zeta^(i - phi + r), p = Phi_n's coefficients
+        for i in range(len(coeffs) - 1, phi - 1, -1):
+            t = coeffs[i]
+            if t:
+                coeffs[i - phi : i] = [c - t * p for c, p in zip(coeffs[i - phi : i], modulus)]
+        del coeffs[phi:]
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs) + (0,) * (phi - len(coeffs)))
 
@@ -218,21 +232,28 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
     return _emit(_z_jet(a.rep.coeffs, n, j_max + 1), n, valid_to)
 
 
-def _times_step(term: list[int], step: Sequence[int], n: int, low: int) -> list[int]:
-    """term * sum a_i q^i in the z-basis, where q^i = y^i (1 + z)^i; the
-    rows of term below low are zero.  Each nonzero a_i rotates the live
-    rows by i mod n once and adds C(i, j) a_i times them, moved j rows up,
-    in one slice pass per j below the live row count."""
-    out = [0] * len(term)
-    live = term[low * n :]
+def _times_step(live: list[int], step: Sequence[int], n: int) -> list[int]:
+    """live * sum a_i q^i in the z-basis, where q^i = y^i (1 + z)^i and live
+    is a run of rows; rows past its end are cut.  The step's nonzero a_i
+    are grouped by i mod n: class s sums D_s[j] = sum C(i, j) a_i over its
+    i, rotates the live rows by s once and adds D_s[j] times them, moved j
+    rows up, in one slice pass per nonzero D_s[j].  So 1 - q^k with n | k
+    makes no row-0 pass (1 - 1 = 0)."""
+    rows = len(live) // n
+    sums: dict[int, list[int]] = {}
     for i in compress(range(len(step)), step):
-        s, src = i % n, live
-        if s:  # times y^i: every live row rotated by s
+        d, a = sums.setdefault(i % n, [0] * rows), step[i]
+        for j in range(min(i + 1, rows)):
+            d[j] += comb(i, j) * a
+    out = [0] * len(live)
+    for s, d in sums.items():
+        src = live
+        if s:  # times y^s: every live row rotated by s
             src = []
             for t in range(0, len(live), n):
                 src += live[t + n - s : t + n] + live[t : t + n - s]
-        for j in range(min(i + 1, len(live) // n)):
-            c, at = comb(i, j) * step[i], (low + j) * n
+        for j in compress(range(rows), d):
+            c, at = d[j], j * n
             out[at:] = [o + c * v for o, v in zip(out[at:], src)]
     return out
 
@@ -247,37 +268,44 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     bounds the whole tail (`SeriesSpec`), so every later term is divisible
     by (q)_w with w past that level, so by (q - zeta)^(j_max+1), and adds
     nothing: every coefficient is stable under any further precision, and
-    valid_to = j_max.
+    valid_to = j_max.  The tail contract is trusted, not checked: no finite
+    check can see past the last term summed (the `SeriesSpec` example).
 
-    With spec.step the jet of term 0 is 1 and that of term k is the jet
-    of term k - 1 times step(k), unchecked against term(k), which is never
-    called: per nonzero coefficient a_i of the step, one rotation and
-    min(i + 1, live rows) slice passes (`_times_step`).  Without a step,
-    the jet of term(k).  The sum costs one pass per term.  Each consumed term's witness w is
-    checked locally: its z^j rows must vanish in Z[zeta_n] for
-    j < min(w // n, j_max + 1), else AssertionError; zeta is a unit, so
-    the x^j coefficients vanish with them.  The terms come from
-    `_series_terms`, as in `series_realize`."""
+    Only the live rows of the running term are kept, from its first
+    nonzero row to row j_max.  With spec.step the jet of term 0 is 1 and
+    that of term k is the jet of term k - 1 times step(k), unchecked
+    against term(k), which is never called: one rotation per residue class
+    mod n of the step's nonzero coefficients, and one slice pass per
+    nonzero summed binomial entry (`_times_step`).  Without a step, the
+    jet of term(k).  Each term is added into the sum in one pass at its
+    first live row.  Each consumed term's witness w is checked locally:
+    its z^j rows must vanish in Z[zeta_n] for j < min(w // n, j_max + 1),
+    else AssertionError; zeta is a unit, so the x^j coefficients vanish
+    with them.  The terms come from `_series_terms`, as in
+    `series_realize`."""
     check_index(n, "order", 1)
     check_index(j_max, "j_max", 0)
     top = j_max + 1
     total = [0] * (top * n)
-    term = [1] + [0] * (top * n - 1)  # term(0) of a spec with a step
-    low = 0  # term's rows below low are zero
+    live = [1] + [0] * (top * n - 1)  # term(0) of a spec with a step
+    low = 0  # live holds the term's rows low .. j_max; the rows below are zero
     for k, w in _series_terms(spec, n * top):
         if spec.step is None:
-            term, low = _z_jet(spec.term(k).coeffs, n, top), 0
-        elif k and low < top:
-            term = _times_step(term, spec.step(k).coeffs, n, low)
-        low = next((j for j in range(low, top) if any(term[j * n : (j + 1) * n])), top)
+            live, low = _z_jet(spec.term(k).coeffs, n, top), 0
+        elif k and live:
+            live = _times_step(live, spec.step(k).coeffs, n)
+        z = next((t for t in range(0, len(live), n) if any(live[t : t + n])), len(live))
+        if z:
+            live, low = live[z:], low + z // n
         for j in range(low, min(w // n, top)):
-            if not CyclotomicInteger(n, term[j * n : (j + 1) * n]).is_zero:
+            t = (j - low) * n
+            if not CyclotomicInteger(n, live[t : t + n]).is_zero:
                 raise AssertionError(
                     f"series {spec.name!r}: witness {w} of term {k} fails "
                     f"at order {n}: x^{j} coefficient is not zero"
                 )
         at = low * n
-        total[at:] = [a + b for a, b in zip(total[at:], term[at:])]
+        total[at:] = [a + b for a, b in zip(total[at:], live)]
     return _emit(total, n, j_max)
 
 

@@ -24,6 +24,7 @@ from cyclocomp import (
     PochhammerChain,
     RatPolynomial,
     RootTaylorSeries,
+    SeriesSpec,
     cyclotomic_poly,
     is_adjacent,
     series_realize,
@@ -242,6 +243,33 @@ def expand_series_global(spec, order: int, j_max: int):
     level = order * (j_max + 1)
     rep = series_realize(spec, PochhammerChain(), level).rep
     return taylor_by_binomial_sum(rep.coeffs, order, j_max, j_max)
+
+
+def u_term(k: int) -> IntPolynomial:
+    """u_k = q^k [k+1]_q prod_{i=k+2}^{2k+1} (1 - q^i), from its closed form;
+    u_k = q^k [2k+1 choose k]_q [k+1]_q (q)_k, so (q)_k divides it and
+    (q)_(k+1) does not (u_k / (q)_k is nonzero at q = 1)."""
+    out = IntPolynomial.monomial(1, k) * IntPolynomial([1] * (k + 1))
+    for i in range(k + 2, 2 * k + 2):
+        out = out * (IntPolynomial.one() - IntPolynomial.monomial(1, i))
+    return out
+
+
+def u_step(k: int) -> IntPolynomial:
+    """u_k / u_(k-1) = q (1 + q^k)(1 - q^(2k+1)): four coefficients, at
+    1, k + 1, 2k + 2 and 3k + 2, and q^k - 1 divides it only at k = 1
+    (Phi_k for k >= 2 takes the values 2 and 1 - zeta_k on the factors)."""
+    one, q = IntPolynomial.one(), IntPolynomial.monomial
+    return q(1, 1) * (one + q(1, k)) * (one - q(1, 2 * k + 1))
+
+
+def u_spec(witness_shift: int = 0) -> SeriesSpec:
+    """sum_k u_k with a step and witness k + witness_shift: a third series
+    for the jet's general path, kept out of NAMED_SERIES (and so out of
+    the CLI).  Shift 0 keeps the tail contract; shift 1 lies at k = 0."""
+    return SeriesSpec(
+        name="u", term=u_term, witness=lambda k: k + witness_shift, step=u_step
+    )
 
 
 def evaluate_by_division(a, order: int) -> CyclotomicInteger:

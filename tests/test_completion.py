@@ -41,7 +41,7 @@ from cyclocomp.errors import (
     NotCoarser,
 )
 
-from support import check_frozen_value, random_int_poly
+from support import check_frozen_value, random_int_poly, u_spec
 
 
 def P(*coeffs):
@@ -553,6 +553,17 @@ class TestSeries:
         assert spec.term(0) == ONE
         for k in range(1, 41):
             assert spec.term(k) == spec.term(k - 1) * spec.step(k)
+
+    @pytest.mark.parametrize("name", [*sorted(NAMED_SERIES), "u"])
+    def test_witnesses_bound_the_whole_tail(self, name):
+        # series_realize and expand_series trust the tail contract: g_w(k)
+        # divides every later term, not just term k
+        spec = u_spec() if name == "u" else NAMED_SERIES[name]
+        poch = PochhammerChain()
+        terms = [spec.term(m) for m in range(16)]
+        for k in range(16):
+            g = poch.modulus(spec.witness(k))
+            assert all(divides(g, t) for t in terms[k:])
 
     def test_terms_read_the_store_and_match_the_product(self, monkeypatch):
         monkeypatch.setattr(PochhammerChain, "_moduli", [ONE])

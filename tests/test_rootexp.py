@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -42,6 +43,9 @@ from support import (
     random_int_poly,
     taylor_by_substitution,
     taylor_oracle,
+    u_spec,
+    u_step,
+    u_term,
     x_jet,
 )
 
@@ -86,6 +90,23 @@ class TestCyclotomicInteger:
         # zeta^2 reduced mod Phi_4: q^2 = -1
         a = CyclotomicInteger(4, [0, 0, 1])
         assert a == CyclotomicInteger.from_int(4, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 40))
+    def test_fold_matches_polynomial_remainder(self, data, n):
+        coeffs = data.draw(st.lists(st.integers(-(10**20), 10**20), max_size=3 * n))
+        phi = cyclotomic_poly(n).degree
+        rem = (IntPolynomial(coeffs) % cyclotomic_poly(n)).coeffs
+        assert CyclotomicInteger(n, coeffs).coeffs == rem + (0,) * (phi - len(rem))
+
+    @pytest.mark.parametrize(
+        "bad, name", [(True, "bool"), (1.0, "float"), (Fraction(1), "Fraction")]
+    )
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    def test_non_int_coefficient_message(self, bad, name, at):
+        coeffs = [1] * at + [bad]  # short, folded and long inputs alike
+        with pytest.raises(TypeError, match=f"^coefficient must be an int, got {name}$"):
+            CyclotomicInteger(3, coeffs)
 
     def test_mul_by_zeta_matches_full_product(self):
         rng = random.Random(41)
@@ -531,6 +552,47 @@ class TestJetBackend:
             expand_series(KONTSEVICH_ZAGIER_SPEC, 3, -1)
 
 
+class TestThirdSeries:
+    """sum_k u_k (`support.u_spec`): a step of four coefficients, which
+    often share a class mod n, and no factor q^k - 1."""
+
+    def test_step_is_the_ratio_of_consecutive_terms(self):
+        assert u_term(0) == IntPolynomial.one()
+        for k in range(1, 21):
+            assert u_term(k) == u_term(k - 1) * u_step(k)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("j_max", range(4))
+    def test_jets_match_the_realized_sum(self, n, j_max):
+        spec = u_spec()
+        realized = series_realize(spec, PochhammerChain(), n * (j_max + 1))
+        assert expand_series(spec, n, j_max) == taylor_at_root(realized, n, j_max)
+
+    def test_a_witness_one_too_high_is_caught(self):
+        spec = u_spec(witness_shift=1)
+        with pytest.raises(AssertionError, match="witness 1 of term 0 fails"):
+            series_realize(spec, PochhammerChain(), 6)
+        for j_max in (0, 3):
+            with pytest.raises(AssertionError, match="witness 1 of term 0 fails"):
+                ohtsuki_series(spec, j_max)
+
+
+# SHA-256 of repr(expand_series(spec, n, j_max)) + "\n" for kz, then qinv,
+# over n = 1..10 and every j_max with n(j_max + 1) <= 45 (the grid of the
+# roots benchmark): the jets byte for byte, so a change to the jet code
+# that keeps the oracles but moves an output byte is caught.
+PINNED_JETS = "0615c6ab3765ee348328dea3353aab351a67dd745d915e0f5ddbdd6bbf419c54"
+
+
+def test_jets_are_pinned():
+    digest = hashlib.sha256()
+    for spec in (KONTSEVICH_ZAGIER_SPEC, Q_INVERSE_SPEC):
+        for n in range(1, 11):
+            for j_max in range(45 // n):
+                digest.update(repr(expand_series(spec, n, j_max)).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_JETS
+
+
 def jet_mul_schoolbook(rows, factor):
     """rows * factor in Z[y]/(y^n - 1)[x]/(x^top), bucket by bucket."""
     n, top = len(rows[0]), len(rows)
@@ -560,6 +622,13 @@ def step_by_schoolbook(rows, step):
     return jet_mul_schoolbook(rows, x_jet(step, len(rows[0]), len(rows) - 1))
 
 
+def times_step_from(rows, step, low):
+    """`_times_step` on the live rows low .. top - 1 of x-basis rows, as a
+    whole flat z-basis jet (the rows below low stay zero)."""
+    n = len(rows[0])
+    return [0] * (low * n) + _times_step(x_to_z(rows)[low * n :], step, n)
+
+
 @st.composite
 def jet_and_step(draw):
     n = draw(st.integers(1, 6))
@@ -577,23 +646,35 @@ class TestStepPass:
     @given(jet_and_step())
     def test_matches_schoolbook(self, case):
         rows, step, low = case
-        out = _times_step(x_to_z(rows), step, len(rows[0]), low)
+        out = times_step_from(rows, step, low)
         assert z_to_x(out, len(rows[0])) == step_by_schoolbook(rows, step)
 
     # (n, top, low): live rows top - low below, at and above n, and low > 0
     @pytest.mark.parametrize(
         "n, top, low",
-        [(5, 3, 0), (5, 5, 0), (5, 12, 0), (4, 9, 2), (4, 9, 5), (3, 9, 6), (1, 8, 3), (1, 1, 0)],
+        [
+            (5, 3, 0), (5, 5, 0), (5, 12, 0), (4, 9, 2), (4, 9, 5), (3, 9, 6), (2, 7, 0),
+            (2, 9, 4), (1, 8, 3), (1, 1, 0),
+        ],
     )
+    # The last three steps have two or three coefficients in one residue
+    # class whose binomial sums cancel at row 0: 1 - q^5 at n = 5 and 1,
+    # 1 + 2q^2 - 3q^4 at n = 2 and 1, and two such classes at n = 3 and 1.
     @pytest.mark.parametrize(
         "step",
-        [[7], [-1], [1, 0, 0, -1], [0, 3, 0, -2, 0, 0, 5], [0] * 12 + [-4], [2] + [0] * 20 + [1]],
-        ids=["constant", "minus-one", "kz", "zeros-negatives", "monomial", "past-top"],
+        [
+            [7], [-1], [1, 0, 0, -1], [0, 3, 0, -2, 0, 0, 5], [0] * 12 + [-4],
+            [2] + [0] * 20 + [1], [1, 0, 0, 0, 0, -1], [1, 0, 2, 0, -3], [2, 1, 0, -1, -1, 0, -1],
+        ],
+        ids=[
+            "constant", "minus-one", "kz", "zeros-negatives", "monomial", "past-top",
+            "kz-5", "three-in-a-class", "two-classes",
+        ],
     )
     def test_each_shape(self, n, top, low, step):
         rng = random.Random(n * 100 + top * 10 + low)
         rows = [[0] * n if t < low else [rng.randint(-9, 9) for _ in range(n)] for t in range(top)]
-        out = _times_step(x_to_z(rows), step, n, low)
+        out = times_step_from(rows, step, low)
         assert z_to_x(out, n) == step_by_schoolbook(rows, step)
 
 
