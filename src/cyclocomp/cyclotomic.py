@@ -169,11 +169,6 @@ class AdjacencyGraph(Frozen):
     def __init__(self, vertices: frozenset[int], descriptor: RingDescriptor) -> None:
         self._init(vertices, descriptor)
 
-    def edge(self, m: int, n: int) -> bool:
-        if m not in self.vertices or n not in self.vertices:
-            raise ValueError("vertex not in graph")
-        return is_adjacent(self.descriptor, m, n)
-
     def components(self) -> list[list[int]]:
         return connected_components(self.descriptor, self.vertices)
 
@@ -304,8 +299,9 @@ def arrow_witness(
     f: IntPolynomial, g: IntPolynomial, c: int, max_power: int
 ) -> Optional[int]:
     """Smallest m with 0 <= m <= max_power such that every coefficient of
-    f^m mod g is divisible by c, or None.  c = 0 demands exact vanishing;
-    c = 1 is satisfied by m = 0 already."""
+    f^m mod g is divisible by c, or None.  c >= 0, and c = 0 demands exact
+    vanishing.  max_power must be at least 1 (a ValueError otherwise), so
+    the search always tries f^0 = 1 and f^1; c = 1 is met at m = 0."""
     if not g.has_unit_leading_coefficient:
         raise NonUnitLeadingCoefficient(
             f"modulus {g} does not have a unit leading coefficient"

@@ -499,7 +499,9 @@ def is_prime(p: int) -> bool:
 # (descending, shifted) and whose remaining deg(a) rows carry b.
 # Computed by a primitive pseudo-remainder sequence over Z: the polynomial
 # work and the scalar bookkeeping (one integer numerator and denominator)
-# both stay in Z.
+# both stay in Z.  It also serves `rational_xgcd`: its remainders and
+# carried cofactors are constant multiples of Euclid's over Q (W. S. Brown,
+# J. ACM 18, 1971), so on a zero remainder the last nonzero one is the gcd.
 
 
 def _long_divide(r: list, gc: tuple, top_quotient):
@@ -532,10 +534,10 @@ def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
 
 def _prs(a: IntPolynomial, b: IntPolynomial):
     """One primitive PRS of nonzero a and b: (res, R, u) with res the
-    resultant of a and b, R the last remainder, a nonzero constant, and u
-    the integer cofactor of the longer input (a on a tie): u*long + v*short
-    = R for a v that is not carried.  When a and b share a nonconstant
-    factor the sequence reaches zero and res = R = 0 with u = 0."""
+    resultant of a and b, R the last nonzero remainder (a constant if a and
+    b are coprime; on reaching a zero remainder res = 0 and R is the gcd up
+    to a constant), and u the integer cofactor of the longer input (a on a
+    tie): u*long + v*short = R for a v that is not carried."""
     num, den = 1, 1
     if len(a.coeffs) < len(b.coeffs):
         if (len(a.coeffs) - 1) * (len(b.coeffs) - 1) % 2:
@@ -548,7 +550,7 @@ def _prs(a: IntPolynomial, b: IntPolynomial):
         n = len(r1.coeffs) - 1
         q, r2, alpha = _pseudo_divmod(r0, r1)
         if r2.is_zero:
-            return 0, 0, IntPolynomial.zero()
+            return 0, r1, u1
         u2 = u0 * alpha - q * u1
         # Dividing r2 by any nonzero scalar g keeps the resultant
         # recurrence exact: res(r0, r1) picks up lc(r1)^(m-s) * (g/alpha)^n,
@@ -564,7 +566,7 @@ def _prs(a: IntPolynomial, b: IntPolynomial):
             num = -num
         r0, r1, u0, u1 = r1, r2, u1, u2
     num *= r1.coeffs[0] ** (len(r0.coeffs) - 1)
-    return _exact_div(num, den), r1.coeffs[0], u1
+    return _exact_div(num, den), r1, u1
 
 
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
@@ -582,9 +584,9 @@ def subresultant_bezout(
     """(res, u, v) with u*a + v*b = res, all over Z.
 
     res is the resultant of a and b (Sylvester determinant sign).  When a
-    and b share a nonconstant factor, res = 0 and u = v = 0.  Both inputs
-    constant is supported only when their integer Bezout identity can hit
-    the conventional res = 1.
+    and b share a nonconstant factor the PRS reaches a zero remainder, and
+    res = 0 and u = v = 0.  Both inputs constant is supported only when
+    their integer Bezout identity can hit the conventional res = 1.
     """
     if a.is_zero and b.is_zero:
         raise BothZero("Bezout data of two zero polynomials")
@@ -599,20 +601,20 @@ def subresultant_bezout(
             )
         return 1, IntPolynomial([x]), IntPolynomial([y])
 
+    res, R, u = _prs(a, b)
+    if not res:
+        return 0, zero, zero
     swapped = len(a.coeffs) < len(b.coeffs)
     long, short = (b, a) if swapped else (a, b)
-    res, R, u = _prs(a, b)
-    v = zero
-    if res:
-        # Rescale u*long + v*short = R to the resultant.  The minimal-degree
-        # cofactors for `res` are integral (Cramer on the Sylvester system)
-        # and equal (u/R)*res, so every division here is exact, including
-        # each step of v = (res - u*long)/short; at the R scale v need not
-        # be integral.  The identity check also catches a nonzero remainder.
-        u = IntPolynomial._wrap([_exact_div(c * res, R) for c in u.coeffs])
-        lc = short.coeffs[-1]
-        rest = (IntPolynomial.constant(res) - u * long).coeffs
-        v = _long_divide(list(rest), short.coeffs, lambda c: _exact_div(c, lc))[0]
+    # Rescale u*long + v*short = R to the resultant.  The minimal-degree
+    # cofactors for `res` are integral (Cramer on the Sylvester system)
+    # and equal (u/R)*res, so every division here is exact, including
+    # each step of v = (res - u*long)/short; at the R scale v need not
+    # be integral.  The identity check also catches a nonzero remainder.
+    u = IntPolynomial._wrap([_exact_div(c * res, R.coeffs[0]) for c in u.coeffs])
+    lc = short.coeffs[-1]
+    rest = (IntPolynomial.constant(res) - u * long).coeffs
+    v = _long_divide(list(rest), short.coeffs, lambda c: _exact_div(c, lc))[0]
     if swapped:
         u, v = v, u
     if u * a + v * b != IntPolynomial.constant(res):
@@ -642,17 +644,23 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
 def rational_xgcd(
     a: RatPolynomial, b: RatPolynomial
 ) -> tuple[RatPolynomial, RatPolynomial, RatPolynomial]:
-    """(g, u, v) with u*a + v*b = g, g the monic gcd (or zero)."""
-    r0, r1 = a, b
-    u0, u1 = RatPolynomial.one(), RatPolynomial.zero()
-    v0, v1 = RatPolynomial.zero(), RatPolynomial.one()
-    while not r1.is_zero:
-        q, r2 = divmod(r0, r1)
-        r0, r1 = r1, r2
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    lc = r0.leading_coefficient
-    inv = 1 / lc
-    return r0 * inv, u0 * inv, v0 * inv
+    """(g, u, v) with u*a + v*b = g, g the monic gcd (or zero) and u, v
+    Euclid's cofactors over Q ((0, 1, 0) for two zeros), read off one PRS
+    of the integer numerators: g and the longer input's cofactor from its
+    last nonzero remainder, the other cofactor as one exact quotient."""
+    if b.is_zero:
+        inv = RatPolynomial.constant(1 / a.leading_coefficient) if a else RatPolynomial.one()
+        return a * inv, inv, b
+    if a.is_zero or len(a.coeffs) < len(b.coeffs):
+        g, v, u = rational_xgcd(b, a)
+        return g, u, v
+    num, scale = a._numerators()
+    _, R, u = _prs(num, b._numerators()[0])
+    # u*num + v'*(b's numerators) = R with num = scale*a: divide by lc(R)
+    lc = R.coeffs[-1]
+    g = RatPolynomial._over(R.coeffs, lc)
+    u = RatPolynomial._over([c * scale for c in u.coeffs], lc)
+    v, rem = divmod(g - u * a, b)
+    if rem:
+        raise AssertionError("rational_xgcd: cofactor quotient is not exact")
+    return g, u, v

@@ -77,9 +77,6 @@ class ExponentVector(Frozen):
     def modulus(self) -> RatPolynomial:
         return self._modulus
 
-    def component_degree_bound(self, n: int) -> int:
-        return self._factors[n].degree
-
     @cached_property
     def _bezout(self) -> tuple[tuple[int, RatPolynomial, RatPolynomial, RatPolynomial], ...]:
         """(n, F_n, R_n, s_n) over Q for each support index n, as in the

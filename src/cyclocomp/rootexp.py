@@ -69,10 +69,6 @@ class CyclotomicInteger(Frozen):
         object.__setattr__(self, "coeffs", tuple(coeffs) + (0,) * (phi - len(coeffs)))
 
     @classmethod
-    def from_int(cls, order: int, value: int) -> "CyclotomicInteger":
-        return cls(order, [value])
-
-    @classmethod
     def zero(cls, order: int) -> "CyclotomicInteger":
         return cls(order, [])
 
@@ -116,9 +112,6 @@ class CyclotomicInteger(Frozen):
 
     __rmul__ = __mul__
 
-    def mul_by_zeta(self) -> "CyclotomicInteger":
-        return self * CyclotomicInteger.zeta(self.order)
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -159,7 +152,7 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     if root_multiplicity(a.chain, a.level, n) < 1:
         raise InsufficientPrecision(
             f"level {a.level} on {a.chain.label!r} does not determine the "
-            f"value at a primitive {n}-th root"
+            f"value at a primitive root of unity of order {n}"
         )
     coeffs = a.rep.coeffs
     return CyclotomicInteger(n, [sum(coeffs[r::n]) for r in range(n)])

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: products and division over Q Fraction by
 Fraction instead of on integer numerators, Sylvester determinants by
-fraction-free elimination instead of remainder sequences, totients by trial
+fraction-free elimination instead of remainder sequences, gcds over Q by
+Euclid's algorithm instead of one primitive PRS over Z, totients by trial
 factorization instead of polynomial degrees, root-of-unity arithmetic by
 direct products in Z[zeta] instead of polynomial reduction, and so on.
 """
@@ -118,11 +119,25 @@ def sylvester_determinant(a: IntPolynomial, b: IntPolynomial) -> int:
     return det.numerator
 
 
-def brute_force_xgcd_q(a: IntPolynomial, b: IntPolynomial):
-    """Plain extended Euclid over Q: (g monic, u, v) with u*a + v*b = g."""
-    from cyclocomp import rational_xgcd
-
-    return rational_xgcd(a.to_rational(), b.to_rational())
+def rational_xgcd_by_euclid(
+    a: RatPolynomial, b: RatPolynomial
+) -> tuple[RatPolynomial, RatPolynomial, RatPolynomial]:
+    """(g, u, v) with u*a + v*b = g, g the monic gcd (or zero), by
+    Euclid's remainder sequence in Fraction arithmetic instead of one
+    primitive PRS over Z: the library's former `rational_xgcd`."""
+    r0, r1 = a, b
+    u0, u1 = RatPolynomial.one(), RatPolynomial.zero()
+    v0, v1 = RatPolynomial.zero(), RatPolynomial.one()
+    while not r1.is_zero:
+        q, r2 = divmod(r0, r1)
+        r0, r1 = r1, r2
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero:
+        return r0, u0, v0
+    lc = r0.leading_coefficient
+    inv = 1 / lc
+    return r0 * inv, u0 * inv, v0 * inv
 
 
 def phi_by_trial_factorization(n: int) -> int:
@@ -143,11 +158,11 @@ def phi_by_trial_factorization(n: int) -> int:
 def zeta_pochhammer(order: int, k: int) -> CyclotomicInteger:
     """(zeta)_k = (1 - zeta)(1 - zeta^2)...(1 - zeta^k) computed directly
     in Z[zeta_order], never through polynomial reduction."""
-    one = CyclotomicInteger.one(order)
+    one, zeta = CyclotomicInteger.one(order), CyclotomicInteger.zeta(order)
     power = one
     out = one
     for _ in range(k):
-        power = power.mul_by_zeta()
+        power = power * zeta
         out = out * (one - power)
     return out
 
@@ -174,7 +189,7 @@ def taylor_by_substitution(coeffs, order: int, j_max: int):
         for i, a in enumerate(acc):
             new[i + 1] = new[i + 1] + a
             new[i] = new[i] + a * zeta
-        new[0] = new[0] + CyclotomicInteger.from_int(order, c)
+        new[0] = new[0] + CyclotomicInteger(order, [c])
         acc = new
     out = []
     for j in range(j_max + 1):
@@ -198,18 +213,18 @@ def x_jet(coeffs, order: int, j_max: int) -> list[list[int]]:
 
 def div_by_q_minus_zeta(coeffs, order):
     """Synthetic division over Z[zeta]: (quotient, remainder)."""
-    acc = CyclotomicInteger.zero(order)
+    acc, zeta = CyclotomicInteger.zero(order), CyclotomicInteger.zeta(order)
     quot = [acc] * max(len(coeffs) - 1, 0)
     for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc.mul_by_zeta() + coeffs[i]
+        acc = acc * zeta + coeffs[i]
         quot[i - 1] = acc
-    rem = acc.mul_by_zeta() + coeffs[0] if coeffs else acc
+    rem = acc * zeta + coeffs[0] if coeffs else acc
     return quot, rem
 
 
 def multiplicity_by_synthetic_division(g: IntPolynomial, order: int) -> int:
     """Exponent of (q - zeta_order) in nonzero g over Z[zeta_order]."""
-    coeffs = [CyclotomicInteger.from_int(order, c) for c in g.coeffs]
+    coeffs = [CyclotomicInteger(order, [c]) for c in g.coeffs]
     mult = 0
     while True:
         quot, rem = div_by_q_minus_zeta(coeffs, order)

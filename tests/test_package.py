@@ -37,6 +37,44 @@ def test_star_import_gives_the_same_names():
     assert set(cyclocomp.__all__) == STAR_NAMES and len(cyclocomp.__all__) == len(STAR_NAMES)
 
 
+# The public members each exported class defines itself (`vars`, names
+# without a leading underscore): adding or removing one is an API change.
+CLASS_MEMBERS = {
+    "AdicChain": ["factor", "label", "multiplicity", "to_json_dict"],
+    "AdjacencyGraph": ["components"],
+    "CommonPrimeCertificate": ["exponent", "p", "resultant"],
+    "CrtComponents": ["component", "support"],
+    "CyclotomicInteger": [
+        "coeffs", "from_json_dict", "is_zero", "one", "order", "to_json_dict", "zero", "zeta",
+    ],
+    "DigitExpansion": [],
+    "ExponentVector": ["exponent", "factor", "modulus", "support"],
+    "FiltrationChain": ["factor", "label", "modulus", "multiplicity", "to_json_dict"],
+    "IntPolynomial": ["content", "has_unit_leading_coefficient", "to_rational"],
+    "PochhammerChain": ["factor", "label", "multiplicity", "to_json_dict"],
+    "ProductChain": ["factor", "to_json_dict"],
+    "RatPolynomial": ["to_json"],
+    "RingDescriptor": ["is_separated_at"],
+    "RootTaylorSeries": ["coeffs", "order", "to_json_dict", "valid_to"],
+    "SeriesSpec": [],
+    "TruncatedElement": ["chain", "from_json_dict", "is_zero", "level", "rep", "to_json_dict"],
+    "UnitCertificate": ["resultant", "u", "v"],
+}
+
+
+def test_exported_classes_define_the_pinned_members():
+    classes = {
+        name: getattr(cyclocomp, name)
+        for name in cyclocomp.__all__
+        if isinstance(getattr(cyclocomp, name), type)
+    }
+    found = {
+        name: sorted(m for m in vars(cls) if not m.startswith("_"))
+        for name, cls in classes.items()
+    }
+    assert found == CLASS_MEMBERS
+
+
 @pytest.mark.parametrize(
     "layer, name", [(layer, name) for layer, names in cyclocomp._EXPORTS for name in names]
 )

@@ -1,9 +1,12 @@
+import ast
 import fractions
+import inspect
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +27,7 @@ from cyclocomp import (
     resultant,
     subresultant_bezout,
 )
-from cyclocomp.polyring import _pseudo_divmod
+from cyclocomp.polyring import _prs, _pseudo_divmod
 from cyclocomp.errors import (
     BothZero,
     DivisionByZeroPolynomial,
@@ -36,6 +39,7 @@ from support import (
     check_frozen_value,
     random_int_poly,
     random_unit_leading_poly,
+    rational_xgcd_by_euclid,
     schoolbook_rat_divmod,
     schoolbook_rat_mul,
     sylvester_determinant,
@@ -44,6 +48,10 @@ from support import (
 
 def P(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def R(*coeffs):
+    return RatPolynomial(coeffs)
 
 
 class TestCanonicalForm:
@@ -455,11 +463,13 @@ class TestResultantBezout:
 
     def test_quartic_unit_pair(self):
         a, b = P(1, 0, 1), P(1, -1, 1)
-        # independent oracle: extended Euclid over Q, cleared of denominators
-        g, uq, vq = rational_xgcd(a.to_rational(), b.to_rational())
-        assert g == RatPolynomial.one()
+        # independent oracle: sympy's extended Euclid over QQ; its cofactors
+        # for the gcd 1 are the least-degree ones, and so integral here
+        s, t, h = _sympy_poly(a.coeffs, sympy.QQ).gcdex(_sympy_poly(b.coeffs, sympy.QQ))
+        assert h.as_expr() == 1
         res, u, v = subresultant_bezout(a, b)
         assert res == 1
+        assert (u.to_rational(), v.to_rational()) == (_rat_from_sympy(s), _rat_from_sympy(t))
         assert u * a + v * b == IntPolynomial.one()
         assert all(isinstance(c, int) for c in u.coeffs + v.coeffs)
 
@@ -491,6 +501,29 @@ class TestResultantBezout:
         b = P(1, 1) * P(-4, 1)
         res, u, v = subresultant_bezout(a, b)
         assert res == 0 and u.is_zero and v.is_zero
+        assert resultant(a, b) == 0 and resultant(b, a) == 0
+
+    @pytest.mark.parametrize(
+        "a, b, gcd",
+        [
+            (P(1, 1) * P(1, 2, 3), P(1, 1) * P(-4, 1), P(1, 1)),
+            (P(-4, 1) * P(1, 1), P(1, 1) * P(1, 2, 3), P(1, 1)),  # shorter first
+            (P(2, 0, 3) * P(1, 2, 3), P(4, 0, 6), P(2, 0, 3)),  # short divides long
+            (P(1, 0, 1) * P(5, 1), P(1, 0, 1) * P(3, -2), P(1, 0, 1)),  # a tie
+            (cyclotomic_poly(12) * P(3, 7), cyclotomic_poly(12) * P(1, 0, 2), cyclotomic_poly(12)),
+            (P(1, 0, 1), P(1, -1, 1), P(1)),  # coprime: the sequence ends on a constant
+        ],
+    )
+    def test_prs_ends_on_the_gcd(self, a, b, gcd):
+        # The last nonzero remainder is the gcd up to a constant, always a
+        # polynomial, with the carried cofactor of the longer input.
+        res, last, u = _prs(a, b)
+        assert (res == 0) == (gcd.degree > 0)
+        assert isinstance(last, IntPolynomial) and last.degree == gcd.degree
+        assert last * gcd.coeffs[-1] == gcd * last.coeffs[-1]
+        long, short = (b, a) if a.degree < b.degree else (a, b)
+        rest = (last - u * long).to_rational()
+        assert rest % short.to_rational() == RatPolynomial.zero()
 
     def test_both_zero_rejected(self):
         with pytest.raises(BothZero):
@@ -591,6 +624,115 @@ except TypeError:
     pass
 print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
 """
+
+
+def _checked_xgcd(a, b):
+    """rational_xgcd(a, b), with u*a + v*b = g and g monic or zero."""
+    g, u, v = rational_xgcd(a, b)
+    assert u * a + v * b == g
+    assert g.is_zero or g.leading_coefficient == 1
+    return g, u, v
+
+
+# Degree <= 4 before a planted factor of degree <= 3: zero and constant
+# inputs are among them.
+_xgcd_parts = st.lists(_small_fractions, max_size=5).map(RatPolynomial)
+_xgcd_factors = st.lists(_small_fractions, min_size=1, max_size=4).map(RatPolynomial)
+
+
+class TestRationalXgcd:
+    # One primitive PRS over Z; the oracles are Euclid's algorithm over Q
+    # (tests/support.py) and sympy.
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _xgcd_parts,
+        _xgcd_parts,
+        _xgcd_factors.filter(bool),
+        _small_fractions.filter(bool),
+        _small_fractions.filter(bool),
+    )
+    @example(R(), R(), R(1), Fraction(1), Fraction(1))  # two zeros
+    @example(R(3), R(Fraction(1, 2), 1), R(1), Fraction(-1), Fraction(2))  # a constant
+    @example(R(1, 1), R(2, 2), R(0, 1), Fraction(-1), Fraction(-1))  # proportional
+    def test_matches_the_euclid_oracle(self, a, b, common, ca, cb):
+        # `common` of degree >= 1 plants a shared factor; ca and cb rescale
+        # (and with a negative sign negate) the inputs.
+        a, b = a * common, b * common
+        g, u, v = _checked_xgcd(a, b)
+        assert (g, u, v) == rational_xgcd_by_euclid(a, b)
+        scaled = _checked_xgcd(a * ca, b * cb)
+        assert scaled == rational_xgcd_by_euclid(a * ca, b * cb)
+        if g:  # two zeros keep the cofactors (1, 0)
+            assert scaled == (g, u * (1 / ca), v * (1 / cb))
+
+    def test_zero_inputs(self):
+        lc = Fraction(-4, 3)
+        a = R(Fraction(1, 2), 0, lc)
+        assert rational_xgcd(R(), R()) == (R(), R(1), R())
+        assert rational_xgcd(a, R()) == (a * (1 / lc), R(1 / lc), R())
+        assert rational_xgcd(R(), a) == (a * (1 / lc), R(), R(1 / lc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_xgcd_parts, _xgcd_parts, _xgcd_factors)
+    def test_matches_sympy(self, a, b, common):
+        a, b = a * common, b * common
+        g, u, v = _checked_xgcd(a, b)
+        pa, pb = _rat_sympy(a), _rat_sympy(b)
+        assert g == _rat_from_sympy(pa.gcd(pb))
+        if a and b:
+            s, t, h = pa.gcdex(pb)
+            assert (g, u, v) == (_rat_from_sympy(h), _rat_from_sympy(s), _rat_from_sympy(t))
+
+    def test_one_prs_pass_and_one_exact_quotient(self, monkeypatch):
+        # rational_xgcd of two nonzero inputs runs the PRS once and divides
+        # over Q once: (g - u*long) / short.  It has no loop of its own.
+        tree = ast.parse(inspect.getsource(rational_xgcd))
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree))
+        calls = {"prs": 0, "divmod": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(polyring, "_prs", counted("prs", polyring._prs))
+        monkeypatch.setattr(RatPolynomial, "_divmod", counted("divmod", RatPolynomial._divmod))
+        F, half = Fraction, R(Fraction(1, 2), 1)
+        pairs = [
+            (R(1, 0, 1), R(1, -1, 1)),  # coprime
+            (half * R(3, 0, F(2, 7)), half * R(-1, F(5, 3))),  # common factor
+            (R(-1, F(5, 3)), R(F(1, 2), 1, 0, 2)),  # shorter first
+            (R(1, 2, 1), R(1, 1)),  # short divides long
+            (R(F(3, 4)), R(1, 1)),  # a constant
+            (R(6), R(F(-2, 9))),  # two constants
+        ]
+        for a, b in pairs:
+            calls.update(prs=0, divmod=0)
+            _checked_xgcd(a, b)
+            assert calls == {"prs": 1, "divmod": 1}, (a, b)
+
+    def test_degree_fifty_pair_with_a_common_factor(self):
+        # On a 2-core x86 VM this takes about 0.8 s CPU, and Euclid's loop in
+        # Fraction arithmetic (`rational_xgcd_by_euclid`) about 10 s.
+        rng = random.Random(23)
+
+        def part(degree):
+            coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(degree)]
+            return RatPolynomial(coeffs + [Fraction(rng.randint(1, 20), rng.randint(1, 20))])
+
+        common = part(12)
+        a, b = part(40) * common, part(35) * common
+        assert (a.degree, b.degree) == (52, 47)
+        start = time.process_time()
+        g, u, v = rational_xgcd(a, b)
+        elapsed = time.process_time() - start
+        assert elapsed < 5, f"rational_xgcd took {elapsed:.2f} s CPU, budget 5 s"
+        assert u * a + v * b == g and g.leading_coefficient == 1
+        assert g == _rat_from_sympy(_rat_sympy(a).gcd(_rat_sympy(b)))
+        assert g.degree == 12 and (g % common).is_zero
 
 
 class TestModPrime:

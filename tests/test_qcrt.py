@@ -58,7 +58,7 @@ class TestExponentVector:
         # The cached data does not take part in equality or hashing.
         fresh = ExponentVector({5: 1, 3: 2, 2: 1, 1: 2})
         assert lam == fresh and hash(lam) == hash(fresh)
-        assert lam.exponent(3) == 2 and lam.component_degree_bound(3) == 4
+        assert lam.exponent(3) == 2 and lam.factor(3).degree == 4
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ class TestReconstruct:
         for _ in range(100):
             comps = CrtComponents(
                 {
-                    n: random_rat_poly(rng, lam.component_degree_bound(n) - 1)
+                    n: random_rat_poly(rng, lam.factor(n).degree - 1)
                     for n in lam.support
                 }
             )

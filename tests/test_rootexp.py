@@ -57,7 +57,7 @@ def P(*coeffs):
 def taylor_by_synthetic_division(coeffs, order, j_max):
     """Taylor coefficients at zeta_order as the successive remainders of
     repeated division by (q - zeta)."""
-    cur = [CyclotomicInteger.from_int(order, c) for c in coeffs]
+    cur = [CyclotomicInteger(order, [c]) for c in coeffs]
     out = []
     for _ in range(j_max + 1):
         cur, rem = div_by_q_minus_zeta(cur, order)
@@ -68,11 +68,11 @@ def taylor_by_synthetic_division(coeffs, order, j_max):
 class TestCyclotomicInteger:
     def test_fourth_root_squares_to_minus_one(self):
         z = CyclotomicInteger.zeta(4)
-        assert z * z == CyclotomicInteger.from_int(4, -1)
+        assert z * z == CyclotomicInteger(4, [-1])
 
     def test_cube_roots_sum(self):
         z = CyclotomicInteger.zeta(3)
-        assert z + z * z == CyclotomicInteger.from_int(3, -1)
+        assert z + z * z == CyclotomicInteger(3, [-1])
 
     def test_multiplicative_identity(self):
         a = CyclotomicInteger(12, [3, -1, 4, 1])
@@ -89,7 +89,7 @@ class TestCyclotomicInteger:
     def test_reduction_of_long_input(self):
         # zeta^2 reduced mod Phi_4: q^2 = -1
         a = CyclotomicInteger(4, [0, 0, 1])
-        assert a == CyclotomicInteger.from_int(4, -1)
+        assert a == CyclotomicInteger(4, [-1])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 40))
@@ -108,20 +108,10 @@ class TestCyclotomicInteger:
         with pytest.raises(TypeError, match=f"^coefficient must be an int, got {name}$"):
             CyclotomicInteger(3, coeffs)
 
-    def test_mul_by_zeta_matches_full_product(self):
-        rng = random.Random(41)
-        for order in (1, 2, 3, 4, 5, 6, 8, 12):
-            z = CyclotomicInteger.zeta(order)
-            for _ in range(20):
-                a = CyclotomicInteger(
-                    order, [rng.randint(-9, 9) for _ in range(len(z.coeffs))]
-                )
-                assert a.mul_by_zeta() == a * z
-
     def test_order_one_is_plain_integer(self):
-        a = CyclotomicInteger.from_int(1, 42)
+        a = CyclotomicInteger(1, [42])
         assert a.coeffs == (42,)
-        assert a.mul_by_zeta() == a  # zeta_1 = 1
+        assert a * CyclotomicInteger.zeta(1) == a  # zeta_1 = 1
 
     @pytest.mark.parametrize(
         "coeffs", [[1.9, 2.5], [1, 2.0], [True], [1, False], [Fraction(2)], ["1"], [None]]
@@ -159,14 +149,21 @@ class TestEvaluation:
         poch = PochhammerChain()
         elt = series_realize(KONTSEVICH_ZAGIER_SPEC, poch, 6)
         values = tau_values(elt, [1, 2, 3])
-        assert values[1] == CyclotomicInteger.from_int(1, 1)
-        assert values[2] == CyclotomicInteger.from_int(2, 3)
+        assert values[1] == CyclotomicInteger(1, [1])
+        assert values[2] == CyclotomicInteger(2, [3])
         assert values[3] == CyclotomicInteger(3, [5, -1])  # 5 - zeta_3
 
-    def test_insufficient_precision(self):
-        a = reduce(P(1, 1), PochhammerChain(), 2)
-        with pytest.raises(InsufficientPrecision):
-            evaluate_at_root(a, 3)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_insufficient_precision(self, n):
+        # level n - 1 is one short of Phi_n on the Pochhammer chain
+        a = reduce(P(1, 1), PochhammerChain(), n - 1)
+        text = (
+            f"level {n - 1} on 'pochhammer' does not determine the value "
+            f"at a primitive root of unity of order {n}"
+        )
+        with pytest.raises(InsufficientPrecision) as info:
+            evaluate_at_root(a, n)
+        assert str(info.value) == text
 
     def test_value_independent_of_level(self):
         rng = random.Random(42)
@@ -575,6 +572,30 @@ class TestThirdSeries:
         for j_max in (0, 3):
             with pytest.raises(AssertionError, match="witness 1 of term 0 fails"):
                 ohtsuki_series(spec, j_max)
+
+    @pytest.mark.parametrize(
+        "chain", [AdicChain(cyclotomic_poly(1)), ProductChain([1, 2])], ids=["adic", "product"]
+    )
+    def test_other_chains_realize_the_finite_sum(self, chain):
+        # g_L divides (q)_L, which divides u_k for k >= L, so the terms
+        # past L vanish mod g_L.
+        total = IntPolynomial.zero()
+        for level in range(9):
+            total = total + u_term(level)
+            assert series_realize(u_spec(), chain, level) == reduce(total, chain, level)
+        for level in range(1, 9):
+            with pytest.raises(AssertionError, match="witness 1 of term 0 fails"):
+                series_realize(u_spec(witness_shift=1), chain, level)
+
+    def test_values_are_the_sums_below_the_order(self):
+        # Phi_d | (q)_k | u_k for k >= d, so the value at zeta_d of the
+        # level-d element is that of the sum of u_k for k < d.
+        chain = PochhammerChain()
+        total = IntPolynomial.zero()
+        for d in range(1, 11):
+            total = total + u_term(d - 1)
+            value = tau_values(series_realize(u_spec(), chain, d), [d])[d]
+            assert value == evaluate_by_division(reduce(total, chain, d), d)
 
 
 # SHA-256 of repr(expand_series(spec, n, j_max)) + "\n" for kz, then qinv,
