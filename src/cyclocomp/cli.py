@@ -301,13 +301,12 @@ def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
 
     for n in args.orders:
         budgets.check_order(n)
-    # Values of a terminating evaluation do not depend on the level once
-    # it reaches the order, so the minimal sufficient level is a safe
-    # default here.
+    # Phi_n divides g_m for m >= n, so level n fixes the value at zeta_n;
+    # a level below an order is realised as given, and raises.
     level = args.level if args.level is not None else max(args.orders)
     budgets.check_level(level)
-    spec = completion.NAMED_SERIES[args.series]
-    elt = completion.series_realize(spec, completion.PochhammerChain(), level)
+    spec, poch = completion.NAMED_SERIES[args.series], completion.PochhammerChain()
+    elt = completion.series_realize(spec, poch, min(level, max(args.orders)))
     values = sorted(rootexp.tau_values(elt, args.orders).items())
     return _Result(
         {

@@ -291,17 +291,16 @@ def digit_degree_bound(chain: FiltrationChain, n: int) -> int:
 
 
 def to_digits(a: TruncatedElement) -> DigitExpansion:
-    """Unique digit expansion of a level-k element (k digits)."""
+    """Unique digit expansion of a level-k element (k digits), the inverse
+    of from_digits' Horner sum: a_n is the remainder of the running quotient
+    by f_(n+1), and the quotient left after k digits is zero."""
     chain, k = a.chain, a.level
-    digits: list[IntPolynomial] = [IntPolynomial.zero()] * k
-    r = a.rep
-    for n in range(k - 1, 0, -1):
-        digits[n], r = divmod(r, chain.modulus(n))
-    if k > 0:
-        digits[0] = r
-    for n, d in enumerate(digits):
-        if d.degree >= digit_degree_bound(chain, n):
-            raise AssertionError(f"{chain.label}: digit {n} exceeds its degree bound")
+    digits, r = [], a.rep
+    for n in range(k):
+        r, digit = divmod(r, chain._checked_factor(n + 1))
+        digits.append(digit)
+    if r:
+        raise AssertionError(f"{chain.label}: level {k} leaves a quotient past its digits")
     return DigitExpansion(chain, tuple(digits))
 
 

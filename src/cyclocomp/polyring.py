@@ -8,7 +8,9 @@ every integer, so degree inequalities can be written without special cases.
 Over Z, division is only defined when the divisor's leading coefficient is
 a unit (+-1); exact divisibility by such divisors is tested with
 `divides`.  Over Q any nonzero divisor works; products and division over
-Q run the integer kernels on integer numerators.
+Q run the integer kernels on integer numerators.  One schoolbook kernel,
+`_divide_in_place`, does every division: `%` and divmod over Z and Q,
+pseudo-division, Bezout quotients and the reduction into Z[zeta_n].
 
 Serialization: a polynomial is a JSON array of decimal coefficient
 strings, little-endian, e.g. 1 - q^3  <->  ["1", "0", "0", "-1"].
@@ -347,9 +349,10 @@ class IntPolynomial(_Polynomial):
         return bool(self.coeffs) and self.coeffs[-1] in (1, -1)
 
     def _divmod(self, g):
-        lc = g._unit_leading_coefficient()
-        # +-1 is its own inverse
-        return _long_divide(list(self.coeffs), g.coeffs, lambda c: c * lc)
+        # +-1 is its own inverse: a monic divisor keeps each top coefficient
+        lc, r, d = g._unit_leading_coefficient(), list(self.coeffs), len(g.coeffs) - 1
+        _divide_in_place(r, g.coeffs, None if lc == 1 else int.__neg__)
+        return self._wrap(r[d:]), self._wrap(r[:d])
 
     def _unit_leading_coefficient(self) -> int:
         """The leading coefficient of nonzero self, if it is +-1."""
@@ -492,6 +495,35 @@ def is_prime(p: int) -> bool:
     return p > 1 and prime_factors(p) == [p]
 
 
+# -- schoolbook division --------------------------------------------------
+
+
+def _divide_in_place(r: list, g: Sequence[int], top_quotient=None) -> None:
+    """Divide the integer coefficients r by g in place, from the top down:
+    each nonzero r[t], t >= d = deg g, gives c = top_quotient(r[t]) (r[t]
+    for None, a monic g), one slice pass r[t-d:t] -= c*g[:d] and c written
+    to r[t], the slot whose term the step cancels.  So r[:d] ends as the
+    remainder and r[d:] as the quotient, and no quotient list is made."""
+    d = len(g) - 1
+    for t in range(len(r) - 1, d - 1, -1):
+        c = r[t]
+        if c:
+            if top_quotient is not None:
+                c = r[t] = top_quotient(c)
+            r[t - d : t] = [x - c * y for x, y in zip(r[t - d : t], g)]
+
+
+def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
+    """(q, r, alpha) with alpha = lc(b)^(deg a - deg b + 1) and
+    alpha * a = q*b + r over Z, for deg a >= deg b - 1; every quotient
+    step is an exact division."""
+    lc = b.coeffs[-1]
+    alpha = lc ** (len(a.coeffs) - len(b.coeffs) + 1)
+    r, d = [c * alpha for c in a.coeffs], len(b.coeffs) - 1
+    _divide_in_place(r, b.coeffs, lambda c: _exact_div(c, lc))
+    return IntPolynomial._wrap(r[d:]), IntPolynomial._wrap(r[:d]), alpha
+
+
 # -- resultants and Bezout certificates ----------------------------------
 #
 # Sign convention: `resultant(a, b)` equals the determinant of the
@@ -502,34 +534,6 @@ def is_prime(p: int) -> bool:
 # both stay in Z.  It also serves `rational_xgcd`: its remainders and
 # carried cofactors are constant multiples of Euclid's over Q (W. S. Brown,
 # J. ACM 18, 1971), so on a zero remainder the last nonzero one is the gcd.
-
-
-def _long_divide(r: list, gc: tuple, top_quotient):
-    """(quotient, remainder) of the integer coefficients r by gc, by
-    schoolbook steps whose quotient coefficient is top_quotient(top
-    coefficient); r is overwritten."""
-    dg = len(gc) - 1
-    quot = [0] * max(len(r) - dg, 0)
-    for top in range(len(r) - 1, dg - 1, -1):
-        c = r[top]
-        if not c:
-            continue
-        c = top_quotient(c)
-        quot[top - dg] = c
-        for j in range(dg + 1):
-            r[top - dg + j] -= c * gc[j]
-    return IntPolynomial._wrap(quot), IntPolynomial._wrap(r[:dg])
-
-
-def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
-    """(q, r, alpha) with alpha = lc(b)^(deg a - deg b + 1) and
-    alpha * a = q*b + r over Z, for deg a >= deg b - 1; every quotient
-    step is an exact division."""
-    lc = b.coeffs[-1]
-    alpha = lc ** (len(a.coeffs) - len(b.coeffs) + 1)
-    r = [c * alpha for c in a.coeffs]
-    q, rem = _long_divide(r, b.coeffs, lambda c: _exact_div(c, lc))
-    return q, rem, alpha
 
 
 def _prs(a: IntPolynomial, b: IntPolynomial):
@@ -613,8 +617,9 @@ def subresultant_bezout(
     # be integral.  The identity check also catches a nonzero remainder.
     u = IntPolynomial._wrap([_exact_div(c * res, R.coeffs[0]) for c in u.coeffs])
     lc = short.coeffs[-1]
-    rest = (IntPolynomial.constant(res) - u * long).coeffs
-    v = _long_divide(list(rest), short.coeffs, lambda c: _exact_div(c, lc))[0]
+    rest = list((IntPolynomial.constant(res) - u * long).coeffs)
+    _divide_in_place(rest, short.coeffs, lambda c: _exact_div(c, lc))
+    v = IntPolynomial._wrap(rest[len(short.coeffs) - 1 :])
     if swapped:
         u, v = v, u
     if u * a + v * b != IntPolynomial.constant(res):

@@ -3,8 +3,8 @@ roots of unity: evaluation at a primitive n-th root (tau) and Taylor
 expansion in powers of (q - zeta) (sigma).
 
 Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1);
-a longer coefficient list is reduced in place, one slice per degree past
-phi(n) - 1, since Phi_n is monic.  Evaluation folds instead of dividing:
+a longer coefficient list is reduced mod the monic Phi_n in place, by
+`polyring`'s division kernel.  Evaluation folds instead of dividing:
 Phi_n divides q^n - 1, so the value of a representative at zeta_n is its
 coefficients summed into n buckets by index mod n (zeta^n = 1), and only
 those n sums are reduced mod Phi_n.
@@ -40,15 +40,15 @@ from .completion import SeriesSpec, TruncatedElement, _series_terms
 from .cyclotomic import cyclotomic_poly
 from .errors import InsufficientPrecision, OrderMismatch
 from .polyring import (
-    NEG_INFINITY, Frozen, IntPolynomial, _Replaceable, check_index, json_fields, json_int
+    NEG_INFINITY, Frozen, IntPolynomial, _divide_in_place, _Replaceable, check_index,
+    json_fields, json_int,
 )
 
 
 class CyclotomicInteger(Frozen):
     """An element of Z[zeta_n], stored as exactly phi(n) power-basis
     coordinates (n = 1 is a plain integer in disguise).  A longer list is
-    reduced mod Phi_n in place: from the top down, each coefficient past
-    phi(n) - 1 folds into the phi(n) below it, one slice each."""
+    reduced mod Phi_n by `polyring`'s division kernel, in place."""
 
     __slots__ = _fields = ("order", "coeffs")
 
@@ -59,12 +59,9 @@ class CyclotomicInteger(Frozen):
             c if type(c) is int else check_index(c, "coefficient", NEG_INFINITY)
             for c in coeffs
         ]
-        # zeta^i = -sum_(r < phi) p_r zeta^(i - phi + r), p = Phi_n's coefficients
-        for i in range(len(coeffs) - 1, phi - 1, -1):
-            t = coeffs[i]
-            if t:
-                coeffs[i - phi : i] = [c - t * p for c, p in zip(coeffs[i - phi : i], modulus)]
-        del coeffs[phi:]
+        if len(coeffs) > phi:
+            _divide_in_place(coeffs, modulus)
+            del coeffs[phi:]
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs) + (0,) * (phi - len(coeffs)))
 
@@ -154,8 +151,7 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
             f"level {a.level} on {a.chain.label!r} does not determine the "
             f"value at a primitive root of unity of order {n}"
         )
-    coeffs = a.rep.coeffs
-    return CyclotomicInteger(n, [sum(coeffs[r::n]) for r in range(n)])
+    return CyclotomicInteger(n, _z_jet(a.rep.coeffs, n, 1))
 
 
 def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, CyclotomicInteger]:

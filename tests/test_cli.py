@@ -72,6 +72,36 @@ class TestPayloads:
         assert values["2"]["coeffs"] == ["3"]
         assert values["3"]["coeffs"] == ["5", "-1"]
 
+    @pytest.fixture
+    def realised(self, monkeypatch):
+        from cyclocomp import completion
+
+        levels, realize = [], completion.series_realize
+        monkeypatch.setattr(
+            completion, "series_realize", lambda s, c, k: levels.append(k) or realize(s, c, k)
+        )
+        return levels
+
+    def test_eval_realises_only_the_level_its_orders_need(self, realised):
+        # Phi_n divides g_m for m >= n: level n fixes the value at zeta_n
+        argv = ("habiro", "eval", "--series", "kz", "--orders", "1,2", "--level")
+        (code, out, _), (code_2, out_2, _) = invoke(*argv, "200"), invoke(*argv, "2")
+        assert realised == [2, 2]
+        assert code == code_2 == 0
+        assert json.loads(out)["level"] == 200  # the payload echoes --level
+        assert json.loads(out)["values"] == json.loads(out_2)["values"]
+
+    def test_eval_below_an_order_realises_the_given_level(self, realised):
+        code, out, err = invoke(
+            "habiro", "eval", "--series", "kz", "--orders", "1,3", "--level", "2"
+        )
+        assert realised == [2]
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: InsufficientPrecision: level 2 on 'pochhammer' does not determine "
+            "the value at a primitive root of unity of order 3\n"
+        )
+
     def test_expand_csv_header(self):
         code, out, _ = invoke(
             "habiro", "expand", "--series", "qinv", "--center", "1",

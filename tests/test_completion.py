@@ -331,19 +331,27 @@ class TestDigits:
                     assert digit.degree < digit_degree_bound(chain, n) == gaps[n]
 
     def test_digits_read_the_factors(self, monkeypatch):
-        # Digit gaps and the Horner sum use f_k; only the final reduce
-        # reads a dense modulus.
+        # Digits are peeled off the f_k, and digit gaps and the Horner sum
+        # use f_k; only the final reduce reads a dense modulus.
         chain = ProductChain([1, 2, 3])
-        d = to_digits(reduce(random_int_poly(random.Random(26), 30, 100), chain, 7))
+        a = reduce(random_int_poly(random.Random(26), 30, 100), chain, 7)
         read = []
         modulus = FiltrationChain.modulus
         monkeypatch.setattr(
             FiltrationChain, "modulus", lambda self, k: read.append(k) or modulus(self, k)
         )
+        d = to_digits(a)
         assert [digit_degree_bound(chain, n) for n in range(7)] == [1, 1, 2] * 2 + [1]
         assert read == []
         from_digits(d, 5)
         assert read == [5]
+
+    def test_a_rep_past_the_level_is_refused(self):
+        # an unchecked rep of degree deg g_2 leaves a quotient after 2 digits
+        poch = PochhammerChain()
+        a = TruncatedElement._reduced(poch, 2, IntPolynomial.monomial(1, 3))
+        with pytest.raises(AssertionError, match="^pochhammer: level 2 leaves a quotient"):
+            to_digits(a)
 
     def test_uniqueness_by_perturbation(self):
         rng = random.Random(25)
@@ -536,8 +544,10 @@ class TestSeries:
     def test_kz_witnesses_need_no_long_division(self, monkeypatch):
         # each kz term is +-g_w: the check is one comparison
         calls = []
-        divide = polyring._long_divide
-        monkeypatch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+        divide = polyring._divide_in_place
+        monkeypatch.setattr(
+            polyring, "_divide_in_place", lambda *a: calls.append(1) or divide(*a)
+        )
         poch = PochhammerChain()
         for n, w in completion._series_terms(KONTSEVICH_ZAGIER_SPEC, 30):
             assert divides(poch.modulus(w), KONTSEVICH_ZAGIER_SPEC.term(n))

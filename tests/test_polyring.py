@@ -327,8 +327,10 @@ class TestDivMod:
 
     def test_divides_sets_a_power_of_q_aside_only_when_prime_to_g(self, monkeypatch):
         calls = []
-        divide = polyring._long_divide
-        monkeypatch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+        divide = polyring._divide_in_place
+        monkeypatch.setattr(
+            polyring, "_divide_in_place", lambda *a: calls.append(1) or divide(*a)
+        )
         g = P(1, 1, 1)
         assert divides(g, IntPolynomial.monomial(-3, 7) * g)
         assert not divides(g, IntPolynomial.monomial(1, 7) * (g + P(1)))
@@ -339,8 +341,10 @@ class TestDivMod:
 
     def test_divides_answers_a_short_dividend_without_division(self, monkeypatch):
         calls = []
-        divide = polyring._long_divide
-        monkeypatch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+        divide = polyring._divide_in_place
+        monkeypatch.setattr(
+            polyring, "_divide_in_place", lambda *a: calls.append(1) or divide(*a)
+        )
         assert not divides(P(1, 1, 1), P(0, 0, 1))  # q^2 set aside leaves 1
         assert not divides(P(0, 1, 1), P(3, 1))  # g(0) = 0, deg a < deg g
         assert divides(P(1, 1, 1), IntPolynomial.zero())
@@ -359,9 +363,9 @@ class TestDivMod:
         g = IntPolynomial(body + [lc])
         a = IntPolynomial.monomial(1, s) * IntPolynomial(low[: len(body)])
         calls = []
-        divide = polyring._long_divide
+        divide = polyring._divide_in_place
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polyring, "_long_divide", lambda *a: calls.append(1) or divide(*a))
+            patch.setattr(polyring, "_divide_in_place", lambda *a: calls.append(1) or divide(*a))
             answer = divides(g, a)
         assert answer == divmod(a, g)[1].is_zero
         if g.coeffs[0] or s == 0:
@@ -446,6 +450,46 @@ class TestDivModAgainstSympy:
         assert quot == IntPolynomial(_fractions(pa.pquo(pb)))
         assert rem == IntPolynomial(_fractions(pa.prem(pb)))
         assert IntPolynomial(a) * alpha == quot * IntPolynomial(b) + rem
+
+
+class TestOneDivisionKernel:
+    """Every division in the library is one call of `_divide_in_place`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from cyclocomp import rootexp
+
+        calls, divide = [], polyring._divide_in_place
+        kernel = lambda r, g, *top: calls.append((len(r), len(g))) or divide(r, g, *top)
+        monkeypatch.setattr(polyring, "_divide_in_place", kernel)
+        monkeypatch.setattr(rootexp, "_divide_in_place", kernel)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 12, 15, 30])
+    def test_one_call_per_reduced_cyclotomic_integer(self, calls, n):
+        from cyclocomp import CyclotomicInteger
+
+        phi = cyclotomic_poly(n).degree
+        for length in range(3 * n + 2):
+            calls.clear()
+            CyclotomicInteger(n, range(1, length + 1))
+            # a list of phi(n) coordinates or fewer needs no division
+            assert calls == ([(length, phi + 1)] if length > phi else [])
+
+    def test_one_call_per_integer_divmod(self, calls):
+        rng = random.Random(24)
+        for _ in range(200):
+            # lc = 1 and lc = -1, constant divisors and short dividends too
+            a = random_int_poly(rng, 12)
+            g = random_unit_leading_poly(rng, 6) if rng.random() < 0.9 else P(rng.choice([1, -1]))
+            calls.clear()
+            divmod(a, g)
+            assert calls == [(len(a.coeffs), len(g.coeffs))]
+
+    def test_one_call_per_rational_divmod(self, calls):
+        a, g = RatPolynomial([Fraction(1, 2), 3, Fraction(-5, 7)]), RatPolynomial([2, Fraction(1, 3)])
+        divmod(a, g)
+        assert calls == [(3, 2)]
 
 
 class TestResultantBezout:

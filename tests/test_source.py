@@ -344,6 +344,77 @@ def test_isinstance_against_a_chain_class_is_recognised():
     assert _isinstance_against(tree, {"AdicChain", "PochhammerChain"}) == [3]
 
 
+def _descending_slice_stores(tree) -> list[str]:
+    """Functions (dotted with their classes) that assign to a slice inside
+    a `for` loop over a descending range(..., ..., -1): a schoolbook
+    division, whatever its names."""
+    found = []
+
+    def descending(node) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "range"
+            and len(node.args) == 3
+            and ast.unparse(node.args[2]) == "-1"
+        )
+
+    def stores_a_slice(loop) -> bool:
+        return any(
+            isinstance(t, ast.Subscript) and isinstance(t.ctx, ast.Store)
+            and isinstance(t.slice, ast.Slice)
+            for node in ast.walk(loop)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for t in ast.walk(target)
+        )
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.For) and descending(child.iter) and stores_a_slice(child):
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_schoolbook_division():
+    # `%`, divmod, pseudo-division, Bezout quotients and the reduction
+    # into Z[zeta_n] all run polyring's one kernel.
+    found = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _descending_slice_stores(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == ["polyring.py:_divide_in_place"]
+
+
+def test_descending_slice_stores_are_recognised():
+    # CyclotomicInteger's own fold mod Phi_n as it was, and loops the lint
+    # leaves alone: ascending or step -2, an index store, a slice read
+    tree = ast.parse(
+        "class CyclotomicInteger:\n"
+        "    def __init__(self, order, coeffs):\n"
+        "        for i in range(len(coeffs) - 1, phi - 1, -1):\n"
+        "            t = coeffs[i]\n"
+        "            if t:\n"
+        "                coeffs[i - phi : i] = [\n"
+        "                    c - t * p for c, p in zip(coeffs[i - phi : i], modulus)\n"
+        "                ]\n"
+        "def up(r):\n    for t in range(0, len(r), 1):\n        r[t:] = r[t + 1 :]\n"
+        "def step_two(r):\n    for t in range(9, 0, -2):\n        r[:t] = []\n"
+        "def index(r):\n    for t in range(len(r) - 1, 0, -1):\n        r[t] -= r[t - 1]\n"
+        "def read(r):\n    for t in range(len(r) - 1, 0, -1):\n        x = r[r[:t][0]]\n"
+        "for i in range(3, 0, -1):\n    a[i:], b = b, a\n"
+        "def nested(r):\n    for i in range(3, 0, -1):\n        for j in range(i):\n"
+        "            r[j:i] += [1]\n"
+    )
+    assert _descending_slice_stores(tree) == ["CyclotomicInteger.__init__", "<module>", "nested"]
+
+
 def _memo_decorator(node) -> bool:
     """@cache, @lru_cache, @lru_cache(...) and their functools.* forms."""
     if isinstance(node, ast.Call):
