@@ -9,8 +9,8 @@ Over Z, division is only defined when the divisor's leading coefficient is
 a unit (+-1); exact divisibility by such divisors is tested with
 `divides`.  Over Q any nonzero divisor works; products and division over
 Q run the integer kernels on integer numerators.  One schoolbook kernel,
-`_divide_in_place`, does every division: `%` and divmod over Z and Q,
-pseudo-division, Bezout quotients and the reduction into Z[zeta_n].
+`_divide_in_place`, does every division (`%`, divmod, pseudo-division,
+Bezout quotients, Z[zeta_n]) and skips the zeros of a sparse divisor.
 
 Serialization: a polynomial is a JSON array of decimal coefficient
 strings, little-endian, e.g. 1 - q^3  <->  ["1", "0", "0", "-1"].
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -214,11 +215,7 @@ class _Polynomial(Frozen):
 
     def __sub__(self, other):
         self._same_domain(other)
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [self._coerce(0)] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return self._wrap(out)
+        return self + -other
 
     def __neg__(self):
         return self._wrap([-c for c in self.coeffs])
@@ -232,14 +229,12 @@ class _Polynomial(Frozen):
         if not a or not b:
             return self.zero()
         out = [self._coerce(0)] * (len(a) + len(b) - 1)
-        # The outer loop runs over the operand with fewer nonzero terms,
-        # so a product by 1 - q^k, q^n or zeta is one pass per term.
-        terms_a = [(i, c) for i, c in enumerate(a) if c]
-        terms_b = [(j, c) for j, c in enumerate(b) if c]
-        if len(terms_b) < len(terms_a):
-            terms_a, b = terms_b, a
+        # The outer loop runs over the operand with fewer nonzero terms (by
+        # `count`), so a product by 1 - q^k, q^n or zeta is one pass per term.
+        if len(b) - b.count(0) < len(a) - a.count(0):
+            a, b = b, a
         width = len(b)
-        for i, ai in terms_a:
+        for i, ai in compress(enumerate(a), a):
             out[i : i + width] = [o + ai * bj for o, bj in zip(out[i : i + width], b)]
         return self._wrap(out)
 
@@ -501,16 +496,22 @@ def is_prime(p: int) -> bool:
 def _divide_in_place(r: list, g: Sequence[int], top_quotient=None) -> None:
     """Divide the integer coefficients r by g in place, from the top down:
     each nonzero r[t], t >= d = deg g, gives c = top_quotient(r[t]) (r[t]
-    for None, a monic g), one slice pass r[t-d:t] -= c*g[:d] and c written
-    to r[t], the slot whose term the step cancels.  So r[:d] ends as the
-    remainder and r[d:] as the quotient, and no quotient list is made."""
+    for None, a monic g), r[t-d:t] -= c*g[:d] and c written to r[t], the
+    slot whose term the step cancels: one slice pass, or one subtraction
+    per nonzero g[i] if most of g[:d] is zero (2 * g.count(0) > d, as for
+    q^k - 1).  So r[:d] ends as the remainder and r[d:] as the quotient."""
     d = len(g) - 1
+    sparse = [(i - d, y) for i, y in enumerate(g[:d]) if y] if 2 * g.count(0) > d else None
     for t in range(len(r) - 1, d - 1, -1):
         c = r[t]
         if c:
             if top_quotient is not None:
                 c = r[t] = top_quotient(c)
-            r[t - d : t] = [x - c * y for x, y in zip(r[t - d : t], g)]
+            if sparse is None:
+                r[t - d : t] = [x - c * y for x, y in zip(r[t - d : t], g)]
+            else:
+                for i, y in sparse:
+                    r[t + i] -= c * y
 
 
 def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):

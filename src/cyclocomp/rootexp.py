@@ -91,9 +91,7 @@ class CyclotomicInteger(Frozen):
 
     def __sub__(self, other):
         self._check(other)
-        return CyclotomicInteger(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self + -other
 
     def __neg__(self):
         return CyclotomicInteger(self.order, [-a for a in self.coeffs])

@@ -6,9 +6,15 @@ one field each.  They are `polyring.Frozen` values, not dataclasses, and
 only they pose as dataclasses, through `polyring._Replaceable`, so a
 refactor of `Frozen` could break the benchmark's tests without failing
 any here but these.
+
+The trace recorder in `bench/spans.py` patches library names from
+outside, and counts a witness check for each `divides` that
+`series_realize` calls itself; the last tests here pin those names and
+that call pattern, as the benchmark's suite is not part of this one.
 """
 
 import dataclasses
+import importlib
 import pprint
 from fractions import Fraction
 
@@ -99,3 +105,75 @@ def test_only_the_replaced_classes_pose_as_dataclasses():
 def test_dataclasses_replace_refuses_the_other_values(value):
     with pytest.raises(TypeError, match="dataclass instances"):
         dataclasses.replace(value)
+
+
+def test_series_realize_checks_one_witness_per_term(monkeypatch):
+    # the recorder wraps every binding of polyring.divides and the named
+    # specs' terms; a traced run needs as many witness checks as terms
+    from cyclocomp import NAMED_SERIES, completion, polyring, series_realize
+
+    assert NAMED_SERIES["kz"] is KONTSEVICH_ZAGIER_SPEC
+    assert completion.divides is polyring.divides
+    terms, checks = [], []
+    divides, term = completion.divides, KONTSEVICH_ZAGIER_SPEC.term
+    monkeypatch.setattr(completion, "divides", lambda g, a: checks.append(g) or divides(g, a))
+    # the spec is a Frozen value: the recorder sets its term as this does
+    object.__setattr__(KONTSEVICH_ZAGIER_SPEC, "term", lambda n: terms.append(n) or term(n))
+    try:
+        series_realize(KONTSEVICH_ZAGIER_SPEC, PochhammerChain(), 5)
+    finally:
+        object.__setattr__(KONTSEVICH_ZAGIER_SPEC, "term", term)
+    assert terms == [0, 1, 2, 3, 4, 5]
+    assert len(checks) == 6
+
+
+# (module, name) of every function the recorder wraps, `cyclotomic.is_adjacent`
+# and `cli.build_parser` included
+RECORDED_FUNCTIONS = [
+    ("polyring", "resultant"),
+    ("polyring", "subresultant_bezout"),
+    ("polyring", "rational_xgcd"),
+    ("polyring", "divides"),
+    ("cyclotomic", "cyclotomic_poly"),
+    ("cyclotomic", "pochhammer"),
+    ("cyclotomic", "connected_components"),
+    ("cyclotomic", "cyclotomic_coprimality"),
+    ("cyclotomic", "congruence_check"),
+    ("cyclotomic", "save_cyclotomic_cache"),
+    ("completion", "series_realize"),
+    ("completion", "reduce"),
+    ("rootexp", "taylor_at_root"),
+    ("rootexp", "evaluate_at_root"),
+    ("qcrt", "crt_split"),
+    ("qcrt", "crt_reconstruct"),
+    ("qcrt", "crt_idempotents"),
+    ("cyclotomic", "is_adjacent"),
+    ("cli", "build_parser"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name", RECORDED_FUNCTIONS, ids=[f"{m}.{n}" for m, n in RECORDED_FUNCTIONS]
+)
+def test_recorded_functions_exist(module, name):
+    fn = getattr(importlib.import_module(f"cyclocomp.{module}"), name)
+    assert callable(fn) and fn.__name__ == name
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("polyring.IntPolynomial", "__mul__"),
+        ("polyring.IntPolynomial", "__rmul__"),
+        ("polyring.IntPolynomial", "__divmod__"),
+        ("polyring.RatPolynomial", "__mul__"),
+        ("polyring.RatPolynomial", "__rmul__"),
+        ("polyring.RatPolynomial", "__divmod__"),
+        ("completion.FiltrationChain", "modulus"),
+        ("rootexp.CyclotomicInteger", "__init__"),
+    ],
+)
+def test_recorded_methods_exist(owner, name):
+    module, cls = owner.split(".")
+    method = getattr(getattr(importlib.import_module(f"cyclocomp.{module}"), cls), name)
+    assert callable(method) and method is not getattr(object, name, None)

@@ -127,6 +127,29 @@ class TestArithmetic:
             P(1) + RatPolynomial([1])
 
     @pytest.mark.parametrize(
+        "op, message",
+        [
+            (lambda: P(1) - R(1), "mixed coefficient domains: IntPolynomial and RatPolynomial"),
+            (lambda: R(1) - P(1), "mixed coefficient domains: RatPolynomial and IntPolynomial"),
+            (lambda: P(1) - 3, "mixed coefficient domains: IntPolynomial and int"),
+            (lambda: P(1) - None, "mixed coefficient domains: IntPolynomial and NoneType"),
+            (lambda: R(1) - Fraction(1), "mixed coefficient domains: RatPolynomial and Fraction"),
+            (lambda: P(1) + R(1), "mixed coefficient domains: IntPolynomial and RatPolynomial"),
+            (lambda: P(1) * R(1), "mixed coefficient domains: IntPolynomial and RatPolynomial"),
+            (lambda: R(1) * P(1), "mixed coefficient domains: RatPolynomial and IntPolynomial"),
+            (lambda: P(1) * "x", "integer coefficient expected, got 'x'"),
+            (lambda: R(1) * 1.5, "rational coefficient expected, got 1.5"),
+            (lambda: divmod(P(1), R(1)), "mixed coefficient domains: IntPolynomial and RatPolynomial"),
+            (lambda: 3 - P(1), "unsupported operand type(s) for -: 'int' and 'IntPolynomial'"),
+        ],
+    )
+    def test_operand_errors_are_pinned(self, op, message):
+        # the domain check runs before any coefficient is read
+        with pytest.raises(TypeError) as info:
+            op()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "cls, coeff",
         [
             (IntPolynomial, True),
@@ -199,6 +222,28 @@ def _rat_sympy(p):
 
 def _rat_from_sympy(poly):
     return RatPolynomial(_fractions(poly))
+
+
+class TestDifferenceAgainstSympy:
+    """`a - b` is `a + -b`: checked against sympy's difference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operands(st.integers(-(10**20), 10**20)), _operands(st.integers(-(10**20), 10**20)))
+    def test_int_differences(self, a, b):
+        diff = _sympy_poly(a, sympy.ZZ) - _sympy_poly(b, sympy.ZZ)
+        assert IntPolynomial(a) - IntPolynomial(b) == IntPolynomial(_fractions(diff))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _operands(st.fractions(-50, 50, max_denominator=12)),
+        _operands(st.fractions(-50, 50, max_denominator=12)),
+    )
+    def test_rational_differences(self, a, b):
+        a, b = RatPolynomial(a), RatPolynomial(b)
+        expected = _rat_from_sympy(_rat_sympy(a) - _rat_sympy(b))
+        out = a - b
+        assert out == expected
+        assert all(type(c) is Fraction for c in out.coeffs)
 
 
 _rat_coeffs = st.one_of(
@@ -403,6 +448,15 @@ _small_ints = st.lists(st.integers(-(10**6), 10**6), max_size=10)
 _small_fractions = st.fractions(-50, 50, max_denominator=12)
 
 
+# +-(q^k - 1) for k <= 40 and Phi_8, Phi_9, Phi_16, Phi_27: all but q - 1
+# and q^2 - 1 take the division kernel's sparse step (2 * g.count(0) > deg g)
+SPARSE_DIVISORS = [
+    (name, [sign * c for c in [-1] + [0] * (k - 1) + [1]])
+    for k in range(1, 41)
+    for name, sign in ((f"q^{k}-1", 1), (f"1-q^{k}", -1))
+] + [(f"Phi_{n}", list(cyclotomic_poly(n).coeffs)) for n in (8, 9, 16, 27)]
+
+
 class TestDivModAgainstSympy:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -450,6 +504,41 @@ class TestDivModAgainstSympy:
         assert quot == IntPolynomial(_fractions(pa.pquo(pb)))
         assert rem == IntPolynomial(_fractions(pa.prem(pb)))
         assert IntPolynomial(a) * alpha == quot * IntPolynomial(b) + rem
+
+    @pytest.mark.parametrize("g", [g for _, g in SPARSE_DIVISORS],
+                             ids=[name for name, _ in SPARSE_DIVISORS])
+    def test_sparse_divisors_match_sympy_div(self, g):
+        rng = random.Random(len(g) * 7 + g[-1])
+        dividends = [[], [5], [0] * (len(g) - 1) + [3]]
+        dividends += [
+            [rng.choice([0, 0, rng.randint(-(10**9), 10**9)]) for _ in range(rng.randint(1, 200))]
+            for _ in range(4)
+        ]
+        dividends.append([rng.randint(-(10**30), 10**30) for _ in range(200)])
+        for a in dividends:
+            quot, rem = sympy.div(_sympy_poly(a, sympy.ZZ), _sympy_poly(g, sympy.ZZ))
+            expected = (IntPolynomial(_fractions(quot)), IntPolynomial(_fractions(rem)))
+            assert divmod(IntPolynomial(a), IntPolynomial(g)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(5, 24),
+        st.data(),
+        st.lists(st.integers(-50, 50), max_size=60),
+        st.integers(-50, 50).filter(bool),
+    )
+    def test_pseudo_divmod_by_a_sparse_divisor(self, k, data, a, a_lead):
+        # b = 2 q^k + c q^j + e: leading coefficient 2, most of b[:k] zero
+        j = data.draw(st.integers(1, k - 1))
+        b = [data.draw(st.integers(-9, 9))] + [0] * (k - 1) + [2]
+        b[j] = data.draw(st.integers(-9, 9).filter(bool))
+        assert 2 * b.count(0) > k
+        a = a + [0] * (len(b) - 1 - len(a)) + [a_lead]
+        pa, pb = _sympy_poly(a, sympy.ZZ), _sympy_poly(b, sympy.ZZ)
+        quot, rem, alpha = _pseudo_divmod(IntPolynomial(a), IntPolynomial(b))
+        assert alpha == 2 ** (len(a) - len(b) + 1)
+        assert quot == IntPolynomial(_fractions(pa.pquo(pb)))
+        assert rem == IntPolynomial(_fractions(pa.prem(pb)))
 
 
 class TestOneDivisionKernel:

@@ -104,6 +104,41 @@ class TestCyclotomicInteger:
         expected += [0] * (phi.degree() - len(expected))
         assert list(CyclotomicInteger(n, coeffs).coeffs) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 40))
+    def test_difference_is_coefficientwise_mod_phi(self, data, n):
+        # sympy's remainder of the coefficientwise difference over ZZ
+        coeffs = st.lists(st.integers(-(10**20), 10**20), max_size=3 * n)
+        a, b = data.draw(coeffs), data.draw(coeffs)
+        width = max(len(a), len(b))
+        diff = [x - y for x, y in zip(a + [0] * (width - len(a)), b + [0] * (width - len(b)))]
+        x = sympy.Symbol("x")
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.ZZ)
+        rem = sympy.rem(sympy.Poly(diff[::-1] or [0], x, domain=sympy.ZZ), phi)
+        expected = [int(c) for c in rem.all_coeffs()[::-1]]
+        expected += [0] * (phi.degree() - len(expected))
+        out = CyclotomicInteger(n, a) - CyclotomicInteger(n, b)
+        assert list(out.coeffs) == expected and out.order == n
+
+    @pytest.mark.parametrize(
+        "op, error, message",
+        [
+            (lambda a: a - CyclotomicInteger(4, [1]), OrderMismatch, "orders 3 and 4 differ"),
+            (lambda a: a + CyclotomicInteger(4, [1]), OrderMismatch, "orders 3 and 4 differ"),
+            (lambda a: a * CyclotomicInteger(4, [1]), OrderMismatch, "orders 3 and 4 differ"),
+            (lambda a: a - 3, TypeError, "expected CyclotomicInteger, got int"),
+            (lambda a: a - P(1), TypeError, "expected CyclotomicInteger, got IntPolynomial"),
+            (lambda a: a + None, TypeError, "expected CyclotomicInteger, got NoneType"),
+            (lambda a: a * P(1), TypeError, "expected CyclotomicInteger, got IntPolynomial"),
+            (lambda a: 3 - a, TypeError,
+             "unsupported operand type(s) for -: 'int' and 'CyclotomicInteger'"),
+        ],
+    )
+    def test_operand_errors_are_pinned(self, op, error, message):
+        with pytest.raises(error) as info:
+            op(CyclotomicInteger(3, [1, 2]))
+        assert type(info.value) is error and str(info.value) == message
+
     @pytest.mark.parametrize(
         "bad, name", [(True, "bool"), (1.0, "float"), (Fraction(1), "Fraction")]
     )

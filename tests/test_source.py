@@ -415,6 +415,71 @@ def test_descending_slice_stores_are_recognised():
     assert _descending_slice_stores(tree) == ["CyclotomicInteger.__init__", "<module>", "nested"]
 
 
+def _functions_with_loops(tree) -> dict[str, bool]:
+    """Every function (dotted with its classes) and whether its body holds
+    a loop or a comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found[".".join(inner)] = any(isinstance(n, loops) for n in ast.walk(child))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_subtraction_is_addition_of_the_negative():
+    # a - b is a + -b: neither __sub__ repeats the coefficient pass of __add__
+    subtractions = {"polyring.py": "_Polynomial.__sub__", "rootexp.py": "CyclotomicInteger.__sub__"}
+    found = {
+        f"{path.name}:{name}": _functions_with_loops(ast.parse(path.read_text(encoding="utf-8")))[name]
+        for path in SOURCES
+        for file, name in subtractions.items()
+        if path.name == file
+    }
+    assert found == {f"{file}:{name}": False for file, name in subtractions.items()}
+
+
+def test_functions_with_loops_are_recognised():
+    # the two subtractions as they were, and bodies the lint leaves alone
+    tree = ast.parse(
+        "class _Polynomial:\n"
+        "    def __sub__(self, other):\n"
+        "        self._same_domain(other)\n"
+        "        a, b = self.coeffs, other.coeffs\n"
+        "        out = list(a) + [self._coerce(0)] * (len(b) - len(a))\n"
+        "        for i, c in enumerate(b):\n"
+        "            out[i] -= c\n"
+        "        return self._wrap(out)\n"
+        "class CyclotomicInteger:\n"
+        "    def __sub__(self, other):\n"
+        "        self._check(other)\n"
+        "        return CyclotomicInteger(\n"
+        "            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]\n"
+        "        )\n"
+        "    def __neg__(self):\n        return self * -1\n"
+        "def gen(r):\n    return sum(x for x in r)\n"
+        "def spin():\n    while True:\n        pass\n"
+        "def outer():\n    def inner():\n        return {k: 1 for k in ()}\n    return inner\n"
+    )
+    assert _functions_with_loops(tree) == {
+        "_Polynomial.__sub__": True,
+        "CyclotomicInteger.__sub__": True,
+        "CyclotomicInteger.__neg__": False,
+        "gen": True,
+        "spin": True,
+        "outer": True,
+        "outer.inner": True,
+    }
+
+
 def _memo_decorator(node) -> bool:
     """@cache, @lru_cache, @lru_cache(...) and their functools.* forms."""
     if isinstance(node, ast.Call):
