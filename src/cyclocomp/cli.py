@@ -15,10 +15,10 @@ so every help screen is byte-identical in every environment too.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from functools import partial
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
 
 # Start-up imports only the polynomial and cyclotomic layers; the
@@ -39,19 +39,6 @@ SERIES_NAMES = ("kz", "qinv")
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of exiting.  Help wraps at the width
-    argparse picks when stdout is not a terminal and $COLUMNS is unset;
-    a fixed width also spares argparse a terminal-size query (and the
-    import of shutil) at every add_argument."""
-
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 class _Result(Frozen):
@@ -93,12 +80,19 @@ def _element_result(elt: TruncatedElement) -> _Result:
 #
 # Every user-supplied value is parsed and range-checked here, at the
 # parser, so a bad value exits 1 as a usage error instead of reaching
-# the library.
+# the library.  A rejected value sends the command line to the argparse
+# tree, which words the error; only then is argparse imported.
+
+
+def _type_error(message: str) -> Exception:
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _int_at_least(text: str, least: int) -> int:
     if not DECIMAL_INTEGER.fullmatch(text) or int(text) < least:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        raise _type_error(f"expected an integer >= {least}, got {text!r}")
     return int(text)
 
 
@@ -120,7 +114,7 @@ def _parse_poly(text: str, cls=IntPolynomial):
     try:
         return cls.from_json(json.loads(text))
     except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad polynomial JSON {text!r}: {exc}") from exc
+        raise _type_error(f"bad polynomial JSON {text!r}: {exc}") from exc
 
 
 def _parse_chain(spec: str) -> Callable[["Budgets"], FiltrationChain]:
@@ -143,7 +137,7 @@ def _parse_chain(spec: str) -> Callable[["Budgets"], FiltrationChain]:
     if spec.startswith("product:"):
         indices = _positive_list(spec[len("product:") :])
         return lambda budgets: ProductChain([budgets.check_order(n) for n in indices])
-    raise argparse.ArgumentTypeError(f"unknown chain spec {spec!r}")
+    raise _type_error(f"unknown chain spec {spec!r}")
 
 
 def _parse_ring(name: str) -> cyclotomic.RingDescriptor:
@@ -153,7 +147,7 @@ def _parse_ring(name: str) -> cyclotomic.RingDescriptor:
         return cyclotomic.RING_Q
     if name.startswith("Z1/"):
         return cyclotomic.ring_z_inverted(_positive(name[3:]))
-    raise argparse.ArgumentTypeError(f"unknown ring {name!r} (expected Z, Q, or Z1/m)")
+    raise _type_error(f"unknown ring {name!r} (expected Z, Q, or Z1/m)")
 
 
 def _parse_lambda(text: str) -> ExponentVector:
@@ -163,12 +157,10 @@ def _parse_lambda(text: str) -> ExponentVector:
     for item in text.split(","):
         n, sep, e = item.partition(":")
         if not sep:
-            raise argparse.ArgumentTypeError(
-                f"bad exponent vector {text!r} (expected n:e,n:e,...)"
-            )
+            raise _type_error(f"bad exponent vector {text!r} (expected n:e,n:e,...)")
         n = _positive(n)
         if n in pairs:
-            raise argparse.ArgumentTypeError(f"index {n} repeated in exponent vector {text!r}")
+            raise _type_error(f"index {n} repeated in exponent vector {text!r}")
         pairs[n] = _positive(e)
     return ExponentVector(pairs)
 
@@ -542,6 +534,8 @@ def _cmd_selfcheck(args, budgets: Budgets) -> _Result:
 # -- parser / dispatcher -------------------------------------------------------
 
 
+_FORMAT = ("--format", {"choices": ("json", "csv", "plain"), "default": "json"})
+
 _REQUIRED_CHAIN_LEVEL_POLY = (
     ("--chain", {"type": _parse_chain, "required": True}),
     ("--level", {"type": _level, "required": True}),
@@ -550,7 +544,7 @@ _REQUIRED_CHAIN_LEVEL_POLY = (
 
 # The command tree in help order, one row per group and leaf: (path,
 # handler, help, arguments), a group's handler None, each argument a
-# (name, add_argument keywords) pair.  Every leaf also takes --format.
+# (name, add_argument keywords) pair.  Every leaf also takes _FORMAT.
 _COMMANDS = (
     (
         ("cyclotomic",),
@@ -654,33 +648,108 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
-    """The parser of the command tree.  When argv opens with a leaf's path,
-    only the root, the leaf's group and the leaf are built: argparse hands
-    everything after the path to the leaf, so that branch parses argv as
-    the whole tree does.  Any other argv (help screens, a leading option,
-    an unknown or partial command) gets the whole tree."""
-    branch = ()
-    if argv is not None:
-        leaves = (path for path, fn, _, _ in _COMMANDS if fn is not None)
-        branch = next((path for path in leaves if tuple(argv[: len(path)]) == path), ())
+class _LeafParser:
+    """The parser of a command line that opens with a leaf's path, driven
+    by that leaf's _COMMANDS row.  It accepts the leaf's positional, its
+    store_true flags and exact `--option value` pairs of its own options
+    and --format, each at most once and no value starting with "-", and
+    returns argparse's namespace for them.  Any other command line (help,
+    an abbreviation, `--opt=value`, a repeat, `--`, an extra word, a
+    missing required option, a value its type or choices reject) goes to
+    the whole argparse tree, which prints the help screen or usage
+    error."""
+
+    def __init__(self, path: tuple, fn: Callable, arguments: tuple) -> None:
+        self.path, self.fn, self.arguments = path, fn, (*arguments, _FORMAT)
+
+    def parse_args(self, argv: Sequence[str]) -> Any:
+        namespace = self._namespace(argv[len(self.path) :])
+        return namespace if namespace is not None else _argparse_tree().parse_args(argv)
+
+    def _namespace(self, words: Sequence[str]) -> Optional[SimpleNamespace]:
+        options = dict(self.arguments)
+        positionals = [name for name in options if not name.startswith("-")]
+        given: dict[str, Any] = {}
+        words = iter(words)
+        for word in words:
+            if not word.startswith("-"):
+                if not positionals:
+                    return None
+                given[positionals.pop(0)] = word
+            elif word in given or word not in options:
+                return None
+            elif options[word].get("action") == "store_true":
+                given[word] = True
+            else:
+                given[word] = value = next(words, "-")  # a missing value reads as "-"
+                if value.startswith("-"):
+                    return None
+        values: dict[str, Any] = {"config": None, "command": self.path[0]}
+        if len(self.path) > 1:
+            values["subcommand"] = self.path[1]
+        for name, keywords in self.arguments:
+            dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+            if keywords.get("action") == "store_true":
+                values[dest] = name in given
+            elif name not in given:
+                if keywords.get("required") or not name.startswith("-"):  # a positional
+                    return None
+                values[dest] = keywords.get("default")
+            else:
+                try:
+                    value = keywords.get("type", str)(given[name])
+                except Exception:  # argparse words the error, or raises it again
+                    return None
+                if "choices" in keywords and value not in keywords["choices"]:
+                    return None
+                values[dest] = value
+        values["fn"] = self.fn
+        return SimpleNamespace(**values)
+
+
+def _argparse_tree() -> Any:
+    """The whole command tree as an argparse parser: the help screens and
+    usage errors.  Errors raise UsageError instead of exiting.  Help wraps
+    at the width argparse picks when stdout is not a terminal and $COLUMNS
+    is unset; a fixed width also spares argparse a terminal-size query
+    (and the import of shutil) at every add_argument."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
+
+        def error(self, message):
+            raise UsageError(message)
+
     # the module docstring less its last paragraph, which is about --help
     description = __doc__ and __doc__.rpartition("\n\n")[0]
     parser = _Parser(prog="cyclocomp", description=description)
     parser.add_argument("--config", help="JSON config file with budget guardrails")
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
     for path, fn, text, arguments in _COMMANDS:
-        if branch[: len(path)] != path[: len(branch)]:
-            continue  # neither path is a prefix of the other: off the branch
         p = subparsers[path[:-1]].add_parser(path[-1], help=text)
         if fn is None:
             subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
             continue
         p.set_defaults(fn=fn)
-        for name, keywords in arguments:
+        for name, keywords in (*arguments, _FORMAT):
             p.add_argument(name, **keywords)
-        p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     return parser
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> Any:
+    """The parser of a command line, an object whose parse_args(argv)
+    returns the namespace run dispatches.  When argv opens with a leaf's
+    path, it is a _LeafParser of that leaf's row, so a plain command line
+    never loads argparse; any other argv (the root's and a group's help
+    screens, a leading --config, an unknown or partial command), and argv
+    None, get the whole argparse tree."""
+    if argv is not None:
+        for path, fn, _, arguments in _COMMANDS:
+            if fn is not None and tuple(argv[: len(path)]) == path:
+                return _LeafParser(path, fn, arguments)
+    return _argparse_tree()
 
 
 def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:

@@ -177,3 +177,45 @@ def test_recorded_methods_exist(owner, name):
     module, cls = owner.split(".")
     method = getattr(getattr(importlib.import_module(f"cyclocomp.{module}"), cls), name)
     assert callable(method) and method is not getattr(object, name, None)
+
+
+def test_cli_run_calls_the_hooks_the_recorder_wraps(monkeypatch):
+    # The recorder times cli.parse_s over cli.build_parser(argv) and the
+    # returned parser's parse_args(argv), which it rebinds on that object,
+    # and cli.dispatch_s over the namespace's fn, which it rebinds on the
+    # namespace; a hook run bypasses would silently read 0.
+    import io
+
+    from cyclocomp import cli
+    from test_acceptance import GOLDEN_CORPUS
+
+    argv = ["habiro", "series", "--name", "kz", "--level", "6"]
+    assert argv in GOLDEN_CORPUS
+    calls, build = [], cli.build_parser
+
+    def build_parser(args):
+        calls.append(("build_parser", args))
+        parser = build(args)
+        parse = parser.parse_args
+
+        def parse_args(args):
+            calls.append(("parse_args", args))
+            namespace = parse(args)
+            fn = namespace.fn
+            namespace.fn = lambda *a: calls.append(("fn", fn)) or fn(*a)
+            return namespace
+
+        parser.parse_args = parse_args
+        return parser
+
+    expected = io.StringIO()
+    assert cli.run(argv, expected) == 0
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    out = io.StringIO()
+    assert cli.run(argv, out) == 0
+    assert out.getvalue() == expected.getvalue()
+    assert calls == [
+        ("build_parser", argv),
+        ("parse_args", argv),
+        ("fn", cli._cmd_habiro_series),
+    ]

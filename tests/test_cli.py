@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -6,8 +7,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocomp import cli, cyclotomic
 from cyclocomp.cli import run
@@ -417,24 +420,33 @@ def test_optimized_interpreter_gives_the_same_bytes(argv):
 # dataclasses and what it imports; no leaf loads them.
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
+# argparse and what its messages load; only help and usage errors load them.
+ARGPARSE = ("argparse", "gettext", "locale")
+
 # Runs cli.run on each argv of a JSON list in turn and prints, after each,
-# its exit code and which of the modules that a leaf may not need are
+# its exit code (a help screen's is its SystemExit code, the screen itself
+# thrown away) and which of the modules that a leaf may not need are
 # loaded.  Modules stay loaded from one argv to the next.
 IMPORT_PROBE = """
-import io, json, sys
+import contextlib, io, json, sys
 from cyclocomp.cli import run
 watched = {"random", "shutil", "fractions", "decimal"} | set(json.loads(sys.argv[2])) | {
     f"cyclocomp.{layer}" for layer in ("completion", "rootexp", "qcrt")
 }
 for argv in json.loads(sys.argv[1]):
-    code = run(argv, io.StringIO(), io.StringIO())
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv, io.StringIO(), io.StringIO())
+    except SystemExit as exc:
+        code = exc.code
     print(json.dumps([code, sorted(watched & set(sys.modules))]))
 """
 
 
 def _probe(argvs: list) -> list:
+    watched = INTROSPECTION + ARGPARSE
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs), json.dumps(INTROSPECTION)],
+        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs), json.dumps(watched)],
         capture_output=True,
         env=src_env(),
         check=True,
@@ -445,10 +457,11 @@ def _probe(argvs: list) -> list:
 def test_start_up_imports_neither_shutil_nor_random():
     # argparse imports shutil to ask for the terminal's width unless the
     # help width is fixed; random serves only selfcheck's seeded draws.
-    # No leaf loads dataclasses, inspect, ast, dis or tokenize.  The light
-    # leaves load neither the completion nor the root layer, and only the
-    # qcrt leaves load the CRT layer.  Only the leaves that build a
-    # rational (qcrt and selfcheck) load fractions, which imports decimal.
+    # No leaf loads dataclasses, inspect, ast, dis or tokenize, nor
+    # argparse, gettext or locale.  The light leaves load neither the
+    # completion nor the root layer, and only the qcrt leaves load the CRT
+    # layer.  Only the leaves that build a rational (qcrt and selfcheck)
+    # load fractions, which imports decimal.
     # As a probe keeps what it loaded, the light and qcrt leaves share one
     # probe, the habiro leaves and selfcheck another.
     leaves = {}
@@ -464,7 +477,24 @@ def test_start_up_imports_neither_shutil_nor_random():
     assert [code for code, _ in reports] == [0] * 7
     allowed = {"cyclocomp.completion", "cyclocomp.rootexp"}
     assert all(set(loaded) <= allowed for _, loaded in reports[:-1])
-    assert not {"shutil", *INTROSPECTION} & set(reports[-1][1])
+    assert not {"shutil", *INTROSPECTION, *ARGPARSE} & set(reports[-1][1])
+
+
+@pytest.mark.parametrize(
+    "fallback",
+    [["habiro", "series", "--help"], ["--help"], ["cyclotomic", "0"], ["graph", "--ring", "Z"]],
+    ids=" ".join,
+)
+def test_only_help_and_usage_errors_load_argparse(fallback):
+    # No golden-corpus line, in any format, loads argparse, gettext or
+    # locale: a leaf's plain command line is parsed from its _COMMANDS row.
+    # A help screen or a usage error, run after them, still loads all three
+    # and exits as argparse decides, so the fallback is reached.
+    argvs = [argv + ["--format", fmt] for argv in GOLDEN_CORPUS for fmt in ("json", "csv", "plain")]
+    reports = _probe(argvs + [fallback])
+    assert [code for code, _ in reports] == [0] * len(argvs) + [0 if "--help" in fallback else 1]
+    assert not any(set(ARGPARSE) & set(loaded) for _, loaded in reports[:-1])
+    assert set(ARGPARSE) <= set(reports[-1][1])
 
 
 # Patches eval and compile, imports the CLI, then runs cli.run on each
@@ -569,11 +599,33 @@ def _comparable(value):
 
 
 def _parse(parser, argv):
+    """The namespace a parser makes of argv, its usage error, or the exit
+    code and screen of a help request."""
+    screen = io.StringIO()
     try:
-        namespace = parser.parse_args(argv)
+        with contextlib.redirect_stdout(screen):
+            namespace = parser.parse_args(argv)
     except cli.UsageError as exc:
         return f"usage: {exc}"
+    except SystemExit as exc:
+        return exc.code, screen.getvalue()
     return {key: _comparable(value) for key, value in vars(namespace).items()}
+
+
+def _outcome(argv):
+    """What run makes of argv: invoke's exit code, stdout and stderr, or
+    the exit code and screen of a help request."""
+    screen = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(screen):
+            return invoke(*argv)
+    except SystemExit as exc:
+        return exc.code, screen.getvalue()
+
+
+def _outcome_of_the_whole_tree(argv):
+    with mock.patch.object(cli, "build_parser", lambda argv: cli._argparse_tree()):
+        return _outcome(argv)
 
 
 def _commands(parser) -> list:
@@ -600,22 +652,93 @@ def _commands(parser) -> list:
         ["cyclotomic", "3", "--format", "xml"],
         ["cyclotomic", "3", "--config", "x"],
         ["habiro", "series", "reduce", "--name", "kz", "--level", "3"],
+        # lines of a leaf that argparse parses, or rejects, its own way
+        ["habiro", "series", "--nam", "kz", "--level", "3"],
+        ["habiro", "rho", "--from", "pochhammer", "--from-level", "6",
+         "--to-chain", "adic:1", "--to-level", "3", "--poly", '["3"]'],
+        ["graph", "--ring=Z", "--set", "1,2"],
+        ["cyclotomic", "12", "--format", "csv", "--format", "plain"],
+        ["habiro", "series", "--name", "qinv", "--level", "3", "--check-unit", "--check-unit"],
+        ["cyclotomic", "--format", "plain", "12"],
+        ["cyclotomic", "--", "12"],
+        ["habiro", "eval", "--series", "kz", "--orders", "-1"],
+        ["habiro", "eval", "--series", "kz", "--orders"],
+        ["qcrt", "witness", "-h"],
     ],
     ids=" ".join,
 )
-def test_branch_parser_matches_the_whole_tree(argv, monkeypatch):
-    # build_parser(argv) builds only the branch argv names; the whole tree
-    # must parse argv to the same namespace or the same usage error, and
-    # run must print the same bytes and exit alike.
-    build = cli.build_parser
-    branch, whole = build(argv), build()
+def test_leaf_parser_matches_the_whole_tree(argv, monkeypatch):
+    # build_parser(argv) parses a plain command line of a leaf itself and
+    # hands any other to the whole argparse tree; the whole tree must parse
+    # argv to the same namespace or the same usage error, and run must
+    # print the same bytes and exit alike.
+    parser, whole = cli.build_parser(argv), cli.build_parser()
     assert _commands(whole) == ["cyclotomic", "pochhammer", "graph", "habiro", "qcrt", "selfcheck"]
-    if argv in GOLDEN_CORPUS:
-        assert _commands(branch) == [argv[0]]
-    assert _parse(branch, argv) == _parse(whole, argv)
-    expected = invoke(*argv)
-    monkeypatch.setattr(cli, "build_parser", lambda argv: build())
-    assert invoke(*argv) == expected
+    with monkeypatch.context() as patch:
+        if argv in GOLDEN_CORPUS:  # parsed without the fallback
+            assert isinstance(parser, cli._LeafParser)
+            patch.setattr(cli, "_argparse_tree", None)
+        assert _parse(parser, argv) == _parse(whole, argv)
+    assert _outcome(argv) == _outcome_of_the_whole_tree(argv)
+
+
+def _items(words: list) -> list:
+    """A leaf's words after its path, as [option, value], [flag] and
+    [positional] items."""
+    items, words = [], iter(words)
+    for word in words:
+        flag = word == "--check-unit" or not word.startswith("-")
+        items.append([word] if flag else [word, next(words)])
+    return items
+
+
+@st.composite
+def perturbed_argv(draw):
+    """A golden-corpus command line, maybe with --format, then perturbed:
+    an option abbreviated or written `--opt=value`, an item repeated,
+    dropped or moved (options before the positional), a value made to
+    start with "-", or "--", "-h" or an extra word put anywhere."""
+    argv = draw(st.sampled_from(GOLDEN_CORPUS))
+    size = 2 if argv[0] in ("habiro", "qcrt") else 1
+    path, items = argv[:size], _items(argv[size:])
+    if draw(st.booleans()):
+        items.append(["--format", draw(st.sampled_from(["json", "csv", "plain"]))])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["abbreviate", "equals", "repeat", "drop", "move", "dash", "--", "-h", "extra"]
+            )
+        )
+        if kind in ("--", "-h", "extra"):
+            word = draw(st.sampled_from(["3", "kz", "x"])) if kind == "extra" else kind
+            items.insert(draw(st.integers(0, len(items))), [word])
+            continue
+        if not items:
+            continue
+        i = draw(st.integers(0, len(items) - 1))
+        item = items[i]
+        if kind == "abbreviate" and item[0].startswith("--") and len(item[0]) > 3:
+            item[0] = item[0][: draw(st.integers(3, len(item[0]) - 1))]
+        elif kind == "equals" and len(item) == 2:
+            items[i] = [f"{item[0]}={item[1]}"]
+        elif kind == "repeat":
+            items.insert(draw(st.integers(0, len(items))), list(item))
+        elif kind == "drop":
+            del items[i]
+        elif kind == "move":
+            items.append(items.pop(i))
+        elif kind == "dash":
+            item[-1] = "-" + item[-1]
+    return path + [word for item in items for word in item]
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_argv())
+def test_leaf_parser_matches_the_whole_tree_on_perturbed_lines(argv):
+    parser = cli.build_parser(argv)
+    assert isinstance(parser, cli._LeafParser)
+    assert _parse(parser, argv) == _parse(cli.build_parser(), argv)
+    assert _outcome(argv) == _outcome_of_the_whole_tree(argv)
 
 
 HELP_SCREENS = [

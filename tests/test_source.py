@@ -66,6 +66,46 @@ def test_json_imported_only_where_json_is_read_or_written():
     assert _imported_at_import_time("json") == []
 
 
+def _argparse_imports(tree) -> list[str]:
+    """Where a source imports argparse: `line N` for each import outside a
+    function body, then each top-level function that imports it."""
+    found = [f"line {line}" for line in _import_time_imports(tree, "argparse")]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            (isinstance(child, ast.Import) and any(a.name == "argparse" for a in child.names))
+            or (isinstance(child, ast.ImportFrom) and child.module == "argparse")
+            for child in ast.walk(node)
+        ):
+            found.append(node.name)
+    return found
+
+
+def test_argparse_imported_only_in_the_cli_fallback():
+    # A leaf's plain command line is parsed from cli._COMMANDS; only the
+    # whole argparse tree, which prints help screens and usage errors, and
+    # the error of a rejected value, which sends its line there, import it.
+    found = {
+        path.name: _argparse_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in SOURCES
+    }
+    assert {name: where for name, where in found.items() if where} == {
+        "cli.py": ["_type_error", "_argparse_tree"]
+    }
+
+
+def test_argparse_lint_is_recognised():
+    # cli.py's module-level import as it was, and the lazy one
+    tree = ast.parse(
+        "import argparse\n"
+        "class _Parser(argparse.ArgumentParser):\n    pass\n"
+        "def _type_error(message):\n"
+        "    from argparse import ArgumentTypeError\n"
+        "    return ArgumentTypeError(message)\n"
+        "def _level(text):\n    raise argparse.ArgumentTypeError(text)\n"
+    )
+    assert _argparse_imports(tree) == ["line 1", "_type_error"]
+
+
 def test_dataclasses_imported_only_where_a_value_is_replaced():
     # dataclasses, with inspect, ast and dis, costs every CLI process.  The
     # value classes are polyring.Frozen; the __dataclass_*__ attributes of
