@@ -66,7 +66,10 @@ class FiltrationChain(Frozen):
 
     def _store(self) -> list[IntPolynomial]:
         """The g_k so far, made on first use: a copy starts its own."""
-        return self.__dict__.setdefault("_moduli", [IntPolynomial.one()])
+        moduli = self.__dict__.get("_moduli")
+        if moduli is None:
+            moduli = self.__dict__["_moduli"] = [IntPolynomial.one()]
+        return moduli
 
     def modulus(self, k: int) -> IntPolynomial:
         """g_k; g_0 = 1."""

@@ -10,7 +10,10 @@ a unit (+-1); exact divisibility by such divisors is tested with
 `divides`.  Over Q any nonzero divisor works; products and division over
 Q run the integer kernels on integer numerators.  One schoolbook kernel,
 `_divide_in_place`, does every division (`%`, divmod, pseudo-division,
-Bezout quotients, Z[zeta_n]) and skips the zeros of a sparse divisor.
+Bezout quotients, Z[zeta_n]) and skips the zeros of a sparse divisor, and
+one, `_convolve`, every product of coefficient lists.  The resultant's
+remainder sequence runs on plain lists with these two kernels and wraps
+only its results as polynomials.
 
 Serialization: a polynomial is a JSON array of decimal coefficient
 strings, little-endian, e.g. 1 - q^3  <->  ["1", "0", "0", "-1"].
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from itertools import compress
+from itertools import compress, zip_longest
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -225,18 +228,7 @@ class _Polynomial(Frozen):
             c = self._coerce(other)
             return self._wrap([c * x for x in self.coeffs])
         self._same_domain(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self.zero()
-        out = [self._coerce(0)] * (len(a) + len(b) - 1)
-        # The outer loop runs over the operand with fewer nonzero terms (by
-        # `count`), so a product by 1 - q^k, q^n or zeta is one pass per term.
-        if len(b) - b.count(0) < len(a) - a.count(0):
-            a, b = b, a
-        width = len(b)
-        for i, ai in compress(enumerate(a), a):
-            out[i : i + width] = [o + ai * bj for o, bj in zip(out[i : i + width], b)]
-        return self._wrap(out)
+        return self._wrap(_convolve(self.coeffs, other.coeffs, self._coerce(0)))
 
     __rmul__ = __mul__
 
@@ -490,7 +482,23 @@ def is_prime(p: int) -> bool:
     return p > 1 and prime_factors(p) == [p]
 
 
-# -- schoolbook division --------------------------------------------------
+# -- schoolbook product and division ---------------------------------------
+
+
+def _convolve(a: Sequence, b: Sequence, zero=0) -> list:
+    """The product of the coefficient lists a and b, trailing zeros kept;
+    [] if either is empty.  The outer loop runs over the operand with
+    fewer nonzero terms (by `count`), so a product by 1 - q^k, q^n or
+    zeta is one slice pass per term."""
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    if len(b) - b.count(0) < len(a) - a.count(0):
+        a, b = b, a
+    width = len(b)
+    for i, ai in compress(enumerate(a), a):
+        out[i : i + width] = [o + ai * bj for o, bj in zip(out[i : i + width], b)]
+    return out
 
 
 def _divide_in_place(r: list, g: Sequence[int], top_quotient=None) -> None:
@@ -535,6 +543,9 @@ def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
 # both stay in Z.  It also serves `rational_xgcd`: its remainders and
 # carried cofactors are constant multiples of Euclid's over Q (W. S. Brown,
 # J. ACM 18, 1971), so on a zero remainder the last nonzero one is the gcd.
+# The sequence runs on plain coefficient lists: each step scales one list
+# and divides it in place (`_divide_in_place`), and the cofactor update is
+# one `_convolve`; only the results are wrapped as polynomials.
 
 
 def _prs(a: IntPolynomial, b: IntPolynomial):
@@ -544,34 +555,37 @@ def _prs(a: IntPolynomial, b: IntPolynomial):
     to a constant), and u the integer cofactor of the longer input (a on a
     tie): u*long + v*short = R for a v that is not carried."""
     num, den = 1, 1
-    if len(a.coeffs) < len(b.coeffs):
-        if (len(a.coeffs) - 1) * (len(b.coeffs) - 1) % 2:
+    r0, r1 = a.coeffs, b.coeffs
+    if len(r0) < len(r1):
+        if (len(r0) - 1) * (len(r1) - 1) % 2:
             num = -1
-        a, b = b, a
-    r0, r1 = a, b
-    u0, u1 = IntPolynomial.one(), IntPolynomial.zero()
-    while len(r1.coeffs) > 1:
-        m = len(r0.coeffs) - 1
-        n = len(r1.coeffs) - 1
-        q, r2, alpha = _pseudo_divmod(r0, r1)
-        if r2.is_zero:
-            return 0, r1, u1
-        u2 = u0 * alpha - q * u1
+        r0, r1 = r1, r0
+    u0, u1 = [1], []
+    while len(r1) > 1:
+        m, n, lc = len(r0) - 1, len(r1) - 1, r1[-1]
+        # pseudo-division: alpha*r0 = q*r1 + r2, each quotient step exact
+        alpha = lc ** (m - n + 1)
+        r = [c * alpha for c in r0]
+        _divide_in_place(r, r1, None if lc == 1 else lambda c: _exact_div(c, lc))
+        q, r2 = r[n:], _strip(r[:n])
+        if not r2:
+            return 0, IntPolynomial._wrap(r1), IntPolynomial._wrap(u1)
+        u2 = [alpha * x - y for x, y in zip_longest(u0, _convolve(q, u1), fillvalue=0)]
         # Dividing r2 by any nonzero scalar g keeps the resultant
         # recurrence exact: res(r0, r1) picks up lc(r1)^(m-s) * (g/alpha)^n,
         # and alpha = lc(r1)^(m-n+1), so the powers of lc(r1) cancel first.
-        g = math.gcd(r2.content(), *u2.coeffs)
+        g = math.gcd(*r2, *u2)
         if g > 1:
-            r2 = IntPolynomial._wrap([c // g for c in r2.coeffs])
-            u2 = IntPolynomial._wrap([c // g for c in u2.coeffs])
-        e = len(r2.coeffs) - 1 - m + n * (m - n + 1)
-        num *= g**n * r1.coeffs[-1] ** max(-e, 0)
-        den *= r1.coeffs[-1] ** max(e, 0)
+            r2 = [c // g for c in r2]
+            u2 = [c // g for c in u2]
+        e = len(r2) - 1 - m + n * (m - n + 1)
+        num *= g**n * lc ** max(-e, 0)
+        den *= lc ** max(e, 0)
         if (m * n) % 2:
             num = -num
         r0, r1, u0, u1 = r1, r2, u1, u2
-    num *= r1.coeffs[0] ** (len(r0.coeffs) - 1)
-    return _exact_div(num, den), r1, u1
+    num *= r1[0] ** (len(r0) - 1)
+    return _exact_div(num, den), IntPolynomial._wrap(r1), IntPolynomial._wrap(u1)
 
 
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
@@ -610,22 +624,24 @@ def subresultant_bezout(
     if not res:
         return 0, zero, zero
     swapped = len(a.coeffs) < len(b.coeffs)
-    long, short = (b, a) if swapped else (a, b)
+    long, short = (b.coeffs, a.coeffs) if swapped else (a.coeffs, b.coeffs)
     # Rescale u*long + v*short = R to the resultant.  The minimal-degree
     # cofactors for `res` are integral (Cramer on the Sylvester system)
     # and equal (u/R)*res, so every division here is exact, including
     # each step of v = (res - u*long)/short; at the R scale v need not
     # be integral.  The identity check also catches a nonzero remainder.
-    u = IntPolynomial._wrap([_exact_div(c * res, R.coeffs[0]) for c in u.coeffs])
-    lc = short.coeffs[-1]
-    rest = list((IntPolynomial.constant(res) - u * long).coeffs)
-    _divide_in_place(rest, short.coeffs, lambda c: _exact_div(c, lc))
-    v = IntPolynomial._wrap(rest[len(short.coeffs) - 1 :])
+    u = [_exact_div(c * res, R.coeffs[0]) for c in u.coeffs]
+    lc = short[-1]
+    rest = [-c for c in _convolve(u, long)] or [0]
+    rest[0] += res
+    _divide_in_place(rest, short, None if lc == 1 else lambda c: _exact_div(c, lc))
+    v = rest[len(short) - 1 :]
     if swapped:
         u, v = v, u
-    if u * a + v * b != IntPolynomial.constant(res):
+    ua, vb = _convolve(u, a.coeffs), _convolve(v, b.coeffs)
+    if _strip([x + y for x, y in zip_longest(ua, vb, fillvalue=0)]) != (res,):
         raise AssertionError("Bezout identity u*a + v*b = res fails")
-    return res, u, v
+    return res, IntPolynomial._wrap(u), IntPolynomial._wrap(v)
 
 
 def _exact_div(a: int, b: int) -> int:

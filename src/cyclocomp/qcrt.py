@@ -129,9 +129,9 @@ def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
         raise ValueError(
             f"component support {comps.support} does not match {lam.support}"
         )
-    out = RatPolynomial.zero()
+    out, components = RatPolynomial.zero(), dict(comps.components)
     for n, f, rest, s in lam._bezout:
-        c = comps.component(n)
+        c = components[n]
         if c.degree >= f.degree:
             raise DegreeViolation(
                 f"component at {n} has degree {c.degree}, bound is {f.degree}"

@@ -4,14 +4,17 @@ Everything here recomputes expected values by a route different from the
 implementation under test: products and division over Q Fraction by
 Fraction instead of on integer numerators, Sylvester determinants by
 fraction-free elimination instead of remainder sequences, gcds over Q by
-Euclid's algorithm instead of one primitive PRS over Z, totients by trial
-factorization instead of polynomial degrees, root-of-unity arithmetic by
-direct products in Z[zeta] instead of polynomial reduction, and so on.
+Euclid's algorithm instead of one primitive PRS over Z, that PRS and its
+Bezout cofactors on polynomial objects instead of coefficient lists,
+totients by trial factorization instead of polynomial degrees,
+root-of-unity arithmetic by direct products in Z[zeta] instead of
+polynomial reduction, and so on.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -30,7 +33,8 @@ from cyclocomp import (
     is_adjacent,
     series_realize,
 )
-from cyclocomp.errors import InsufficientPrecision
+from cyclocomp.errors import BothZero, InsufficientPrecision
+from cyclocomp.polyring import _divide_in_place, _exact_div, _int_xgcd, _pseudo_divmod
 
 
 def random_int_poly(rng: random.Random, max_degree: int, coeff_bound: int = 50):
@@ -138,6 +142,68 @@ def rational_xgcd_by_euclid(
     lc = r0.leading_coefficient
     inv = 1 / lc
     return r0 * inv, u0 * inv, v0 * inv
+
+
+def prs_by_polynomials(a: IntPolynomial, b: IntPolynomial):
+    """`polyring._prs` as it was before the sequence ran on coefficient
+    lists: every remainder and cofactor an `IntPolynomial`, each step one
+    `_pseudo_divmod` and polynomial products and differences."""
+    num, den = 1, 1
+    if len(a.coeffs) < len(b.coeffs):
+        if (len(a.coeffs) - 1) * (len(b.coeffs) - 1) % 2:
+            num = -1
+        a, b = b, a
+    r0, r1 = a, b
+    u0, u1 = IntPolynomial.one(), IntPolynomial.zero()
+    while len(r1.coeffs) > 1:
+        m = len(r0.coeffs) - 1
+        n = len(r1.coeffs) - 1
+        q, r2, alpha = _pseudo_divmod(r0, r1)
+        if r2.is_zero:
+            return 0, r1, u1
+        u2 = u0 * alpha - q * u1
+        g = math.gcd(r2.content(), *u2.coeffs)
+        if g > 1:
+            r2 = IntPolynomial([c // g for c in r2.coeffs])
+            u2 = IntPolynomial([c // g for c in u2.coeffs])
+        e = len(r2.coeffs) - 1 - m + n * (m - n + 1)
+        num *= g**n * r1.coeffs[-1] ** max(-e, 0)
+        den *= r1.coeffs[-1] ** max(e, 0)
+        if (m * n) % 2:
+            num = -num
+        r0, r1, u0, u1 = r1, r2, u1, u2
+    num *= r1.coeffs[0] ** (len(r0.coeffs) - 1)
+    return _exact_div(num, den), r1, u1
+
+
+def bezout_by_polynomials(a: IntPolynomial, b: IntPolynomial):
+    """`polyring.subresultant_bezout` as it was before the PRS ran on
+    coefficient lists, on `prs_by_polynomials`, errors included."""
+    if a.is_zero and b.is_zero:
+        raise BothZero("Bezout data of two zero polynomials")
+    zero = IntPolynomial.zero()
+    if a.is_zero or b.is_zero:
+        return 0, zero, zero
+    if len(a.coeffs) == 1 and len(b.coeffs) == 1:
+        g, x, y = _int_xgcd(a.coeffs[0], b.coeffs[0])
+        if g != 1:
+            raise ValueError("no integer Bezout identity for two non-coprime constants")
+        return 1, IntPolynomial([x]), IntPolynomial([y])
+    res, R, u = prs_by_polynomials(a, b)
+    if not res:
+        return 0, zero, zero
+    swapped = len(a.coeffs) < len(b.coeffs)
+    long, short = (b, a) if swapped else (a, b)
+    u = IntPolynomial([_exact_div(c * res, R.coeffs[0]) for c in u.coeffs])
+    lc = short.coeffs[-1]
+    rest = list((IntPolynomial.constant(res) - u * long).coeffs)
+    _divide_in_place(rest, short.coeffs, lambda c: _exact_div(c, lc))
+    v = IntPolynomial(rest[len(short.coeffs) - 1 :])
+    if swapped:
+        u, v = v, u
+    if u * a + v * b != IntPolynomial.constant(res):
+        raise AssertionError("Bezout identity u*a + v*b = res fails")
+    return res, u, v
 
 
 def phi_by_trial_factorization(n: int) -> int:

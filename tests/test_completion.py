@@ -196,6 +196,20 @@ class TestChains:
             assert twin._store() is not chain._store()
             assert twin.modulus(4) == chain.modulus(4)
 
+    def test_a_repeated_modulus_builds_no_polynomial(self, monkeypatch):
+        # a chain's store is made once; a g_k already in it is only read
+        chains = [AdicChain(cyclotomic_poly(3)), ProductChain([1, 2, 3]), PochhammerChain()]
+        for chain in chains:
+            chain.modulus(5)
+        wrap, calls = IntPolynomial._wrap, []
+        monkeypatch.setattr(
+            IntPolynomial, "_wrap", classmethod(lambda cls, c: calls.append(c) or wrap(c))
+        )
+        for chain in chains:
+            for k in (5, 0, 3, 5):
+                chain.modulus(k)
+        assert calls == []
+
     def test_custom_enumerations_are_equal_by_function(self):
         assert ProductChain(enumeration=four_six_one) == ProductChain(enumeration=four_six_one)
         assert ProductChain(enumeration=four_six_one) != ProductChain(

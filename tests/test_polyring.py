@@ -36,7 +36,9 @@ from cyclocomp.errors import (
 )
 
 from support import (
+    bezout_by_polynomials,
     check_frozen_value,
+    prs_by_polynomials,
     random_int_poly,
     random_unit_leading_poly,
     rational_xgcd_by_euclid,
@@ -740,6 +742,118 @@ class TestResultantBezout:
             check=True,
         )
         assert proc.stdout == b"[]\n"
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _outcomes(pairs, bezout=subresultant_bezout):
+    """For each pair, the outcomes of resultant, rational_xgcd and bezout."""
+    return [
+        (
+            _outcome(resultant, a, b),
+            _outcome(rational_xgcd, a.to_rational(), b.to_rational()),
+            _outcome(bezout, a, b),
+        )
+        for a, b in pairs
+    ]
+
+
+def _outcomes_as_before(pairs):
+    """`_outcomes` on the PRS of polynomial objects and the former
+    subresultant_bezout."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(polyring, "_prs", prs_by_polynomials)
+        return _outcomes(pairs, bezout_by_polynomials)
+
+
+# Runs subresultant_bezout on a coprime pair with a corrupted carried
+# cofactor u + R: Phi_3 is monic and R a constant, so every division stays
+# exact, but the remainder -res*Phi_5 mod Phi_3 is not zero.
+CORRUPTED_COFACTOR = """
+from cyclocomp import cyclotomic_poly, polyring
+prs = polyring._prs
+def corrupted(a, b):
+    res, R, u = prs(a, b)
+    return res, R, u + R
+polyring._prs = corrupted
+try:
+    polyring.subresultant_bezout(cyclotomic_poly(5), cyclotomic_poly(3))
+except AssertionError as e:
+    print(e)
+"""
+
+
+class TestPrsOnLists:
+    # The PRS runs on coefficient lists.  `prs_by_polynomials` and
+    # `bezout_by_polynomials` (tests/support.py) run the same sequence on
+    # polynomial objects, as the library did before.
+
+    def test_cyclotomic_pairs_as_before(self):
+        pairs = [
+            (cyclotomic_poly(m), cyclotomic_poly(n)) for n in range(2, 61) for m in range(1, n)
+        ]
+        assert _outcomes(pairs) == _outcomes_as_before(pairs)
+        for a, b in pairs[::7]:
+            assert _prs(a, b) == prs_by_polynomials(a, b) and _prs(b, a) == prs_by_polynomials(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=7),
+        st.lists(st.integers(-9, 9), max_size=7),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    )
+    @example([], [], [1])  # two zeros: BothZero
+    @example([2, 1], [], [1])  # one zero
+    @example([6], [-10], [1])  # two constants with gcd 2: ValueError
+    @example([3], [-4], [1])  # two coprime constants
+    @example([6], [1, 2, 3], [1])  # a constant first
+    @example([5, -1], [3, 0, 1, 0, -2], [1])  # shorter first
+    @example([1, 2, 3], [-4, 2], [2, 3])  # planted common factor
+    @example([1, 1], [1, 0, 1], [0, 0, -1])  # common factor q^2
+    def test_drawn_pairs_as_before(self, a, b, common):
+        # `common` of degree 0 leaves the pair as drawn (empty lists are
+        # zero); a higher degree plants a shared factor.
+        a, b = P(*a) * P(*common), P(*b) * P(*common)
+        assert _outcomes([(a, b)]) == _outcomes_as_before([(a, b)])
+        if a and b:
+            assert _prs(a, b) == prs_by_polynomials(a, b)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_a_corrupted_cofactor_fails_the_identity(self, flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", CORRUPTED_COFACTOR],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(polyring.__file__).resolve().parents[1])},
+            check=True,
+        )
+        assert proc.stdout == b"Bezout identity u*a + v*b = res fails\n"
+
+    def test_wraps_do_not_grow_with_the_degree(self, monkeypatch):
+        # Only results become polynomials: R and u from `_prs`, and
+        # `subresultant_bezout` adds its zero, u and v.
+        wrap, calls = IntPolynomial._wrap, []
+        monkeypatch.setattr(
+            IntPolynomial, "_wrap", classmethod(lambda cls, c: calls.append(1) or wrap(c))
+        )
+        rng = random.Random(27)
+
+        def wraps(degree):
+            a = P(*[rng.randint(-9, 9) for _ in range(degree)], 1)
+            b = P(*[rng.randint(-9, 9) for _ in range(degree)], -1)
+            found = []
+            for fn in (_prs, subresultant_bezout):
+                calls.clear()
+                assert fn(a, b)[0] != 0
+                found.append(len(calls))
+            return found
+
+        assert wraps(40) == wraps(4) == [2, 5]
 
 
 # Integer polynomial work that touches every coefficient check, then the

@@ -520,6 +520,49 @@ class TestSeriesExpansion:
         assert [c["coeffs"] for c in data["coeffs"]] == [["1"], ["-1"], ["2"]]
 
 
+def _adjacent_pairs(n_max: int, m_max: int) -> list[tuple[int, int, int]]:
+    """(n, m, p) with m = n * p^e for some e >= 1, p a prime not dividing
+    n, n <= n_max and m <= m_max."""
+    pairs = []
+    for n in range(1, n_max + 1):
+        for p in filter(sympy.isprime, range(2, m_max // n + 1)):
+            m = n * p
+            while m <= m_max and n % p:
+                pairs.append((n, m, p))
+                m *= p
+    return pairs
+
+
+def _mod_phi_and_p(coeffs, n: int, p: int) -> list[int]:
+    """coeffs reduced mod Phi_n and then mod p, as phi(n) entries in
+    [0, p), by long division over F_p in the test's own loop."""
+    phi = cyclotomic_poly(n).coeffs
+    d, r = len(phi) - 1, [c % p for c in coeffs]
+    for t in range(len(r) - 1, d - 1, -1):
+        c = r[t]
+        for i in range(d + 1):
+            r[t - d + i] = (r[t - d + i] - c * phi[i]) % p
+    return (r + [0] * d)[:d]
+
+
+class TestAdjacentRoots:
+    """Values at adjacent roots agree: if m = n p^e with p not dividing n,
+    then Phi_m = Phi_n^phi(p^e) mod p, so a value at zeta_m reduced mod
+    (Phi_n, p) equals the value at zeta_n reduced mod p.  This is the
+    adjacency `cyclotomic.c_value` encodes, checked on the series values
+    with no (q)_k summed by the test."""
+
+    @pytest.mark.parametrize("spec", [KONTSEVICH_ZAGIER_SPEC, Q_INVERSE_SPEC], ids=["kz", "qinv"])
+    def test_values_at_adjacent_roots_agree_mod_p(self, spec):
+        pairs = _adjacent_pairs(24, 120)
+        assert len(pairs) == 179
+        orders = sorted({n for n, _, _ in pairs} | {m for _, m, _ in pairs})
+        values = {k: expand_series(spec, k, 0).coeffs[0].coeffs for k in orders}
+        for n, m, p in pairs:
+            at_n = [c % p for c in values[n]]
+            assert _mod_phi_and_p(values[m], n, p) == at_n, (n, m, p)
+
+
 def weighted_spec(weights, stride):
     """A step-less spec: term(k) = w_(k mod len) * (q)_(stride*k) with
     witness stride*k, so every term is a genuine multiple of its witness."""

@@ -455,6 +455,93 @@ def test_descending_slice_stores_are_recognised():
     assert _descending_slice_stores(tree) == ["CyclotomicInteger.__init__", "<module>", "nested"]
 
 
+def _accumulating_loops(tree) -> list[str]:
+    """Functions (dotted with their classes) with a `for` loop that stores
+    into a slice or an index i + j a sum with a product in it: a schoolbook
+    convolution, whatever its names.  A division subtracts its products."""
+
+    def adds_a_product(node) -> bool:
+        if isinstance(node, ast.AugAssign):
+            return isinstance(node.op, ast.Add) and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                for n in ast.walk(node.value)
+            )
+        return any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+            and any(
+                isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                for side in (n.left, n.right)
+            )
+            for n in ast.walk(node.value)
+        )
+
+    def accumulates(loop) -> bool:
+        return any(
+            isinstance(t, ast.Subscript)
+            and (
+                isinstance(t.slice, ast.Slice)
+                or (isinstance(t.slice, ast.BinOp) and isinstance(t.slice.op, ast.Add))
+            )
+            and adds_a_product(node)
+            for node in ast.walk(loop)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.For) and accumulates(child):
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_convolution():
+    # Every product of coefficient lists in polyring, the PRS's cofactor
+    # updates among them, runs `_convolve`.
+    path = Path(cyclocomp.__file__).parent / "polyring.py"
+    assert _accumulating_loops(ast.parse(path.read_text(encoding="utf-8"))) == ["_convolve"]
+
+
+def test_accumulating_loops_are_recognised():
+    # _Polynomial.__mul__ as it was, both loops of a product by index
+    # pairs, and loops the lint leaves alone: the two division passes, a
+    # sum without a product, a product without a sum, a plain index store
+    tree = ast.parse(
+        "class _Polynomial:\n"
+        "    def __mul__(self, other):\n"
+        "        a, b = self.coeffs, other.coeffs\n"
+        "        out = [self._coerce(0)] * (len(a) + len(b) - 1)\n"
+        "        width = len(b)\n"
+        "        for i, ai in compress(enumerate(a), a):\n"
+        "            out[i : i + width] = [o + ai * bj for o, bj in zip(out[i : i + width], b)]\n"
+        "        return self._wrap(out)\n"
+        "def pairs(a, b, out):\n"
+        "    for i, x in enumerate(a):\n"
+        "        for j, y in enumerate(b):\n"
+        "            out[i + j] += x * y\n"
+        "def divide(r, g, d, sparse):\n"
+        "    for t in range(len(r) - 1, d - 1, -1):\n"
+        "        c = r[t]\n"
+        "        r[t - d : t] = [x - c * y for x, y in zip(r[t - d : t], g)]\n"
+        "        for i, y in sparse:\n"
+        "            r[t + i] -= c * y\n"
+        "def add(total, live, at):\n"
+        "    for j in range(3):\n"
+        "        total[at:] = [a + b for a, b in zip(total[at:], live)]\n"
+        "def scale(r, c):\n    for i, y in enumerate(r):\n        r[i + 1] = c * y\n"
+        "def dot(out, a, b):\n    for i, x in enumerate(a):\n        out[i] += x * b[i]\n"
+    )
+    assert _accumulating_loops(tree) == ["_Polynomial.__mul__", "pairs", "pairs"]
+
+
 def _functions_with_loops(tree) -> dict[str, bool]:
     """Every function (dotted with its classes) and whether its body holds
     a loop or a comprehension."""
