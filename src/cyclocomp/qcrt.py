@@ -8,14 +8,14 @@ over Q lossy: dropping a component is a surjection with a visible kernel.
 bounded search certifies that the analogous integer-coefficient element
 does not exist at level 1.
 
-The splitting rests on one integer Bezout identity per factor: with F_n =
-Phi_n^lambda(n) and R_n the product of the other factors,
-`subresultant_bezout(R_n, F_n)` returns res and u, v with u*R_n + v*F_n =
-res, an identity it checks.  So s_n = u/res inverts R_n mod F_n, and e_n =
-s_n*R_n is the idempotent that is 1 mod F_n and 0 mod the other factors.
-An `ExponentVector` computes its factor powers, its modulus and this
-Bezout data (F_n, R_n, s_n) once, on first use, and keeps them, so
-repeated splits and reconstructions over one vector share them.
+Residues are glued by Garner's mixed radix.  Walk the factors F_j =
+Phi_n^lambda(n) in support order with M_{j-1} the product of those before
+F_j (M_0 = 1).  `subresultant_bezout(M_{j-1} mod F_j, F_j)` returns res
+and u with u*M_{j-1} = res mod F_j, an identity it checks, so t_j = u/res
+inverts M_{j-1} mod F_j; each such PRS has the degree of F_j only.  An
+`ExponentVector` computes its factor powers, its modulus and this data
+(F_j, M_{j-1}, t_j) once, on first use, and keeps them, so repeated
+splits and reconstructions over one vector share them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DegreeViolation
-from .polyring import Frozen, IntPolynomial, RatPolynomial, check_index, subresultant_bezout
+from .polyring import Frozen, IntPolynomial, RatPolynomial, check_index, divides
+from .polyring import subresultant_bezout
 
 
 class ExponentVector(Frozen):
@@ -78,19 +79,17 @@ class ExponentVector(Frozen):
         return self._modulus
 
     @cached_property
-    def _bezout(self) -> tuple[tuple[int, RatPolynomial, RatPolynomial, RatPolynomial], ...]:
-        """(n, F_n, R_n, s_n) over Q for each support index n, as in the
-        module docstring; deg s_n < deg F_n."""
-        out = []
+    def _mixed_radix(self) -> tuple[tuple[int, RatPolynomial, RatPolynomial, RatPolynomial], ...]:
+        """(n, F_j, M_{j-1}, t_j) over Q for each factor in support order,
+        as in the module docstring; deg t_j < deg F_j."""
+        out, prefix = [], IntPolynomial.one()
         for n, f in self._factors.items():
-            rest = math.prod(
-                (g for m, g in self._factors.items() if m != n), start=IntPolynomial.one()
-            )
-            res, u, _ = subresultant_bezout(rest, f)
+            res, u, _ = subresultant_bezout(prefix % f, f)
             if res == 0:
                 raise AssertionError("CRT moduli are not coprime")
-            s = RatPolynomial._over(u.coeffs, res)
-            out.append((n, self._rational_factors[n], rest.to_rational(), s))
+            t = RatPolynomial._over(u.coeffs, res)
+            out.append((n, self._rational_factors[n], prefix.to_rational(), t))
+            prefix = prefix * f
         return tuple(out)
 
 
@@ -116,42 +115,42 @@ class CrtComponents(Frozen):
 
 def crt_split(f: RatPolynomial, lam: ExponentVector) -> CrtComponents:
     """Componentwise remainders: the direct-product image of f."""
-    return CrtComponents(
-        {n: f % lam.factor(n) for n in lam.support}
-    )
+    return CrtComponents({n: f % lam.factor(n) for n in lam.support})
 
 
 def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
     """The unique representative of degree < deg modulus hitting every
-    component; inverse to crt_split.  It is the sum of the terms
-    ((c_n * s_n) mod F_n) * R_n, each of degree < deg modulus."""
+    component; inverse to crt_split.  Each step of the mixed radix,
+    x <- x + M_{j-1} * (((c_j - x mod F_j) * t_j) mod F_j), keeps x = c_i
+    mod F_i for i < j, makes x = c_j mod F_j and keeps deg x < deg M_j."""
     if comps.support != lam.support:
-        raise ValueError(
-            f"component support {comps.support} does not match {lam.support}"
-        )
+        raise ValueError(f"component support {comps.support} does not match {lam.support}")
     out, components = RatPolynomial.zero(), dict(comps.components)
-    for n, f, rest, s in lam._bezout:
+    for n, f, prefix, t in lam._mixed_radix:
         c = components[n]
         if c.degree >= f.degree:
-            raise DegreeViolation(
-                f"component at {n} has degree {c.degree}, bound is {f.degree}"
-            )
-        out = out + ((c * s) % f) * rest
+            raise DegreeViolation(f"component at {n} has degree {c.degree}, bound is {f.degree}")
+        out = out + prefix * (((c - out % f) * t) % f)
     return out
 
 
 def crt_idempotents(lam: ExponentVector) -> dict[int, RatPolynomial]:
-    """Preimages e_n = s_n * R_n of the unit vectors: e_n = 1 at n, 0
-    elsewhere."""
-    return {n: s * rest for n, _, rest, s in lam._bezout}
+    """Preimages e_n of the unit vectors, each glued by crt_reconstruct:
+    e_n = 1 mod Phi_n^lambda(n), 0 mod the other factors."""
+    zero, one = RatPolynomial.zero(), RatPolynomial.one()
+    return {
+        n: crt_reconstruct(CrtComponents({m: one if m == n else zero for m in lam.support}), lam)
+        for n in lam.support
+    }
 
 
 def rho_q_kernel_witness(level: int) -> RatPolynomial:
     """A rational polynomial that is 0 mod (q-1)^level and 1 mod
     (q+1)^level: nonzero in the completion at {1, 2} but killed by
-    restriction to {1}.  It is the CRT idempotent e_2; a level < 1 is a
-    ValueError."""
-    return crt_idempotents(ExponentVector({1: level, 2: level}))[2]
+    restriction to {1}.  It is the CRT idempotent e_2, glued alone; a
+    level < 1 is a ValueError."""
+    lam = ExponentVector({1: level, 2: level})
+    return crt_reconstruct(CrtComponents({1: RatPolynomial.zero(), 2: RatPolynomial.one()}), lam)
 
 
 def integer_witness_search(
@@ -173,6 +172,6 @@ def integer_witness_search(
     rng = range(-coeff_bound, coeff_bound + 1)
     for coeffs in itertools.product(rng, repeat=max_degree + 1):
         cand = IntPolynomial(coeffs)
-        if (cand % f1).is_zero and (cand - IntPolynomial.one()) % f2 == IntPolynomial.zero():
+        if divides(f1, cand) and divides(f2, cand - IntPolynomial.one()):
             return cand
     return None

@@ -8,7 +8,8 @@ Euclid's algorithm instead of one primitive PRS over Z, that PRS and its
 Bezout cofactors on polynomial objects instead of coefficient lists,
 totients by trial factorization instead of polynomial degrees,
 root-of-unity arithmetic by direct products in Z[zeta] instead of
-polynomial reduction, and so on.
+polynomial reduction, CRT by cofactors instead of a mixed radix, and so
+on.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 
 from cyclocomp import (
     CyclotomicInteger,
+    ExponentVector,
     IntPolynomial,
     PochhammerChain,
     RatPolynomial,
@@ -32,6 +34,7 @@ from cyclocomp import (
     cyclotomic_poly,
     is_adjacent,
     series_realize,
+    subresultant_bezout,
 )
 from cyclocomp.errors import BothZero, InsufficientPrecision
 from cyclocomp.polyring import _divide_in_place, _exact_div, _int_xgcd, _pseudo_divmod
@@ -204,6 +207,26 @@ def bezout_by_polynomials(a: IntPolynomial, b: IntPolynomial):
     if u * a + v * b != IntPolynomial.constant(res):
         raise AssertionError("Bezout identity u*a + v*b = res fails")
     return res, u, v
+
+
+def crt_by_cofactors(
+    lam: ExponentVector, components: dict[int, RatPolynomial]
+) -> tuple[RatPolynomial, dict[int, RatPolynomial]]:
+    """(reconstruction of `components`, idempotents) by `qcrt`'s former
+    cofactor engine instead of the mixed radix: for each index n the
+    product R_n of the other factors, one PRS of (R_n, F_n) giving s_n =
+    R_n^-1 mod F_n, then the sum of ((c_n s_n) mod F_n) R_n and e_n = s_n R_n."""
+    factors = {n: cyclotomic_poly(n) ** e for n, e in lam.exponents}
+    out, idempotents = RatPolynomial.zero(), {}
+    for n, f in factors.items():
+        rest = math.prod((g for m, g in factors.items() if m != n), start=IntPolynomial.one())
+        res, u, _ = subresultant_bezout(rest, f)
+        assert res != 0
+        s = RatPolynomial([Fraction(c, res) for c in u.coeffs])
+        rest = rest.to_rational()
+        out = out + ((components[n] * s) % f.to_rational()) * rest
+        idempotents[n] = s * rest
+    return out, idempotents
 
 
 def phi_by_trial_factorization(n: int) -> int:

@@ -20,7 +20,7 @@ from cyclocomp import (
 from cyclocomp import qcrt
 from cyclocomp.errors import DegreeViolation
 
-from support import check_frozen_value, random_rat_poly
+from support import check_frozen_value, crt_by_cofactors, random_rat_poly
 
 ZERO = RatPolynomial.zero()
 ONE = RatPolynomial.one()
@@ -185,6 +185,71 @@ class TestReconstruct:
             assert (total - ONE) % modulus == ZERO
 
 
+def pochhammer_support(n):
+    """lambda(d) = floor(n/d) for d <= n: the Phi_d powers of (q)_n."""
+    return ExponentVector({d: n // d for d in range(1, n + 1)})
+
+
+class TestMixedRadix:
+    # The glue's outputs equal the former cofactor engine's, coefficient
+    # for coefficient: both are the representative of degree < deg modulus.
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_cofactors_on_pochhammer_supports(self, n):
+        rng = random.Random(n)
+        lam = pochhammer_support(n)
+        components = {m: random_rat_poly(rng, lam.factor(m).degree - 1) for m in lam.support}
+        expected, idempotents = crt_by_cofactors(lam, components)
+        assert crt_reconstruct(CrtComponents(components), lam) == expected
+        assert crt_idempotents(lam) == idempotents
+
+    def test_matches_cofactors_on_sampled_supports(self):
+        rng = random.Random(55)
+        for _ in range(40):
+            support = rng.sample(range(1, 19), rng.randint(1, 5))
+            lam = ExponentVector({n: rng.randint(1, 3) for n in support})
+            f = random_rat_poly(rng, int(lam.modulus().degree) + 3)
+            comps = crt_split(f, lam)
+            expected, idempotents = crt_by_cofactors(lam, dict(comps.components))
+            assert crt_reconstruct(comps, lam) == expected
+            assert crt_idempotents(lam) == idempotents
+
+    def test_kernel_witness_matches_cofactors(self):
+        for level in range(1, 7):
+            lam = ExponentVector({1: level, 2: level})
+            _, idempotents = crt_by_cofactors(lam, {1: ZERO, 2: ZERO})
+            assert rho_q_kernel_witness(level) == idempotents[2]
+
+    def test_pochhammer_round_trip_at_forty(self):
+        rng = random.Random(40)
+        lam = pochhammer_support(40)
+        modulus = lam.modulus()
+        assert modulus.degree == 40 * 41 // 2
+        f = RatPolynomial(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(830)] + [Fraction(3, 7)]
+        )
+        comps = crt_split(f, lam)
+        g = crt_reconstruct(comps, lam)
+        assert g.degree < modulus.degree
+        assert crt_split(g, lam) == comps
+        assert (f - g) % modulus == ZERO
+
+    def test_each_inverse_is_a_prs_of_one_factor(self, monkeypatch):
+        # t_j inverts M_{j-1} mod F_j: the PRS sees F_j and M_{j-1} reduced
+        # mod F_j, never the product of the other factors.
+        calls = []
+        bezout = qcrt.subresultant_bezout
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return bezout(a, b)
+
+        monkeypatch.setattr(qcrt, "subresultant_bezout", recorded)
+        lam = ExponentVector({1: 2, 2: 1, 3: 2, 5: 1, 6: 3})
+        crt_idempotents(lam)
+        assert [b for _, b in calls] == [cyclotomic_poly(n) ** e for n, e in lam.exponents]
+        assert all(a.degree < b.degree for a, b in calls)
+
+
 X = sympy.Symbol("x")
 
 
@@ -251,6 +316,12 @@ class TestKernelWitness:
 
     def test_no_integer_witness_in_degree_one_box(self):
         assert integer_witness_search(1, 1, 20) is None
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_no_integer_witness_in_degree_three_box(self, level):
+        # cand(1) = 0 and cand(-1) = 1 would differ in parity, but
+        # cand(1) - cand(-1) is twice the sum of the odd coefficients.
+        assert integer_witness_search(level, 3, 3) is None
 
     def test_search_finds_rational_solution_when_scaled(self):
         # sanity check that the search itself works: 2*w has integer

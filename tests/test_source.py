@@ -455,6 +455,107 @@ def test_descending_slice_stores_are_recognised():
     assert _descending_slice_stores(tree) == ["CyclotomicInteger.__init__", "<module>", "nested"]
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _crt_engine(tree) -> tuple[list[str], list[str], list[str]]:
+    """Functions (dotted with their classes) that call subresultant_bezout;
+    those of them with a loop inside a loop, such as a product of the
+    other factors for each index; and the functions with a loop over what
+    the callers compute, read as an attribute named after one of them."""
+    functions = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append((".".join(inner), child))
+            visit(child, inner)
+
+    def calls_bezout(fn) -> bool:
+        return any(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "subresultant_bezout"
+            for n in ast.walk(fn)
+        )
+
+    def nests_a_loop(fn) -> bool:
+        return any(
+            isinstance(inner, _LOOPS) and inner is not outer
+            for outer in ast.walk(fn)
+            if isinstance(outer, _LOOPS)
+            for inner in ast.walk(outer)
+        )
+
+    def iterables(loop) -> list:
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            return [loop.iter]
+        return [g.iter for g in getattr(loop, "generators", [])]
+
+    visit(tree, ())
+    callers = [(name, fn) for name, fn in functions if calls_bezout(fn)]
+    data = {fn.name for _, fn in callers}
+    loops_over_data = [
+        name
+        for name, fn in functions
+        if any(
+            isinstance(ref, ast.Attribute) and ref.attr in data
+            for loop in ast.walk(fn)
+            if isinstance(loop, _LOOPS)
+            for it in iterables(loop)
+            for ref in ast.walk(it)
+        )
+    ]
+    return (
+        [name for name, _ in callers],
+        [name for name, fn in callers if nests_a_loop(fn)],
+        loops_over_data,
+    )
+
+
+def test_one_crt_engine():
+    # One inverse of M_{j-1} mod F_j per factor, each a PRS of F_j's
+    # degree, cached on the ExponentVector; one mixed-radix glue walks them.
+    path = Path(cyclocomp.__file__).parent / "qcrt.py"
+    assert _crt_engine(ast.parse(path.read_text(encoding="utf-8"))) == (
+        ["ExponentVector._mixed_radix"], [], ["crt_reconstruct"]
+    )
+
+
+def test_crt_engine_lint_is_recognised():
+    # The cofactor engine as it was, and a loop the lint leaves alone: the
+    # split's loop over the support
+    tree = ast.parse(
+        "class ExponentVector:\n"
+        "    @cached_property\n"
+        "    def _bezout(self):\n"
+        "        out = []\n"
+        "        for n, f in self._factors.items():\n"
+        "            rest = math.prod(\n"
+        "                (g for m, g in self._factors.items() if m != n), start=one\n"
+        "            )\n"
+        "            res, u, _ = subresultant_bezout(rest, f)\n"
+        "            out.append((n, f, rest, RatPolynomial._over(u.coeffs, res)))\n"
+        "        return tuple(out)\n"
+        "def crt_split(f, lam):\n"
+        "    return CrtComponents({n: f % lam.factor(n) for n in lam.support})\n"
+        "def crt_reconstruct(comps, lam):\n"
+        "    out, components = RatPolynomial.zero(), dict(comps.components)\n"
+        "    for n, f, rest, s in lam._bezout:\n"
+        "        out = out + ((components[n] * s) % f) * rest\n"
+        "    return out\n"
+        "def crt_idempotents(lam):\n"
+        "    return {n: s * rest for n, _, rest, s in lam._bezout}\n"
+    )
+    assert _crt_engine(tree) == (
+        ["ExponentVector._bezout"], ["ExponentVector._bezout"],
+        ["crt_reconstruct", "crt_idempotents"],
+    )
+
+
 def _accumulating_loops(tree) -> list[str]:
     """Functions (dotted with their classes) with a `for` loop that stores
     into a slice or an index i + j a sum with a product in it: a schoolbook
@@ -545,8 +646,6 @@ def test_accumulating_loops_are_recognised():
 def _functions_with_loops(tree) -> dict[str, bool]:
     """Every function (dotted with its classes) and whether its body holds
     a loop or a comprehension."""
-    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-             ast.GeneratorExp)
     found = {}
 
     def visit(node, scope):
@@ -555,7 +654,7 @@ def _functions_with_loops(tree) -> dict[str, bool]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found[".".join(inner)] = any(isinstance(n, loops) for n in ast.walk(child))
+                found[".".join(inner)] = any(isinstance(n, _LOOPS) for n in ast.walk(child))
             visit(child, inner)
 
     visit(tree, ())
