@@ -293,13 +293,17 @@ def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
 
     for n in args.orders:
         budgets.check_order(n)
-    # Phi_n divides g_m for m >= n, so level n fixes the value at zeta_n;
-    # a level below an order is realised as given, and raises.
     level = args.level if args.level is not None else max(args.orders)
     budgets.check_level(level)
-    spec, poch = completion.NAMED_SERIES[args.series], completion.PochhammerChain()
-    elt = completion.series_realize(spec, poch, min(level, max(args.orders)))
-    values = sorted(rootexp.tau_values(elt, args.orders).items())
+    # Phi_n divides g_m for m >= n, so level n fixes the value at zeta_n:
+    # a level below an order raises at the smallest such order, before any
+    # jet runs.  The value is c_0 of the series' jet at zeta_n, which sums
+    # the terms up to level n in Z[zeta_n].
+    orders, poch = sorted(set(args.orders)), completion.PochhammerChain()
+    for n in orders:
+        rootexp._require_value(poch, level, n)
+    spec = completion.NAMED_SERIES[args.series]
+    values = [(n, rootexp.expand_series(spec, n, 0).coeffs[0]) for n in orders]
     return _Result(
         {
             "level": level,

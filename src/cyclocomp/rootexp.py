@@ -4,22 +4,30 @@ expansion in powers of (q - zeta) (sigma).
 
 Z[zeta_n] is Z[q]/(Phi_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1);
 a longer coefficient list is reduced mod the monic Phi_n in place, by
-`polyring`'s division kernel.  Evaluation folds instead of dividing:
-Phi_n divides q^n - 1, so the value of a representative at zeta_n is its
-coefficients summed into n buckets by index mod n (zeta^n = 1), and only
-those n sums are reduced mod Phi_n.
+`polyring`'s division kernel.
+
+Jets and values live in the smallest binomial ring that Phi_n divides,
+Z[y]/(y^m - eps) (`_ring`).  For even n, zeta_n^(n/2) = -1, so Phi_n
+divides y^(n/2) + 1 and m = n/2, eps = -1; odd n keep y^n - 1 (m = n,
+eps = 1).  There y^i is eps^floor(i/m) y^(i mod m): index i falls into
+bucket i mod m with that sign, and a rotation by y^s negates the s buckets
+it wraps when eps = -1.  Evaluation folds instead of dividing: the value
+of a representative at zeta_n is its coefficients summed into those m
+signed buckets, and only the m sums are reduced mod Phi_n.
 
 Taylor coefficients come from jets, the images of polynomials in
-Z[y]/(y^n - 1)[x]/(x^(J+1)) under q -> y + x; y -> zeta_n maps them onto
-Z[zeta_n][x]/(x^(J+1)).  A jet is kept in the basis z = x/y, q = y(1 + z),
-as one flat row-major list of J + 1 rows of n buckets: the z^j row of
-sum a_i q^i holds C(i, j) a_i in bucket i mod n.  The x^j coefficient c_j
-is that row times y^(-j), a rotation, reduced mod Phi_n once, and c_0 is
-the value.  A convergent series is expanded locally, without a global
-representative, as the sum of its terms' jets (`expand_series`), each
-term the last one times a step, on the term's live rows only: one
-rotation per residue class mod n of the step's nonzero coefficients, and
-one slice pass per nonzero binomial sum of a class (`_times_step`).
+Z[y]/(y^m - eps)[x]/(x^(J+1)) under q -> y + x; y -> zeta_n maps them
+onto Z[zeta_n][x]/(x^(J+1)).  A jet is kept in the basis z = x/y,
+q = y(1 + z), as one flat row-major list of J + 1 rows of m buckets: the
+z^j row of sum a_i q^i holds eps^floor(i/m) C(i, j) a_i in bucket i mod m.
+The x^j coefficient c_j is that row times y^(-j), a signed rotation,
+reduced mod Phi_n once, and c_0 is the value.  A convergent series is
+expanded locally, without a global representative, as the sum of its
+terms' jets (`expand_series`), each term the last one times a step, on
+the term's live rows only: one rotation per signed class mod m of the
+step's nonzero coefficients, and one slice pass per nonzero binomial sum
+of a class (`_times_step`).  At n = 2 the jet is a scalar series (m = 1)
+and no step rotates.
 
 The precision contract comes from the chain's factors: an element
 truncated at level K determines its expansion at a primitive n-th root
@@ -141,15 +149,21 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     """Value of a at a primitive n-th root of unity, as an element of
     Z[zeta_n]; well defined only when Phi_n divides one of the chain's
     factors f_1 ... f_level (level >= n on the Pochhammer chain).  The
-    coefficients are folded into n buckets by index mod n, since Phi_n
-    divides q^n - 1, and CyclotomicInteger reduces the n sums mod Phi_n:
-    row 0 of `_z_jet`."""
-    if root_multiplicity(a.chain, a.level, n) < 1:
+    coefficients are folded into m signed buckets, since Phi_n divides
+    q^m - eps (`_ring`), and CyclotomicInteger reduces the m sums mod
+    Phi_n: row 0 of `_z_jet`."""
+    _require_value(a.chain, a.level, n)
+    return CyclotomicInteger(n, _z_jet(a.rep.coeffs, n, 1))
+
+
+def _require_value(chain, level: int, n: int) -> None:
+    """Raise InsufficientPrecision unless level on chain fixes the value at
+    a primitive n-th root, that is unless Phi_n divides g_level."""
+    if root_multiplicity(chain, level, n) < 1:
         raise InsufficientPrecision(
-            f"level {a.level} on {a.chain.label!r} does not determine the "
+            f"level {level} on {chain.label!r} does not determine the "
             f"value at a primitive root of unity of order {n}"
         )
-    return CyclotomicInteger(n, _z_jet(a.rep.coeffs, n, 1))
 
 
 def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, CyclotomicInteger]:
@@ -182,25 +196,44 @@ class RootTaylorSeries(_Replaceable):
         }
 
 
+def _ring(n: int) -> tuple[int, int]:
+    """(m, eps) of the jet ring Z[y]/(y^m - eps) at zeta_n, the smallest
+    binomial ring that Phi_n divides: (n/2, -1) for even n, since
+    zeta_n^(n/2) = -1, and (n, 1) for odd n."""
+    return (n // 2, -1) if n % 2 == 0 else (n, 1)
+
+
 def _z_jet(coeffs: Sequence[int], n: int, top: int) -> list[int]:
-    """Image of sum a_i q^i under q -> y(1 + z) in Z[y]/(y^n - 1)[z]/(z^top),
-    flat and row-major: entry j*n + r is the z^j y^r coefficient, the sum
-    of C(i, j) a_i over i = r mod n.  Row j folds w_j(i) = C(i, j) a_i into
-    n buckets, and w_j(i) = w_(j-1)(i) (i - j + 1) / j exactly."""
+    """Image of sum a_i q^i under q -> y(1 + z) in Z[y]/(y^m - eps)[z]/(z^top)
+    (`_ring`), flat and row-major: entry j*m + r is the z^j y^r
+    coefficient, the sum of eps^floor(i/m) C(i, j) a_i over i = r mod m.
+    Row j folds w_j(i) = C(i, j) a_i into m signed buckets, and
+    w_j(i) = w_(j-1)(i) (i - j + 1) / j exactly."""
+    m, eps = _ring(n)
     flat, w = [], coeffs
     for j in range(top):
         if j:
             w = [c * (i - j + 1) // j for i, c in enumerate(w)]
-        flat += [sum(w[r::n]) for r in range(n)]
+        if eps == 1:
+            flat += [sum(w[r::m]) for r in range(m)]
+        else:  # n = 2m: i = r mod n has sign +1, i = r + m mod n sign -1
+            flat += [sum(w[r::n]) - sum(w[r + m :: n]) for r in range(m)]
     return flat
 
 
 def _emit(flat: list[int], n: int, valid_to: int) -> RootTaylorSeries:
-    """The x^j coefficient is the z^j row times y^(-j), a rotation by
-    j mod n, reduced mod Phi_n."""
-    rows = [flat[t : t + n] for t in range(0, len(flat), n)]
-    coeffs = tuple(CyclotomicInteger(n, r[j % n :] + r[: j % n]) for j, r in enumerate(rows))
-    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=coeffs)
+    """The x^j coefficient is the z^j row times y^(-j), reduced mod Phi_n:
+    y^(-j) = eps^floor(j/m) y^(-s) with s = j mod m, a rotation by s whose
+    s wrapped buckets take a factor eps."""
+    m, eps = _ring(n)
+    coeffs = []
+    for j, t in enumerate(range(0, len(flat), m)):
+        s = j % m
+        row = flat[t + s : t + m] + [eps * c for c in flat[t : t + s]]
+        if eps ** (j // m) == -1:
+            row = [-c for c in row]
+        coeffs.append(CyclotomicInteger(n, row))
+    return RootTaylorSeries(order=n, valid_to=valid_to, coeffs=tuple(coeffs))
 
 
 def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
@@ -220,27 +253,39 @@ def taylor_at_root(a: TruncatedElement, n: int, j_max: int) -> RootTaylorSeries:
 
 
 def _times_step(live: list[int], step: Sequence[int], n: int) -> list[int]:
-    """live * sum a_i q^i in the z-basis, where q^i = y^i (1 + z)^i and live
-    is a run of rows; rows past its end are cut.  The step's nonzero a_i
-    are grouped by i mod n: class s sums D_s[j] = sum C(i, j) a_i over its
-    i, rotates the live rows by s once and adds D_s[j] times them, moved j
-    rows up, in one slice pass per nonzero D_s[j].  So 1 - q^k with n | k
-    makes no row-0 pass (1 - 1 = 0)."""
-    rows = len(live) // n
+    """live * sum a_i q^i in the z-basis, where live is a run of rows of m
+    buckets (`_ring`) and q^i = y^i (1 + z)^i = eps^floor(i/m) y^(i mod m)
+    (1 + z)^i; rows past its end are cut.  The step's nonzero a_i are
+    grouped by i mod m: class s sums D_s[j] = sum eps^floor(i/m) C(i, j) a_i
+    over its i, rotates the live rows by s once (times y^s: the s buckets
+    that wrap take a factor eps) and adds D_s[j] times them, moved j rows
+    up, in one slice pass per nonzero D_s[j].  The unit class, s = 0 with
+    D_0 = [1], starts the product as a copy of the live rows instead.  So
+    1 - q^k with n | k makes no row-0 pass (1 - 1 = 0)."""
+    m, eps = _ring(n)
+    rows = len(live) // m
     sums: dict[int, list[int]] = {}
     for i in compress(range(len(step)), step):
-        d, a = sums.setdefault(i % n, [0] * rows), step[i]
+        d, a = sums.setdefault(i % m, [0] * rows), step[i]
+        if eps == -1 and i // m % 2:
+            a = -a
         for j in range(min(i + 1, rows)):
             d[j] += comb(i, j) * a
-    out = [0] * len(live)
+    d = sums.get(0)
+    if d and d[0] == 1 and not any(d[1:]):
+        del sums[0]
+        out = live[:]
+    else:
+        out = [0] * len(live)
     for s, d in sums.items():
         src = live
         if s:  # times y^s: every live row rotated by s
             src = []
-            for t in range(0, len(live), n):
-                src += live[t + n - s : t + n] + live[t : t + n - s]
+            for t in range(0, len(live), m):
+                wrap = live[t + m - s : t + m]
+                src += (wrap if eps == 1 else [-v for v in wrap]) + live[t : t + m - s]
         for j in compress(range(rows), d):
-            c, at = d[j], j * n
+            c, at = d[j], j * m
             out[at:] = [o + c * v for o, v in zip(out[at:], src)]
     return out
 
@@ -261,8 +306,8 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     Only the live rows of the running term are kept, from its first
     nonzero row to row j_max.  With spec.step the jet of term 0 is 1 and
     that of term k is the jet of term k - 1 times step(k), unchecked
-    against term(k), which is never called: one rotation per residue class
-    mod n of the step's nonzero coefficients, and one slice pass per
+    against term(k), which is never called: one rotation per signed class
+    mod m of the step's nonzero coefficients, and one slice pass per
     nonzero summed binomial entry (`_times_step`).  Without a step, the
     jet of term(k).  Each term is added into the sum in one pass at its
     first live row.  Each consumed term's witness w is checked locally:
@@ -272,26 +317,26 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     `series_realize`."""
     check_index(n, "order", 1)
     check_index(j_max, "j_max", 0)
-    top = j_max + 1
-    total = [0] * (top * n)
-    live = [1] + [0] * (top * n - 1)  # term(0) of a spec with a step
+    top, m = j_max + 1, _ring(n)[0]
+    total = [0] * (top * m)
+    live = [1] + [0] * (top * m - 1)  # term(0) of a spec with a step
     low = 0  # live holds the term's rows low .. j_max; the rows below are zero
     for k, w in _series_terms(spec, n * top):
         if spec.step is None:
             live, low = _z_jet(spec.term(k).coeffs, n, top), 0
         elif k and live:
             live = _times_step(live, spec.step(k).coeffs, n)
-        z = next((t for t in range(0, len(live), n) if any(live[t : t + n])), len(live))
+        z = next((t for t in range(0, len(live), m) if any(live[t : t + m])), len(live))
         if z:
-            live, low = live[z:], low + z // n
+            live, low = live[z:], low + z // m
         for j in range(low, min(w // n, top)):
-            t = (j - low) * n
-            if not CyclotomicInteger(n, live[t : t + n]).is_zero:
+            t = (j - low) * m
+            if not CyclotomicInteger(n, live[t : t + m]).is_zero:
                 raise AssertionError(
                     f"series {spec.name!r}: witness {w} of term {k} fails "
                     f"at order {n}: x^{j} coefficient is not zero"
                 )
-        at = low * n
+        at = low * m
         total[at:] = [a + b for a, b in zip(total[at:], live)]
     return _emit(total, n, j_max)
 

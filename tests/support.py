@@ -8,8 +8,10 @@ Euclid's algorithm instead of one primitive PRS over Z, that PRS and its
 Bezout cofactors on polynomial objects instead of coefficient lists,
 totients by trial factorization instead of polynomial degrees,
 root-of-unity arithmetic by direct products in Z[zeta] instead of
-polynomial reduction, CRT by cofactors instead of a mixed radix, and so
-on.
+polynomial reduction, CRT by cofactors instead of a mixed radix, jets in
+Z[y]/(y^n - 1) instead of the smallest binomial ring that Phi_n divides,
+values of the Kontsevich-Zagier series by Zagier's strange identity
+instead of its terms, and so on.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import compress
 from math import comb
 
 import pytest
@@ -265,6 +268,26 @@ def kz_value_oracle(order: int) -> CyclotomicInteger:
     return total
 
 
+def kz_value_by_strange_identity(order: int) -> CyclotomicInteger:
+    """The Kontsevich-Zagier series at a primitive order-th root from
+    Zagier's strange identity, with no (zeta)_j at all: with M = 12 order
+    and chi_12(n) = 1 for n = +-1 and -1 for n = +-5 mod 12,
+    F(zeta) = (M/4) sum_{n=1}^{M} chi_12(n) zeta^((n^2-1)/24) B_2(n/M),
+    B_2(x) = x^2 - x + 1/6, summed in Q[y]/Phi_order by Fraction.  (D.
+    Zagier, "Vassiliev invariants and a strange identity related to the
+    Dedekind eta-function", Topology 40, 2001.)"""
+    big, chi = 12 * order, {1: 1, 11: 1, 5: -1, 7: -1}
+    sums = [Fraction(0)] * order
+    for n in range(1, big + 1):
+        if n % 12 in chi:
+            x = Fraction(n, big)
+            sums[(n * n - 1) // 24 % order] += chi[n % 12] * (x * x - x + Fraction(1, 6))
+    poly = RatPolynomial([Fraction(big, 4) * c for c in sums])
+    value = poly % cyclotomic_poly(order).to_rational()
+    assert all(c.denominator == 1 for c in value.coeffs)
+    return CyclotomicInteger(order, [c.numerator for c in value.coeffs])
+
+
 def taylor_by_substitution(coeffs, order: int, j_max: int):
     """Taylor coefficients of an integer polynomial at zeta_order,
     computed by expanding P(x + zeta) with Horner over Z[zeta][x] —
@@ -298,6 +321,52 @@ def x_jet(coeffs, order: int, j_max: int) -> list[list[int]]:
             for j in range(min(i, j_max) + 1):
                 rows[j][(i - j) % order] += comb(i, j) * a
     return rows
+
+
+def z_jet_n_buckets(coeffs, n: int, top: int) -> list[int]:
+    """`rootexp._z_jet` as it was before jets lived in the smallest binomial
+    ring that Phi_n divides: the z-basis jet in Z[y]/(y^n - 1), n buckets
+    a row at every center.
+
+    Image of sum a_i q^i under q -> y(1 + z) in Z[y]/(y^n - 1)[z]/(z^top),
+    flat and row-major: entry j*n + r is the z^j y^r coefficient, the sum
+    of C(i, j) a_i over i = r mod n.  Row j folds w_j(i) = C(i, j) a_i into
+    n buckets, and w_j(i) = w_(j-1)(i) (i - j + 1) / j exactly."""
+    flat, w = [], coeffs
+    for j in range(top):
+        if j:
+            w = [c * (i - j + 1) // j for i, c in enumerate(w)]
+        flat += [sum(w[r::n]) for r in range(n)]
+    return flat
+
+
+def times_step_n_buckets(live: list[int], step, n: int) -> list[int]:
+    """`rootexp._times_step` as it was before jets lived in the smallest
+    binomial ring that Phi_n divides, on rows of n buckets.
+
+    live * sum a_i q^i in the z-basis, where q^i = y^i (1 + z)^i and live
+    is a run of rows; rows past its end are cut.  The step's nonzero a_i
+    are grouped by i mod n: class s sums D_s[j] = sum C(i, j) a_i over its
+    i, rotates the live rows by s once and adds D_s[j] times them, moved j
+    rows up, in one slice pass per nonzero D_s[j].  So 1 - q^k with n | k
+    makes no row-0 pass (1 - 1 = 0)."""
+    rows = len(live) // n
+    sums: dict[int, list[int]] = {}
+    for i in compress(range(len(step)), step):
+        d, a = sums.setdefault(i % n, [0] * rows), step[i]
+        for j in range(min(i + 1, rows)):
+            d[j] += comb(i, j) * a
+    out = [0] * len(live)
+    for s, d in sums.items():
+        src = live
+        if s:  # times y^s: every live row rotated by s
+            src = []
+            for t in range(0, len(live), n):
+                src += live[t + n - s : t + n] + live[t : t + n - s]
+        for j in compress(range(rows), d):
+            c, at = d[j], j * n
+            out[at:] = [o + c * v for o, v in zip(out[at:], src)]
+    return out
 
 
 def div_by_q_minus_zeta(coeffs, order):

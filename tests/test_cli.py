@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclocomp import cli, cyclotomic
 from cyclocomp.cli import run
+from support import kz_value_by_strange_identity
 from test_acceptance import GOLDEN_CORPUS
 
 
@@ -76,34 +77,61 @@ class TestPayloads:
         assert values["3"]["coeffs"] == ["5", "-1"]
 
     @pytest.fixture
-    def realised(self, monkeypatch):
-        from cyclocomp import completion
+    def calls(self, monkeypatch):
+        from cyclocomp import completion, rootexp
 
-        levels, realize = [], completion.series_realize
+        log, realize, expand = [], completion.series_realize, rootexp.expand_series
         monkeypatch.setattr(
-            completion, "series_realize", lambda s, c, k: levels.append(k) or realize(s, c, k)
+            completion, "series_realize",
+            lambda s, c, k: log.append(("realize", k)) or realize(s, c, k),
         )
-        return levels
+        monkeypatch.setattr(
+            rootexp, "expand_series", lambda s, n, j: log.append(("jet", n, j)) or expand(s, n, j)
+        )
+        return log
 
-    def test_eval_realises_only_the_level_its_orders_need(self, realised):
-        # Phi_n divides g_m for m >= n: level n fixes the value at zeta_n
-        argv = ("habiro", "eval", "--series", "kz", "--orders", "1,2", "--level")
+    def test_eval_takes_one_jet_per_order(self, calls):
+        # Phi_n divides g_m for m >= n: level n fixes the value at zeta_n,
+        # and c_0 of the jet at zeta_n is that value
+        argv = ("habiro", "eval", "--series", "kz", "--orders", "2,1,2", "--level")
         (code, out, _), (code_2, out_2, _) = invoke(*argv, "200"), invoke(*argv, "2")
-        assert realised == [2, 2]
+        assert calls == [("jet", 1, 0), ("jet", 2, 0)] * 2
         assert code == code_2 == 0
         assert json.loads(out)["level"] == 200  # the payload echoes --level
         assert json.loads(out)["values"] == json.loads(out_2)["values"]
 
-    def test_eval_below_an_order_realises_the_given_level(self, realised):
+    def test_eval_below_an_order_runs_no_jet(self, calls):
         code, out, err = invoke(
-            "habiro", "eval", "--series", "kz", "--orders", "1,3", "--level", "2"
+            "habiro", "eval", "--series", "kz", "--orders", "1,5,3", "--level", "2"
         )
-        assert realised == [2]
+        assert calls == []
         assert (code, out) == (2, "")
         assert err == (
             "error: InsufficientPrecision: level 2 on 'pochhammer' does not determine "
             "the value at a primitive root of unity of order 3\n"
         )
+
+    @pytest.mark.parametrize("name", ["kz", "qinv"])
+    def test_eval_matches_the_realised_element(self, name):
+        from cyclocomp import NAMED_SERIES, PochhammerChain, series_realize, tau_values
+
+        orders = range(1, 61)
+        code, out, _ = invoke(
+            "habiro", "eval", "--series", name, "--orders", ",".join(map(str, orders))
+        )
+        elt = series_realize(NAMED_SERIES[name], PochhammerChain(), 60)
+        expected = {str(n): v.to_json_dict() for n, v in tau_values(elt, orders).items()}
+        assert code == 0
+        assert json.loads(out) == {"level": 60, "series": name, "values": expected}
+
+    def test_eval_matches_the_strange_identity(self):
+        code, out, _ = invoke(
+            "habiro", "eval", "--series", "kz", "--orders", ",".join(map(str, range(1, 13)))
+        )
+        values = json.loads(out)["values"]
+        assert code == 0
+        for k in range(1, 13):
+            assert values[str(k)] == kz_value_by_strange_identity(k).to_json_dict()
 
     def test_expand_csv_header(self):
         code, out, _ = invoke(
@@ -795,20 +823,22 @@ def test_help_screens_match_the_golden_file(columns):
     assert proc.stdout == GOLDEN_HELP_FILE.read_bytes()
 
 
-# Runs argv and reports its peak RSS (KiB) and exit code on stderr.  The
-# peak a child reports includes the image it was forked from, so the CLI
-# is forked from this small interpreter, not from the test process.
+# Runs argv and reports its CPU seconds, peak RSS (KiB) and exit code on
+# stderr.  The peak a child reports includes the image it was forked from,
+# so the CLI is forked from this small interpreter, not from the test
+# process.
 LAUNCHER = """
 import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:])
 _, status, usage = os.wait4(proc.pid, 0)
-print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
+cpu = usage.ru_utime + usage.ru_stime
+print(cpu, usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
 """
 
 
 def run_fresh(*argv):
     """Run the CLI in a new interpreter, as `python -S -m cyclocomp.cli`:
-    (exit code, stdout bytes, peak RSS in MiB)."""
+    (exit code, stdout bytes, peak RSS in MiB, CPU seconds)."""
     cli = [sys.executable, "-S", "-m", "cyclocomp.cli", *argv]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", LAUNCHER, *cli],
@@ -816,15 +846,16 @@ def run_fresh(*argv):
         env=src_env(),
         check=True,
     )
-    rss_kib, code = proc.stderr.split()[-2:]
-    return int(code), proc.stdout, int(rss_kib) / 1024  # Linux reports KiB
+    cpu_s, rss_kib, code = proc.stderr.split()[-3:]
+    # Linux reports ru_maxrss in KiB
+    return int(code), proc.stdout, int(rss_kib) / 1024, float(cpu_s)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 class TestFreshProcess:
     def test_pochhammer_250_memory(self):
         # (q)_250 alone, not (q)_0 ... (q)_250, is kept
-        code, out, rss_mib = run_fresh("pochhammer", "250")
+        code, out, rss_mib, _ = run_fresh("pochhammer", "250")
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == (
             "2e9f5ce04d5e698b4713a19bea4848bbdea69c218117d0903d9c63adedb42f50"
@@ -833,7 +864,7 @@ class TestFreshProcess:
 
     def test_expand_center_30_memory(self):
         # the same bytes as realising the series mod (q)_300 and expanding
-        code, out, rss_mib = run_fresh(
+        code, out, rss_mib, _ = run_fresh(
             "habiro", "expand", "--series", "kz", "--center", "30", "--terms", "10"
         )
         assert code == 0
@@ -842,9 +873,20 @@ class TestFreshProcess:
         )
         assert rss_mib < 30, f"peak RSS {rss_mib:.1f} MiB, budget 30 MiB"
 
+    def test_eval_order_200_takes_the_jet(self):
+        # the value at zeta_200 from the jet, not from realising (q)_200
+        code, out, rss_mib, cpu_s = run_fresh(
+            "habiro", "eval", "--series", "kz", "--orders", "200"
+        )
+        assert code == 0
+        value = kz_value_by_strange_identity(200).to_json_dict()
+        assert json.loads(out) == {"level": 200, "series": "kz", "values": {"200": value}}
+        assert cpu_s < 0.2, f"{cpu_s:.3f} s CPU, budget 0.2 s"
+        assert rss_mib < 25, f"peak RSS {rss_mib:.1f} MiB, budget 25 MiB"
+
     def test_series_level_200_memory(self):
         # the chain's moduli are the (q)_k store's entries, not copies
-        code, out, rss_mib = run_fresh("habiro", "series", "--name", "kz", "--level", "200")
+        code, out, rss_mib, _ = run_fresh("habiro", "series", "--name", "kz", "--level", "200")
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == (
             "29caae9bd4d22a4b699bd0068ed68785a280d028c6233e8a7a2aa7bfac6d70be"

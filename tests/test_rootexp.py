@@ -32,22 +32,25 @@ from cyclocomp import (
     taylor_at_root,
 )
 from cyclocomp.errors import InsufficientPrecision, NonConvergent, OrderMismatch
-from cyclocomp.rootexp import _times_step
+from cyclocomp.rootexp import _times_step, _z_jet
 
 from support import (
     check_frozen_value,
     div_by_q_minus_zeta,
     evaluate_by_division,
     expand_series_global,
+    kz_value_by_strange_identity,
     kz_value_oracle,
     multiplicity_by_synthetic_division,
     random_int_poly,
     taylor_by_substitution,
     taylor_oracle,
+    times_step_n_buckets,
     u_spec,
     u_step,
     u_term,
     x_jet,
+    z_jet_n_buckets,
 )
 
 
@@ -625,6 +628,12 @@ class TestJetBackend:
         for n in (13, 17, 24):
             assert expand_series(KONTSEVICH_ZAGIER_SPEC, n, 0).coeffs[0] == kz_value_oracle(n)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_kz_value_matches_the_strange_identity(self, k):
+        # an oracle that sums no (zeta)_j: Bernoulli values over n <= 12k
+        value = expand_series(KONTSEVICH_ZAGIER_SPEC, k, 0).coeffs[0]
+        assert value == kz_value_by_strange_identity(k)
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             expand_series(KONTSEVICH_ZAGIER_SPEC, 0, 2)
@@ -641,7 +650,9 @@ class TestThirdSeries:
         for k in range(1, 21):
             assert u_term(k) == u_term(k - 1) * u_step(k)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    # both parities, where a step's four coefficients fall into classes
+    # mod n or, with a sign, mod n/2
+    @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("j_max", range(4))
     def test_jets_match_the_realized_sum(self, n, j_max):
         spec = u_spec()
@@ -709,28 +720,58 @@ def jet_mul_schoolbook(rows, factor):
     return out
 
 
+def binomial_ring(n):
+    """(m, eps) with Phi_n | y^m - eps and m least: (n/2, -1) for even n."""
+    return (n // 2, -1) if n % 2 == 0 else (n, 1)
+
+
+def fold(row, n):
+    """A row of Z[y]/(y^n - 1) in Z[y]/(y^m - eps): y^i goes to bucket
+    i mod m with sign eps^floor(i/m)."""
+    m, eps = binomial_ring(n)
+    out = [0] * m
+    for i, c in enumerate(row):
+        out[i % m] += c * eps ** (i // m)
+    return out
+
+
+def times_y(row, e, n):
+    """A row of Z[y]/(y^m - eps) times y^e, for any integer e."""
+    m, eps = binomial_ring(n)
+    out = [0] * m
+    for r, c in enumerate(row):
+        out[(r + e) % m] += c * eps ** ((r + e) // m % 2)
+    return out
+
+
 def x_to_z(rows):
-    """x-basis rows to a flat z-basis jet: the z^j row is the x^j row
+    """x-basis rows of n buckets to a flat z-basis jet of m buckets a row:
+    each row folded into Z[y]/(y^m - eps), then the z^j row is the x^j row
     times y^j, since x = y z."""
     n = len(rows[0])
-    return [row[(r - j) % n] for j, row in enumerate(rows) for r in range(n)]
+    return [c for j, row in enumerate(rows) for c in times_y(fold(row, n), j, n)]
 
 
 def z_to_x(flat, n):
-    return [[flat[j * n + (r + j) % n] for r in range(n)] for j in range(len(flat) // n)]
+    m = binomial_ring(n)[0]
+    return [times_y(flat[t : t + m], -j, n) for j, t in enumerate(range(0, len(flat), m))]
 
 
 def step_by_schoolbook(rows, step):
     """rows * step(q) with both sides in the x-basis (the z-basis pass's
-    oracle): the step's jet by binomial sums, then bucket products."""
-    return jet_mul_schoolbook(rows, x_jet(step, len(rows[0]), len(rows) - 1))
+    oracle): the step's jet by binomial sums, then bucket products in
+    Z[y]/(y^n - 1), folded into Z[y]/(y^m - eps) at the end."""
+    n = len(rows[0])
+    product = jet_mul_schoolbook(rows, x_jet(step, n, len(rows) - 1))
+    return [fold(row, n) for row in product]
 
 
 def times_step_from(rows, step, low):
     """`_times_step` on the live rows low .. top - 1 of x-basis rows, as a
     whole flat z-basis jet (the rows below low stay zero)."""
     n = len(rows[0])
-    return [0] * (low * n) + _times_step(x_to_z(rows)[low * n :], step, n)
+    m = binomial_ring(n)[0]
+    return [0] * (low * m) + _times_step(x_to_z(rows)[low * m :], step, n)
 
 
 @st.composite
@@ -780,6 +821,54 @@ class TestStepPass:
         rows = [[0] * n if t < low else [rng.randint(-9, 9) for _ in range(n)] for t in range(top)]
         out = times_step_from(rows, step, low)
         assert z_to_x(out, n) == step_by_schoolbook(rows, step)
+
+
+@st.composite
+def center_jet_and_sparse_step(draw):
+    """A center n of either parity, a polynomial whose jet is the live run
+    (from row low), and a sparse step: signed coefficients at exponents up
+    to 3n, drawn from at most three classes mod m, often several to a
+    class and past a wrap."""
+    n = draw(st.integers(1, 12))
+    m = binomial_ring(n)[0]
+    top = draw(st.integers(1, 6))
+    low = draw(st.integers(0, top - 1))
+    poly = draw(st.lists(st.integers(-20, 20), max_size=3 * n + 1))
+    classes = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+    member = st.tuples(
+        st.sampled_from(classes), st.integers(0, 3 * n // m), st.integers(-9, 9).filter(bool)
+    )
+    step = [0] * (3 * n + 1)
+    for r, t, a in draw(st.lists(member, max_size=8)):
+        if r + t * m <= 3 * n:
+            step[r + t * m] += a
+    return n, top, low, poly, step
+
+
+def row_values(flat, n, width):
+    """The rows of a flat jet, `width` buckets each, as elements of Z[zeta_n]."""
+    return [CyclotomicInteger(n, flat[t : t + width]) for t in range(0, len(flat), width)]
+
+
+class TestBinomialRing:
+    """Jets in Z[y]/(y^m - eps) against the n-bucket kernel in
+    Z[y]/(y^n - 1) (`support.z_jet_n_buckets`, `support.times_step_n_buckets`):
+    both rings map onto Z[zeta_n], so every row has the same value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(center_jet_and_sparse_step())
+    def test_step_pass_matches_the_n_bucket_kernel(self, case):
+        n, top, low, poly, step = case
+        m = binomial_ring(n)[0]
+        jet, oracle = _z_jet(poly, n, top), z_jet_n_buckets(poly, n, top)
+        assert row_values(jet, n, m) == row_values(oracle, n, n)
+        out = _times_step(jet[low * m :], step, n)
+        expected = times_step_n_buckets(oracle[low * n :], step, n)
+        assert row_values(out, n, m) == row_values(expected, n, n)
+
+    def test_even_centers_keep_half_the_buckets(self):
+        for n, width in [(1, 1), (2, 1), (3, 3), (4, 2), (6, 3), (10, 5), (12, 6)]:
+            assert len(_z_jet([1, 2, 3], n, 2)) == 2 * width
 
 
 @st.composite
