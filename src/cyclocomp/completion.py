@@ -32,6 +32,7 @@ expansion a_0 + f_1 (a_1 + f_2 (a_2 + ...)) in the factors.
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import cyclotomic_poly, pochhammer_factor
@@ -64,17 +65,15 @@ class FiltrationChain(Frozen):
     def factor(self, k: int) -> IntPolynomial:
         raise NotImplementedError
 
-    def _store(self) -> list[IntPolynomial]:
+    @cached_property
+    def _moduli(self) -> list[IntPolynomial]:
         """The g_k so far, made on first use: a copy starts its own."""
-        moduli = self.__dict__.get("_moduli")
-        if moduli is None:
-            moduli = self.__dict__["_moduli"] = [IntPolynomial.one()]
-        return moduli
+        return [IntPolynomial.one()]
 
     def modulus(self, k: int) -> IntPolynomial:
         """g_k; g_0 = 1."""
         check_index(k, "level", 0)
-        moduli = self._store()
+        moduli = self._moduli
         while len(moduli) <= k:
             moduli.append(moduli[-1] * self._checked_factor(len(moduli)))
         return moduli[k]
@@ -104,14 +103,12 @@ class FiltrationChain(Frozen):
 
 class PochhammerChain(FiltrationChain):
     """g_k = (q)_k normalized to leading coefficient +1: f_k = q^k - 1.
-    The moduli list is a class attribute, the one store of the g_k: every
-    instance reads it, and only `FiltrationChain.modulus` extends it."""
+    The moduli list is a class attribute that shadows the per-chain memo,
+    the one store of the g_k: every instance and copy reads it, and only
+    `FiltrationChain.modulus` extends it."""
 
     label = "pochhammer"
     _moduli: list[IntPolynomial] = [IntPolynomial.one()]
-
-    def _store(self) -> list[IntPolynomial]:
-        return PochhammerChain._moduli
 
     def factor(self, k: int) -> IntPolynomial:
         return pochhammer_factor(k)
@@ -350,11 +347,14 @@ class SeriesSpec(Frozen):
     which only n = 0 checks, so the expansion at a root of unity builds
     each term from the last without calling term.
 
-    The tail contract is trusted, not checked: no finite check sees the
-    terms past the level.  With t_n = (q)_n for even n and 0 for odd n,
-    and witness n for even n and 10**6 for odd n, every witness bounds its
-    own term, the sum stops after t_0, and `series_realize` at level 10
-    returns 1."""
+    With a step the tail is proved, not trusted: every later term is a
+    multiple of the stop term, the first one the sum leaves out, so one
+    division of the stop term by g_level (one jet at a root of unity)
+    proves the whole tail.  Without a step the tail contract is trusted:
+    no finite check sees the terms past the level.  With t_n = (q)_n for
+    even n and 0 for odd n, and witness n for even n and 10**6 for odd n,
+    every witness bounds its own term, the sum stops after t_0, and
+    `series_realize` at level 10 returns 1."""
 
     _fields = ("name", "term", "witness", "step")
 
@@ -426,9 +426,11 @@ def _series_terms(spec: SeriesSpec, level: int):
 def series_realize(spec: SeriesSpec, chain: FiltrationChain, level: int) -> TruncatedElement:
     """Partial sum of the series at a truncation level: the terms of
     `_series_terms`.  Each consumed term's witness is verified by exact
-    division; the tail contract of `SeriesSpec` is trusted (see its
-    example)."""
-    total = IntPolynomial.zero()
+    division.  With a step, one more division proves the tail: g_level
+    must divide the stop term t_last * step(last + 1) (t_0 = 1 if no term
+    was consumed), unless the last witness is the level and its own check
+    proved g_level | t_last.  A stepless tail is trusted (`SeriesSpec`)."""
+    total, t, n, w = IntPolynomial.zero(), IntPolynomial.one(), -1, -1
     for n, w in _series_terms(spec, level):
         t = spec.term(n)
         if not divides(chain.modulus(w), t):
@@ -437,6 +439,12 @@ def series_realize(spec: SeriesSpec, chain: FiltrationChain, level: int) -> Trun
                 f"chain {chain.label!r}"
             )
         total = total + t
+    if spec.step is not None and w < level:
+        if not divides(chain.modulus(level), t * spec.step(n + 1) if n >= 0 else t):
+            raise AssertionError(
+                f"series {spec.name!r}: g_{level} does not divide the stop term "
+                f"{n + 1} on chain {chain.label!r}"
+            )
     return reduce(total, chain, level)
 
 

@@ -308,10 +308,9 @@ def arrow_witness(
         )
     check_index(c, "c", 0)
     check_index(max_power, "max_power", 1)
-    power = IntPolynomial.one()
+    power = IntPolynomial.one() % g  # f^m mod g, one division per power
     for m in range(max_power + 1):
-        rem = power % g
-        if all((coef == 0 if c == 0 else coef % c == 0) for coef in rem.coeffs):
+        if all((coef == 0 if c == 0 else coef % c == 0) for coef in power.coeffs):
             return m
         power = (power * f) % g
     return None

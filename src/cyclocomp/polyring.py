@@ -9,11 +9,13 @@ Over Z, division is only defined when the divisor's leading coefficient is
 a unit (+-1); exact divisibility by such divisors is tested with
 `divides`.  Over Q any nonzero divisor works; products and division over
 Q run the integer kernels on integer numerators.  One schoolbook kernel,
-`_divide_in_place`, does every division (`%`, divmod, pseudo-division,
-Bezout quotients, Z[zeta_n]) and skips the zeros of a sparse divisor, and
-one, `_convolve`, every product of coefficient lists.  The resultant's
-remainder sequence runs on plain lists with these two kernels and wraps
-only its results as polynomials.
+`_divide_in_place`, does every division (`%`, divmod, Bezout quotients,
+Z[zeta_n]) and skips a sparse divisor's zeros; its quotient rule is read
+off the divisor's leading coefficient: 1 keeps a top coefficient, -1
+negates it, any other divides it exactly.  Pseudo-division has one body,
+`_pseudo_divmod`, the PRS's step and division over Q, and `_convolve`
+does every product of coefficient lists.  The PRS runs on plain lists
+and wraps only its results.
 
 Serialization: a polynomial is a JSON array of decimal coefficient
 strings, little-endian, e.g. 1 - q^3  <->  ["1", "0", "0", "-1"].
@@ -228,7 +230,7 @@ class _Polynomial(Frozen):
             c = self._coerce(other)
             return self._wrap([c * x for x in self.coeffs])
         self._same_domain(other)
-        return self._wrap(_convolve(self.coeffs, other.coeffs, self._coerce(0)))
+        return self._wrap(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -336,9 +338,9 @@ class IntPolynomial(_Polynomial):
         return bool(self.coeffs) and self.coeffs[-1] in (1, -1)
 
     def _divmod(self, g):
-        # +-1 is its own inverse: a monic divisor keeps each top coefficient
-        lc, r, d = g._unit_leading_coefficient(), list(self.coeffs), len(g.coeffs) - 1
-        _divide_in_place(r, g.coeffs, None if lc == 1 else int.__neg__)
+        g._unit_leading_coefficient()
+        r, d = list(self.coeffs), len(g.coeffs) - 1
+        _divide_in_place(r, g.coeffs)
         return self._wrap(r[d:]), self._wrap(r[:d])
 
     def _unit_leading_coefficient(self) -> int:
@@ -422,9 +424,9 @@ class RatPolynomial(_Polynomial):
         b, db = g._numerators()
         # alpha*a = quot*b + rem over Z, so with self = a/da and g = b/db:
         # self = (quot*db / (alpha*da)) * g + rem / (alpha*da).
-        quot, rem, alpha = _pseudo_divmod(a, b)
+        quot, rem, alpha = _pseudo_divmod(a.coeffs, b.coeffs)
         den = alpha * da
-        return self._over((c * db for c in quot.coeffs), den), self._over(rem.coeffs, den)
+        return self._over((c * db for c in quot), den), self._over(rem, den)
 
     def to_json(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
@@ -485,14 +487,14 @@ def is_prime(p: int) -> bool:
 # -- schoolbook product and division ---------------------------------------
 
 
-def _convolve(a: Sequence, b: Sequence, zero=0) -> list:
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of the coefficient lists a and b, trailing zeros kept;
     [] if either is empty.  The outer loop runs over the operand with
     fewer nonzero terms (by `count`), so a product by 1 - q^k, q^n or
     zeta is one slice pass per term."""
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     if len(b) - b.count(0) < len(a) - a.count(0):
         a, b = b, a
     width = len(b)
@@ -501,20 +503,22 @@ def _convolve(a: Sequence, b: Sequence, zero=0) -> list:
     return out
 
 
-def _divide_in_place(r: list, g: Sequence[int], top_quotient=None) -> None:
-    """Divide the integer coefficients r by g in place, from the top down:
-    each nonzero r[t], t >= d = deg g, gives c = top_quotient(r[t]) (r[t]
-    for None, a monic g), r[t-d:t] -= c*g[:d] and c written to r[t], the
+def _divide_in_place(r: list, g: Sequence[int]) -> None:
+    """Divide the integer coefficients r by g in place, from the top down,
+    with the quotient rule of lc = g[-1]: each nonzero r[t], t >= d =
+    deg g, gives c = r[t] if lc = 1, -r[t] if lc = -1, else r[t] / lc,
+    exact or AssertionError (`_pseudo_divmod`, the one pseudo-division,
+    scales r first).  Then r[t-d:t] -= c*g[:d] and c goes to r[t], the
     slot whose term the step cancels: one slice pass, or one subtraction
     per nonzero g[i] if most of g[:d] is zero (2 * g.count(0) > d, as for
     q^k - 1).  So r[:d] ends as the remainder and r[d:] as the quotient."""
-    d = len(g) - 1
+    d, lc = len(g) - 1, g[-1]
     sparse = [(i - d, y) for i, y in enumerate(g[:d]) if y] if 2 * g.count(0) > d else None
     for t in range(len(r) - 1, d - 1, -1):
         c = r[t]
         if c:
-            if top_quotient is not None:
-                c = r[t] = top_quotient(c)
+            if lc != 1:
+                c = r[t] = -c if lc == -1 else _exact_div(c, lc)
             if sparse is None:
                 r[t - d : t] = [x - c * y for x, y in zip(r[t - d : t], g)]
             else:
@@ -522,15 +526,15 @@ def _divide_in_place(r: list, g: Sequence[int], top_quotient=None) -> None:
                     r[t + i] -= c * y
 
 
-def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
-    """(q, r, alpha) with alpha = lc(b)^(deg a - deg b + 1) and
-    alpha * a = q*b + r over Z, for deg a >= deg b - 1; every quotient
-    step is an exact division."""
-    lc = b.coeffs[-1]
-    alpha = lc ** (len(a.coeffs) - len(b.coeffs) + 1)
-    r, d = [c * alpha for c in a.coeffs], len(b.coeffs) - 1
-    _divide_in_place(r, b.coeffs, lambda c: _exact_div(c, lc))
-    return IntPolynomial._wrap(r[d:]), IntPolynomial._wrap(r[:d]), alpha
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], tuple, int]:
+    """(q, r, alpha) for the integer coefficient lists a and b, with
+    alpha = lc(b)^(len a - len b + 1), alpha*a = q*b + r over Z and r
+    stripped, for deg a >= deg b - 1: the one pseudo-division, each
+    quotient step exact.  It is the PRS's step and division over Q."""
+    alpha = b[-1] ** (len(a) - len(b) + 1)
+    r, d = [c * alpha for c in a], len(b) - 1
+    _divide_in_place(r, b)
+    return r[d:], _strip(r[:d]), alpha
 
 
 # -- resultants and Bezout certificates ----------------------------------
@@ -543,9 +547,9 @@ def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial):
 # both stay in Z.  It also serves `rational_xgcd`: its remainders and
 # carried cofactors are constant multiples of Euclid's over Q (W. S. Brown,
 # J. ACM 18, 1971), so on a zero remainder the last nonzero one is the gcd.
-# The sequence runs on plain coefficient lists: each step scales one list
-# and divides it in place (`_divide_in_place`), and the cofactor update is
-# one `_convolve`; only the results are wrapped as polynomials.
+# The sequence runs on plain coefficient lists: each step is one
+# `_pseudo_divmod`, and the cofactor update is one `_convolve`; only the
+# results are wrapped as polynomials.
 
 
 def _prs(a: IntPolynomial, b: IntPolynomial):
@@ -563,11 +567,7 @@ def _prs(a: IntPolynomial, b: IntPolynomial):
     u0, u1 = [1], []
     while len(r1) > 1:
         m, n, lc = len(r0) - 1, len(r1) - 1, r1[-1]
-        # pseudo-division: alpha*r0 = q*r1 + r2, each quotient step exact
-        alpha = lc ** (m - n + 1)
-        r = [c * alpha for c in r0]
-        _divide_in_place(r, r1, None if lc == 1 else lambda c: _exact_div(c, lc))
-        q, r2 = r[n:], _strip(r[:n])
+        q, r2, alpha = _pseudo_divmod(r0, r1)
         if not r2:
             return 0, IntPolynomial._wrap(r1), IntPolynomial._wrap(u1)
         u2 = [alpha * x - y for x, y in zip_longest(u0, _convolve(q, u1), fillvalue=0)]
@@ -631,10 +631,9 @@ def subresultant_bezout(
     # each step of v = (res - u*long)/short; at the R scale v need not
     # be integral.  The identity check also catches a nonzero remainder.
     u = [_exact_div(c * res, R.coeffs[0]) for c in u.coeffs]
-    lc = short[-1]
     rest = [-c for c in _convolve(u, long)] or [0]
     rest[0] += res
-    _divide_in_place(rest, short, None if lc == 1 else lambda c: _exact_div(c, lc))
+    _divide_in_place(rest, short)
     v = rest[len(short) - 1 :]
     if swapped:
         u, v = v, u

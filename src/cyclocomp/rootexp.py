@@ -48,8 +48,8 @@ from .completion import SeriesSpec, TruncatedElement, _series_terms
 from .cyclotomic import cyclotomic_poly
 from .errors import InsufficientPrecision, OrderMismatch
 from .polyring import (
-    NEG_INFINITY, Frozen, IntPolynomial, _divide_in_place, _Replaceable, check_index,
-    json_fields, json_int,
+    NEG_INFINITY, Frozen, IntPolynomial, _convolve, _divide_in_place, _Replaceable,
+    check_index, json_fields, json_int,
 )
 
 
@@ -110,8 +110,7 @@ class CyclotomicInteger(Frozen):
         if isinstance(other, int):
             return CyclotomicInteger(self.order, [other * a for a in self.coeffs])
         self._check(other)
-        product = IntPolynomial(self.coeffs) * IntPolynomial(other.coeffs)
-        return CyclotomicInteger(self.order, product.coeffs)
+        return CyclotomicInteger(self.order, _convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -300,8 +299,12 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     bounds the whole tail (`SeriesSpec`), so every later term is divisible
     by (q)_w with w past that level, so by (q - zeta)^(j_max+1), and adds
     nothing: every coefficient is stable under any further precision, and
-    valid_to = j_max.  The tail contract is trusted, not checked: no finite
-    check can see past the last term summed (the `SeriesSpec` example).
+    valid_to = j_max.  With a step the tail is proved: unless the last
+    witness w has w // n > j_max, the stop term's jet (the live rows times
+    the next step, or term 0 if no term was consumed) must vanish in
+    Z[zeta_n] on rows 0..j_max, else AssertionError, and every later term
+    is a multiple of it.  A stepless tail is trusted: no finite check can
+    see past the last term summed (the `SeriesSpec` example).
 
     Only the live rows of the running term are kept, from its first
     nonzero row to row j_max.  With spec.step the jet of term 0 is 1 and
@@ -321,6 +324,7 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     total = [0] * (top * m)
     live = [1] + [0] * (top * m - 1)  # term(0) of a spec with a step
     low = 0  # live holds the term's rows low .. j_max; the rows below are zero
+    k = w = -1  # no term consumed yet
     for k, w in _series_terms(spec, n * top):
         if spec.step is None:
             live, low = _z_jet(spec.term(k).coeffs, n, top), 0
@@ -329,16 +333,33 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
         z = next((t for t in range(0, len(live), m) if any(live[t : t + m])), len(live))
         if z:
             live, low = live[z:], low + z // m
-        for j in range(low, min(w // n, top)):
-            t = (j - low) * m
-            if not CyclotomicInteger(n, live[t : t + m]).is_zero:
-                raise AssertionError(
-                    f"series {spec.name!r}: witness {w} of term {k} fails "
-                    f"at order {n}: x^{j} coefficient is not zero"
-                )
+        j = _nonzero_row(live, n, min(w // n, top) - low)
+        if j is not None:
+            raise AssertionError(
+                f"series {spec.name!r}: witness {w} of term {k} fails "
+                f"at order {n}: x^{low + j} coefficient is not zero"
+            )
         at = low * m
         total[at:] = [a + b for a, b in zip(total[at:], live)]
+    if spec.step is not None and w // n < top:
+        stop = _times_step(live, spec.step(k + 1).coeffs, n) if k >= 0 else live
+        j = _nonzero_row(stop, n, top - low)
+        if j is not None:
+            raise AssertionError(
+                f"series {spec.name!r}: the stop term {k + 1} fails at order {n}: "
+                f"x^{low + j} coefficient is not zero"
+            )
     return _emit(total, n, j_max)
+
+
+def _nonzero_row(rows: list[int], n: int, count: int) -> int | None:
+    """The index of the first of the first `count` rows of m buckets
+    (`_ring`) that is not zero in Z[zeta_n], or None."""
+    m = _ring(n)[0]
+    for j in range(count):
+        if not CyclotomicInteger(n, rows[j * m : j * m + m]).is_zero:
+            return j
+    return None
 
 
 def ohtsuki_series(spec: SeriesSpec, j_max: int) -> RootTaylorSeries:

@@ -10,8 +10,8 @@ totients by trial factorization instead of polynomial degrees,
 root-of-unity arithmetic by direct products in Z[zeta] instead of
 polynomial reduction, CRT by cofactors instead of a mixed radix, jets in
 Z[y]/(y^n - 1) instead of the smallest binomial ring that Phi_n divides,
-values of the Kontsevich-Zagier series by Zagier's strange identity
-instead of its terms, and so on.
+values and Taylor coefficients of the Kontsevich-Zagier series by
+Zagier's strange identity instead of its terms, and so on.
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ def prs_by_polynomials(a: IntPolynomial, b: IntPolynomial):
     while len(r1.coeffs) > 1:
         m = len(r0.coeffs) - 1
         n = len(r1.coeffs) - 1
-        q, r2, alpha = _pseudo_divmod(r0, r1)
+        q, r2, alpha = _pseudo_divmod(r0.coeffs, r1.coeffs)
+        q, r2 = IntPolynomial(q), IntPolynomial(r2)
         if r2.is_zero:
             return 0, r1, u1
         u2 = u0 * alpha - q * u1
@@ -201,9 +202,8 @@ def bezout_by_polynomials(a: IntPolynomial, b: IntPolynomial):
     swapped = len(a.coeffs) < len(b.coeffs)
     long, short = (b, a) if swapped else (a, b)
     u = IntPolynomial([_exact_div(c * res, R.coeffs[0]) for c in u.coeffs])
-    lc = short.coeffs[-1]
     rest = list((IntPolynomial.constant(res) - u * long).coeffs)
-    _divide_in_place(rest, short.coeffs, lambda c: _exact_div(c, lc))
+    _divide_in_place(rest, short.coeffs)
     v = IntPolynomial(rest[len(short.coeffs) - 1 :])
     if swapped:
         u, v = v, u
@@ -286,6 +286,52 @@ def kz_value_by_strange_identity(order: int) -> CyclotomicInteger:
     value = poly % cyclotomic_poly(order).to_rational()
     assert all(c.denominator == 1 for c in value.coeffs)
     return CyclotomicInteger(order, [c.numerator for c in value.coeffs])
+
+
+def kz_taylor_by_strange_identity(order: int, r_max: int) -> list[RatPolynomial]:
+    """a_0 ... a_{r_max} in Q[y]/Phi_order with
+    F(zeta e^(-t)) = e^(t/24) sum_r a_r t^r for the Kontsevich-Zagier
+    series at a primitive order-th root zeta, from Zagier's strange
+    identity: with M = 12 order and C(n) = chi_12(n) zeta^((n^2-1)/24),
+    a_r = -(1/2) L(-2r-1, C) (-1/24)^r / r! and
+    L(-2r-1, C) = -M^(2r+1)/(2r+2) sum_{n=1}^{M} C(n) B_{2r+2}(n/M), the
+    Bernoulli polynomials taken from sympy.  a_0 is the value
+    (`kz_value_by_strange_identity`)."""
+    import sympy
+
+    x, big, chi = sympy.Symbol("x"), 12 * order, {1: 1, 11: 1, 5: -1, 7: -1}
+    phi = cyclotomic_poly(order).to_rational()
+    out = []
+    for r in range(r_max + 1):
+        bernoulli = sympy.Poly(sympy.bernoulli(2 * r + 2, x), x).all_coeffs()
+        bernoulli = [Fraction(int(c.p), int(c.q)) for c in bernoulli]
+        sums = [Fraction(0)] * order
+        for n in range(1, big + 1):
+            if n % 12 in chi:
+                value = Fraction(0)
+                for c in bernoulli:
+                    value = value * Fraction(n, big) + c
+                sums[(n * n - 1) // 24 % order] += chi[n % 12] * value
+        scale = Fraction(big ** (2 * r + 1), 4 * r + 4) * Fraction(-1, 24) ** r / math.factorial(r)
+        out.append(RatPolynomial([scale * c for c in sums]) % phi)
+    return out
+
+
+def taylor_in_t(coeffs, order: int) -> list[RatPolynomial]:
+    """The t^0 ... t^J coefficients, in Q[y]/Phi_order, of sum_j c_j x^j
+    at x = zeta (e^(-t) - 1) for the J + 1 Taylor coefficients c_j at a
+    primitive order-th root zeta, i.e. of the expansion in t of the value
+    at q = zeta e^(-t).  x^j starts at t^j with (-zeta)^j, so the map
+    from c_0 ... c_J is triangular and invertible."""
+    top, phi = len(coeffs), cyclotomic_poly(order).to_rational()
+    e = [Fraction(0)] + [Fraction((-1) ** i, math.factorial(i)) for i in range(1, top)]
+    power = [Fraction(1)] + [Fraction(0)] * (top - 1)  # (e^(-t) - 1)^j
+    out = [RatPolynomial.zero()] * top
+    for j, c in enumerate(coeffs):
+        term = (RatPolynomial(c.coeffs) * RatPolynomial.monomial(1, j)) % phi  # c_j zeta^j
+        out = [o + term * p for o, p in zip(out, power)]
+        power = [sum(power[i] * e[r - i] for i in range(r + 1)) for r in range(top)]
+    return out
 
 
 def taylor_by_substitution(coeffs, order: int, j_max: int):

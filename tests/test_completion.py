@@ -187,13 +187,13 @@ class TestChains:
 
     def test_copies_of_a_pochhammer_chain_read_the_one_store(self):
         for twin in twins(PochhammerChain()):
-            assert twin._store() is PochhammerChain._moduli
+            assert twin._moduli is PochhammerChain._moduli
 
     def test_other_chains_start_their_own_store(self):
         chain = AdicChain(cyclotomic_poly(3))
         chain.modulus(4)
         for twin in twins(chain):
-            assert twin._store() is not chain._store()
+            assert twin._moduli is not chain._moduli
             assert twin.modulus(4) == chain.modulus(4)
 
     def test_a_repeated_modulus_builds_no_polynomial(self, monkeypatch):
@@ -619,6 +619,61 @@ class TestSeries:
         chain = AdicChain(cyclotomic_poly(1))
         inv = series_realize(Q_INVERSE_SPEC, chain, 5)
         assert reduce(Q, chain, 5) * inv == reduce(ONE, chain, 5)
+
+
+def kz_stopped_at(at: int) -> SeriesSpec:
+    """kz's own term and step, with witness(at) = 10**6, past every level,
+    and witness k elsewhere."""
+    kz = KONTSEVICH_ZAGIER_SPEC
+    return SeriesSpec(
+        name="kz-stopped", term=kz.term, witness=lambda k: 10**6 if k == at else k, step=kz.step
+    )
+
+
+class TestSteppedTail:
+    """With a step, the stop term (the first term the sum leaves out)
+    proves the tail: every later term is a multiple of it."""
+
+    # Without the stop-term check, a witness past the level at term 1
+    # gave the rep 1 at level 10 and (1) at zeta_3, where the value is
+    # (5 - zeta); at term 0 it gave the rep 0 at level 3 and (0) at zeta_2.
+    @pytest.mark.parametrize("at, level", [(1, 10), (0, 3)])
+    def test_series_realize_refuses_a_tail_it_cannot_prove(self, at, level):
+        with pytest.raises(AssertionError, match=f"g_{level} does not divide the stop term {at}"):
+            series_realize(kz_stopped_at(at), PochhammerChain(), level)
+
+    @pytest.mark.parametrize("at, n", [(1, 3), (0, 2)])
+    def test_expand_series_refuses_a_tail_it_cannot_prove(self, at, n):
+        with pytest.raises(AssertionError, match=f"the stop term {at} fails at order {n}"):
+            expand_series(kz_stopped_at(at), n, 0)
+
+    @pytest.mark.parametrize("name", ["kz", "qinv", "u"])
+    def test_the_named_series_stop_at_the_level(self, name):
+        # the last consumed witness is the level, whose own check proves
+        # the stop term, so no stop-term check runs on these series
+        spec = u_spec() if name == "u" else NAMED_SERIES[name]
+        for level in range(46):
+            assert list(completion._series_terms(spec, level))[-1][1] == level
+
+    def test_a_coarse_witness_is_proved_by_one_more_division(self, monkeypatch):
+        # witness 2*(k//2) bounds the tail of kz but stops below an odd
+        # level: the stop term (q)_(L+1) proves it, and the sums agree
+        kz, poch = KONTSEVICH_ZAGIER_SPEC, PochhammerChain()
+        coarse = SeriesSpec(
+            name="coarse", term=kz.term, witness=lambda k: k - k % 2, step=kz.step
+        )
+        checks, divides = [], completion.divides
+        monkeypatch.setattr(completion, "divides", lambda g, a: checks.append(g) or divides(g, a))
+        for level in range(12):
+            checks.clear()
+            realized = series_realize(coarse, poch, level)
+            # terms 0..L+1 at even L, the last with witness L; terms 0..L
+            # and the stop term L + 1 at odd L
+            assert len(checks) == level + 2
+            assert realized == series_realize(kz, poch, level)
+        for n in range(1, 7):
+            for j_max in range(3):
+                assert expand_series(coarse, n, j_max) == expand_series(kz, n, j_max)
 
 
 class TestUnits:

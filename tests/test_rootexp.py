@@ -18,6 +18,7 @@ from cyclocomp import (
     PochhammerChain,
     ProductChain,
     Q_INVERSE_SPEC,
+    RatPolynomial,
     RootTaylorSeries,
     SeriesSpec,
     cyclotomic_poly,
@@ -39,11 +40,13 @@ from support import (
     div_by_q_minus_zeta,
     evaluate_by_division,
     expand_series_global,
+    kz_taylor_by_strange_identity,
     kz_value_by_strange_identity,
     kz_value_oracle,
     multiplicity_by_synthetic_division,
     random_int_poly,
     taylor_by_substitution,
+    taylor_in_t,
     taylor_oracle,
     times_step_n_buckets,
     u_spec,
@@ -633,6 +636,23 @@ class TestJetBackend:
         # an oracle that sums no (zeta)_j: Bernoulli values over n <= 12k
         value = expand_series(KONTSEVICH_ZAGIER_SPEC, k, 0).coeffs[0]
         assert value == kz_value_by_strange_identity(k)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_kz_taylor_coefficients_match_the_strange_identity(self, k):
+        # Bernoulli polynomials in Q(zeta_k), again with no (zeta)_j: the
+        # expansion of the value at q = zeta e^(-t) is e^(t/24) sum a_r t^r
+        a = kz_taylor_by_strange_identity(k, 3)
+        expected = [
+            sum((a[r - s] * Fraction(1, 24**s * math.factorial(s)) for s in range(r + 1)),
+                RatPolynomial.zero())
+            for r in range(4)
+        ]
+        for j_max in range(4):
+            jets = [expand_series(KONTSEVICH_ZAGIER_SPEC, k, j_max)]
+            if k == 1:
+                jets.append(ohtsuki_series(KONTSEVICH_ZAGIER_SPEC, j_max))
+            for jet in jets:
+                assert taylor_in_t(jet.coeffs, k) == expected[: j_max + 1]
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

@@ -432,6 +432,30 @@ def test_one_schoolbook_division():
     assert found == ["polyring.py:_divide_in_place"]
 
 
+def test_kernels_take_only_their_operands():
+    # The division reads its quotient rule off the divisor, the product of
+    # integer lists needs no zero, and the PRS's pseudo-division is the
+    # one `_pseudo_divmod`, not a copy of its body.
+    path = Path(cyclocomp.__file__).parent / "polyring.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def parameters(name):  # every kind: positional, keyword, *args, **kwargs
+        return [a.arg for a in ast.walk(functions[name].args) if isinstance(a, ast.arg)]
+
+    def calls(name):
+        return {
+            node.func.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+
+    assert parameters("_divide_in_place") == ["r", "g"]
+    assert parameters("_convolve") == ["a", "b"]
+    assert "_pseudo_divmod" in calls("_prs")
+    assert "_divide_in_place" not in calls("_prs")
+
+
 def test_descending_slice_stores_are_recognised():
     # CyclotomicInteger's own fold mod Phi_n as it was, and loops the lint
     # leaves alone: ascending or step -2, an index store, a slice read
