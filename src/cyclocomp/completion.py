@@ -199,23 +199,14 @@ def chain_from_json_dict(data: dict) -> FiltrationChain:
 
 
 class TruncatedElement(_Replaceable):
-    """An element of the completed ring known modulo g_level, by its canonical rep."""
+    """An element of the completed ring known modulo g_level, by its canonical
+    rep: the constructor stores rep mod g_level, so any IntPolynomial is a
+    rep and any other is a TypeError."""
 
     __slots__ = _fields = ("chain", "level", "rep")
 
     def __init__(self, chain: FiltrationChain, level: int, rep: IntPolynomial) -> None:
-        if rep.degree >= chain.modulus(level).degree:
-            raise ValueError(
-                f"rep {rep} is not reduced mod g_{level} on {chain.label}; use reduce()"
-            )
-        self._init(chain, level, rep)
-
-    @classmethod
-    def _reduced(cls, chain: FiltrationChain, level: int, rep: IntPolynomial):
-        """Unchecked, for a rep that `reduce`, `__neg__` or `rho` reduced."""
-        element = object.__new__(cls)
-        element._init(chain, level, rep)
-        return element
+        self._init(chain, level, rep % chain.modulus(level))
 
     def __add__(self, other):
         return trunc_arith(self, other, "add")
@@ -227,7 +218,7 @@ class TruncatedElement(_Replaceable):
         return trunc_arith(self, other, "mul")
 
     def __neg__(self):
-        return TruncatedElement._reduced(self.chain, self.level, -self.rep)
+        return TruncatedElement(self.chain, self.level, -self.rep)
 
     @property
     def is_zero(self) -> bool:
@@ -251,9 +242,10 @@ class TruncatedElement(_Replaceable):
 
 def reduce(f: IntPolynomial, chain: FiltrationChain, level: int) -> TruncatedElement:
     """Canonical remainder of f modulo g_level; a ring homomorphism onto
-    each truncation level.  A level that is not an int is a TypeError,
-    a negative level a ValueError."""
-    return TruncatedElement._reduced(chain, level, f % chain.modulus(level))
+    each truncation level.  It is the constructor's reduction under its
+    exported name.  A level that is not an int is a TypeError, a negative
+    level a ValueError."""
+    return TruncatedElement(chain, level, f)
 
 
 def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedElement:
@@ -332,7 +324,7 @@ def rho(
             f"{target_chain.label} level {target_level} is not coarser than "
             f"{a.chain.label} level {a.level}"
         )
-    return TruncatedElement._reduced(target_chain, target_level, a.rep % h)
+    return TruncatedElement(target_chain, target_level, a.rep)
 
 
 # -- convergent series -------------------------------------------------------
@@ -468,10 +460,7 @@ def unit_inverse_mod(
     so u is a unit iff the resultant is +-1: None proves u is no unit, and
     no lifting of other resultants is missing.  E.g. q + 1 mod q - 1 has
     resultant -2, and its value 2 at q = 1 is no unit of Z."""
-    if not modulus.has_unit_leading_coefficient:
-        raise NonUnitLeadingCoefficient(
-            f"modulus {modulus} does not have a unit leading coefficient"
-        )
+    modulus._unit_leading_coefficient()
     if u.is_zero:
         return None
     res, a, _ = subresultant_bezout(u, modulus)

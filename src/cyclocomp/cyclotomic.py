@@ -19,7 +19,7 @@ import operator
 import os
 from typing import Callable, Iterable, Optional
 
-from .errors import EmptySet, EqualIndices, NonUnitLeadingCoefficient, NotPrime
+from .errors import EmptySet, EqualIndices, NotPrime
 from .polyring import (
     Frozen,
     IntPolynomial,
@@ -302,10 +302,7 @@ def arrow_witness(
     f^m mod g is divisible by c, or None.  c >= 0, and c = 0 demands exact
     vanishing.  max_power must be at least 1 (a ValueError otherwise), so
     the search always tries f^0 = 1 and f^1; c = 1 is met at m = 0."""
-    if not g.has_unit_leading_coefficient:
-        raise NonUnitLeadingCoefficient(
-            f"modulus {g} does not have a unit leading coefficient"
-        )
+    g._unit_leading_coefficient()
     check_index(c, "c", 0)
     check_index(max_power, "max_power", 1)
     power = IntPolynomial.one() % g  # f^m mod g, one division per power

@@ -344,8 +344,10 @@ class IntPolynomial(_Polynomial):
         return self._wrap(r[d:]), self._wrap(r[:d])
 
     def _unit_leading_coefficient(self) -> int:
-        """The leading coefficient of nonzero self, if it is +-1."""
-        lc = self.coeffs[-1]
+        """The leading coefficient of self, if it is +-1; the library's one
+        unit-leading check, so any other, and the zero polynomial, raise
+        NonUnitLeadingCoefficient."""
+        lc = self.coeffs[-1] if self.coeffs else 0
         if lc not in (1, -1):
             raise NonUnitLeadingCoefficient(
                 f"divisor leading coefficient {lc} is not a unit of Z"

@@ -51,12 +51,8 @@ class ExponentVector(Frozen):
     def support(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.exponents)
 
-    @cached_property
-    def _exponent_of(self) -> dict[int, int]:
-        return dict(self.exponents)
-
     def exponent(self, n: int) -> int:
-        return self._exponent_of[n]
+        return dict(self.exponents)[n]
 
     @cached_property
     def _factors(self) -> dict[int, IntPolynomial]:

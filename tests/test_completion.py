@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from cyclocomp import (
     PochhammerChain,
     ProductChain,
     Q_INVERSE_SPEC,
+    RatPolynomial,
     SeriesSpec,
     TruncatedElement,
     alternating_unit,
@@ -284,15 +286,20 @@ class TestReduce:
             a = reduce(P(3, -5, 11, 2), chain, 4)
             assert TruncatedElement.from_json_dict(a.to_json_dict()) == a
 
-    def test_constructor_refuses_a_rep_that_is_not_reduced(self):
-        # q and 1 stand for the same element mod q - 1; only 1 is canonical
+    def test_constructor_reduces_its_rep(self):
+        # q and 1 stand for the same element mod q - 1; the element keeps 1
         poch = PochhammerChain()
-        with pytest.raises(ValueError, match="not reduced mod g_1 on pochhammer"):
-            TruncatedElement(poch, 1, Q)
-        with pytest.raises(ValueError, match="not reduced mod g_0"):
-            TruncatedElement(poch, 0, ONE)
-        assert TruncatedElement(poch, 1, ONE) == reduce(Q, poch, 1)
-        assert TruncatedElement(poch, 0, IntPolynomial.zero()) == reduce(Q, poch, 0)
+        assert TruncatedElement(poch, 1, Q) == reduce(Q, poch, 1)
+        assert TruncatedElement(poch, 0, ONE).rep.is_zero
+        rng = random.Random(27)
+        for chain in all_chain_kinds():
+            for _ in range(20):
+                f, k = random_int_poly(rng, 15, 50), rng.randint(0, 5)
+                assert TruncatedElement(chain, k, f) == reduce(f, chain, k)
+        # a rational rep once made an element whose JSON could not be read
+        # back and whose value at a root raised TypeError
+        with pytest.raises(TypeError, match="mixed coefficient domains"):
+            TruncatedElement(poch, 2, RatPolynomial([Fraction(1, 2)]))
 
     def test_an_element_on_a_product_chain_pickles(self):
         a = reduce(P(3, -1, 4, 1, 5), ProductChain([1, 2]), 3)
@@ -374,9 +381,11 @@ class TestDigits:
         assert elapsed < 0.5
 
     def test_a_rep_past_the_level_is_refused(self):
-        # an unchecked rep of degree deg g_2 leaves a quotient after 2 digits
+        # an element restored by copy or pickle skips the constructor: a rep
+        # of degree deg g_2 leaves a quotient after 2 digits
         poch = PochhammerChain()
-        a = TruncatedElement._reduced(poch, 2, IntPolynomial.monomial(1, 3))
+        a = object.__new__(TruncatedElement)
+        a.__setstate__((poch, 2, IntPolynomial.monomial(1, 3)))
         with pytest.raises(AssertionError, match="^pochhammer: level 2 leaves a quotient"):
             to_digits(a)
 
@@ -704,9 +713,10 @@ class TestUnits:
         # Phi_6 vanishes at zeta_6, a root of g_6: no unit mod g_6 either
         assert unit_inverse_mod(cyclotomic_poly(6), PochhammerChain().modulus(6)) is None
 
-    def test_non_unit_modulus_rejected(self):
-        with pytest.raises(NonUnitLeadingCoefficient):
-            unit_inverse_mod(P(1, 1), P(1, 2))
+    @pytest.mark.parametrize("modulus", [P(1, 2), IntPolynomial.zero()], ids=["lc 2", "zero"])
+    def test_non_unit_modulus_rejected(self, modulus):
+        with pytest.raises(NonUnitLeadingCoefficient, match="is not a unit of Z"):
+            unit_inverse_mod(P(1, 1), modulus)
 
 
 VALUE_CASES = [

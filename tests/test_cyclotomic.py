@@ -29,7 +29,7 @@ from cyclocomp import (
 )
 from cyclocomp import cyclotomic
 from cyclocomp.cyclotomic import _pow_mod_p
-from cyclocomp.errors import EmptySet, EqualIndices, NotPrime
+from cyclocomp.errors import EmptySet, EqualIndices, NonUnitLeadingCoefficient, NotPrime
 
 from support import (
     check_frozen_value,
@@ -479,6 +479,13 @@ class TestArrowWitness:
         assert arrow_witness(phi2, phi4, 2, 4) == 2
         assert arrow_witness(phi2, phi3, 0, 4) is None
         assert arrow_witness(phi2, phi3, 1, 4) == 0
+
+    @pytest.mark.parametrize(
+        "g", [IntPolynomial([1, 2]), IntPolynomial.zero()], ids=["lc 2", "zero"]
+    )
+    def test_non_unit_modulus_rejected(self, g):
+        with pytest.raises(NonUnitLeadingCoefficient, match="is not a unit of Z"):
+            arrow_witness(cyclotomic_poly(2), g, 2, 3)
 
     def test_divisor_witnessed_at_one(self):
         # g | f makes f itself vanish mod (g, c) for every c

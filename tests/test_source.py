@@ -730,6 +730,81 @@ def test_functions_with_loops_are_recognised():
     }
 
 
+def _scopes_where(tree, wanted) -> list[str]:
+    """Scopes (dotted class and function names, or <module>) of the nodes
+    of `tree` for which `wanted` is true, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if wanted(child):
+                found.append(".".join(scope) or "<module>")
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def _source_scopes_where(wanted) -> list[str]:
+    return sorted(
+        f"{path.name}:{scope}"
+        for path in SOURCES
+        for scope in _scopes_where(ast.parse(path.read_text(encoding="utf-8")), wanted)
+    )
+
+
+def _bare_new(node) -> bool:
+    """A call of object.__new__, which skips the class's constructor."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+
+
+def _raises_non_unit(node) -> bool:
+    """raise NonUnitLeadingCoefficient, called or not, by any module path."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "NonUnitLeadingCoefficient"
+
+
+def test_elements_are_built_by_their_constructors():
+    # A constructor that checks or reduces is the one way in; only the
+    # polynomial fast path wraps coefficients it has already coerced.
+    assert _source_scopes_where(_bare_new) == ["polyring.py:_Polynomial._wrap"]
+
+
+def test_one_owner_of_the_unit_leading_check():
+    # Every modulus and divisor over Z is checked by one method, and an
+    # adic chain's base also needs degree >= 1.
+    assert _source_scopes_where(_raises_non_unit) == [
+        "completion.py:AdicChain.__init__",
+        "polyring.py:IntPolynomial._unit_leading_coefficient",
+    ]
+
+
+def test_constructor_and_unit_leading_lints_are_recognised():
+    # TruncatedElement's unchecked twin and arrow_witness's own check as
+    # they were, and code the lints leave alone
+    tree = ast.parse(
+        "class TruncatedElement:\n"
+        "    @classmethod\n"
+        "    def _reduced(cls, chain, level, rep):\n"
+        "        element = object.__new__(cls)\n"
+        "def arrow_witness(f, g, c, max_power):\n"
+        "    if not g.has_unit_leading_coefficient:\n"
+        "        raise NonUnitLeadingCoefficient(f'modulus {g}')\n"
+        "raise errors.NonUnitLeadingCoefficient\n"
+        "def fine(cls):\n"
+        "    object.__init__(cls)\n    super().__new__(cls)\n"
+        "    try:\n        raise ValueError('x')\n"
+        "    except NonUnitLeadingCoefficient:\n        raise\n"
+    )
+    assert _scopes_where(tree, _bare_new) == ["TruncatedElement._reduced"]
+    assert _scopes_where(tree, _raises_non_unit) == ["arrow_witness", "<module>"]
+
+
 def _memo_decorator(node) -> bool:
     """@cache, @lru_cache, @lru_cache(...) and their functools.* forms."""
     if isinstance(node, ast.Call):
