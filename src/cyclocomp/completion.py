@@ -361,6 +361,15 @@ class SeriesSpec(Frozen):
         if step is not None and term(0) != IntPolynomial.one():
             raise ValueError(f"series {name!r}: a spec with a step needs term(0) = 1")
 
+    @cached_property
+    def _expansions(self) -> dict[int, tuple]:
+        """Center n -> (the fields, the deepest expansion at zeta_n) that
+        `rootexp.expand_series` finished for this spec with a step, made on
+        first use: a copy starts its own, and an entry whose fields are no
+        longer the spec's own objects is stale.  Each entry is one tuple,
+        set whole, so threads that race can at worst keep a shallower one."""
+        return {}
+
 
 _POCHHAMMER = PochhammerChain()
 

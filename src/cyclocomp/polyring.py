@@ -75,8 +75,10 @@ class Frozen:
     protocol, without the import cost of `dataclasses`: the attributes
     named by `_fields`, set once by `_init` or a hot constructor, decide
     equality, hash and a dataclass-style repr, and assigning or deleting
-    any attribute is an AttributeError.  No subclass defines its own
-    `__eq__` or `__hash__`."""
+    any attribute is an AttributeError.  The constructor takes the fields
+    in that order, and copy and pickle rebuild a value through it, so a
+    restored value is checked and reduced as a new one is.  No subclass
+    defines its own `__eq__` or `__hash__`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -88,11 +90,8 @@ class Frozen:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
-    # copy and pickle restore the fields through _init, as assignment is refused
-    __getstate__ = _values
-
-    def __setstate__(self, values: tuple) -> None:
-        self._init(*values)
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DegreeViolation
@@ -33,13 +33,14 @@ from .polyring import subresultant_bezout
 
 class ExponentVector(Frozen):
     """Finite support map n -> lambda(n) >= 1 selecting the modulus
-    prod Phi_n^lambda(n), kept as the sorted pairs `exponents`.  The
-    derived polynomials are cached properties, computed on first use."""
+    prod Phi_n^lambda(n), kept as the sorted pairs `exponents`; the
+    constructor takes a mapping or such pairs, read as `dict` reads them.
+    The derived polynomials are cached properties, computed on first use."""
 
     _fields = ("exponents",)
 
-    def __init__(self, exponents: Mapping[int, int]):
-        items = tuple(sorted(exponents.items()))
+    def __init__(self, exponents: Mapping[int, int] | Iterable[tuple[int, int]]):
+        items = tuple(sorted(dict(exponents).items()))
         if not items:
             raise ValueError("exponent vector needs nonempty support")
         for n, e in items:
@@ -91,12 +92,15 @@ class ExponentVector(Frozen):
 
 class CrtComponents(Frozen):
     """One residue per support index, each reduced mod Phi_n^lambda(n),
-    kept as the sorted pairs `components`."""
+    kept as the sorted pairs `components`; the constructor takes a mapping
+    or such pairs, as `ExponentVector` does."""
 
     _fields = ("components",)
 
-    def __init__(self, components: Mapping[int, RatPolynomial]):
-        items = tuple(sorted(components.items()))
+    def __init__(
+        self, components: Mapping[int, RatPolynomial] | Iterable[tuple[int, RatPolynomial]]
+    ):
+        items = tuple(sorted(dict(components).items()))
         for n, _ in items:
             check_index(n, "cyclotomic index", 1)
         self._init(items)

@@ -40,6 +40,7 @@ to level n(J+1), whose multiplicity at zeta_n is J + 1, so valid_to = J.
 
 from __future__ import annotations
 
+import operator
 from itertools import compress
 from math import comb
 from typing import Sequence
@@ -317,9 +318,27 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
     its z^j rows must vanish in Z[zeta_n] for j < min(w // n, j_max + 1),
     else AssertionError; zeta is a unit, so the x^j coefficients vanish
     with them.  The terms come from `_series_terms`, as in
-    `series_realize`."""
+    `series_realize`.
+
+    A spec with a step keeps, per center, the deepest expansion finished
+    with every check passed (`SeriesSpec._expansions`), and answers a
+    request at most that deep with its prefix, calling nothing, while the
+    spec's fields are the objects it was computed from.  The prefix is
+    proved.  The deeper run consumed a superset of the terms and checked a
+    superset of the rows of each.  Let k0 be the shallower run's stop term,
+    or its last term if that one's witness is n*(j_max+1): every term the
+    deeper run sums past k0 is a multiple of t_k0, and the deeper run
+    verified that rows 0..j_max of t_k0 vanish in Z[zeta_n] (its witness
+    check, or its own stop-term check).  So c_0 ... c_{j_max} are equal,
+    and every check the shallower run would make is implied.  A stepless
+    spec recomputes every time: its tail is trusted, so a prefix of a
+    deeper sum is not proved to be the shallower sum."""
     check_index(n, "order", 1)
     check_index(j_max, "j_max", 0)
+    if spec.step is not None:
+        fields, kept = spec._values(), spec._expansions.get(n)
+        if kept and kept[1].valid_to >= j_max and all(map(operator.is_, kept[0], fields)):
+            return RootTaylorSeries(order=n, valid_to=j_max, coeffs=kept[1].coeffs[: j_max + 1])
     top, m = j_max + 1, _ring(n)[0]
     total = [0] * (top * m)
     live = [1] + [0] * (top * m - 1)  # term(0) of a spec with a step
@@ -349,7 +368,10 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
                 f"series {spec.name!r}: the stop term {k + 1} fails at order {n}: "
                 f"x^{low + j} coefficient is not zero"
             )
-    return _emit(total, n, j_max)
+    series = _emit(total, n, j_max)
+    if spec.step is not None:
+        spec._expansions[n] = (fields, series)
+    return series
 
 
 def _nonzero_row(rows: list[int], n: int, count: int) -> int | None:

@@ -30,6 +30,7 @@ from cyclocomp import (
     CyclotomicInteger,
     ExponentVector,
     IntPolynomial,
+    KONTSEVICH_ZAGIER_SPEC,
     PochhammerChain,
     RatPolynomial,
     RootTaylorSeries,
@@ -491,6 +492,15 @@ def u_spec(witness_shift: int = 0) -> SeriesSpec:
     )
 
 
+def kz_stopped_at(at: int) -> SeriesSpec:
+    """kz's own term and step, with witness(at) = 10**6, past every level,
+    and witness k elsewhere."""
+    kz = KONTSEVICH_ZAGIER_SPEC
+    return SeriesSpec(
+        name="kz-stopped", term=kz.term, witness=lambda k: 10**6 if k == at else k, step=kz.step
+    )
+
+
 def evaluate_by_division(a, order: int) -> CyclotomicInteger:
     """Value of a truncated element at zeta_order by long division of its
     representative by Phi_order, instead of folding its coefficients into
@@ -522,14 +532,25 @@ def components_by_pairwise_closure(desc, S) -> list[list[int]]:
     return comps
 
 
+def twins(value) -> list:
+    """A copy, a deep copy and an unpickled copy of `value`."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def check_round_trip(value) -> None:
+    """Every twin of a `polyring.Frozen` value is a new value of its type,
+    equal to it."""
+    for twin in twins(value):
+        assert type(twin) is type(value) and twin == value and twin is not value
+
+
 def check_frozen_value(make, other, text: str, field: str) -> None:
     """The value protocol of `polyring.Frozen`: equality and hash by field
     values, the repr `text`, copies and pickles equal to the value, and an
     AttributeError on assigning or deleting `field` or any new attribute."""
     a, b = make(), make()
     assert a == b and hash(a) == hash(b) and a is not b
-    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert type(twin) is type(a) and twin == a and twin is not a
+    check_round_trip(a)
     assert a != other() and a != text
     assert repr(a) == text
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):

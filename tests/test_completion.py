@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 import time
 from fractions import Fraction
@@ -44,7 +42,7 @@ from cyclocomp.errors import (
     NotCoarser,
 )
 
-from support import check_frozen_value, random_int_poly, u_spec
+from support import check_frozen_value, kz_stopped_at, random_int_poly, twins, u_spec
 
 
 def P(*coeffs):
@@ -68,10 +66,6 @@ def all_chain_kinds():
 def four_six_one(i):
     """A custom enumeration that pickles: a module-level function."""
     return (4, 6, 1)[i % 3]
-
-
-def twins(value):
-    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
 
 
 class TestChains:
@@ -381,11 +375,12 @@ class TestDigits:
         assert elapsed < 0.5
 
     def test_a_rep_past_the_level_is_refused(self):
-        # an element restored by copy or pickle skips the constructor: a rep
-        # of degree deg g_2 leaves a quotient after 2 digits
-        poch = PochhammerChain()
+        # an element whose fields are set around the constructor, as a
+        # tracer may set them: a rep of degree deg g_2 leaves a quotient
+        # after 2 digits
         a = object.__new__(TruncatedElement)
-        a.__setstate__((poch, 2, IntPolynomial.monomial(1, 3)))
+        for name, value in zip(a._fields, (PochhammerChain(), 2, IntPolynomial.monomial(1, 3))):
+            object.__setattr__(a, name, value)
         with pytest.raises(AssertionError, match="^pochhammer: level 2 leaves a quotient"):
             to_digits(a)
 
@@ -630,15 +625,6 @@ class TestSeries:
         assert reduce(Q, chain, 5) * inv == reduce(ONE, chain, 5)
 
 
-def kz_stopped_at(at: int) -> SeriesSpec:
-    """kz's own term and step, with witness(at) = 10**6, past every level,
-    and witness k elsewhere."""
-    kz = KONTSEVICH_ZAGIER_SPEC
-    return SeriesSpec(
-        name="kz-stopped", term=kz.term, witness=lambda k: 10**6 if k == at else k, step=kz.step
-    )
-
-
 class TestSteppedTail:
     """With a step, the stop term (the first term the sum leaves out)
     proves the tail: every later term is a multiple of it."""
@@ -777,6 +763,17 @@ class TestValueClasses:
         spec = SeriesSpec("s", len, abs)
         object.__setattr__(spec, "term", str)
         assert spec.term is str and spec == SeriesSpec("s", str, abs)
+
+    def test_copy_and_pickle_rebuild_through_the_constructor(self):
+        # Restored through its fields alone, the state (PochhammerChain(),
+        # 1, q) came back as <q mod g_1 on pochhammer>, unequal to the
+        # reduced element with no error.
+        a = object.__new__(TruncatedElement)
+        for name, value in zip(a._fields, (PochhammerChain(), 1, Q)):
+            object.__setattr__(a, name, value)
+        for twin in twins(a):
+            assert twin == reduce(Q, PochhammerChain(), 1)
+            assert twin.rep == ONE
 
     def test_cached_moduli_cannot_be_altered(self):
         # Phi_n and (q)_k are handed out from process-wide stores; an

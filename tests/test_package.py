@@ -113,3 +113,63 @@ def test_module_level_values_pickle():
                 assert pickle.loads(pickle.dumps(value)) == value, name
                 checked.append(name)
     assert sorted(checked) == ["RING_Q", "RING_Z", "RING_ZERO", "_POCHHAMMER"]
+
+
+
+def _value_samples() -> dict:
+    """One value of every concrete `polyring.Frozen` class of the library,
+    by qualified name; each pickles, so a spec's callables are module-level."""
+    from fractions import Fraction
+
+    from cyclocomp import cli, cyclotomic, polyring, qcrt, rootexp
+    from cyclocomp import completion as c
+
+    from support import u_step, u_term
+
+    P, R, chain = polyring.IntPolynomial, polyring.RatPolynomial, c.PochhammerChain()
+    spec = c.SeriesSpec("u", u_term, abs, u_step)  # witness k, as in support.u_spec
+    element = c.reduce(P([1, 2, 3, 4]), chain, 3)
+    return {
+        "IntPolynomial": P([1, 2]),
+        "RatPolynomial": R([Fraction(1, 2), 3]),
+        "RingDescriptor": cyclotomic.ring_z_inverted(6),
+        "_PrimesNotDividing": cyclotomic._PrimesNotDividing(6),
+        "AdjacencyGraph": cyclotomic.AdjacencyGraph(frozenset({2, 6}), cyclotomic.RING_Z),
+        "UnitCertificate": cyclotomic.UnitCertificate(P([0, 1]), P([-1]), -1),
+        "CommonPrimeCertificate": cyclotomic.CommonPrimeCertificate(3, 9, 2),
+        "CyclotomicInteger": rootexp.CyclotomicInteger(5, [1, 0, 2]),
+        "RootTaylorSeries": rootexp.expand_series(spec, 3, 1),
+        "PochhammerChain": chain,
+        "AdicChain": c.AdicChain(P([1, 1])),
+        "ProductChain": c.ProductChain([3, 2]),
+        "TruncatedElement": element,
+        "DigitExpansion": c.to_digits(element),
+        "SeriesSpec": spec,
+        "ExponentVector": qcrt.ExponentVector({3: 1, 1: 2}),
+        "CrtComponents": qcrt.CrtComponents({2: R([1]), 1: R([0, 1])}),
+        "_Result": cli._Result({"a": [1]}, "i,c", [(0, 1)], "1\n", 3),
+    }
+
+
+def _library_subclasses(cls) -> set[type]:
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("cyclocomp."):
+            found |= {sub} | _library_subclasses(sub)
+    return found
+
+
+def test_every_value_class_rebuilds_through_its_constructor():
+    # Copy and pickle call the constructor with the fields in order, so
+    # every concrete value class must take its own fields back, and a new
+    # one needs a sample here.
+    from cyclocomp.polyring import Frozen
+
+    from support import check_round_trip
+
+    samples = _value_samples()
+    bases = {"_Replaceable", "_Polynomial", "FiltrationChain"}
+    assert {cls.__qualname__ for cls in _library_subclasses(Frozen)} == set(samples) | bases
+    for name, value in samples.items():
+        assert type(value).__qualname__ == name
+        check_round_trip(value)

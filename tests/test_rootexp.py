@@ -15,6 +15,7 @@ from cyclocomp import (
     FiltrationChain,
     IntPolynomial,
     KONTSEVICH_ZAGIER_SPEC,
+    NAMED_SERIES,
     PochhammerChain,
     ProductChain,
     Q_INVERSE_SPEC,
@@ -40,6 +41,7 @@ from support import (
     div_by_q_minus_zeta,
     evaluate_by_division,
     expand_series_global,
+    kz_stopped_at,
     kz_taylor_by_strange_identity,
     kz_value_by_strange_identity,
     kz_value_oracle,
@@ -578,6 +580,146 @@ def weighted_spec(weights, stride):
         term=lambda k: polys[k % len(polys)] * pochhammer(stride * k),
         witness=lambda k: stride * k,
     )
+
+
+def twin_spec(spec: SeriesSpec) -> SeriesSpec:
+    """A new spec with the same callables, and so nothing kept."""
+    return SeriesSpec(spec.name, spec.term, spec.witness, spec.step)
+
+
+def counted(spec: SeriesSpec, calls: list) -> SeriesSpec:
+    """spec with every call of its term, witness and step logged in calls."""
+
+    def logged(field):
+        f = getattr(spec, field)
+        return None if f is None else lambda k: calls.append((field, k)) or f(k)
+
+    return SeriesSpec(spec.name, logged("term"), logged("witness"), logged("step"))
+
+
+def outcome(call):
+    """call(), or the (type, message) of the exception it raises."""
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestKeptExpansions:
+    """A spec with a step keeps its deepest expansion at each center, and a
+    shallower request is its prefix: the same answer as on a new spec."""
+
+    @pytest.mark.parametrize("name", ["kz", "qinv", "u"])
+    def test_every_answer_is_that_of_a_new_spec(self, name):
+        spec = u_spec() if name == "u" else twin_spec(NAMED_SERIES[name])
+        requests = [(n, j) for n in range(1, 11) for j in range(7)] + [(None, j) for j in range(7)]
+        random.Random(name).shuffle(requests)
+        for n, j_max in requests:
+            if n is None:
+                got, want = ohtsuki_series(spec, j_max), expand_series(twin_spec(spec), 1, j_max)
+            else:
+                got, want = expand_series(spec, n, j_max), expand_series(twin_spec(spec), n, j_max)
+            assert got == want and got.valid_to == j_max, (n, j_max)
+
+    def test_the_named_specs_answer_as_new_ones(self):
+        for spec in (KONTSEVICH_ZAGIER_SPEC, Q_INVERSE_SPEC):
+            for n, j_max in [(3, 5), (3, 2), (1, 8), (1, 0), (3, 5)]:
+                assert expand_series(spec, n, j_max) == expand_series(twin_spec(spec), n, j_max)
+
+    def test_a_kept_answer_calls_nothing(self):
+        calls = []
+        spec = counted(KONTSEVICH_ZAGIER_SPEC, calls)
+        deep, ohtsuki = expand_series(spec, 3, 4), ohtsuki_series(spec, 6)
+        assert ("step", 15) in calls and ("step", 7) in calls
+        calls.clear()
+        for j_max in (4, 0, 2, 4):
+            assert expand_series(spec, 3, j_max).coeffs == deep.coeffs[: j_max + 1]
+        for j_max in (6, 1):
+            assert ohtsuki_series(spec, j_max).coeffs == ohtsuki.coeffs[: j_max + 1]
+        assert calls == []
+
+    def test_a_rebound_field_makes_the_kept_expansion_stale(self):
+        # kz's term and witness with step(n) = (1 - q^n)(1 + q): every term
+        # is still a multiple of (q)_n, so every check passes
+        kz = KONTSEVICH_ZAGIER_SPEC
+        spec = twin_spec(kz)
+        assert expand_series(spec, 3, 3) == expand_series(kz, 3, 3)
+
+        def new(k):
+            return kz.step(k) * P(1, 1)
+
+        object.__setattr__(spec, "step", new)
+        answer = expand_series(spec, 3, 1)
+        assert answer == expand_series(SeriesSpec("kz", kz.term, kz.witness, new), 3, 1)
+        assert answer.coeffs[0] == CyclotomicInteger(3, [3, 4]) != kz_value_oracle(3)
+        object.__setattr__(spec, "step", kz.step)
+        assert expand_series(spec, 3, 1) == expand_series(kz, 3, 1)
+
+    @pytest.mark.parametrize(
+        "make, n, deep, shallow",
+        [
+            (lambda: kz_stopped_at(5), 2, [2, 6], [0, 1]),
+            (lambda: kz_stopped_at(5), 1, [5, 6], [0, 4]),
+            (lambda: kz_stopped_at(1), 3, [0, 3], []),
+            (lambda: u_spec(witness_shift=1), 1, [0, 3], []),
+            (
+                lambda: SeriesSpec("lying", lambda k: P(1), lambda k: k, lambda k: P(1)),
+                3,
+                [2, 0],
+                [],
+            ),
+        ],
+        ids=["stopped-5-at-2", "stopped-5-at-1", "stopped-1", "u-shift-1", "lying"],
+    )
+    def test_a_request_that_raises_keeps_nothing(self, make, n, deep, shallow):
+        # the deeper requests raise as on a new spec, before and after the
+        # shallower ones succeed, and the deepest success is what is kept
+        spec = make()
+        for j_max in deep + shallow + deep + shallow:
+            got = outcome(lambda: expand_series(spec, n, j_max))
+            assert got == outcome(lambda: expand_series(make(), n, j_max)), j_max
+            assert isinstance(got, RootTaylorSeries) == (j_max in shallow)
+        kept = spec._expansions.get(n)
+        assert (kept and kept[1].valid_to) == max(shallow, default=None)
+
+    def test_a_stepless_spec_recomputes_every_time(self):
+        # t_k = (q)_k and witness k for even k, t_k = 0 and witness 10**6
+        # for odd k: the trusted tail gives (1) at zeta_3, not (4)
+        own = SeriesSpec(
+            "own",
+            lambda k: pochhammer(k) if k % 2 == 0 else P(),
+            lambda k: k if k % 2 == 0 else 10**6,
+        )
+        assert expand_series(own, 3, 0).coeffs[0] == CyclotomicInteger(3, [1])
+        for spec in (own, weighted_spec([[1, 2], [3]], 1)):
+            calls = []
+            logged = counted(spec, calls)
+            for j_max in (2, 2, 0, 2):
+                calls.clear()
+                assert expand_series(logged, 3, j_max) == expand_series(spec, 3, j_max)
+                assert ("term", 0) in calls
+            assert "_expansions" not in vars(logged)
+
+    def test_a_kept_expansion_cannot_be_assigned_to(self):
+        spec = twin_spec(KONTSEVICH_ZAGIER_SPEC)
+        answer = expand_series(spec, 4, 3)
+        fields, kept = spec._expansions[4]
+        assert kept == answer and fields == spec._values()
+        for value, field in [(kept, "coeffs"), (kept, "valid_to"), (kept.coeffs[0], "coeffs")]:
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(value, field, ())
+        with pytest.raises(AttributeError, match="cannot assign"):
+            spec._expansions = {}
+        with pytest.raises(TypeError):
+            kept.coeffs[0] = None
+        assert expand_series(spec, 4, 1) == expand_series(KONTSEVICH_ZAGIER_SPEC, 4, 1)
+
+    def test_a_copy_starts_empty(self):
+        spec = twin_spec(Q_INVERSE_SPEC)
+        expand_series(spec, 5, 2)
+        twin = copy.copy(spec)
+        assert twin == spec and "_expansions" not in vars(twin)
+        assert expand_series(twin, 5, 1) == expand_series(spec, 5, 1)
 
 
 @st.composite

@@ -839,6 +839,52 @@ def test_no_store_but_the_known_ones():
     assert sorted(found) == ["NAMED_SERIES", "PochhammerChain._moduli", "_cyclo_cache"]
 
 
+def _per_value_caches(tree) -> list[str]:
+    """Class.method for every method decorated @cached_property or
+    @functools.cached_property, in source order."""
+    return [
+        f"{cls.name}.{fn.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(ast.unparse(d) in ("cached_property", "functools.cached_property")
+                for d in fn.decorator_list)
+    ]
+
+
+def test_no_per_value_cache_but_the_known_ones():
+    # A cached property is state kept by one value for its life: a chain's
+    # g_k, an exponent vector's CRT data, and a stepped series' deepest
+    # expansion at each root of unity.  A further one is a decision.
+    found = sorted(
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _per_value_caches(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert found == [
+        "completion.py:FiltrationChain._moduli",
+        "completion.py:SeriesSpec._expansions",
+        "qcrt.py:ExponentVector._factors",
+        "qcrt.py:ExponentVector._mixed_radix",
+        "qcrt.py:ExponentVector._modulus",
+        "qcrt.py:ExponentVector._rational_factors",
+    ]
+
+
+def test_per_value_cache_lint_is_recognised():
+    tree = ast.parse(
+        "class A:\n"
+        "    @cached_property\n    def x(self): pass\n"
+        "    @functools.cached_property\n    def y(self): pass\n"
+        "    @property\n    def z(self): pass\n"
+        "    @cache\n    def w(self): pass\n"
+        "    def v(self): pass\n"
+        "@cached_property\ndef module_level(self): pass\n"
+    )
+    assert _per_value_caches(tree) == ["A.x", "A.y"]
+
+
 @pytest.mark.parametrize(
     "decorator", ["cache", "functools.cache", "lru_cache(maxsize=None)", "functools.lru_cache()"]
 )
