@@ -13,15 +13,14 @@ Phi_n^lambda(n) in support order with M_{j-1} the product of those before
 F_j (M_0 = 1).  `subresultant_bezout(M_{j-1} mod F_j, F_j)` returns res
 and u with u*M_{j-1} = res mod F_j, an identity it checks, so t_j = u/res
 inverts M_{j-1} mod F_j; each such PRS has the degree of F_j only.  An
-`ExponentVector` computes its factor powers, its modulus and this data
-(F_j, M_{j-1}, t_j) once, on first use, and keeps them, so repeated
-splits and reconstructions over one vector share them.
+`ExponentVector` keeps two things, each computed once on first use: its
+factor powers over Q, which a split reads, and this glue (F_j, M_{j-1},
+t_j) together with the modulus M_k, the walk's last prefix.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
@@ -56,38 +55,33 @@ class ExponentVector(Frozen):
         return dict(self.exponents)[n]
 
     @cached_property
-    def _factors(self) -> dict[int, IntPolynomial]:
-        """n -> Phi_n^lambda(n) over Z."""
-        return {n: cyclotomic_poly(n) ** e for n, e in self.exponents}
-
-    @cached_property
-    def _rational_factors(self) -> dict[int, RatPolynomial]:
-        return {n: f.to_rational() for n, f in self._factors.items()}
+    def _factors(self) -> dict[int, RatPolynomial]:
+        """n -> Phi_n^lambda(n) over Q."""
+        return {n: (cyclotomic_poly(n) ** e).to_rational() for n, e in self.exponents}
 
     def factor(self, n: int) -> RatPolynomial:
         """Phi_n^lambda(n) over Q."""
-        return self._rational_factors[n]
-
-    @cached_property
-    def _modulus(self) -> RatPolynomial:
-        return math.prod(self._factors.values(), start=IntPolynomial.one()).to_rational()
+        return self._factors[n]
 
     def modulus(self) -> RatPolynomial:
-        return self._modulus
+        """prod Phi_n^lambda(n) over Q, read off the glue as M_k: a vector
+        asked only for its modulus builds the glue, one PRS per factor.  The
+        one program caller, `selfcheck`, asks after a reconstruction."""
+        return self._mixed_radix[1]
 
     @cached_property
-    def _mixed_radix(self) -> tuple[tuple[int, RatPolynomial, RatPolynomial, RatPolynomial], ...]:
-        """(n, F_j, M_{j-1}, t_j) over Q for each factor in support order,
-        as in the module docstring; deg t_j < deg F_j."""
-        out, prefix = [], IntPolynomial.one()
+    def _mixed_radix(self) -> tuple[tuple[tuple, ...], RatPolynomial]:
+        """The rows (n, F_j, M_{j-1}, t_j) over Q, one per factor in support
+        order, and M_k, as in the module docstring; deg t_j < deg F_j."""
+        rows, prefix = [], IntPolynomial.one()
         for n, f in self._factors.items():
-            res, u, _ = subresultant_bezout(prefix % f, f)
+            g = f._numerators()[0]
+            res, u, _ = subresultant_bezout(prefix % g, g)
             if res == 0:
                 raise AssertionError("CRT moduli are not coprime")
-            t = RatPolynomial._over(u.coeffs, res)
-            out.append((n, self._rational_factors[n], prefix.to_rational(), t))
-            prefix = prefix * f
-        return tuple(out)
+            rows.append((n, f, prefix.to_rational(), RatPolynomial._over(u.coeffs, res)))
+            prefix = prefix * g
+        return tuple(rows), prefix.to_rational()
 
 
 class CrtComponents(Frozen):
@@ -126,7 +120,7 @@ def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
     if comps.support != lam.support:
         raise ValueError(f"component support {comps.support} does not match {lam.support}")
     out, components = RatPolynomial.zero(), dict(comps.components)
-    for n, f, prefix, t in lam._mixed_radix:
+    for n, f, prefix, t in lam._mixed_radix[0]:
         c = components[n]
         if c.degree >= f.degree:
             raise DegreeViolation(f"component at {n} has degree {c.degree}, bound is {f.degree}")
@@ -136,7 +130,9 @@ def crt_reconstruct(comps: CrtComponents, lam: ExponentVector) -> RatPolynomial:
 
 def crt_idempotents(lam: ExponentVector) -> dict[int, RatPolynomial]:
     """Preimages e_n of the unit vectors, each glued by crt_reconstruct:
-    e_n = 1 mod Phi_n^lambda(n), 0 mod the other factors."""
+    e_n = 1 mod Phi_n^lambda(n), 0 mod the other factors.  That is one
+    glue per support index: k indices cost k mixed-radix walks of k
+    steps, though all of them share the one set of inverses t_j."""
     zero, one = RatPolynomial.zero(), RatPolynomial.one()
     return {
         n: crt_reconstruct(CrtComponents({m: one if m == n else zero for m in lam.support}), lam)

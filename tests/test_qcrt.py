@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cyclocomp import (
     crt_split,
     cyclotomic_poly,
     integer_witness_search,
+    pochhammer,
     rho_q_kernel_witness,
 )
 from cyclocomp import qcrt
@@ -34,6 +36,16 @@ class TestExponentVector:
     def test_modulus(self):
         lam = ExponentVector({1: 2, 2: 1})
         assert lam.modulus() == factor(1, 2) * factor(2, 1)
+        # the glue's last prefix is the product of the split's factors
+        rng = random.Random(54)
+        for _ in range(25):
+            support = rng.sample(range(1, 13), rng.randint(1, 4))
+            lam = ExponentVector({n: rng.randint(1, 3) for n in support})
+            assert lam.modulus() == math.prod(map(lam.factor, lam.support), start=ONE)
+        # prod_d Phi_d^floor(20/d) = prod_{k <= 20} (q^k - 1) = (q)_20
+        lam = pochhammer_support(20)
+        assert lam.modulus() == math.prod(map(lam.factor, lam.support), start=ONE)
+        assert lam.modulus() == pochhammer(20).to_rational()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -59,6 +71,32 @@ class TestExponentVector:
         fresh = ExponentVector({5: 1, 3: 2, 2: 1, 1: 2})
         assert lam == fresh and hash(lam) == hash(fresh)
         assert lam.exponent(3) == 2 and lam.factor(3).degree == 4
+
+    def test_split_and_factors_build_no_glue(self, monkeypatch):
+        # A split reads only the factor powers; the PRS belongs to the glue.
+        calls = []
+        bezout = qcrt.subresultant_bezout
+
+        def counted(a, b):
+            calls.append((a, b))
+            return bezout(a, b)
+
+        monkeypatch.setattr(qcrt, "subresultant_bezout", counted)
+        lam = ExponentVector({1: 2, 2: 1, 3: 2, 5: 1})
+        f = RatPolynomial([Fraction(k - 4, k + 1) for k in range(15)])
+        comps = crt_split(f, lam)
+        assert [lam.factor(n) for n in lam.support] == [factor(n, e) for n, e in lam.exponents]
+        assert all(comps.component(n) == f % factor(n, e) for n, e in lam.exponents)
+        assert calls == []
+        lam.modulus()
+        assert len(calls) == len(lam.support)
+
+    def test_repeated_reads_return_the_kept_objects(self):
+        lam = ExponentVector({1: 2, 2: 1, 3: 2})
+        assert all(lam.factor(n) is lam.factor(n) for n in lam.support)
+        assert lam.modulus() is lam.modulus()
+        crt_reconstruct(crt_split(RatPolynomial([1, 2, 3, 4, 5, 6, 7]), lam), lam)
+        assert lam.modulus() is lam.modulus()
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -779,17 +779,24 @@ class TestJetBackend:
         value = expand_series(KONTSEVICH_ZAGIER_SPEC, k, 0).coeffs[0]
         assert value == kz_value_by_strange_identity(k)
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    def test_realized_kz_values_match_the_strange_identity(self):
+        # the element route: tau of the level-60 sum at every order it fixes
+        elt = series_realize(KONTSEVICH_ZAGIER_SPEC, PochhammerChain(), 60)
+        values = tau_values(elt, range(1, 61))
+        assert all(values[k] == kz_value_by_strange_identity(k) for k in range(1, 61))
+
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_kz_taylor_coefficients_match_the_strange_identity(self, k):
         # Bernoulli polynomials in Q(zeta_k), again with no (zeta)_j: the
         # expansion of the value at q = zeta e^(-t) is e^(t/24) sum a_r t^r
-        a = kz_taylor_by_strange_identity(k, 3)
+        top = 4
+        a = kz_taylor_by_strange_identity(k, top)
         expected = [
             sum((a[r - s] * Fraction(1, 24**s * math.factorial(s)) for s in range(r + 1)),
                 RatPolynomial.zero())
-            for r in range(4)
+            for r in range(top + 1)
         ]
-        for j_max in range(4):
+        for j_max in range(top + 1):
             jets = [expand_series(KONTSEVICH_ZAGIER_SPEC, k, j_max)]
             if k == 1:
                 jets.append(ohtsuki_series(KONTSEVICH_ZAGIER_SPEC, j_max))

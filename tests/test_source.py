@@ -867,8 +867,6 @@ def test_no_per_value_cache_but_the_known_ones():
         "completion.py:SeriesSpec._expansions",
         "qcrt.py:ExponentVector._factors",
         "qcrt.py:ExponentVector._mixed_radix",
-        "qcrt.py:ExponentVector._modulus",
-        "qcrt.py:ExponentVector._rational_factors",
     ]
 
 
