@@ -20,9 +20,9 @@ Three chain kinds are provided:
   coefficient +1 (the generated ideals are unchanged); f_k = q^k - 1.
   Its moduli list, shared by every instance, is the one store of (q)_k.
 * AdicChain(f): g_k = f^k, the f-adic filtration; f_k = f.
-* ProductChain(S): g_k = product of the first k entries of an enumeration
-  e of cyclotomic indices drawn from S with unbounded repetition; the
-  default enumeration cycles through sorted(S); f_k = Phi_{e(k-1)}.
+* ProductChain(S) or ProductChain(enumeration=e): g_k = product of the
+  first k entries of e, cyclotomic indices that recur forever; a set S is
+  enumerated by cycling through sorted(S); f_k = Phi_{e(k-1)}.
 
 Digit expansions generalize base-p digits: every level-k element is
 uniquely a = sum of a_n * g_n with deg a_n < deg f_{n+1}, the mixed-radix
@@ -150,24 +150,33 @@ class AdicChain(FiltrationChain):
 
 class ProductChain(FiltrationChain):
     """g_k = Phi_{e(0)} * ... * Phi_{e(k-1)} for an enumeration e of
-    indices from S in which every index recurs forever.
+    indices in which every index recurs forever.
 
-    The default enumeration cycles through sorted(S); pass `enumeration`
-    (an index function i -> n) to override, e.g. for an infinite S.
+    A chain is identified by exactly one field, the data that fixes its
+    factors: nonempty `indices`, cycled through sorted, or an
+    `enumeration` i -> n (e.g. for an infinite set); the other is None.
+    The label is derived from it: product[1, 2] or product(<qualname>).
     """
 
-    _fields = ("indices", "enumeration", "label")
+    _fields = ("indices", "enumeration")
 
     def __init__(
         self,
-        indices: Iterable[int] = (),
+        indices: Optional[Iterable[int]] = None,
         enumeration: Optional[Callable[[int], int]] = None,
-        label: Optional[str] = None,
     ) -> None:
-        indices = tuple(sorted({check_index(n, "cyclotomic index", 1) for n in indices}))
-        if enumeration is None and not indices:
-            raise ValueError("a product chain needs indices or an enumeration")
-        self._init(indices, enumeration, label or f"product{list(indices)}")
+        if indices is not None:
+            indices = tuple(sorted({check_index(n, "cyclotomic index", 1) for n in indices}))
+        if (indices is None) == (enumeration is None) or indices == ():
+            raise ValueError("a product chain takes nonempty indices or an enumeration, not both")
+        self._init(indices, enumeration)
+
+    @property
+    def label(self) -> str:
+        if self.enumeration is None:
+            return f"product{list(self.indices)}"
+        name = getattr(self.enumeration, "__qualname__", type(self.enumeration).__qualname__)
+        return f"product({name})"
 
     def factor(self, k: int) -> IntPolynomial:
         if self.enumeration is None:

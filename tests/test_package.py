@@ -52,7 +52,7 @@ CLASS_MEMBERS = {
     "FiltrationChain": ["factor", "label", "modulus", "multiplicity", "to_json_dict"],
     "IntPolynomial": ["content", "has_unit_leading_coefficient", "to_rational"],
     "PochhammerChain": ["factor", "label", "multiplicity", "to_json_dict"],
-    "ProductChain": ["factor", "to_json_dict"],
+    "ProductChain": ["factor", "label", "to_json_dict"],
     "RatPolynomial": ["to_json"],
     "RingDescriptor": ["is_separated_at"],
     "RootTaylorSeries": ["coeffs", "order", "to_json_dict", "valid_to"],

@@ -38,6 +38,7 @@ from cyclocomp.errors import (
 from support import (
     bezout_by_polynomials,
     check_frozen_value,
+    fractions_within,
     prs_by_polynomials,
     random_int_poly,
     random_unit_leading_poly,
@@ -204,8 +205,8 @@ class TestProductAgainstSympy:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        _operands(st.fractions(-50, 50, max_denominator=12)),
-        _operands(st.fractions(-50, 50, max_denominator=12)),
+        _operands(fractions_within(50, 12)),
+        _operands(fractions_within(50, 12)),
     )
     def test_rational_products(self, a, b):
         product = _sympy_product(
@@ -237,8 +238,8 @@ class TestDifferenceAgainstSympy:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        _operands(st.fractions(-50, 50, max_denominator=12)),
-        _operands(st.fractions(-50, 50, max_denominator=12)),
+        _operands(fractions_within(50, 12)),
+        _operands(fractions_within(50, 12)),
     )
     def test_rational_differences(self, a, b):
         a, b = RatPolynomial(a), RatPolynomial(b)
@@ -250,8 +251,8 @@ class TestDifferenceAgainstSympy:
 
 _rat_coeffs = st.one_of(
     st.integers(-20, 20).map(Fraction),
-    st.fractions(-50, 50, max_denominator=12),
-    st.fractions(-(10**6), 10**6, max_denominator=10**30),  # large denominators
+    fractions_within(50, 12),
+    fractions_within(10**6, 10**30),  # large denominators
 )
 # Zero, sparse and dense operands; a random leading coefficient makes
 # most of them non-monic and non-integral.
@@ -447,7 +448,7 @@ def _fractions(poly):
 
 
 _small_ints = st.lists(st.integers(-(10**6), 10**6), max_size=10)
-_small_fractions = st.fractions(-50, 50, max_denominator=12)
+_small_fractions = fractions_within(50, 12)
 
 
 # +-(q^k - 1) for k <= 40 and Phi_8, Phi_9, Phi_16, Phi_27: all but q - 1

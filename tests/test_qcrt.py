@@ -22,7 +22,7 @@ from cyclocomp import (
 from cyclocomp import qcrt
 from cyclocomp.errors import DegreeViolation
 
-from support import check_frozen_value, crt_by_cofactors, random_rat_poly
+from support import check_frozen_value, crt_by_cofactors, fractions_within, random_rat_poly
 
 ZERO = RatPolynomial.zero()
 ONE = RatPolynomial.one()
@@ -306,7 +306,7 @@ class TestCrtAgainstSympy:
     @settings(max_examples=60, deadline=None)
     @given(
         st.dictionaries(st.integers(1, 12), st.integers(1, 3), min_size=1, max_size=5),
-        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=80),
+        st.lists(fractions_within(9, 9), max_size=80),
     )
     def test_idempotents_and_round_trip(self, exponents, f_coeffs):
         lam = ExponentVector(exponents)

@@ -408,7 +408,7 @@ MULTIPLICITY_CHAINS = [
     AdicChain(cyclotomic_poly(6)),
     AdicChain(REPEATED),
     ProductChain([1, 2, 3, 4, 6]),
-    ProductChain(enumeration=lambda i: (4, 6, 1, 4)[i % 4], label="4-6-1-4"),
+    ProductChain(enumeration=lambda i: (4, 6, 1, 4)[i % 4]),
     PlusOneChain(),
 ]
 
