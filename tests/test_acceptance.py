@@ -261,6 +261,7 @@ GOLDEN_CORPUS = [
     ["habiro", "expand", "--series", "kz", "--center", "1", "--terms", "9"],
     ["habiro", "expand", "--series", "qinv", "--center", "2", "--terms", "4"],
     ["qcrt", "split", "--lambda", "1:2,2:2", "--poly", '["1","0","0","1"]'],
+    ["qcrt", "split", "--lambda", "1:2,3:1", "--poly", '["1/2","-2/4","0/7","5/3"]'],
     ["qcrt", "witness", "--level", "4"],
     ["selfcheck"],
 ]
