@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
 # subcommands that use them.
 from . import cyclotomic
 from .errors import PrecisionContractError
-from .polyring import DECIMAL_INTEGER, Frozen, IntPolynomial, RatPolynomial
+from .polyring import DECIMAL_INTEGER, Frozen, IntPolynomial, RatPolynomial, divides
 
 if TYPE_CHECKING:
     from .completion import FiltrationChain, TruncatedElement
@@ -352,13 +352,13 @@ def _cmd_qcrt_split(args, budgets: Budgets) -> _Result:
 
 def _checked_witness(level: int) -> tuple[RatPolynomial, bool, bool]:
     """The kernel witness at a level, and whether it is 0 mod (q-1)^level
-    and 1 mod (q+1)^level."""
+    and 1 mod (q+1)^level.  With w = N/d, N and d integral, that is whether
+    the monic (q-1)^level divides N and (q+1)^level divides N - d over Z."""
     from .qcrt import rho_q_kernel_witness
 
-    w = rho_q_kernel_witness(level)
-    f1 = (cyclotomic.cyclotomic_poly(1) ** level).to_rational()
-    f2 = (cyclotomic.cyclotomic_poly(2) ** level).to_rational()
-    return w, (w % f1).is_zero, ((w - RatPolynomial.one()) % f2).is_zero
+    w, phi = rho_q_kernel_witness(level), cyclotomic.cyclotomic_poly
+    num, den = IntPolynomial(w.numerators), IntPolynomial.constant(w.denominator)
+    return w, divides(phi(1) ** level, num), divides(phi(2) ** level, num - den)
 
 
 def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
@@ -385,12 +385,17 @@ def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
 
 
 def _selfcheck_suite() -> list[tuple[str, bool]]:
-    import random  # only the seeded selfcheck draws; kept out of start-up
-
     from . import completion, qcrt, rootexp
     from .completion import AdicChain, PochhammerChain, ProductChain
 
-    rng = random.Random(0x5EED)
+    state = 0x5EED
+
+    def randint(lo: int, hi: int) -> int:
+        """A seeded draw from [lo, hi]: the top half of a 64-bit LCG (Knuth's MMIX)."""
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        return lo + ((state >> 32) * (hi - lo + 1) >> 32)
+
     results: list[tuple[str, bool]] = []
 
     def check(name: str, fn) -> None:
@@ -432,7 +437,7 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
     def digit_roundtrip():
         chain = PochhammerChain()
         for _ in range(25):
-            f = IntPolynomial([rng.randint(-99, 99) for _ in range(rng.randint(0, 40))])
+            f = IntPolynomial([randint(-99, 99) for _ in range(randint(0, 40))])
             a = completion.reduce(f, chain, 10)
             if completion.from_digits(completion.to_digits(a), 10) != a:
                 return False
@@ -465,7 +470,7 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
     def tau_sigma():
         chain = PochhammerChain()
         for _ in range(10):
-            f = IntPolynomial([rng.randint(-50, 50) for _ in range(rng.randint(1, 30))])
+            f = IntPolynomial([randint(-50, 50) for _ in range(randint(1, 30))])
             a = completion.reduce(f, chain, 8)
             for n in range(1, 9):
                 t = rootexp.taylor_at_root(a, n, 0)
@@ -476,13 +481,11 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
     check("taylor_matches_evaluation", tau_sigma)
 
     def crt_roundtrip():
-        from fractions import Fraction
-
         lam = qcrt.ExponentVector({1: 2, 2: 1, 3: 2})
         for _ in range(10):
-            f = RatPolynomial(
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
-            )
+            pairs = [(randint(-9, 9), randint(1, 9)) for _ in range(8)]
+            den = math.lcm(*(d for _, d in pairs))
+            f = RatPolynomial([n * (den // d) for n, d in pairs], den)
             c = qcrt.crt_split(f, lam)
             g = qcrt.crt_reconstruct(c, lam)
             if (f - g) % lam.modulus() != RatPolynomial.zero():
@@ -508,9 +511,9 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
         ]
         for chain in chains:
             for _ in range(20):
-                f = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))])
-                g = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))])
-                k = rng.randint(0, 6)
+                f = IntPolynomial([randint(-9, 9) for _ in range(randint(0, 12))])
+                g = IntPolynomial([randint(-9, 9) for _ in range(randint(0, 12))])
+                k = randint(0, 6)
                 fr = completion.reduce(f, chain, k)
                 gr = completion.reduce(g, chain, k)
                 if fr * gr != completion.reduce(f * g, chain, k):

@@ -7,8 +7,9 @@ every integer, so degree inequalities can be written without special cases.
 
 Over Z, division is only defined when the divisor's leading coefficient is
 a unit (+-1); exact divisibility by such divisors is tested with
-`divides`.  Over Q any nonzero divisor works; products and division over
-Q run the integer kernels on integer numerators.  One schoolbook kernel,
+`divides`.  Over Q any nonzero divisor works, and every operation runs
+the integer kernels on integer numerators over one common denominator,
+with one gcd normalisation per result.  One schoolbook kernel,
 `_divide_in_place`, does every division (`%`, divmod, Bezout quotients,
 Z[zeta_n]) and skips a sparse divisor's zeros; its quotient rule is read
 off the divisor's leading coefficient: 1 keeps a top coefficient, -1
@@ -19,7 +20,7 @@ and wraps only its results.
 
 Serialization: a polynomial is a JSON array of decimal coefficient
 strings, little-endian, e.g. 1 - q^3  <->  ["1", "0", "0", "-1"].
-Rational coefficients serialize as "num/den".
+Rational coefficients serialize as "num/den" in lowest terms.
 """
 
 from __future__ import annotations
@@ -147,25 +148,17 @@ def _strip(coeffs: list) -> tuple:
 
 
 class _Polynomial(Frozen):
-    """Shared dense-representation machinery for both coefficient domains."""
+    """Shared dense-representation machinery for both coefficient domains,
+    written against the tuple `coeffs`; RatPolynomial, whose `coeffs` is a
+    view, overrides each method that reads it on a hot path."""
 
-    __slots__ = _fields = ("coeffs",)
+    __slots__ = ()
 
     # subclasses fill these in
     _json_coeff: re.Pattern
     _coerce = staticmethod(lambda c: c)
-    _parse_coeffs: Callable[[Sequence[str]], list]  # checked JSON strings -> coefficients
-
-    def __init__(self, coeffs: Iterable = ()):
-        coerce = self._coerce
-        _set_coeffs(self, _strip([coerce(c) for c in coeffs]))
-
-    @classmethod
-    def _wrap(cls, coeffs: list):
-        """Build from already-coerced coefficients (trailing zeros allowed)."""
-        p = object.__new__(cls)
-        _set_coeffs(p, _strip(coeffs))
-        return p
+    _wrap: Callable[[list], "_Polynomial"]  # from coerced coefficients, trailing zeros allowed
+    _parse: Callable[[Sequence[str]], "_Polynomial"]  # from checked JSON strings
 
     @classmethod
     def zero(cls):
@@ -262,22 +255,22 @@ class _Polynomial(Frozen):
     # -- presentation ----------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
+        """The terms from the top down, each coefficient as to_json writes
+        it, but without a denominator of 1, as a Fraction prints."""
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
+        for i, c in reversed(list(enumerate(self.to_json()))):
+            c = c.removesuffix("/1")
+            if c == "0":
                 continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = -c if c < 0 else c
+            sign = "-" if c[0] == "-" else ("+" if parts else "")
+            mag = c.lstrip("-")
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == "1" else f"{mag}*{var}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}('{self}')"
@@ -297,11 +290,7 @@ class _Polynomial(Frozen):
         for c in data:
             if not isinstance(c, str) or not cls._json_coeff.fullmatch(c):
                 raise ValueError(f"{c!r} is not a plain decimal coefficient string")
-        return cls._wrap(cls._parse_coeffs(data))
-
-
-# the slot's own setter: object.__setattr__ looks the slot up on every call
-_set_coeffs = _Polynomial.coeffs.__set__
+        return cls._parse(data)
 
 
 class IntPolynomial(_Polynomial):
@@ -314,8 +303,19 @@ class IntPolynomial(_Polynomial):
     (IntPolynomial('q^2 - q + 1'), IntPolynomial('0'))
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("coeffs",)
     _json_coeff = DECIMAL_INTEGER
+
+    def __init__(self, coeffs: Iterable = ()):
+        coerce = self._coerce
+        _set_coeffs(self, _strip([coerce(c) for c in coeffs]))
+
+    @classmethod
+    def _wrap(cls, coeffs: list):
+        """Build from already-coerced coefficients (trailing zeros allowed)."""
+        p = object.__new__(cls)
+        _set_coeffs(p, _strip(coeffs))
+        return p
 
     @staticmethod
     def _coerce(c) -> int:
@@ -328,9 +328,9 @@ class IntPolynomial(_Polynomial):
             return c.numerator
         raise TypeError(f"integer coefficient expected, got {c!r}")
 
-    @staticmethod
-    def _parse_coeffs(strings: Sequence[str]) -> list[int]:
-        return [int(c) for c in strings]
+    @classmethod
+    def _parse(cls, strings: Sequence[str]) -> "IntPolynomial":
+        return cls._wrap([int(c) for c in strings])
 
     @property
     def has_unit_leading_coefficient(self) -> bool:
@@ -361,76 +361,113 @@ class IntPolynomial(_Polynomial):
         return RatPolynomial(self.coeffs)
 
 
-class RatPolynomial(_Polynomial):
-    """Polynomial with exact rational coefficients, each a Fraction in
-    lowest terms.
+# the slot's own setter: object.__setattr__ looks the slot up on every call
+_set_coeffs = IntPolynomial.coeffs.__set__
 
-    Products and division run on integer numerators: each operand is
-    scaled by the lcm of its denominators, the integer kernels
-    (`IntPolynomial` products, `_pseudo_divmod`) do the work, and each
-    output coefficient becomes one Fraction over the combined scale.
-    The fractions module is imported where a coefficient is built, so
-    integer work never loads it.  There `import fractions` is used: it
-    costs a tenth of `from fractions import Fraction`.
+
+class RatPolynomial(_Polynomial):
+    """Polynomial with exact rational coefficients, kept as the stripped
+    tuple `numerators` of integers over one positive `denominator`, in
+    lowest terms: gcd(*numerators, denominator) = 1, and zero is () over 1.
+    The constructor takes coefficients (ints or Fractions) and a nonzero
+    integer denominator they share, and reduces them to that form.
+
+    Every operation runs the integer kernels on the numerators and builds
+    no Fraction.  `coeffs`, the coefficients as Fractions, is built when a
+    caller reads it, and only there is the fractions module imported.
 
     >>> from fractions import Fraction
     >>> RatPolynomial([Fraction(1, 2), 1]) * RatPolynomial([Fraction(2, 3)])
     RatPolynomial('2/3*q + 1/3')
+    >>> p = RatPolynomial([2, 0, -4], 6)
+    >>> p.numerators, p.denominator
+    ((1, 0, -2), 3)
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("numerators", "denominator")
     _json_coeff = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # no zero denominator
 
-    @staticmethod
-    def _coerce(c):
-        # c can only be a Fraction once fractions is loaded; the lookup is
-        # cheaper than an import statement per coefficient.
-        fractions = sys.modules.get("fractions")
-        if fractions is not None and isinstance(c, fractions.Fraction):
-            return c
-        if isinstance(c, int) and not isinstance(c, bool):
-            import fractions
+    def __init__(self, coeffs: Iterable = (), denominator: int = 1):
+        check_index(denominator, "denominator", NEG_INFINITY)
+        nums = list(coeffs)
+        if {*map(type, nums)} - {int}:
+            fractions = sys.modules.get("fractions")  # no value is a Fraction before it loads
+            kinds = (int, fractions.Fraction) if fractions else int
+            for c in nums:
+                if isinstance(c, bool) or not isinstance(c, kinds):
+                    raise TypeError(f"rational coefficient expected, got {c!r}")
+            scale = math.lcm(*(c.denominator for c in nums))
+            nums = [c.numerator * (scale // c.denominator) for c in nums]
+            denominator *= scale
+        if not denominator:
+            raise ZeroDivisionError("a rational polynomial over the denominator 0")
+        nums = _strip(nums)
+        g = math.gcd(*nums, denominator) * (1 if denominator > 0 else -1)
+        if g != 1:
+            nums, denominator = tuple([c // g for c in nums]), denominator // g
+        _set_numerators(self, nums)
+        _set_denominator(self, denominator)
 
-            return fractions.Fraction(c)
-        raise TypeError(f"rational coefficient expected, got {c!r}")
-
-    @staticmethod
-    def _parse_coeffs(strings: Sequence[str]) -> list:
-        import fractions
-
-        return [fractions.Fraction(c) for c in strings]
-
-    def _numerators(self) -> tuple[IntPolynomial, int]:
-        """(N, d) with self = N/d: d the lcm of the denominators."""
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        return IntPolynomial._wrap([c.numerator * (d // c.denominator) for c in self.coeffs]), d
+    _wrap = classmethod(lambda cls, coeffs: cls(coeffs))
 
     @classmethod
-    def _over(cls, nums: Iterable[int], den: int) -> "RatPolynomial":
+    def _parse(cls, strings: Sequence[str]) -> "RatPolynomial":
+        pairs = [(int(n), int(d or 1)) for n, _, d in (c.partition("/") for c in strings)]
+        den = math.lcm(*(d for _, d in pairs))
+        return cls([n * (den // d) for n, d in pairs], den)
+
+    @property
+    def coeffs(self) -> tuple:
         import fractions
 
-        return cls._wrap([fractions.Fraction(c, den) for c in nums])
+        return tuple(fractions.Fraction(c, self.denominator) for c in self.numerators)
+
+    @property
+    def degree(self) -> int | float:
+        return len(self.numerators) - 1 if self.numerators else NEG_INFINITY
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.numerators
+
+    def __bool__(self):
+        return bool(self.numerators)
+
+    def __add__(self, other):
+        self._same_domain(other)
+        da, db = self.denominator, other.denominator
+        sa, sb = db // math.gcd(da, db), da // math.gcd(da, db)
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return RatPolynomial([x * sa + y * sb for x, y in pairs], da * sa)
+
+    def __neg__(self):
+        return RatPolynomial([-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other):
-        if type(other) is not RatPolynomial:
-            return super().__mul__(other)
-        a, da = self._numerators()
-        b, db = other._numerators()
-        return self._over((a * b).coeffs, da * db)
+        if not isinstance(other, _Polynomial):
+            other = RatPolynomial([other])
+        self._same_domain(other)
+        den = self.denominator * other.denominator
+        return RatPolynomial(_convolve(self.numerators, other.numerators), den)
+
+    __rmul__ = __mul__
 
     def _divmod(self, g):
-        if len(self.coeffs) < len(g.coeffs):
+        if len(self.numerators) < len(g.numerators):
             return self.zero(), self
-        a, da = self._numerators()
-        b, db = g._numerators()
         # alpha*a = quot*b + rem over Z, so with self = a/da and g = b/db:
         # self = (quot*db / (alpha*da)) * g + rem / (alpha*da).
-        quot, rem, alpha = _pseudo_divmod(a.coeffs, b.coeffs)
-        den = alpha * da
-        return self._over((c * db for c in quot), den), self._over(rem, den)
+        quot, rem, alpha = _pseudo_divmod(self.numerators, g.numerators)
+        den = alpha * self.denominator
+        return RatPolynomial([c * g.denominator for c in quot], den), RatPolynomial(rem, den)
 
     def to_json(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        d = self.denominator
+        return [f"{c // g}/{d // g}" for c in self.numerators for g in (math.gcd(c, d),)]
+
+
+_set_numerators = RatPolynomial.numerators.__set__
+_set_denominator = RatPolynomial.denominator.__set__
 
 
 def divides(g: _Polynomial, a: _Polynomial) -> bool:
@@ -671,17 +708,16 @@ def rational_xgcd(
     of the integer numerators: g and the longer input's cofactor from its
     last nonzero remainder, the other cofactor as one exact quotient."""
     if b.is_zero:
-        inv = RatPolynomial.constant(1 / a.leading_coefficient) if a else RatPolynomial.one()
+        inv = RatPolynomial([a.denominator], a.numerators[-1]) if a else RatPolynomial.one()
         return a * inv, inv, b
-    if a.is_zero or len(a.coeffs) < len(b.coeffs):
+    if a.is_zero or len(a.numerators) < len(b.numerators):
         g, v, u = rational_xgcd(b, a)
         return g, u, v
-    num, scale = a._numerators()
-    _, R, u = _prs(num, b._numerators()[0])
-    # u*num + v'*(b's numerators) = R with num = scale*a: divide by lc(R)
+    _, R, u = _prs(IntPolynomial(a.numerators), IntPolynomial(b.numerators))
+    # u*A + v'*B = R for the numerators A = da*a and B of b: divide by lc(R)
     lc = R.coeffs[-1]
-    g = RatPolynomial._over(R.coeffs, lc)
-    u = RatPolynomial._over([c * scale for c in u.coeffs], lc)
+    g = RatPolynomial(R.coeffs, lc)
+    u = RatPolynomial([c * a.denominator for c in u.coeffs], lc)
     v, rem = divmod(g - u * a, b)
     if rem:
         raise AssertionError("rational_xgcd: cofactor quotient is not exact")

@@ -75,11 +75,11 @@ class ExponentVector(Frozen):
         order, and M_k, as in the module docstring; deg t_j < deg F_j."""
         rows, prefix = [], IntPolynomial.one()
         for n, f in self._factors.items():
-            g = f._numerators()[0]
+            g = IntPolynomial(f.numerators)  # f is g over 1
             res, u, _ = subresultant_bezout(prefix % g, g)
             if res == 0:
                 raise AssertionError("CRT moduli are not coprime")
-            rows.append((n, f, prefix.to_rational(), RatPolynomial._over(u.coeffs, res)))
+            rows.append((n, f, prefix.to_rational(), RatPolynomial(u.coeffs, res)))
             prefix = prefix * g
         return tuple(rows), prefix.to_rational()
 

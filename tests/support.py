@@ -90,6 +90,31 @@ def schoolbook_rat_mul(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
     return RatPolynomial(out)
 
 
+def schoolbook_rat_add(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
+    """Sum over Q coefficient by coefficient, Fraction by Fraction, instead
+    of integer numerators over a common denominator."""
+    x, y = list(a.coeffs), list(b.coeffs)
+    n = max(len(x), len(y))
+    x, y = x + [Fraction(0)] * (n - len(x)), y + [Fraction(0)] * (n - len(y))
+    return RatPolynomial([s + t for s, t in zip(x, y)])
+
+
+def terms_text(coeffs) -> str:
+    """str() of a polynomial with these coefficients (ints or Fractions),
+    read off their numeric values instead of to_json's strings."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        var = "" if i == 0 else "q" if i == 1 else f"q^{i}"
+        body = str(mag) if not var else var if mag == 1 else f"{mag}*{var}"
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) or "0"
+
+
 def schoolbook_rat_divmod(a: RatPolynomial, g: RatPolynomial):
     """(quotient, remainder) over Q by long division with the inverse of
     g's leading coefficient, Fraction by Fraction, instead of an integer

@@ -458,7 +458,7 @@ ARGPARSE = ("argparse", "gettext", "locale")
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cyclocomp.cli import run
-watched = {"random", "shutil", "fractions", "decimal"} | set(json.loads(sys.argv[2])) | {
+watched = {"random", "shutil", "fractions", "decimal", "numbers"} | set(json.loads(sys.argv[2])) | {
     f"cyclocomp.{layer}" for layer in ("completion", "rootexp", "qcrt")
 }
 for argv in json.loads(sys.argv[1]):
@@ -484,28 +484,30 @@ def _probe(argvs: list) -> list:
 
 def test_start_up_imports_neither_shutil_nor_random():
     # argparse imports shutil to ask for the terminal's width unless the
-    # help width is fixed; random serves only selfcheck's seeded draws.
-    # No leaf loads dataclasses, inspect, ast, dis or tokenize, nor
-    # argparse, gettext or locale.  The light leaves load neither the
-    # completion nor the root layer, and only the qcrt leaves load the CRT
-    # layer.  Only the leaves that build a rational (qcrt and selfcheck)
-    # load fractions, which imports decimal.
-    # As a probe keeps what it loaded, the light and qcrt leaves share one
-    # probe, the habiro leaves and selfcheck another.
+    # help width is fixed.  No leaf loads dataclasses, inspect, ast, dis or
+    # tokenize, nor argparse, gettext or locale.  The light leaves load
+    # neither the completion nor the root layer, and only the qcrt leaves
+    # and selfcheck load the CRT layer.  No leaf loads fractions (with
+    # decimal and numbers): work over Q runs on integer numerators, and
+    # selfcheck's rationals are drawn as numerator-denominator pairs.  Nor
+    # does any load random: selfcheck draws from its own seeded generator.
+    # As a probe keeps what it loaded, the light and qcrt leaves (the
+    # rational split among them) share one probe, the habiro leaves and
+    # selfcheck another.
     leaves = {}
     for argv in GOLDEN_CORPUS:
         leaves.setdefault(tuple(argv[:2] if argv[0] in ("habiro", "qcrt") else argv[:1]), argv)
     light = [leaves[("cyclotomic",)], leaves[("pochhammer",)], leaves[("graph",)]]
-    crt = [leaves[("qcrt", "split")], leaves[("qcrt", "witness")]]
+    crt = [argv for argv in GOLDEN_CORPUS if argv[0] == "qcrt"]
     habiro = [argv for key, argv in leaves.items() if key[0] == "habiro"]
     assert len(leaves) == 12 and len(habiro) == 6 and leaves[("selfcheck",)] == ["selfcheck"]
-    rational = ["cyclocomp.qcrt", "decimal", "fractions"]
-    assert _probe(light + crt) == [[0, []]] * 3 + [[0, rational]] * 2
+    assert len(crt) == 3 and any("/" in word for argv in crt for word in argv)
+    assert _probe(light + crt) == [[0, []]] * 3 + [[0, ["cyclocomp.qcrt"]]] * 3
     reports = _probe(habiro + [["selfcheck"]])
     assert [code for code, _ in reports] == [0] * 7
     allowed = {"cyclocomp.completion", "cyclocomp.rootexp"}
     assert all(set(loaded) <= allowed for _, loaded in reports[:-1])
-    assert not {"shutil", *INTROSPECTION, *ARGPARSE} & set(reports[-1][1])
+    assert reports[-1][1] == sorted(allowed | {"cyclocomp.qcrt"})
 
 
 @pytest.mark.parametrize(

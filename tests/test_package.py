@@ -50,10 +50,10 @@ CLASS_MEMBERS = {
     "DigitExpansion": [],
     "ExponentVector": ["exponent", "factor", "modulus", "support"],
     "FiltrationChain": ["factor", "label", "modulus", "multiplicity", "to_json_dict"],
-    "IntPolynomial": ["content", "has_unit_leading_coefficient", "to_rational"],
+    "IntPolynomial": ["coeffs", "content", "has_unit_leading_coefficient", "to_rational"],
     "PochhammerChain": ["factor", "label", "multiplicity", "to_json_dict"],
     "ProductChain": ["factor", "label", "to_json_dict"],
-    "RatPolynomial": ["to_json"],
+    "RatPolynomial": ["coeffs", "degree", "denominator", "is_zero", "numerators", "to_json"],
     "RingDescriptor": ["is_separated_at"],
     "RootTaylorSeries": ["coeffs", "order", "to_json_dict", "valid_to"],
     "SeriesSpec": [],

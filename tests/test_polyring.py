@@ -1,8 +1,10 @@
 import ast
+import copy
 import fractions
 import inspect
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -43,9 +45,11 @@ from support import (
     random_int_poly,
     random_unit_leading_poly,
     rational_xgcd_by_euclid,
+    schoolbook_rat_add,
     schoolbook_rat_divmod,
     schoolbook_rat_mul,
     sylvester_determinant,
+    terms_text,
 )
 
 
@@ -292,6 +296,104 @@ class TestRationalKernelsAgainstOracles:
         quot, rem = sympy.div(_rat_sympy(a), _rat_sympy(g))
         assert (_rat_from_sympy(quot), _rat_from_sympy(rem)) == expected
         assert all(type(c) is Fraction for part in divmod(a, g) for c in part.coeffs)
+
+
+def _representation(p: RatPolynomial) -> tuple:
+    """p's fields, checked to be canonical: integer numerators, stripped,
+    over a positive denominator, in lowest terms, zero as () over 1."""
+    nums, den = p.numerators, p.denominator
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    assert type(den) is int and den >= 1 and math.gcd(*nums, den) == 1
+    assert (not nums or nums[-1] != 0) and (nums or den == 1)
+    assert p.coeffs == tuple(Fraction(c, den) for c in nums)
+    return nums, den
+
+
+_fraction_lists = st.lists(fractions_within(50, 12), max_size=8)
+
+
+class TestRationalRepresentation:
+    # Integer numerators over one denominator: every operation, checked
+    # field by field, against the Fraction-by-Fraction oracles.
+    @settings(max_examples=200, deadline=None)
+    @given(_fraction_lists, _fraction_lists, fractions_within(50, 12), st.integers(-9, 9))
+    def test_operations_agree_with_fraction_oracles(self, xs, ys, c, k):
+        a, b = RatPolynomial(xs), RatPolynomial(ys)
+        while xs and not xs[-1]:
+            xs = xs[:-1]
+        assert a.coeffs == tuple(xs) and _representation(a)
+        negated_b = RatPolynomial([-t for t in b.coeffs])
+        results = [
+            (a + b, schoolbook_rat_add(a, b)),
+            (a - b, schoolbook_rat_add(a, negated_b)),
+            (-b, negated_b),
+            (a * k, RatPolynomial([k * t for t in xs])),
+            (k * a, RatPolynomial([k * t for t in xs])),
+            (a * c, RatPolynomial([c * t for t in xs])),
+            (c * a, RatPolynomial([c * t for t in xs])),
+            (a * b, schoolbook_rat_mul(a, b)),
+            (a**3, schoolbook_rat_mul(schoolbook_rat_mul(a, a), a)),
+            (a**0, RatPolynomial([Fraction(1)])),
+        ]
+        if b:
+            results += zip(divmod(a, b), schoolbook_rat_divmod(a, b))
+        for value, expected in results:
+            assert _representation(value) == _representation(expected)
+            assert value.coeffs == expected.coeffs
+        assert str(a) == terms_text(a.coeffs)
+        assert a.to_json() == [f"{t.numerator}/{t.denominator}" for t in a.coeffs]
+        assert _representation(RatPolynomial.from_json(a.to_json())) == _representation(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_fraction_lists, st.integers(-10**6, 10**6).filter(bool))
+    def test_one_value_has_one_representation(self, xs, d):
+        a = RatPolynomial(xs)
+        rebuilt = [
+            RatPolynomial([t * d for t in xs], d),
+            RatPolynomial(a.numerators, a.denominator),
+            RatPolynomial.from_json(a.to_json()),
+            RatPolynomial.from_json([f"{t.numerator * abs(d)}/{t.denominator * abs(d)}" for t in xs]),
+            pickle.loads(pickle.dumps(a)),
+            copy.copy(a),
+            copy.deepcopy(a),
+        ]
+        for b in rebuilt:
+            assert b == a and hash(b) == hash(a)
+            assert _representation(b) == _representation(a)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RatPolynomial([Fraction(1, 2)]),
+            lambda: RatPolynomial([1], 2),
+            lambda: RatPolynomial([-3, 0], -6),
+            lambda: RatPolynomial([Fraction(3, 2), Fraction(0, 5)], 3),
+            lambda: RatPolynomial.from_json(["2/4", "-0/3"]),
+            lambda: RatPolynomial.constant(Fraction(1, 2)),
+            lambda: IntPolynomial([1]).to_rational() * Fraction(1, 2),
+        ],
+    )
+    def test_every_way_in_reaches_the_same_fields(self, make):
+        p = make()
+        assert (p.numerators, p.denominator, hash(p)) == ((1,), 2, hash(RatPolynomial([1], 2)))
+
+    def test_integer_coefficients_are_over_one(self):
+        for p in (
+            RatPolynomial([2, 0, -4]),
+            RatPolynomial([Fraction(2), 0, Fraction(-4, 1)]),
+            IntPolynomial([2, 0, -4]).to_rational(),
+            RatPolynomial.from_json(["2/1", "0/5", "-4"]),
+        ):
+            assert (p.numerators, p.denominator) == ((2, 0, -4), 1)
+        assert (RatPolynomial.zero().numerators, RatPolynomial([0, 0], -7).denominator) == ((), 1)
+
+    @pytest.mark.parametrize(
+        "denominator, error",
+        [(0, ZeroDivisionError), (True, TypeError), (2.0, TypeError), (Fraction(2), TypeError)],
+    )
+    def test_denominator_is_a_nonzero_int(self, denominator, error):
+        with pytest.raises(error):
+            RatPolynomial([1], denominator)
 
 
 class TestDivMod:
@@ -737,8 +839,9 @@ class TestResultantBezout:
             assert u * a + v * b == IntPolynomial.constant(res)
 
     def test_integer_work_loads_no_fractions_module(self):
-        # Without the module no value can be a Fraction, so integer work
-        # in a fresh process must not load it.
+        # Without the module no value can be a Fraction, so integer work,
+        # and work over Q on integer numerators, in a fresh process must
+        # not load it.
         proc = subprocess.run(
             [sys.executable, "-S", "-c", INTEGER_WORK],
             capture_output=True,
@@ -860,19 +963,24 @@ class TestPrsOnLists:
         assert wraps(40) == wraps(4) == [2, 5]
 
 
-# Integer polynomial work that touches every coefficient check, then the
-# loaded modules among fractions and what it imports.
+# Polynomial work over Z and over Q that touches every coefficient check,
+# then the loaded modules among fractions and what it imports.
 INTEGER_WORK = """
 import sys
 from cyclocomp.cyclotomic import cyclotomic_poly
-from cyclocomp.polyring import IntPolynomial, divides, resultant, subresultant_bezout
+from cyclocomp.polyring import IntPolynomial, RatPolynomial, divides, rational_xgcd
+from cyclocomp.polyring import resultant, subresultant_bezout
 a, b = cyclotomic_poly(12), cyclotomic_poly(8) * IntPolynomial([2, 0, 3])
 resultant(a, b), subresultant_bezout(a, b), divmod(a * b, a), divides(a, b)
 IntPolynomial.from_json(["1", "-2"]) * 3
-try:
-    IntPolynomial([1, 0.5])
-except TypeError:
-    pass
+r, s = RatPolynomial.from_json(["1/2", "-2/4", "5/3"]), a.to_rational() * RatPolynomial([3], -4)
+str(r - s), repr(-r), (r * s) ** 2 * 3, divmod(r, s), divides(s, r), rational_xgcd(r, s)
+r.to_json(), r.degree, r.is_zero, r == s, hash(r), RatPolynomial.monomial(2, 3)
+for make, coeff in ((IntPolynomial, 0.5), (RatPolynomial, 0.5)):
+    try:
+        make([1, coeff])
+    except TypeError:
+        pass
 print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
 """
 
