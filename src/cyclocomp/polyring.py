@@ -435,10 +435,10 @@ class RatPolynomial(_Polynomial):
 
     def __add__(self, other):
         self._same_domain(other)
-        da, db = self.denominator, other.denominator
-        sa, sb = db // math.gcd(da, db), da // math.gcd(da, db)
+        g = math.gcd(self.denominator, other.denominator)
+        sa, sb = other.denominator // g, self.denominator // g
         pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
-        return RatPolynomial([x * sa + y * sb for x, y in pairs], da * sa)
+        return RatPolynomial([x * sa + y * sb for x, y in pairs], self.denominator * sa)
 
     def __neg__(self):
         return RatPolynomial([-c for c in self.numerators], self.denominator)

@@ -347,12 +347,12 @@ class TestRationalRepresentation:
     @settings(max_examples=100, deadline=None)
     @given(_fraction_lists, st.integers(-10**6, 10**6).filter(bool))
     def test_one_value_has_one_representation(self, xs, d):
-        a = RatPolynomial(xs)
+        a, m = RatPolynomial(xs), abs(d)
         rebuilt = [
             RatPolynomial([t * d for t in xs], d),
             RatPolynomial(a.numerators, a.denominator),
             RatPolynomial.from_json(a.to_json()),
-            RatPolynomial.from_json([f"{t.numerator * abs(d)}/{t.denominator * abs(d)}" for t in xs]),
+            RatPolynomial.from_json([f"{t.numerator * m}/{t.denominator * m}" for t in xs]),
             pickle.loads(pickle.dumps(a)),
             copy.copy(a),
             copy.deepcopy(a),

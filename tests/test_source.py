@@ -913,7 +913,9 @@ def test_fraction_only_in_rational_coefficients():
             visit(child, inner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), ())
-    assert sorted(found) == ["IntPolynomial._coerce", "RatPolynomial.__init__", "RatPolynomial.coeffs"]
+    assert sorted(found) == [
+        "IntPolynomial._coerce", "RatPolynomial.__init__", "RatPolynomial.coeffs"
+    ]
 
 
 def test_sources_parse_at_the_python_floor():
