@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
 # completion, root and CRT layers are imported by the argument types and
 # subcommands that use them.
 from . import cyclotomic
-from .errors import PrecisionContractError
+from .errors import NonUnitLeadingCoefficient, PrecisionContractError
 from .polyring import DECIMAL_INTEGER, Frozen, IntPolynomial, RatPolynomial, divides
 
 if TYPE_CHECKING:
@@ -130,7 +130,10 @@ def _parse_chain(spec: str) -> Callable[["Budgets"], FiltrationChain]:
     if spec.startswith("adic:"):
         arg = spec[len("adic:") :]
         if arg.startswith("["):
-            chain = AdicChain(_parse_poly(arg))
+            try:
+                chain = AdicChain(_parse_poly(arg))
+            except NonUnitLeadingCoefficient as exc:
+                raise _type_error(f"bad adic chain {spec!r}: {exc}") from exc
             return lambda budgets: chain
         n = _positive(arg)
         return lambda budgets: AdicChain(cyclotomic.cyclotomic_poly(budgets.check_order(n)))
@@ -293,15 +296,11 @@ def _cmd_habiro_eval(args, budgets: Budgets) -> _Result:
 
     for n in args.orders:
         budgets.check_order(n)
-    level = args.level if args.level is not None else max(args.orders)
-    budgets.check_level(level)
     # Phi_n divides g_m for m >= n, so level n fixes the value at zeta_n:
-    # a level below an order raises at the smallest such order, before any
-    # jet runs.  The value is c_0 of the series' jet at zeta_n, which sums
-    # the terms up to level n in Z[zeta_n].
-    orders, poch = sorted(set(args.orders)), completion.PochhammerChain()
-    for n in orders:
-        rootexp._require_value(poch, level, n)
+    # it is c_0 of the series' jet at zeta_n, which sums the terms up to
+    # level n in Z[zeta_n].  The level used is the deepest order.
+    level = budgets.check_level(max(args.orders))
+    orders = sorted(set(args.orders))
     spec = completion.NAMED_SERIES[args.series]
     values = [(n, rootexp.expand_series(spec, n, 0).coeffs[0]) for n in orders]
     return _Result(
@@ -619,7 +618,6 @@ _COMMANDS = (
         (
             ("--series", {"choices": SERIES_NAMES, "required": True}),
             ("--orders", {"type": _positive_list, "required": True}),
-            ("--level", {"type": _level, "default": None}),
         ),
     ),
     (

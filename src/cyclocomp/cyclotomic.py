@@ -235,9 +235,7 @@ def congruence_check(n: int, p: int, e: int) -> tuple[int, bool]:
     check_index(e, "e", 1)
     big = cyclotomic_poly(p**e * n)
     small = cyclotomic_poly(n)
-    d, rem = divmod(len(big.coeffs) - 1, len(small.coeffs) - 1)
-    if rem != 0:
-        return d, False
+    d = (len(big.coeffs) - 1) // (len(small.coeffs) - 1)
     closed = p**e if n % p == 0 else (p - 1) * p ** (e - 1)
     holds = d == closed and poly_mod_prime(big, p) == _pow_mod_p(small, d, p)
     return d, holds
@@ -273,10 +271,8 @@ def cyclotomic_coprimality(m: int, n: int) -> UnitCertificate | CommonPrimeCerti
     c = c_value(m, n)
     if c == 1:
         res, u, v = subresultant_bezout(cyclotomic_poly(m), cyclotomic_poly(n))
-        if res not in (1, -1):
-            raise AssertionError(f"expected unit resultant for ({m},{n}), got {res}")
-        if res == -1:
-            u, v = -u, -v
+        if res != 1:
+            raise AssertionError(f"expected resultant 1 for ({m},{n}), got {res}")
         return UnitCertificate(u=u, v=v, resultant=res)
     # no cofactors are kept for a shared prime, so only the resultant is built
     res = resultant(cyclotomic_poly(m), cyclotomic_poly(n))

@@ -152,18 +152,12 @@ def evaluate_at_root(a: TruncatedElement, n: int) -> CyclotomicInteger:
     coefficients are folded into m signed buckets, since Phi_n divides
     q^m - eps (`_ring`), and CyclotomicInteger reduces the m sums mod
     Phi_n: row 0 of `_z_jet`."""
-    _require_value(a.chain, a.level, n)
-    return CyclotomicInteger(n, _z_jet(a.rep.coeffs, n, 1))
-
-
-def _require_value(chain, level: int, n: int) -> None:
-    """Raise InsufficientPrecision unless level on chain fixes the value at
-    a primitive n-th root, that is unless Phi_n divides g_level."""
-    if root_multiplicity(chain, level, n) < 1:
+    if root_multiplicity(a.chain, a.level, n) < 1:
         raise InsufficientPrecision(
-            f"level {level} on {chain.label!r} does not determine the "
+            f"level {a.level} on {a.chain.label!r} does not determine the "
             f"value at a primitive root of unity of order {n}"
         )
+    return CyclotomicInteger(n, _z_jet(a.rep.coeffs, n, 1))
 
 
 def tau_values(a: TruncatedElement, orders: Sequence[int]) -> dict[int, CyclotomicInteger]:

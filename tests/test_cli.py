@@ -93,23 +93,20 @@ class TestPayloads:
     def test_eval_takes_one_jet_per_order(self, calls):
         # Phi_n divides g_m for m >= n: level n fixes the value at zeta_n,
         # and c_0 of the jet at zeta_n is that value
-        argv = ("habiro", "eval", "--series", "kz", "--orders", "2,1,2", "--level")
-        (code, out, _), (code_2, out_2, _) = invoke(*argv, "200"), invoke(*argv, "2")
+        code, out, _ = invoke("habiro", "eval", "--series", "kz", "--orders", "2,1,2")
+        code_2, out_2, _ = invoke("habiro", "eval", "--series", "kz", "--orders", "1,2")
         assert calls == [("jet", 1, 0), ("jet", 2, 0)] * 2
         assert code == code_2 == 0
-        assert json.loads(out)["level"] == 200  # the payload echoes --level
-        assert json.loads(out)["values"] == json.loads(out_2)["values"]
+        assert out == out_2
+        assert json.loads(out)["level"] == 2  # the level is the deepest order
 
-    def test_eval_below_an_order_runs_no_jet(self, calls):
+    def test_eval_level_is_a_usage_error(self, calls):
         code, out, err = invoke(
             "habiro", "eval", "--series", "kz", "--orders", "1,5,3", "--level", "2"
         )
         assert calls == []
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: InsufficientPrecision: level 2 on 'pochhammer' does not determine "
-            "the value at a primitive root of unity of order 3\n"
-        )
+        assert (code, out) == (1, "")
+        assert err == "error: usage: unrecognized arguments: --level 2\n"
 
     @pytest.mark.parametrize("name", ["kz", "qinv"])
     def test_eval_matches_the_realised_element(self, name):
@@ -219,6 +216,9 @@ OUT_OF_RANGE = [
 ]
 
 
+NON_UNIT = "adic chains need a unit-leading polynomial of degree >= 1"
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         code, _, err = invoke("graph", "--ring", "X", "--set", "1")
@@ -238,6 +238,29 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error: NotCoarser:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--chain", 'adic:["1","2"]', "bad adic chain 'adic:[\"1\",\"2\"]': " + NON_UNIT),
+            ("--chain", 'adic:["5"]', "bad adic chain 'adic:[\"5\"]': " + NON_UNIT),
+            ("--chain", "bogus", "unknown chain spec 'bogus'"),
+            ("--lambda", "1-2", "bad exponent vector '1-2' (expected n:e,n:e,...)"),
+        ],
+        ids=["adic lc 2", "adic constant", "unknown chain", "lambda without colon"],
+    )
+    def test_a_rejected_value_is_named(self, option, value, message):
+        # an adic chain's unit-leading rule is a usage error at the parser too
+        leaf = {"--chain": ["habiro", "reduce", "--level", "2"], "--lambda": ["qcrt", "split"]}
+        code, out, err = invoke(*leaf[option], option, value, "--poly", '["1"]')
+        assert (code, out, err) == (1, "", f"error: usage: argument {option}: {message}\n")
+
+    def test_an_adic_chain_by_coefficients_is_the_indexed_one(self):
+        argv = ("habiro", "reduce", "--level", "2", "--poly", '["1","3","4"]')
+        for fmt in ("json", "csv", "plain"):
+            by_index = invoke(*argv, "--chain", "adic:1", "--format", fmt)
+            assert invoke(*argv, "--chain", 'adic:["-1","1"]', "--format", fmt) == by_index
+            assert by_index[0] == 0
 
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
     def test_out_of_range_integers_are_usage_errors(self, argv):

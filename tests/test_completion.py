@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocomp import (
     AdicChain,
@@ -219,6 +220,10 @@ class TestChains:
             with pytest.raises(ValueError, match="nonempty indices or an enumeration, not both"):
                 ProductChain(**kwargs)
 
+    def test_a_custom_enumeration_has_no_json(self):
+        with pytest.raises(ValueError, match="custom-enumeration chains are not serializable"):
+            ProductChain(enumeration=four_six_one).to_json_dict()
+
     def test_a_product_chain_takes_no_label(self):
         # a label once decided equality: two chains with the same factors
         # compared unequal, and an element failed its own JSON round trip
@@ -260,6 +265,25 @@ class TestReduce:
                 fr, gr = reduce(f, chain, k), reduce(g, chain, k)
                 assert fr + gr == reduce(f + g, chain, k)
                 assert fr * gr == reduce(f * g, chain, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(all_chain_kinds()),
+        st.lists(st.integers(-(10**6), 10**6), max_size=14),
+        st.lists(st.integers(-(10**6), 10**6), max_size=14),
+        st.integers(0, 6),
+        st.integers(0, 6),
+    )
+    def test_subtraction_and_negation(self, chain, f, g, k, m):
+        a, b = reduce(IntPolynomial(f), chain, k), reduce(IntPolynomial(g), chain, m)
+        assert a - b == a + (-b)
+        assert -(-a) == a
+        assert (a - a).is_zero
+
+    def test_unknown_op_rejected(self):
+        a = reduce(P(1, 2), PochhammerChain(), 3)
+        with pytest.raises(ValueError, match="unknown op 'div'"):
+            completion.trunc_arith(a, a, "div")
 
     def test_multiplicative_identity(self):
         poch = PochhammerChain()
@@ -354,7 +378,7 @@ class TestDigits:
                 k = rng.randint(0, 7)
                 a = reduce(f, chain, k)
                 d = to_digits(a)
-                assert len(d.digits) == k
+                assert len(d) == len(d.digits) == k
                 assert from_digits(d, k) == a
 
     def test_degree_bounds_hold(self):
@@ -710,6 +734,7 @@ class TestUnits:
     def test_zero_divisor_has_no_inverse(self):
         modulus = IntPolynomial.monomial(1, 5) - ONE
         assert unit_inverse_mod(P(-1, 1), modulus) is None
+        assert unit_inverse_mod(IntPolynomial.zero(), modulus) is None
 
     def test_none_means_not_a_unit(self):
         # res(q + 1, q - 1) = -2: q + 1 takes the value 2 at q = 1, and 2 is

@@ -429,6 +429,18 @@ class TestCoprimality:
                     assert isinstance(cert, CommonPrimeCertificate)
                     assert cert.resultant == cert.p**cert.exponent > 1
 
+    def test_unit_resultant_is_one_in_both_orders(self):
+        # deg Phi_k is even for k >= 3, so res(Phi_m, Phi_n) is a product
+        # over roots closed under conjugation and positive; with index 1
+        # or 2 it is Phi_k(+-1) up to an even-degree sign.  So a unit is +1.
+        for m in range(1, 41):
+            for n in range(1, 41):
+                if m != n and c_value(m, n) == 1:
+                    cert = cyclotomic_coprimality(m, n)
+                    assert cert.resultant == 1, (m, n)
+                    bezout = cert.u * cyclotomic_poly(m) + cert.v * cyclotomic_poly(n)
+                    assert bezout == IntPolynomial.one(), (m, n)
+
     def test_common_prime_pair_builds_no_cofactors(self, monkeypatch):
         calls = []
         bezout = cyclotomic.subresultant_bezout

@@ -436,6 +436,14 @@ class TestDivMod:
     def test_divides(self):
         assert divides(P(1, 1), P(-1, 0, 1))
         assert not divides(P(1, 1), P(1, 0, 1))
+        # zero divides only zero, in both domains
+        for zero, a in (IntPolynomial.zero(), P(0, 3)), (RatPolynomial.zero(), RatPolynomial([3])):
+            assert divides(zero, zero) and not divides(zero, a)
+
+    def test_zero_has_no_leading_coefficient(self):
+        for zero in (IntPolynomial.zero(), RatPolynomial.zero()):
+            with pytest.raises(ValueError, match="the zero polynomial has no leading coefficient"):
+                zero.leading_coefficient
 
     @pytest.mark.parametrize("g", [P(-1, 0, 1), P(2, -3, 0, -1)], ids=["monic", "lc -1"])
     def test_divides_up_to_the_divisor_degree(self, g):

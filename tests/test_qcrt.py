@@ -211,6 +211,12 @@ class TestReconstruct:
         with pytest.raises(DegreeViolation):
             crt_reconstruct(comps, lam)
 
+    def test_mismatched_support_rejected(self):
+        lam = ExponentVector({1: 1, 2: 1})
+        comps = CrtComponents({1: ZERO, 3: ZERO})
+        with pytest.raises(ValueError, match=r"support \(1, 3\) does not match \(1, 2\)"):
+            crt_reconstruct(comps, lam)
+
     def test_idempotent_system(self):
         for support in ({1: 1, 2: 1}, {1: 2, 2: 2}, {2: 1, 3: 2, 4: 1}):
             lam = ExponentVector(support)

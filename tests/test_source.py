@@ -807,6 +807,60 @@ def test_constructor_and_unit_leading_lints_are_recognised():
     assert _scopes_where(tree, _raises_non_unit) == ["arrow_witness", "<module>"]
 
 
+MODULES = {path.stem for path in SOURCES}
+
+
+def _private_reads(tree, module: str) -> list[str]:
+    """Private names of another module of the package that `module`
+    reads: `from .m import _x` and `m._x`, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module != module:
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES - {module}
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # The kernel's one convolution and one division, the replace bridge
+    # and the completion layer's one walk of a series' terms are shared
+    # on purpose; everything else crosses a module by a public name, so
+    # the CLI reaches the root layer only through its public functions.
+    found = sorted(
+        f"{path.stem}: {name}"
+        for path in SOURCES
+        for name in _private_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    )
+    assert found == [
+        "completion: polyring._Replaceable",
+        "cyclotomic: polyring._Replaceable",
+        "rootexp: completion._series_terms",
+        "rootexp: polyring._Replaceable",
+        "rootexp: polyring._convolve",
+        "rootexp: polyring._divide_in_place",
+    ]
+
+
+def test_private_read_lint_is_recognised():
+    # the eval leaf's precision check as it was, and code the lint leaves alone
+    tree = ast.parse(
+        "from . import completion, rootexp\n"
+        "from .polyring import _prs, divides\n"
+        "from .cli import _level\n"
+        "def leaf(poch, level, n):\n"
+        "    rootexp._require_value(poch, level, n)\n"
+        "    completion.__name__, self._init, rootexp.tau_values, _level(n)\n"
+    )
+    assert _private_reads(tree, "cli") == ["polyring._prs", "rootexp._require_value"]
+
+
 def _memo_decorator(node) -> bool:
     """@cache, @lru_cache, @lru_cache(...) and their functools.* forms."""
     if isinstance(node, ast.Call):
