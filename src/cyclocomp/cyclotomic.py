@@ -254,7 +254,8 @@ class UnitCertificate(_Replaceable):
 
 
 class CommonPrimeCertificate(_Replaceable):
-    """The two indices share the prime p; the resultant is p^exponent."""
+    """The two indices share the prime p = c(m, n).  The resultant, taken
+    in ascending index order, is p^exponent with exponent phi(min(m, n))."""
 
     __slots__ = _fields = ("p", "resultant", "exponent")
 
@@ -265,7 +266,10 @@ class CommonPrimeCertificate(_Replaceable):
 def cyclotomic_coprimality(m: int, n: int) -> UnitCertificate | CommonPrimeCertificate:
     """Dichotomy for the ideal (Phi_m, Phi_n) in Z[q]: a Bezout
     certificate of coprimality when c(m, n) = 1, otherwise the shared
-    prime with the verified prime-power resultant."""
+    prime p with the resultant res(Phi_min, Phi_max), checked to equal
+    p^phi(min(m, n)) (T. M. Apostol, "Resultants of cyclotomic
+    polynomials", Proc. AMS 24, 1970).  Ascending order fixes the sign: a
+    swap multiplies it by (-1)^(phi(m) phi(n)), -1 only for the pair {1, 2}."""
     if m == n:
         raise EqualIndices("coprimality needs two distinct indices")
     c = c_value(m, n)
@@ -275,17 +279,11 @@ def cyclotomic_coprimality(m: int, n: int) -> UnitCertificate | CommonPrimeCerti
             raise AssertionError(f"expected resultant 1 for ({m},{n}), got {res}")
         return UnitCertificate(u=u, v=v, resultant=res)
     # no cofactors are kept for a shared prime, so only the resultant is built
-    res = resultant(cyclotomic_poly(m), cyclotomic_poly(n))
-    exponent = 0
-    r = res
-    while r % c == 0 and r > 1:
-        r //= c
-        exponent += 1
-    if r != 1 or exponent < 1:
-        raise AssertionError(
-            f"resultant {res} of ({m},{n}) is not a positive power of {c}"
-        )
-    return CommonPrimeCertificate(p=c, resultant=res, exponent=exponent)
+    low, high = map(cyclotomic_poly, sorted((m, n)))
+    res = resultant(low, high)
+    if res != c**low.degree:
+        raise AssertionError(f"resultant {res} of ({m},{n}) is not {c}^{low.degree}")
+    return CommonPrimeCertificate(p=c, resultant=res, exponent=low.degree)
 
 
 # -- bounded ideal-membership search ---------------------------------------

@@ -4,9 +4,8 @@ Over Q, distinct cyclotomic powers Phi_m^i and Phi_n^j are comaximal, so
 Q[q] modulo a product of such powers splits as a direct product of the
 single-factor quotients.  That splitting is what makes restriction maps
 over Q lossy: dropping a component is a surjection with a visible kernel.
-`rho_q_kernel_witness` constructs such kernel elements explicitly, and a
-bounded search certifies that the analogous integer-coefficient element
-does not exist at level 1.
+`rho_q_kernel_witness` constructs such kernel elements explicitly.  Over Z
+the analogous element exists at no level: `integer_witness_search` says why.
 
 Residues are glued by Garner's mixed radix.  Walk the factors F_j =
 Phi_n^lambda(n) in support order with M_{j-1} the product of those before
@@ -20,13 +19,12 @@ t_j) together with the modulus M_k, the walk's last prefix.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .cyclotomic import cyclotomic_poly
 from .errors import DegreeViolation
-from .polyring import Frozen, IntPolynomial, RatPolynomial, check_index, divides
+from .polyring import Frozen, IntPolynomial, RatPolynomial, check_index
 from .polyring import subresultant_bezout
 
 
@@ -149,25 +147,18 @@ def rho_q_kernel_witness(level: int) -> RatPolynomial:
     return crt_reconstruct(CrtComponents({1: RatPolynomial.zero(), 2: RatPolynomial.one()}), lam)
 
 
-def integer_witness_search(
-    level: int = 1, max_degree: int = 1, coeff_bound: int = 20
-) -> Optional[IntPolynomial]:
-    """Bounded exhaustive search for an integer-coefficient polynomial of
-    degree <= max_degree that is 0 mod (q-1)^level and 1 mod (q+1)^level.
+def integer_witness_search(level: int = 1, max_degree: int = 1, coeff_bound: int = 20) -> None:
+    """The integer analogue of `rho_q_kernel_witness` in the box deg w <=
+    max_degree, |coefficients| <= coeff_bound; there is none, so None.
 
-    This is a finite certificate over the searched box, not a proof: it
-    scans all coefficient vectors with entries in [-coeff_bound,
-    coeff_bound] and returns the first witness found, or None.  A level
-    below 1 or a negative max_degree or coeff_bound is a ValueError.
+    Proof, for every level, degree and bound: a witness w is 0 mod
+    (q-1)^level and 1 mod (q+1)^level, so w(1) = 0 and w(-1) = 1.  But
+    w(1) - w(-1) is twice the sum of w's odd coefficients, so it is even.
+    Equivalently, 1 = w - (w - 1) would lie in (Phi_1, Phi_2) = (q - 1, 2),
+    a proper ideal: the CommonPrimeCertificate(p=2) of the pair (1, 2).
+    The box arguments are still validated (a level below 1 or a negative
+    max_degree or coeff_bound is a ValueError) but cannot change the answer.
     """
     check_index(level, "level", 1)
     check_index(max_degree, "max_degree", 0)
     check_index(coeff_bound, "coeff_bound", 0)
-    f1 = cyclotomic_poly(1) ** level
-    f2 = cyclotomic_poly(2) ** level
-    rng = range(-coeff_bound, coeff_bound + 1)
-    for coeffs in itertools.product(rng, repeat=max_degree + 1):
-        cand = IntPolynomial(coeffs)
-        if divides(f1, cand) and divides(f2, cand - IntPolynomial.one()):
-            return cand
-    return None

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclocomp import cli, cyclotomic
+from cyclocomp import IntPolynomial, RatPolynomial, cli, cyclotomic
 from cyclocomp.cli import run
 from support import kz_value_by_strange_identity
 from test_acceptance import GOLDEN_CORPUS
@@ -274,6 +275,109 @@ class TestExitCodes:
             "habiro", "series", "--name", "kz", "--level", "3", "--check-unit"
         )
         assert code == 1
+
+
+def _patch(monkeypatch, module, name, wrong):
+    """Replace module.name by a kernel returning wrong(original, *args)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(original, *args))
+
+
+def _selfcheck_row(out, fmt, check):
+    if fmt == "json":
+        return json.loads(out)[check]
+    if fmt == "csv":
+        return dict(line.split(",") for line in out.splitlines()[1:])[check]
+    return {line[5:]: line[:4].rstrip() for line in out.splitlines()}[check]
+
+
+def _raise(*args):
+    raise RuntimeError("kernel failed")
+
+
+# One wrong kernel per selfcheck check, fed through one library name the
+# check reads: (check, module, name, wrong, format).  The two
+# trunc_arith rows fail the homomorphism's product and its sum in turn;
+# the last row raises, which the suite itself must turn into a FAIL row.
+ONE = RatPolynomial.one()
+WRONG_KERNELS = [
+    (
+        "cyclotomic_product_law_n<=40", "cyclotomic", "cyclotomic_poly",
+        lambda f, n: f(n) + IntPolynomial.one() if n == 40 else f(n), "plain",
+    ),
+    (
+        "cyclotomic_degree_is_phi_n<=40", "cyclotomic", "cyclotomic_poly",
+        lambda f, n: f(n) * IntPolynomial.monomial(1, 1) if n == 40 else f(n), "csv",
+    ),
+    ("c_value_symmetry_n<=30", "cyclotomic", "c_value", lambda f, m, n: f(m, n) + (m > n), "json"),
+    ("digit_roundtrip_seeded", "completion", "from_digits", lambda f, *a: -f(*a), "plain"),
+    ("q_inverse_identity_n<=12", "completion", "series_realize", lambda f, *a: -f(*a), "csv"),
+    (
+        "coprimality_dichotomy_n<=20", "cyclotomic", "cyclotomic_coprimality",
+        lambda f, m, n: f(1, 2), "json",
+    ),
+    ("taylor_matches_evaluation", "rootexp", "evaluate_at_root", lambda f, *a: -f(*a), "plain"),
+    ("crt_roundtrip_seeded", "qcrt", "crt_reconstruct", lambda f, *a: f(*a) + ONE, "csv"),
+    (
+        "rational_kernel_witness_n<=3", "qcrt", "rho_q_kernel_witness",
+        lambda f, k: f(k) + ONE, "json",
+    ),
+    (
+        "reduce_is_ring_homomorphism", "completion", "trunc_arith",
+        lambda f, a, b, op: f(a, b, "add" if op == "mul" else op), "plain",
+    ),
+    (
+        "reduce_is_ring_homomorphism", "completion", "trunc_arith",
+        lambda f, a, b, op: f(a, b, "sub" if op == "add" else op), "csv",
+    ),
+    ("c_value_symmetry_n<=30", "cyclotomic", "c_value", lambda f, *a: _raise(), "plain"),
+]
+
+
+class TestInternalFailures:
+    # Exit code 3 is an internal invariant failure: a kernel that lies or
+    # raises.  Each case patches one library kernel, in process.
+
+    @pytest.mark.parametrize(
+        "check, module, name, wrong, fmt",
+        WRONG_KERNELS,
+        ids=[f"{check}-{name}-{fmt}" for check, _, name, _, fmt in WRONG_KERNELS],
+    )
+    def test_selfcheck_reports_a_wrong_kernel(self, monkeypatch, check, module, name, wrong, fmt):
+        _patch(monkeypatch, importlib.import_module(f"cyclocomp.{module}"), name, wrong)
+        code, out, err = invoke("selfcheck", "--format", fmt)
+        assert (code, err) == (3, "")
+        assert _selfcheck_row(out, fmt, check) == (False if fmt == "json" else "FAIL")
+
+    def test_every_check_has_a_wrong_kernel(self):
+        code, out, _ = invoke("selfcheck")
+        assert code == 0
+        assert set(json.loads(out)) == {check for check, *_ in WRONG_KERNELS}
+
+    def test_witness_that_fails_its_checks(self, monkeypatch):
+        from cyclocomp import qcrt
+
+        _patch(monkeypatch, qcrt, "rho_q_kernel_witness", lambda f, k: f(k) + ONE)
+        code, out, err = invoke("qcrt", "witness", "--level", "2", "--format", "plain")
+        assert (code, err) == (3, "")
+        assert out.splitlines()[1:] == ["zero mod (q-1)^2: false", "one mod (q+1)^2: false"]
+        code, out, _ = invoke("qcrt", "witness", "--level", "2")
+        assert code == 3
+        assert json.loads(out)["checks"] == {"one_mod_(q+1)^N": False, "zero_mod_(q-1)^N": False}
+
+    def test_check_unit_with_a_wrong_inverse(self, monkeypatch):
+        from cyclocomp import completion
+
+        _patch(monkeypatch, completion, "series_realize", lambda f, *a: -f(*a))
+        code, out, err = invoke(
+            "habiro", "series", "--name", "qinv", "--level", "5", "--check-unit"
+        )
+        assert (code, out, err) == (3, "q*inv == 1 mod (q)_5: false\n", "")
+
+    def test_a_raising_kernel_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", _raise)
+        code, out, err = invoke("cyclotomic", "12")
+        assert (code, out, err) == (3, "", "error: internal: RuntimeError: kernel failed\n")
 
 
 class TestBudgets:

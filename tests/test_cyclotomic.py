@@ -35,6 +35,7 @@ from support import (
     check_frozen_value,
     components_by_pairwise_closure,
     phi_by_trial_factorization,
+    sylvester_determinant,
 )
 
 
@@ -482,6 +483,34 @@ class TestCoprimality:
                 p = prime_of_power(n // m) if n % m == 0 else None
                 expected = p ** phi_by_trial_factorization(m) if p else 1
                 assert resultant(cyclotomic_poly(m), cyclotomic_poly(n)) == expected, (m, n)
+
+    def test_common_prime_pairs_in_both_orders(self):
+        # The sweeps above take m < n; in either order the resultant is
+        # taken as res(Phi_min, Phi_max) = p^phi(min(m, n)).
+        for m in range(1, 41):
+            for n in range(1, 41):
+                p = c_value(m, n)
+                if m != n and p != 1:
+                    phi = phi_by_trial_factorization(min(m, n))
+                    expected = CommonPrimeCertificate(p, p**phi, phi)
+                    assert cyclotomic_coprimality(m, n) == expected, (m, n)
+
+    def test_common_prime_resultant_is_the_sylvester_determinant_up_to_sign(self):
+        # Swapping the arguments multiplies the Sylvester determinant by
+        # (-1)^(phi(m) phi(n)), which is -1 only for the pair {1, 2}.
+        assert sylvester_determinant(cyclotomic_poly(2), cyclotomic_poly(1)) == -2
+        assert cyclotomic_coprimality(2, 1) == CommonPrimeCertificate(p=2, resultant=2, exponent=1)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                if m != n and c_value(m, n) != 1:
+                    det = sylvester_determinant(cyclotomic_poly(m), cyclotomic_poly(n))
+                    assert abs(det) == cyclotomic_coprimality(m, n).resultant, (m, n)
+
+    @pytest.mark.parametrize("m, n, wrong", [(2, 1, -2), (3, 9, 27), (9, 3, 3)])
+    def test_a_resultant_off_apostols_power_raises(self, monkeypatch, m, n, wrong):
+        monkeypatch.setattr(cyclotomic, "resultant", lambda a, b: wrong)
+        with pytest.raises(AssertionError, match=rf"resultant {wrong} of \({m},{n}\) is not "):
+            cyclotomic_coprimality(m, n)
 
 
 class TestArrowWitness:

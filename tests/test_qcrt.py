@@ -1,3 +1,6 @@
+import io
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cyclocomp import (
+    CommonPrimeCertificate,
     CrtComponents,
     ExponentVector,
     IntPolynomial,
@@ -14,12 +18,14 @@ from cyclocomp import (
     crt_idempotents,
     crt_reconstruct,
     crt_split,
+    cyclotomic_coprimality,
     cyclotomic_poly,
     integer_witness_search,
     pochhammer,
     rho_q_kernel_witness,
 )
 from cyclocomp import qcrt
+from cyclocomp.cli import run
 from cyclocomp.errors import DegreeViolation
 
 from support import check_frozen_value, crt_by_cofactors, fractions_within, random_rat_poly
@@ -30,6 +36,25 @@ ONE = RatPolynomial.one()
 
 def factor(n, e):
     return (cyclotomic_poly(n) ** e).to_rational()
+
+
+def hermite_witness(level):
+    """x^L * A(y) with A(t) = sum_{i<L} C(L-1+i, i) t^i, x = (1-q)/2 and
+    y = (1+q)/2, as ascending Fractions, from binomial coefficients alone.
+    Splitting (x + y)^(2L-1) = 1 at the power L of x gives
+    x^L A(y) + y^L A(x) = 1, so this is 0 mod (q-1)^L and 1 mod (q+1)^L,
+    of degree 2L - 1: the two-point Hermite interpolant."""
+    x_power = [(-1) ** k * math.comb(level, k) for k in range(level + 1)]  # (1-q)^L
+    # 2^(L-1) A(y) = sum_i C(L-1+i, i) 2^(L-1-i) (1+q)^i
+    a = [0] * level
+    for i in range(level):
+        for k in range(i + 1):
+            a[k] += math.comb(level - 1 + i, i) * 2 ** (level - 1 - i) * math.comb(i, k)
+    num = [0] * (2 * level)
+    for j, xj in enumerate(x_power):
+        for k, ak in enumerate(a):
+            num[j + k] += xj * ak
+    return [Fraction(c, 2 ** (2 * level - 1)) for c in num]
 
 
 class TestExponentVector:
@@ -367,11 +392,57 @@ class TestKernelWitness:
         # cand(1) - cand(-1) is twice the sum of the odd coefficients.
         assert integer_witness_search(level, 3, 3) is None
 
-    def test_search_finds_rational_solution_when_scaled(self):
-        # sanity check that the search itself works: 2*w has integer
-        # coefficients and satisfies the doubled congruence system
+    def test_twice_the_level_one_witness_is_integral(self):
+        # 2*w has integer coefficients and solves the doubled system:
+        # 0 mod q - 1 and 2 mod q + 1, where w itself needs the halves
         w = rho_q_kernel_witness(1) * 2
         cand = IntPolynomial([c.numerator for c in w.coeffs])
         f1, f2 = cyclotomic_poly(1), cyclotomic_poly(2)
         assert (cand % f1).is_zero
         assert ((cand - IntPolynomial([2])) % f2).is_zero
+
+    @pytest.mark.parametrize("level", range(1, 61))
+    def test_witness_is_the_hermite_interpolant(self, level):
+        assert list(rho_q_kernel_witness(level).coeffs) == hermite_witness(level)
+
+    @pytest.mark.parametrize("level", [1, 4, 9])
+    def test_cli_prints_the_hermite_interpolant(self, level):
+        out = io.StringIO()
+        assert run(["qcrt", "witness", "--level", str(level), "--format", "json"], out) == 0
+        expected = [f"{c.numerator}/{c.denominator}" for c in hermite_witness(level)]
+        assert json.loads(out.getvalue())["witness"] == expected
+
+
+class TestNoIntegerWitness:
+    # A witness w in Z[q] would be 0 mod (q-1)^L and 1 mod (q+1)^L, so
+    # w(1) = 0 and w(-1) = 1; integer polynomials take values of equal
+    # parity there, as (Phi_1, Phi_2) = (q - 1, 2) is a proper ideal.
+    # integer_witness_search returns that theorem; these tests pin its premises.
+
+    def test_phi1_and_phi2_share_the_prime_two(self):
+        assert cyclotomic_coprimality(1, 2) == CommonPrimeCertificate(2, 2, 1)
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=12))
+    def test_values_at_one_and_minus_one_have_equal_parity(self, coeffs):
+        p = IntPolynomial(coeffs)
+        at_one = sum(coeffs)
+        at_minus_one = sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs))
+        assert p % cyclotomic_poly(1) == IntPolynomial.constant(at_one)
+        assert p % cyclotomic_poly(2) == IntPolynomial.constant(at_minus_one)
+        assert (at_one - at_minus_one) % 2 == 0
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_brute_force_finds_no_witness_in_small_boxes(self, level):
+        # the degree <= 3, |coefficient| <= 3 box holds every smaller box
+        zero_mod, one_mod = cyclotomic_poly(1) ** level, cyclotomic_poly(2) ** level
+        one = IntPolynomial.one()
+        for coeffs in itertools.product(range(-3, 4), repeat=4):
+            cand = IntPolynomial(coeffs)
+            assert not ((cand % zero_mod).is_zero and ((cand - one) % one_mod).is_zero), coeffs
+
+    def test_search_builds_no_polynomial(self, monkeypatch):
+        def no_polynomial(*args):
+            raise RuntimeError("integer_witness_search built a polynomial")
+
+        monkeypatch.setattr(qcrt, "IntPolynomial", no_polynomial)
+        assert integer_witness_search(1, 5, 3) is None
