@@ -4,8 +4,9 @@ Over Q, distinct cyclotomic powers Phi_m^i and Phi_n^j are comaximal, so
 Q[q] modulo a product of such powers splits as a direct product of the
 single-factor quotients.  That splitting is what makes restriction maps
 over Q lossy: dropping a component is a surjection with a visible kernel.
-`rho_q_kernel_witness` constructs such kernel elements explicitly.  Over Z
-the analogous element exists at no level: `integer_witness_search` says why.
+`rho_q_kernel_witness` builds one such kernel element, the idempotent of
+{1: L, 2: L}, from its closed form, not by gluing.  Over Z the analogous
+element exists at no level: `integer_witness_search` says why.
 
 Residues are glued by Garner's mixed radix.  Walk the factors F_j =
 Phi_n^lambda(n) in support order with M_{j-1} the product of those before
@@ -19,6 +20,7 @@ t_j) together with the modulus M_k, the walk's last prefix.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -141,10 +143,22 @@ def crt_idempotents(lam: ExponentVector) -> dict[int, RatPolynomial]:
 def rho_q_kernel_witness(level: int) -> RatPolynomial:
     """A rational polynomial that is 0 mod (q-1)^level and 1 mod
     (q+1)^level: nonzero in the completion at {1, 2} but killed by
-    restriction to {1}.  It is the CRT idempotent e_2, glued alone; a
-    level < 1 is a ValueError."""
-    lam = ExponentVector({1: level, 2: level})
-    return crt_reconstruct(CrtComponents({1: RatPolynomial.zero(), 2: RatPolynomial.one()}), lam)
+    restriction to {1}; a level < 1 is a ValueError.  It is the CRT
+    idempotent e_2 of {1: L, 2: L}, L the level, built from its closed form
+    instead of the glue.  With x = (1-q)/2 and y = (1+q)/2, x + y = 1, and
+    splitting (x + y)^(2L-1) at the power L of x gives
+    x^L A(y) + y^L A(x) = 1, A(t) = sum_{i<L} C(L-1+i, i) t^i.  So x^L A(y)
+    is a witness of degree 2L - 1 < deg (q-1)^L (q+1)^L, the one that
+    `crt_reconstruct` glues.  Over 2^(2L-1) its numerators are
+    (1-q)^L * sum_{i<L} C(L-1+i, i) 2^(L-1-i) (1+q)^i, the sum taken by
+    Horner's rule in 1 + q."""
+    check_index(level, "level", 1)
+    one_plus_q, total = IntPolynomial([1, 1]), IntPolynomial.zero()
+    for i in reversed(range(level)):
+        total = total * one_plus_q + IntPolynomial.constant(
+            math.comb(level - 1 + i, i) << (level - 1 - i)
+        )
+    return RatPolynomial((IntPolynomial([1, -1]) ** level * total).coeffs, 2 ** (2 * level - 1))
 
 
 def integer_witness_search(level: int = 1, max_degree: int = 1, coeff_bound: int = 20) -> None:

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclocomp import IntPolynomial, RatPolynomial, cli, cyclotomic
+from cyclocomp import IntPolynomial, RatPolynomial, cli, completion, cyclotomic, polyring, qcrt
 from cyclocomp.cli import run
 from support import kz_value_by_strange_identity
 from test_acceptance import GOLDEN_CORPUS
@@ -378,6 +378,87 @@ class TestInternalFailures:
         monkeypatch.setattr(cyclotomic, "cyclotomic_poly", _raise)
         code, out, err = invoke("cyclotomic", "12")
         assert (code, out, err) == (3, "", "error: internal: RuntimeError: kernel failed\n")
+
+
+def _bezout_with_a_wrong_cofactor(f, a, b):
+    res, u, v = f(a, b)
+    return res, u + IntPolynomial.one(), v
+
+
+def _prs_with_a_wrong_cofactor(f, a, b):
+    res, r, u = f(a, b)
+    return res, r, u + IntPolynomial.one()
+
+
+def _prs_with_a_wrong_remainder(f, a, b):
+    res, r, u = f(a, b)
+    return res, r + r, u
+
+
+# One lying kernel per internal-invariant raise of the library: (the
+# raise's message, module, kernel, wrong, a call that reaches the raise,
+# the selfcheck check that reaches it or None).  No leaf but selfcheck
+# reaches these raises, and selfcheck reports each as a FAIL row.
+PHI = cyclotomic.cyclotomic_poly
+INVARIANT_RAISES = [
+    (
+        "Bezout inverse fails", completion, "subresultant_bezout", _bezout_with_a_wrong_cofactor,
+        lambda: completion.unit_inverse_mod(IntPolynomial.monomial(1, 1), PHI(3)),
+        None,
+    ),
+    (
+        "expected resultant 1", cyclotomic, "subresultant_bezout",
+        lambda f, a, b: (2, *f(a, b)[1:]),
+        lambda: cyclotomic.cyclotomic_coprimality(1, 6),
+        "coprimality_dichotomy_n<=20",
+    ),
+    (
+        "Bezout identity", polyring, "_prs", _prs_with_a_wrong_cofactor,
+        lambda: polyring.subresultant_bezout(PHI(3), PHI(5)),
+        "coprimality_dichotomy_n<=20",
+    ),
+    (
+        "not exact", polyring, "_prs", _prs_with_a_wrong_remainder,
+        lambda: polyring.subresultant_bezout(PHI(3), PHI(5)),
+        "coprimality_dichotomy_n<=20",
+    ),
+    (
+        "cofactor quotient", polyring, "_prs", _prs_with_a_wrong_cofactor,
+        lambda: polyring.rational_xgcd(RatPolynomial([1, 2, 3], 2), RatPolynomial([1, 1])),
+        None,
+    ),
+    (
+        "CRT moduli are not coprime", qcrt, "subresultant_bezout",
+        lambda f, a, b: (0, IntPolynomial.zero(), IntPolynomial.zero()),
+        lambda: qcrt.ExponentVector({1: 1, 2: 1}).modulus(),
+        "crt_roundtrip_seeded",
+    ),
+]
+
+
+class TestInvariantRaises:
+    # Each internal-invariant raise of the library, reached by one lying
+    # kernel, in process.
+
+    @pytest.mark.parametrize(
+        "message, module, name, wrong, call, check",
+        INVARIANT_RAISES,
+        ids=[message for message, *_ in INVARIANT_RAISES],
+    )
+    def test_a_lying_kernel_reaches_the_raise(
+        self, monkeypatch, message, module, name, wrong, call, check
+    ):
+        _patch(monkeypatch, module, name, wrong)
+        with pytest.raises(AssertionError, match=message):
+            call()
+        if check is not None:
+            code, out, err = invoke("selfcheck", "--format", "csv")
+            assert (code, err) == (3, "")
+            assert _selfcheck_row(out, "csv", check) == "FAIL"
+
+    def test_the_honest_kernels_pass(self):
+        for *_, call, _ in INVARIANT_RAISES:
+            call()
 
 
 class TestBudgets:
@@ -1021,3 +1102,134 @@ class TestFreshProcess:
             "29caae9bd4d22a4b699bd0068ed68785a280d028c6233e8a7a2aa7bfac6d70be"
         )
         assert rss_mib < 85, f"peak RSS {rss_mib:.1f} MiB, budget 85 MiB"
+
+
+def _leaf(argv: list) -> tuple:
+    return next(path for path, fn, *_ in cli._COMMANDS if fn and tuple(argv[: len(path)]) == path)
+
+
+# One golden-corpus line per leaf in each format, a usage error, a
+# violated precondition and a help screen.
+ONE_LINE_PER_LEAF = list({_leaf(argv): argv for argv in GOLDEN_CORPUS}.values())
+USAGE_ERROR = ["graph", "--ring", "X", "--set", "1"]
+VIOLATED_PRECONDITION = [
+    "habiro", "rho",
+    "--from-chain", "pochhammer", "--from-level", "2",
+    "--to-chain", "adic:3", "--to-level", "1",
+    "--poly", '["1"]',
+]
+HELP_SCREEN = ["habiro", "expand", "--help"]
+CONTRACT_LINES = [
+    *(argv + ["--format", fmt] for argv in ONE_LINE_PER_LEAF for fmt in ("json", "csv", "plain")),
+    USAGE_ERROR,
+    VIOLATED_PRECONDITION,
+    HELP_SCREEN,
+]
+
+# Runs `python -m cyclocomp.cli cyclotomic 3` in this process, as runpy
+# runs it, with one kernel replaced: a spy that prints whether the
+# collector is on and whether more is frozen than at the start (Python
+# 3.12 starts with objects frozen) as the leaf calls it, and whether more
+# is frozen once main has exited; or a kernel that raises.
+MAIN_WITH_A_PATCHED_KERNEL = """
+import gc, runpy, sys
+from cyclocomp import cyclotomic
+original, frozen = cyclotomic.cyclotomic_poly, [gc.get_freeze_count()]
+def spy(n):
+    frozen.append(gc.get_freeze_count())
+    print(gc.isenabled(), frozen[1] > frozen[0], file=sys.stderr)
+    return original(n)
+def raising(n):
+    raise RuntimeError("kernel failed")
+cyclotomic.cyclotomic_poly = {"spy": spy, "raising": raising}[sys.argv[1]]
+sys.argv = ["cyclocomp", "cyclotomic", "3", "--format", "plain"]
+try:
+    runpy.run_module("cyclocomp.cli", run_name="__main__")
+finally:
+    if len(frozen) > 1:
+        print(gc.get_freeze_count() > frozen[1], file=sys.stderr)
+"""
+
+# Runs the same command line with a collection threshold of 1, which
+# starts a collection at every allocation the collector sees, and prints
+# the statements of cli.py's module body, imports included, at which one
+# started before main ran.
+MAIN_UNDER_A_COLLECTION_PROBE = """
+import gc, json, linecache, runpy, sys
+statements = set()
+def on_collection(phase, info):
+    frame = sys._getframe()
+    while frame and phase == "start":
+        code = frame.f_code
+        if code.co_filename.endswith("cli.py") and code.co_name in ("main", "<module>"):
+            if code.co_name == "<module>":
+                statements.add(linecache.getline(code.co_filename, frame.f_lineno).strip())
+            break
+        frame = frame.f_back
+sys.argv = ["cyclocomp", "cyclotomic", "3", "--format", "plain"]
+gc.callbacks.append(on_collection)
+gc.set_threshold(1)
+try:
+    runpy.run_module("cyclocomp.cli", run_name="__main__")
+finally:
+    print(json.dumps(sorted(statements)), file=sys.stderr)
+"""
+
+
+def _python_s(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=src_env())
+
+
+class TestProcessContract:
+    # main is the process entry point and is only ever run in a child:
+    # its freezes would pin this process's objects.
+
+    @pytest.mark.parametrize("argv", CONTRACT_LINES, ids=" ".join)
+    def test_main_prints_what_run_prints(self, argv):
+        proc = _python_s("-m", "cyclocomp.cli", *argv)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv, out, err)
+        except SystemExit as exc:
+            code = exc.code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.getvalue().encode(), err.getvalue().encode()
+        )
+
+    def test_every_leaf_and_exit_code_is_covered(self):
+        leaves = {path for path, fn, *_ in cli._COMMANDS if fn}
+        assert {_leaf(argv) for argv in ONE_LINE_PER_LEAF} == leaves
+        assert [invoke(*USAGE_ERROR)[0], invoke(*VIOLATED_PRECONDITION)[0]] == [1, 2]
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+            run(HELP_SCREEN, io.StringIO())
+        assert exc.value.code == 0
+
+    def test_the_leaf_runs_with_the_collector_on_between_two_freezes(self):
+        proc = _python_s("-c", MAIN_WITH_A_PATCHED_KERNEL, "spy")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, b"Phi_3 = q^2 + q + 1\n", b"True True\nTrue\n"
+        )
+
+    def test_no_collection_while_the_module_imports(self):
+        proc = _python_s("-c", MAIN_UNDER_A_COLLECTION_PROBE)
+        assert (proc.returncode, proc.stdout) == (0, b"Phi_3 = q^2 + q + 1\n")
+        # only the statements before gc.disable() may start one
+        before = {"from __future__ import annotations", "import gc", "import sys"}
+        assert set(json.loads(proc.stderr)) <= before
+
+    def test_a_raising_kernel_exits_three_through_main(self):
+        proc = _python_s("-c", MAIN_WITH_A_PATCHED_KERNEL, "raising")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, b"", b"error: internal: RuntimeError: kernel failed\n"
+        )
+
+    def test_importing_the_module_leaves_the_collector_alone(self):
+        probe = (
+            "import gc, json; before = [gc.isenabled(), gc.get_freeze_count()]; "
+            "import cyclocomp.cli; print(json.dumps([before, [gc.isenabled(), gc.get_freeze_count()]]))"
+        )
+        proc = _python_s("-c", probe)
+        assert proc.returncode == 0
+        before, after = json.loads(proc.stdout)
+        assert before == after and after[0] is True

@@ -375,6 +375,29 @@ class TestKernelWitness:
         with pytest.raises(ValueError):
             rho_q_kernel_witness(0)
 
+    def test_level_of_the_wrong_type_rejected(self):
+        with pytest.raises(TypeError):
+            rho_q_kernel_witness(2.0)
+
+    @pytest.mark.parametrize("level", range(1, 31))
+    def test_witness_is_the_glued_idempotent(self, level):
+        # the mixed-radix glue, the library's CRT route, as the oracle
+        lam = ExponentVector({1: level, 2: level})
+        assert rho_q_kernel_witness(level) == crt_reconstruct(CrtComponents({1: ZERO, 2: ONE}), lam)
+
+    def test_witness_builds_no_glue(self, monkeypatch):
+        def no_glue(*args):
+            raise AssertionError("the witness ran a PRS")
+
+        monkeypatch.setattr(qcrt, "subresultant_bezout", no_glue)
+        assert rho_q_kernel_witness(5) == RatPolynomial(hermite_witness(5))
+
+    def test_defining_congruences_at_level_two_hundred(self):
+        w = rho_q_kernel_witness(200)
+        assert w.degree == 399
+        assert w % factor(1, 200) == ZERO
+        assert (w - ONE) % factor(2, 200) == ZERO
+
     def test_witness_degree_bounded(self):
         for n in range(1, 6):
             assert rho_q_kernel_witness(n).degree < 2 * n
