@@ -11,8 +11,9 @@ precondition, 3 internal invariant failure.
 
 --help wraps at a fixed 78 columns, whatever the terminal or $COLUMNS,
 so every help screen is byte-identical in every environment on Python
-3.10 to 3.12.  The argparse of Python 3.13 wraps the usage lines of
-`habiro rho` and `habiro expand` differently.
+3.10 to 3.13.  The usage lines of `habiro rho` and `habiro expand`, which
+the argparse of 3.13 wraps differently, are spelled out as 3.10 to 3.12
+wrap them.
 """
 
 from __future__ import annotations
@@ -51,13 +52,16 @@ class UsageError(Exception):
 class _Result(Frozen):
     """What a subcommand computed, ready for every output format: the JSON
     value (None for a verdict printed alike in every format), the CSV
-    header line and rows, the newline-terminated plain text, and the exit
-    status."""
+    header line and rows, the newline-terminated plain text, the exit
+    status, and the newline-terminated lines for stderr, written after
+    the output."""
 
-    __slots__ = _fields = ("payload", "header", "rows", "plain", "code")
+    __slots__ = _fields = ("payload", "header", "rows", "plain", "code", "errors")
 
-    def __init__(self, payload: Any, header: str, rows: list, plain: str, code: int = 0) -> None:
-        self._init(payload, header, rows, plain, code)
+    def __init__(
+        self, payload: Any, header: str, rows: list, plain: str, code: int = 0, errors: str = ""
+    ) -> None:
+        self._init(payload, header, rows, plain, code, errors)
 
 
 def _emit(out: TextIO, fmt: str, result: _Result) -> None:
@@ -390,7 +394,9 @@ def _cmd_qcrt_witness(args, budgets: Budgets) -> _Result:
 # -- selfcheck ----------------------------------------------------------------
 
 
-def _selfcheck_suite() -> list[tuple[str, bool]]:
+def _selfcheck_suite() -> list[tuple[str, bool, Optional[str]]]:
+    """(name, passed, error) per check: error is "<ExceptionType>:
+    <message>" for a check that raised, which counts as failed, else None."""
     from . import completion, qcrt, rootexp
     from .completion import AdicChain, PochhammerChain, ProductChain
 
@@ -402,13 +408,13 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
         state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
         return lo + ((state >> 32) * (hi - lo + 1) >> 32)
 
-    results: list[tuple[str, bool]] = []
+    results: list[tuple[str, bool, Optional[str]]] = []
 
     def check(name: str, fn) -> None:
         try:
-            results.append((name, bool(fn())))
-        except Exception:
-            results.append((name, False))
+            results.append((name, bool(fn()), None))
+        except Exception as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
 
     def product_law():
         for n in range(1, 41):
@@ -536,11 +542,14 @@ def _selfcheck_suite() -> list[tuple[str, bool]]:
 def _cmd_selfcheck(args, budgets: Budgets) -> _Result:
     results = _selfcheck_suite()
     return _Result(
-        {name: ok for name, ok in results},
+        {name: ok for name, ok, _ in results},
         "check,result",
-        [(name, "ok" if ok else "FAIL") for name, ok in results],
-        "".join(f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in results),
-        0 if all(ok for _, ok in results) else 3,
+        [(name, "ok" if ok else "FAIL") for name, ok, _ in results],
+        "".join(f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok, _ in results),
+        0 if all(ok for _, ok, _ in results) else 3,
+        "".join(
+            f"error: internal: {name}: {error}\n" for name, _, error in results if error is not None
+        ),
     )
 
 
@@ -553,6 +562,22 @@ _REQUIRED_CHAIN_LEVEL_POLY = (
     ("--chain", {"type": _parse_chain, "required": True}),
     ("--level", {"type": _level, "required": True}),
     ("--poly", {"type": _parse_poly, "required": True}),
+)
+
+# The usage lines of the leaves whose usage the argparse of Python 3.13
+# wraps differently, as 3.10 to 3.12 wrap it: (path, usage).
+_USAGES = (
+    (
+        ("habiro", "rho"),
+        "%(prog)s [-h] --from-chain FROM_CHAIN --from-level\n"
+        "                            FROM_LEVEL --to-chain TO_CHAIN --to-level TO_LEVEL\n"
+        "                            --poly POLY [--format {json,csv,plain}]",
+    ),
+    (
+        ("habiro", "expand"),
+        "%(prog)s [-h] --series {kz,qinv} --center CENTER --terms\n"
+        "                               TERMS [--format {json,csv,plain}]",
+    ),
 )
 
 # The command tree in help order, one row per group and leaf: (path,
@@ -739,8 +764,9 @@ def _argparse_tree() -> Any:
     parser = _Parser(prog="cyclocomp", description=description)
     parser.add_argument("--config", help="JSON config file with budget guardrails")
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    usages = dict(_USAGES)
     for path, fn, text, arguments in _COMMANDS:
-        p = subparsers[path[:-1]].add_parser(path[-1], help=text)
+        p = subparsers[path[:-1]].add_parser(path[-1], help=text, usage=usages.get(path))
         if fn is None:
             subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
             continue
@@ -771,6 +797,8 @@ def run(argv: list[str], out: TextIO, err: TextIO = sys.stderr) -> int:
         budgets = Budgets.load(args.config)
         result = args.fn(args, budgets)
         _emit(out, args.format, result)
+        if result.errors:
+            err.write(result.errors)
     except UsageError as exc:
         err.write(f"error: usage: {exc}\n")
         return 1

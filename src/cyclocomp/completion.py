@@ -31,7 +31,6 @@ expansion a_0 + f_1 (a_1 + f_2 (a_2 + ...)) in the factors.
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -215,7 +214,10 @@ class TruncatedElement(_Replaceable):
     __slots__ = _fields = ("chain", "level", "rep")
 
     def __init__(self, chain: FiltrationChain, level: int, rep: IntPolynomial) -> None:
-        self._init(chain, level, rep % chain.modulus(level))
+        rep = rep % chain.modulus(level)
+        _set_chain(self, chain)
+        _set_level(self, level)
+        _set_rep(self, rep)
 
     def __add__(self, other):
         return trunc_arith(self, other, "add")
@@ -249,6 +251,12 @@ class TruncatedElement(_Replaceable):
         return f"<{self.rep} mod g_{self.level} on {self.chain.label}>"
 
 
+# the slots' own setters, for the hot constructor
+_set_chain = TruncatedElement.chain.__set__
+_set_level = TruncatedElement.level.__set__
+_set_rep = TruncatedElement.rep.__set__
+
+
 def reduce(f: IntPolynomial, chain: FiltrationChain, level: int) -> TruncatedElement:
     """Canonical remainder of f modulo g_level; a ring homomorphism onto
     each truncation level.  It is the constructor's reduction under its
@@ -264,9 +272,15 @@ def trunc_arith(a: TruncatedElement, b: TruncatedElement, op: str) -> TruncatedE
             f"cannot mix chains {a.chain.label!r} and {b.chain.label!r}; "
             "restrict both to a common chain first"
         )
-    if op not in ("add", "sub", "mul"):
+    if op == "add":
+        rep = a.rep + b.rep
+    elif op == "sub":
+        rep = a.rep - b.rep
+    elif op == "mul":
+        rep = a.rep * b.rep
+    else:
         raise ValueError(f"unknown op {op!r}")
-    return reduce(getattr(operator, op)(a.rep, b.rep), a.chain, min(a.level, b.level))
+    return reduce(rep, a.chain, min(a.level, b.level))
 
 
 # -- digit expansions --------------------------------------------------------
@@ -308,14 +322,17 @@ def to_digits(a: TruncatedElement) -> DigitExpansion:
 def from_digits(d: DigitExpansion, level: int) -> TruncatedElement:
     """Re-sum digits by Horner's rule in the factors,
     a_0 + f_1 (a_1 + f_2 (a_2 + ...)) = sum a_n g_n, and reduce mod
-    g_level; inverse to to_digits."""
+    g_level; inverse to to_digits.  Each factor f_(n+1) is read once, for
+    the degree bound of digit n (`digit_degree_bound`) and for the sum."""
+    factors = []
     for n, digit in enumerate(d.digits):
-        bound = digit_degree_bound(d.chain, n)
-        if digit.degree >= bound:
-            raise DigitDegreeViolation(f"digit {n} has degree {digit.degree}, bound is {bound}")
+        f = d.chain._checked_factor(n + 1)
+        if digit.degree >= f.degree:
+            raise DigitDegreeViolation(f"digit {n} has degree {digit.degree}, bound is {f.degree}")
+        factors.append(f)
     total = IntPolynomial.zero()
-    for n in reversed(range(len(d.digits))):
-        total = total * d.chain._checked_factor(n + 1) + d.digits[n]
+    for f, digit in zip(reversed(factors), reversed(d.digits)):
+        total = total * f + digit
     return reduce(total, d.chain, level)
 
 

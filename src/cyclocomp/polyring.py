@@ -141,7 +141,9 @@ class _Replaceable(Frozen):
 
 
 def _strip(coeffs: list) -> tuple:
-    end = len(coeffs)
+    if not coeffs or coeffs[-1]:  # no trailing zero to strip
+        return tuple(coeffs)
+    end = len(coeffs) - 1
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return tuple(coeffs[:end])
@@ -340,6 +342,8 @@ class IntPolynomial(_Polynomial):
         g._unit_leading_coefficient()
         r, d = list(self.coeffs), len(g.coeffs) - 1
         _divide_in_place(r, g.coeffs)
+        if len(r) <= d:  # no quotient step ran: self is its own remainder
+            return self.zero(), self
         return self._wrap(r[d:]), self._wrap(r[:d])
 
     def _unit_leading_coefficient(self) -> int:
@@ -570,7 +574,7 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], tuple
     stripped, for deg a >= deg b - 1: the one pseudo-division, each
     quotient step exact.  It is the PRS's step and division over Q."""
     alpha = b[-1] ** (len(a) - len(b) + 1)
-    r, d = [c * alpha for c in a], len(b) - 1
+    r, d = [c * alpha for c in a] if alpha != 1 else list(a), len(b) - 1
     _divide_in_place(r, b)
     return r[d:], _strip(r[:d]), alpha
 
@@ -668,7 +672,12 @@ def subresultant_bezout(
     # and equal (u/R)*res, so every division here is exact, including
     # each step of v = (res - u*long)/short; at the R scale v need not
     # be integral.  The identity check also catches a nonzero remainder.
-    u = [_exact_div(c * res, R.coeffs[0]) for c in u.coeffs]
+    # When R(0) divides res, u is scaled by one integer.
+    scale, rem = divmod(res, R.coeffs[0])
+    if rem:
+        u = [_exact_div(c * res, R.coeffs[0]) for c in u.coeffs]
+    else:
+        u = [c * scale for c in u.coeffs]
     rest = [-c for c in _convolve(u, long)] or [0]
     rest[0] += res
     _divide_in_place(rest, short)

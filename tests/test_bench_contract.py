@@ -219,3 +219,18 @@ def test_cli_run_calls_the_hooks_the_recorder_wraps(monkeypatch):
         ("parse_args", argv),
         ("fn", cli._cmd_habiro_series),
     ]
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_truncated_arithmetic_reduces_once_through_the_recorded_name(monkeypatch, op):
+    # the recorder counts completion.reduce.calls on the module's binding,
+    # so each truncated operation must build its result through it
+    from cyclocomp import completion
+
+    calls, reduce = [], completion.reduce
+    monkeypatch.setattr(completion, "reduce", lambda *args: calls.append(args) or reduce(*args))
+    a, b = TruncatedElement(CHAIN, 3, Q + ONE), TruncatedElement(CHAIN, 2, Q)
+    result = getattr(a, op)(b)
+    assert len(calls) == 1
+    assert calls[0][1:] == (CHAIN, 2)
+    assert result == reduce(*calls[0])

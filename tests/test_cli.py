@@ -298,7 +298,8 @@ def _raise(*args):
 # One wrong kernel per selfcheck check, fed through one library name the
 # check reads: (check, module, name, wrong, format).  The two
 # trunc_arith rows fail the homomorphism's product and its sum in turn;
-# the last row raises, which the suite itself must turn into a FAIL row.
+# the last row raises, which the suite itself must turn into a FAIL row
+# and one stderr line with the exception.
 ONE = RatPolynomial.one()
 WRONG_KERNELS = [
     (
@@ -333,6 +334,12 @@ WRONG_KERNELS = [
     ("c_value_symmetry_n<=30", "cyclotomic", "c_value", lambda f, *a: _raise(), "plain"),
 ]
 
+# selfcheck's stderr when c_value raises: a line per check that reads it
+RAISING_C_VALUE = (
+    "error: internal: c_value_symmetry_n<=30: RuntimeError: kernel failed\n"
+    "error: internal: coprimality_dichotomy_n<=20: RuntimeError: kernel failed\n"
+)
+
 
 class TestInternalFailures:
     # Exit code 3 is an internal invariant failure: a kernel that lies or
@@ -346,8 +353,27 @@ class TestInternalFailures:
     def test_selfcheck_reports_a_wrong_kernel(self, monkeypatch, check, module, name, wrong, fmt):
         _patch(monkeypatch, importlib.import_module(f"cyclocomp.{module}"), name, wrong)
         code, out, err = invoke("selfcheck", "--format", fmt)
-        assert (code, err) == (3, "")
+        raises = (check, module, name, wrong, fmt) == WRONG_KERNELS[-1]
+        assert (code, err) == (3, RAISING_C_VALUE if raises else "")
         assert _selfcheck_row(out, fmt, check) == (False if fmt == "json" else "FAIL")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_a_clean_selfcheck_writes_nothing_to_stderr(self, fmt):
+        code, _, err = invoke("selfcheck", "--format", fmt)
+        assert (code, err) == (0, "")
+
+    def test_a_raising_check_keeps_its_message_after_the_table(self, monkeypatch):
+        # the stdout bytes are those of a check that returned False
+        from cyclocomp import rootexp
+
+        original = rootexp.evaluate_at_root
+        monkeypatch.setattr(rootexp, "evaluate_at_root", _raise)
+        code, out, err = invoke("selfcheck", "--format", "plain")
+        assert code == 3
+        assert err == "error: internal: taylor_matches_evaluation: RuntimeError: kernel failed\n"
+        assert "FAIL taylor_matches_evaluation\n" in out
+        monkeypatch.setattr(rootexp, "evaluate_at_root", lambda *a: -original(*a))
+        assert invoke("selfcheck", "--format", "plain") == (3, out, "")
 
     def test_every_check_has_a_wrong_kernel(self):
         code, out, _ = invoke("selfcheck")
@@ -453,8 +479,28 @@ class TestInvariantRaises:
             call()
         if check is not None:
             code, out, err = invoke("selfcheck", "--format", "csv")
-            assert (code, err) == (3, "")
+            assert code == 3
+            lines = err.splitlines()
+            assert any(
+                line.startswith(f"error: internal: {check}: AssertionError: ") and message in line
+                for line in lines
+            )
             assert _selfcheck_row(out, "csv", check) == "FAIL"
+            for line in lines:  # one line per check that raised
+                name = line.removeprefix("error: internal: ").partition(":")[0]
+                assert line.startswith("error: internal: ")
+                assert _selfcheck_row(out, "csv", name) == "FAIL"
+
+    def test_a_lying_prs_is_named_under_each_check_it_reaches(self, monkeypatch):
+        # The CRT check reaches the wrong cofactor in the Bezout rescaling,
+        # before the identity check: R(0) does not divide its resultant.
+        _patch(monkeypatch, polyring, "_prs", _prs_with_a_wrong_cofactor)
+        code, _, err = invoke("selfcheck", "--format", "csv")
+        assert (code, err.splitlines()) == (3, [
+            "error: internal: coprimality_dichotomy_n<=20: AssertionError: "
+            "Bezout identity u*a + v*b = res fails",
+            "error: internal: crt_roundtrip_seeded: AssertionError: integer division not exact",
+        ])
 
     def test_the_honest_kernels_pass(self):
         for *_, call, _ in INVARIANT_RAISES:

@@ -441,6 +441,21 @@ class TestDigits:
             perturbed = DigitExpansion(chain, tuple(digits))
             assert from_digits(perturbed, 6) != a
 
+    def test_a_bad_digit_before_a_bad_factor_is_reported_first(self):
+        # the digits are checked in order, each against the factor it is
+        # read with: digit 0 against f_1, then digit 1 against f_2
+        class BadSecond(FiltrationChain):
+            label = "bad-second"
+
+            def factor(self, k):
+                return P(-1, 1) if k == 1 else P(1, 2)
+
+        chain = BadSecond()
+        with pytest.raises(DigitDegreeViolation, match="^digit 0 has degree 1, bound is 1$"):
+            from_digits(DigitExpansion(chain, (Q, ONE)), 0)
+        with pytest.raises(AssertionError, match="^bad-second: factor f_2 "):
+            from_digits(DigitExpansion(chain, (ONE, ONE)), 0)
+
     def test_bound_violation_rejected(self):
         chain = PochhammerChain()
         bad = DigitExpansion(chain, (Q,))  # deg 1 digit at slot 0: bound is 1

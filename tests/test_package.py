@@ -173,3 +173,26 @@ def test_every_value_class_rebuilds_through_its_constructor():
     for name, value in samples.items():
         assert type(value).__qualname__ == name
         check_round_trip(value)
+
+
+def test_a_layer_read_before_its_import_is_bound_in_a_fresh_interpreter():
+    # In this process every layer is imported already; a new `python -S`
+    # reads cyclocomp.rootexp first through the package's __getattr__.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, cyclocomp\n"
+        "assert 'cyclocomp.rootexp' not in sys.modules\n"
+        "layer = cyclocomp.rootexp\n"
+        "assert layer is sys.modules['cyclocomp.rootexp']\n"
+        "assert vars(cyclocomp)['rootexp'] is layer\n"
+        "print(layer.__name__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclocomp.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, text=True, check=True
+    )
+    assert proc.stdout == "cyclocomp.rootexp\n"

@@ -691,6 +691,23 @@ class TestOneDivisionKernel:
             divmod(a, g)
             assert calls == [(len(a.coeffs), len(g.coeffs))]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**12), 10**12), max_size=14),
+        st.lists(st.integers(-(10**6), 10**6), max_size=8),
+        st.sampled_from([1, -1]),
+    )
+    def test_a_dividend_below_the_divisor_is_its_own_remainder(self, a, g, lc):
+        a, g = P(*a), P(*g, lc)
+        quot, rem = divmod(a, g)
+        if a.degree < g.degree:
+            assert quot == IntPolynomial.zero() and rem is a
+        else:  # as the remainder and quotient were wrapped before
+            r, d = list(a.coeffs), g.degree
+            polyring._divide_in_place(r, g.coeffs)
+            assert (quot, rem) == (IntPolynomial._wrap(r[d:]), IntPolynomial._wrap(r[:d]))
+        assert quot * g + rem == a
+
     def test_one_call_per_rational_divmod(self, calls):
         a, g = RatPolynomial([Fraction(1, 2), 3, Fraction(-5, 7)]), RatPolynomial([2, Fraction(1, 3)])
         divmod(a, g)

@@ -27,6 +27,7 @@ from cyclocomp import (
     expand_series,
     ohtsuki_series,
     pochhammer,
+    rational_xgcd,
     reduce,
     root_multiplicity,
     series_realize,
@@ -34,7 +35,7 @@ from cyclocomp import (
     taylor_at_root,
 )
 from cyclocomp.errors import InsufficientPrecision, NonConvergent, OrderMismatch
-from cyclocomp.rootexp import _times_step, _z_jet
+from cyclocomp.rootexp import _nonzero_row, _times_step, _z_jet
 
 from support import (
     check_frozen_value,
@@ -571,6 +572,52 @@ class TestAdjacentRoots:
             assert _mod_phi_and_p(values[m], n, p) == at_n, (n, m, p)
 
 
+# (n, p, k, J) of the congruence below: p does not divide n
+ADJACENT_ROOT_CASES = [
+    (1, 2, 3, 3), (3, 2, 2, 3), (3, 2, 3, 4), (5, 3, 1, 2), (2, 3, 2, 4), (1, 5, 2, 6),
+]
+
+
+def _sum_is_congruent(spec, n, p, k, terms, order) -> bool:
+    """Whether f(zeta_N) = sum_{j < terms} c_j(zeta_n) x^j mod z^order in
+    Z[zeta_N], for N = n p^k, zeta_N = zeta_n zeta_{p^k}, z = zeta_{p^k} - 1,
+    x = zeta_n z = zeta_N - zeta_n and c_j the Taylor coefficients at
+    zeta_n.  Z[zeta_N] is Z[q]/(Phi_N) with zeta_N = q; the difference is a
+    multiple of z^order there iff its product with the inverse of z^order
+    over Q, from `rational_xgcd`, has integer coefficients."""
+    N, pk = n * p**k, p**k
+    e = pk * pow(pk, -1, n) % N  # zeta_n = q^e and zeta_{p^k} = q^(1-e)
+    mod, q = cyclotomic_poly(N), IntPolynomial.monomial
+    z, x = q(1, (1 - e) % N) - IntPolynomial.one(), q(1, 1) - q(1, e)
+    total = IntPolynomial.zero()
+    for j, c in enumerate(expand_series(spec, n, terms - 1).coeffs):
+        c_at_zeta_n = sum((q(ci, e * i) for i, ci in enumerate(c.coeffs)), IntPolynomial.zero())
+        total = total + c_at_zeta_n * x**j
+    value = IntPolynomial(expand_series(spec, N, 0).coeffs[0].coeffs)
+    difference = ((value - total) % mod).to_rational()
+    g, inverse, _ = rational_xgcd((z**order % mod).to_rational(), mod.to_rational())
+    assert g == RatPolynomial.one()
+    return (difference * inverse % mod.to_rational()).denominator == 1
+
+
+class TestAdjacentRootsCongruence:
+    """The values at zeta_n zeta_{p^k} determine the Taylor coefficients at
+    zeta_n to order J: f(zeta_N) = sum_{j<J} c_j(zeta_n) x^j mod z^J, both
+    sides from `expand_series`, each at its own order."""
+
+    @pytest.mark.parametrize(
+        "spec", [KONTSEVICH_ZAGIER_SPEC, Q_INVERSE_SPEC, u_spec()], ids=["kz", "qinv", "u"]
+    )
+    def test_values_at_adjacent_roots_give_the_taylor_sum(self, spec):
+        for n, p, k, J in ADJACENT_ROOT_CASES:
+            assert _sum_is_congruent(spec, n, p, k, J, J), (n, p, k, J)
+            assert _sum_is_congruent(spec, n, p, k, J + 1, J + 1), (n, p, k, J)
+            # sharp: the J-term sum fails mod z^(J+1) unless c_J(zeta_n) is
+            # itself a multiple of z, as it is for u in two cases
+            sharp = (spec.name, n, p, k, J) not in {("u", 1, 2, 3, 3), ("u", 2, 3, 2, 4)}
+            assert _sum_is_congruent(spec, n, p, k, J, J + 1) is not sharp, (n, p, k, J)
+
+
 def weighted_spec(weights, stride):
     """A step-less spec: term(k) = w_(k mod len) * (q)_(stride*k) with
     witness stride*k, so every term is a genuine multiple of its witness."""
@@ -1034,6 +1081,29 @@ class TestBinomialRing:
         out = _times_step(jet[low * m :], step, n)
         expected = times_step_n_buckets(oracle[low * n :], step, n)
         assert row_values(out, n, m) == row_values(expected, n, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_nonzero_row_is_the_first_row_no_cyclotomic_integer_zeroes(self, n, data):
+        # half the rows are multiples of Phi_n, zero in Z[zeta_n] though not as lists
+        m = binomial_ring(n)[0]
+        phi = cyclotomic_poly(n)
+        rows = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            if data.draw(st.booleans()):
+                h = data.draw(st.lists(st.integers(-99, 99), max_size=m - phi.degree))
+                row = list((IntPolynomial(h) * phi).coeffs)
+            else:
+                row = data.draw(st.lists(st.integers(-99, 99), max_size=m))
+            rows += row + [0] * (m - len(row))
+        count = data.draw(st.integers(0, len(rows) // m))
+        before = rows[:]
+        expected = next(
+            (j for j in range(count) if not CyclotomicInteger(n, rows[j * m : j * m + m]).is_zero),
+            None,
+        )
+        assert _nonzero_row(rows, n, count) == expected
+        assert rows == before  # each row is reduced as a copy
 
     def test_even_centers_keep_half_the_buckets(self):
         for n, width in [(1, 1), (2, 1), (3, 3), (4, 2), (6, 3), (10, 5), (12, 6)]:
