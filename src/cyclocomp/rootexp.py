@@ -370,20 +370,10 @@ def expand_series(spec: SeriesSpec, n: int, j_max: int) -> RootTaylorSeries:
 
 def _nonzero_row(rows: list[int], n: int, count: int) -> int | None:
     """The index of the first of the first `count` rows of m buckets
-    (`_ring`) that is not zero in Z[zeta_n], or None.  A row is reduced
-    mod Phi_n as a copy, by the kernel `CyclotomicInteger` runs, and is
-    zero when its first phi(n) entries are.  With no row to test, Phi_n
-    is not read: on the named series no call has one, as the witness k of
-    term k asks for its first k // n rows, the zero rows `expand_series`
-    has already cut."""
-    if count < 1:
-        return None
-    m, modulus = _ring(n)[0], cyclotomic_poly(n).coeffs
-    phi = len(modulus) - 1
+    (`_ring`) that is not zero in Z[zeta_n], or None."""
+    m = _ring(n)[0]
     for j in range(count):
-        row = rows[j * m : j * m + m]
-        _divide_in_place(row, modulus)
-        if any(row[:phi]):
+        if not CyclotomicInteger(n, rows[j * m : j * m + m]).is_zero:
             return j
     return None
 

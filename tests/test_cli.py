@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1077,6 +1078,43 @@ def test_help_screens_match_the_golden_file(columns):
         check=True,
     )
     assert proc.stdout == GOLDEN_HELP_FILE.read_bytes()
+
+
+def help_screen(argv):
+    """The --help screen of argv, printed in process."""
+    screen = io.StringIO()
+    with contextlib.redirect_stdout(screen), pytest.raises(SystemExit):
+        run([*argv, "--help"], screen)
+    return screen.getvalue()
+
+
+class TestSpelledOutUsages:
+    """`cli._USAGES` is a second spelling of some leaves' usage lines, so
+    it is checked against the `_COMMANDS` rows it spells and, where the
+    argparse wraps as it was spelled from, against argparse's own."""
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13), reason="the argparse of 3.13 wraps these usages differently"
+    )
+    @pytest.mark.parametrize("path", [path for path, _ in cli._USAGES], ids=" ".join)
+    def test_a_spelled_out_usage_is_the_one_argparse_writes(self, path):
+        spelled = help_screen(path)
+        with mock.patch.object(cli, "_USAGES", ()):
+            generated = help_screen(path)
+        assert spelled == generated
+        assert spelled.startswith("usage: cyclocomp " + " ".join(path) + " [-h] --")
+
+    @pytest.mark.parametrize("path", [path for path, _ in cli._USAGES], ids=" ".join)
+    def test_a_spelled_out_usage_names_the_options_of_its_row_in_order(self, path):
+        (arguments,) = [arguments for p, _, _, arguments in cli._COMMANDS if p == path]
+        options = [name for name, _ in (*arguments, cli._FORMAT)]
+        usage = " ".join(dict(cli._USAGES)[path].split())
+        assert re.findall(r"--[\w-]+", usage) == options
+        for name, keywords in (*arguments, cli._FORMAT):
+            if "choices" in keywords:
+                assert f"{name} {{{','.join(keywords['choices'])}}}" in usage
+            else:
+                assert f"{name} {name[2:].upper().replace('-', '_')}" in usage
 
 
 # Runs argv and reports its CPU seconds, peak RSS (KiB) and exit code on

@@ -1103,7 +1103,7 @@ class TestBinomialRing:
             None,
         )
         assert _nonzero_row(rows, n, count) == expected
-        assert rows == before  # each row is reduced as a copy
+        assert rows == before  # the rows are left as they were
 
     def test_even_centers_keep_half_the_buckets(self):
         for n, width in [(1, 1), (2, 1), (3, 3), (4, 2), (6, 3), (10, 5), (12, 6)]:
