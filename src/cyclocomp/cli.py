@@ -11,9 +11,7 @@ precondition, 3 internal invariant failure.
 
 --help wraps at a fixed 78 columns, whatever the terminal or $COLUMNS,
 so every help screen is byte-identical in every environment on Python
-3.10 to 3.13.  The usage lines of `habiro rho` and `habiro expand`, which
-the argparse of 3.13 wraps differently, are spelled out as 3.10 to 3.12
-wrap them.
+3.10 to 3.13.
 """
 
 from __future__ import annotations
@@ -556,28 +554,16 @@ def _cmd_selfcheck(args, budgets: Budgets) -> _Result:
 # -- parser / dispatcher -------------------------------------------------------
 
 
+def _required_positive(**keywords: Any) -> dict:
+    return {"type": _positive, "required": True, **keywords}
+
+
 _FORMAT = ("--format", {"choices": ("json", "csv", "plain"), "default": "json"})
 
 _REQUIRED_CHAIN_LEVEL_POLY = (
     ("--chain", {"type": _parse_chain, "required": True}),
     ("--level", {"type": _level, "required": True}),
     ("--poly", {"type": _parse_poly, "required": True}),
-)
-
-# The usage lines of the leaves whose usage the argparse of Python 3.13
-# wraps differently, as 3.10 to 3.12 wrap it: (path, usage).
-_USAGES = (
-    (
-        ("habiro", "rho"),
-        "%(prog)s [-h] --from-chain FROM_CHAIN --from-level\n"
-        "                            FROM_LEVEL --to-chain TO_CHAIN --to-level TO_LEVEL\n"
-        "                            --poly POLY [--format {json,csv,plain}]",
-    ),
-    (
-        ("habiro", "expand"),
-        "%(prog)s [-h] --series {kz,qinv} --center CENTER --terms\n"
-        "                               TERMS [--format {json,csv,plain}]",
-    ),
 )
 
 # The command tree in help order, one row per group and leaf: (path,
@@ -626,10 +612,10 @@ _COMMANDS = (
         _cmd_habiro_rho,
         "restriction to a coarser chain",
         (
-            ("--from-chain", {"type": _parse_chain, "required": True}),
-            ("--from-level", {"type": _level, "required": True}),
-            ("--to-chain", {"type": _parse_chain, "required": True}),
-            ("--to-level", {"type": _level, "required": True}),
+            ("--from-chain", {"type": _parse_chain, "required": True, "metavar": "C"}),
+            ("--from-level", {"type": _level, "required": True, "metavar": "K"}),
+            ("--to-chain", {"type": _parse_chain, "required": True, "metavar": "D"}),
+            ("--to-level", {"type": _level, "required": True, "metavar": "L"}),
             ("--poly", {"type": _parse_poly, "required": True}),
         ),
     ),
@@ -658,8 +644,8 @@ _COMMANDS = (
         "Taylor expansion at a root of unity",
         (
             ("--series", {"choices": SERIES_NAMES, "required": True}),
-            ("--center", {"type": _positive, "required": True, "help": "order of the root"}),
-            ("--terms", {"type": _positive, "required": True, "help": "number of coefficients"}),
+            ("--center", _required_positive(metavar="N", help="order of the root")),
+            ("--terms", _required_positive(metavar="J", help="number of coefficients")),
         ),
     ),
     (("qcrt",), None, "rational CRT splitting", ()),
@@ -679,7 +665,7 @@ _COMMANDS = (
         ("qcrt", "witness"),
         _cmd_qcrt_witness,
         "kernel witness for restriction over Q",
-        (("--level", {"type": _positive, "required": True}),),
+        (("--level", _required_positive()),),
     ),
     (("selfcheck",), _cmd_selfcheck, "run the invariant suite", ()),
 )
@@ -764,9 +750,8 @@ def _argparse_tree() -> Any:
     parser = _Parser(prog="cyclocomp", description=description)
     parser.add_argument("--config", help="JSON config file with budget guardrails")
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
-    usages = dict(_USAGES)
     for path, fn, text, arguments in _COMMANDS:
-        p = subparsers[path[:-1]].add_parser(path[-1], help=text, usage=usages.get(path))
+        p = subparsers[path[:-1]].add_parser(path[-1], help=text)
         if fn is None:
             subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
             continue

@@ -299,12 +299,6 @@ class DigitExpansion(Frozen):
         return len(self.digits)
 
 
-def digit_degree_bound(chain: FiltrationChain, n: int) -> int:
-    """deg a_n must stay strictly below this: deg f_{n+1}, the gap
-    deg g_{n+1} - deg g_n of the chain at n."""
-    return chain._checked_factor(check_index(n, "digit index", 0) + 1).degree
-
-
 def to_digits(a: TruncatedElement) -> DigitExpansion:
     """Unique digit expansion of a level-k element (k digits), the inverse
     of from_digits' Horner sum: a_n is the remainder of the running quotient
@@ -323,7 +317,8 @@ def from_digits(d: DigitExpansion, level: int) -> TruncatedElement:
     """Re-sum digits by Horner's rule in the factors,
     a_0 + f_1 (a_1 + f_2 (a_2 + ...)) = sum a_n g_n, and reduce mod
     g_level; inverse to to_digits.  Each factor f_(n+1) is read once, for
-    the degree bound of digit n (`digit_degree_bound`) and for the sum."""
+    the degree bound of digit n (deg a_n < deg f_(n+1), the gap
+    deg g_(n+1) - deg g_n) and for the sum."""
     factors = []
     for n, digit in enumerate(d.digits):
         f = d.chain._checked_factor(n + 1)

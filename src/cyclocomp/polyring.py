@@ -340,10 +340,10 @@ class IntPolynomial(_Polynomial):
 
     def _divmod(self, g):
         g._unit_leading_coefficient()
+        if len(self.coeffs) < len(g.coeffs):  # self is its own remainder
+            return self.zero(), self
         r, d = list(self.coeffs), len(g.coeffs) - 1
         _divide_in_place(r, g.coeffs)
-        if len(r) <= d:  # no quotient step ran: self is its own remainder
-            return self.zero(), self
         return self._wrap(r[d:]), self._wrap(r[:d])
 
     def _unit_leading_coefficient(self) -> int:
@@ -501,6 +501,8 @@ def divides(g: _Polynomial, a: _Polynomial) -> bool:
 
 def poly_mod_prime(a: IntPolynomial, p: int) -> IntPolynomial:
     """Coefficientwise reduction into [0, p), canonical over Z/p."""
+    if not isinstance(a, IntPolynomial):
+        raise TypeError(f"IntPolynomial expected, got {type(a).__name__}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return IntPolynomial._wrap([c % p for c in a.coeffs])

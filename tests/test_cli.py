@@ -1088,33 +1088,38 @@ def help_screen(argv):
     return screen.getvalue()
 
 
-class TestSpelledOutUsages:
-    """`cli._USAGES` is a second spelling of some leaves' usage lines, so
-    it is checked against the `_COMMANDS` rows it spells and, where the
-    argparse wraps as it was spelled from, against argparse's own."""
+LEAVES = [(path, arguments) for path, fn, _, arguments in cli._COMMANDS if fn is not None]
 
-    @pytest.mark.skipif(
-        sys.version_info >= (3, 13), reason="the argparse of 3.13 wraps these usages differently"
-    )
-    @pytest.mark.parametrize("path", [path for path, _ in cli._USAGES], ids=" ".join)
-    def test_a_spelled_out_usage_is_the_one_argparse_writes(self, path):
-        spelled = help_screen(path)
-        with mock.patch.object(cli, "_USAGES", ()):
-            generated = help_screen(path)
-        assert spelled == generated
-        assert spelled.startswith("usage: cyclocomp " + " ".join(path) + " [-h] --")
 
-    @pytest.mark.parametrize("path", [path for path, _ in cli._USAGES], ids=" ".join)
-    def test_a_spelled_out_usage_names_the_options_of_its_row_in_order(self, path):
-        (arguments,) = [arguments for p, _, _, arguments in cli._COMMANDS if p == path]
-        options = [name for name, _ in (*arguments, cli._FORMAT)]
-        usage = " ".join(dict(cli._USAGES)[path].split())
-        assert re.findall(r"--[\w-]+", usage) == options
-        for name, keywords in (*arguments, cli._FORMAT):
-            if "choices" in keywords:
-                assert f"{name} {{{','.join(keywords['choices'])}}}" in usage
-            else:
-                assert f"{name} {name[2:].upper().replace('-', '_')}" in usage
+@pytest.mark.parametrize("path, arguments", LEAVES, ids=[" ".join(path) for path, _ in LEAVES])
+def test_a_usage_line_breaks_only_between_whole_options(path, arguments):
+    """A wrapped usage line opens with an option, never with the metavar
+    of the option that ends the line before, so the argparse that wraps
+    by word (3.10 to 3.12) and the one that wraps by option (3.13) write
+    the same lines."""
+    usage = help_screen(path).partition("\n\n")[0].splitlines()
+    options = {"-h", *(name for name, _ in (*arguments, cli._FORMAT))}
+    for line in usage[1:]:
+        assert line.split()[0].strip("[]") in options, line
+
+
+README_FILE = Path(__file__).parents[1] / "README.md"
+
+
+def readme_command_rows():
+    """The commands of README's "Command line" table, as spelled there."""
+    table = README_FILE.read_text().partition("| command | computes |")[2].partition("\n\n")[0]
+    return re.findall(r"^\| `([^`]*)` \|", table, re.M)
+
+
+@pytest.mark.parametrize("path, arguments", LEAVES, ids=[" ".join(path) for path, _ in LEAVES])
+def test_the_readme_table_spells_each_leaf_as_its_row(path, arguments):
+    (row,) = [r for r in readme_command_rows() if (r + " ").startswith(" ".join(path) + " ")]
+    options = [name for name, _ in arguments if name.startswith("--")]
+    assert re.findall(r"--[\w-]+", row) == options
+    for name, keywords in arguments:
+        if "metavar" in keywords:
+            assert f"{name} {keywords['metavar']} " in row + " "
 
 
 # Runs argv and reports its CPU seconds, peak RSS (KiB) and exit code on

@@ -34,7 +34,7 @@ from cyclocomp import (
     unit_inverse_mod,
 )
 from cyclocomp import completion, polyring
-from cyclocomp.completion import DigitExpansion, chain_from_json_dict, digit_degree_bound
+from cyclocomp.completion import DigitExpansion, chain_from_json_dict
 from cyclocomp.errors import (
     ChainMismatch,
     DigitDegreeViolation,
@@ -154,7 +154,6 @@ class TestChains:
         for chain in (Doubling(), Vanishing()):
             for read in (
                 lambda: chain.multiplicity(1, 1),
-                lambda: digit_degree_bound(chain, 0),
                 lambda: from_digits(DigitExpansion(chain, (ONE,)), 0),
             ):
                 with pytest.raises(AssertionError, match=f"{chain.label}: factor f_1 "):
@@ -388,7 +387,7 @@ class TestDigits:
             for _ in range(40):
                 a = reduce(random_int_poly(rng, 30, 1000), chain, 8)
                 for n, digit in enumerate(to_digits(a).digits):
-                    assert digit.degree < digit_degree_bound(chain, n) == gaps[n]
+                    assert digit.degree < chain.factor(n + 1).degree == gaps[n]
 
     def test_digits_read_the_factors(self, monkeypatch):
         # Digits are peeled off the f_k, and digit gaps and the Horner sum
@@ -401,7 +400,7 @@ class TestDigits:
             FiltrationChain, "modulus", lambda self, k: read.append(k) or modulus(self, k)
         )
         d = to_digits(a)
-        assert [digit_degree_bound(chain, n) for n in range(7)] == [1, 1, 2] * 2 + [1]
+        assert [chain.factor(n + 1).degree for n in range(7)] == [1, 1, 2] * 2 + [1]
         assert read == []
         from_digits(d, 5)
         assert read == [5]
@@ -435,7 +434,7 @@ class TestDigits:
             a = reduce(random_int_poly(rng, 20, 50), chain, 6)
             d = to_digits(a)
             n = rng.randrange(6)
-            bump_deg = rng.randint(0, digit_degree_bound(chain, n) - 1)
+            bump_deg = rng.randint(0, chain.factor(n + 1).degree - 1)
             digits = list(d.digits)
             digits[n] = digits[n] + IntPolynomial.monomial(1, bump_deg)
             perturbed = DigitExpansion(chain, tuple(digits))
@@ -471,7 +470,7 @@ class TestDigits:
         for _ in range(40):
             k = rng.randint(1, 6)
             target = [
-                IntPolynomial([rng.randrange(p) for _ in range(digit_degree_bound(chain, n))])
+                IntPolynomial([rng.randrange(p) for _ in range(chain.factor(n + 1).degree)])
                 for n in range(k)
             ]
             lifted = from_digits(DigitExpansion(chain, tuple(target)), k)

@@ -34,7 +34,7 @@ from cyclocomp import (
     ring_z_inverted,
     root_multiplicity,
 )
-from cyclocomp.completion import chain_from_json_dict, digit_degree_bound
+from cyclocomp.completion import chain_from_json_dict
 from cyclocomp.cyclotomic import pochhammer_factor
 from cyclocomp.polyring import check_index, is_prime, prime_factors
 
@@ -97,8 +97,6 @@ REJECTIONS = [
     ("pochhammer_factor(True)", lambda: pochhammer_factor(True), TypeError),
     ("kz step(-1)", lambda: KONTSEVICH_ZAGIER_SPEC.step(-1), ValueError),
     ("qinv step(True)", lambda: Q_INVERSE_SPEC.step(True), TypeError),
-    ("digit_degree_bound n -1", lambda: digit_degree_bound(PochhammerChain(), -1), ValueError),
-    ("digit_degree_bound n True", lambda: digit_degree_bound(PochhammerChain(), True), TypeError),
     ("prime_factors(0)", lambda: prime_factors(0), ValueError),
     ("prime_factors(6.0)", lambda: prime_factors(6.0), TypeError),
     ("integer_witness_search level 0", lambda: integer_witness_search(0, 1, 2), ValueError),
